@@ -38,9 +38,7 @@ from .hypergraph import (
     split_product_alphabet,
 )
 from .channel import deterministic_channel
-from .verify import infer_edge_map, lambda_profile
-
-VERIFY_SLACK = 1e-12
+from .verify import VERIFY_SLACK, edge_vector, infer_edge_map, lambda_profile
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,18 +271,9 @@ def assemble_id_code(
         raise ShapeError("channel output must be the vertex set of hyper_d")
 
     k = hyper_h.edge_count
-
-    def as_vec(v, name):
-        arr = np.asarray(v, dtype=float)
-        if arr.ndim == 0:
-            return np.full(k, float(arr))
-        if arr.shape != (k,):
-            raise ShapeError(f"{name} must have one entry per edge ({k})")
-        return arr
-
-    alpha = as_vec(alpha, "alpha")
-    beta = as_vec(beta, "beta")
-    mu = as_vec(mu, "mu")
+    alpha = edge_vector(alpha, k, "alpha")
+    beta = edge_vector(beta, k, "beta")
+    mu = edge_vector(mu, k, "mu")
 
     # Hop 1: first message encoded, second kept.
     m1, prof1 = infer_edge_map(

@@ -7,9 +7,15 @@ with beta = 2*gamma*(1-gamma) the per-letter probability that exactly one
 copy flips. Equal inputs concentrate near n*beta, far inputs concentrate
 near n*theta_delta, so a distance test at the output identifies equality.
 
-Distance laws are exact binomial convolutions; nothing here materializes a
-4^n matrix. Monte Carlo simulation draws raw channel flips so it stays
-independent of the convolution oracle.
+The receiver decides by output distance alone. `accepts` is the one decision
+rule (with `in_window` the one open-window test) and the single-shot
+decoder, the Monte Carlo simulator and the exact oracle all call it;
+Hamming distances of bit matrices come from one integer routine. Because
+acceptance depends on a codeword pair only through its distance, the exact
+oracle weighs one convolution law per distinct pair distance. Distance laws
+are exact binomial convolutions and never materialize a 4^n matrix. Monte
+Carlo simulation draws raw channel flips so it stays independent of the
+convolution oracle.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from scipy.stats import binom
 from .channel import Channel
 from .errors import (
     CapacityError,
+    EmptyBlock,
     EpsilonTooLarge,
     Infeasible,
     RangeError,
@@ -74,6 +81,8 @@ def binary_entropy(p: float) -> float:
 
 def chernoff_bound(n: int, epsilon: float, delta: float, gamma: float) -> float:
     """Concentration bound for the output distance window at nominal delta."""
+    if n <= 0:
+        raise RangeError(f"block length n must be positive, got {n}")
     if epsilon <= 0.0:
         raise RangeError("epsilon must be positive")
     return min(1.0, 2.0 * math.exp(-n * epsilon**2 * theta(delta, gamma) / 2.0))
@@ -133,15 +142,62 @@ def window_interval(n: int, gamma: float, epsilon: float,
     return center - epsilon * center, center + epsilon * center
 
 
+def in_window(d, n: int, gamma: float, epsilon: float,
+              delta_nominal: float) -> np.ndarray:
+    """Whether each distance in d lies inside the open window_interval."""
+    lo, hi = window_interval(n, gamma, epsilon, delta_nominal)
+    d = np.asarray(d)
+    return (lo < d) & (d < hi)
+
+
+def acceptance_threshold(n: int, gamma: float, epsilon: float) -> float:
+    """One-sided accept boundary: the upper edge of the equal window."""
+    return n * (1.0 + epsilon) * theta(0.0, gamma)
+
+
+def accepts(d, n: int, gamma: float, epsilon: float, mode: str) -> np.ndarray:
+    """The decoder's decision rule: whether each output distance in d is
+    declared a pair of equal messages.
+
+    "one-sided-threshold" accepts up to the acceptance threshold, boundary
+    inclusive; "paper-windows" accepts inside the open equal window.
+    """
+    if mode == "one-sided-threshold":
+        return np.asarray(d) <= acceptance_threshold(n, gamma, epsilon)
+    if mode == "paper-windows":
+        return in_window(d, n, gamma, epsilon, 0.0)
+    raise RangeError(f"unknown decoder mode {mode!r}")
+
+
 def exact_window_miss(n: int, k: int, gamma: float, epsilon: float,
                       delta_nominal: float) -> float:
     """Exact probability that a pair at distance k falls outside the window
     centered at the nominal-delta expectation."""
     law = pair_distance_distribution(n, k, gamma)
-    lo, hi = window_interval(n, gamma, epsilon, delta_nominal)
-    d = np.arange(n + 1)
-    inside = (d > lo) & (d < hi)
+    inside = in_window(np.arange(n + 1), n, gamma, epsilon, delta_nominal)
     return float(1.0 - law.pmf[inside].sum())
+
+
+# ---------------------------------------------------------------------------
+# Words as bit matrices
+# ---------------------------------------------------------------------------
+
+
+def _word_bits(words, n: int) -> np.ndarray:
+    """uint8 bit matrix of n-letter '0'/'1' words, one row per word."""
+    flat = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
+    return (flat - ord("0")).reshape(len(words), n)
+
+
+def _all_word_bits(n: int) -> np.ndarray:
+    """Bit matrix of every n-bit word, in the numeric order of word_alphabet."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1) & 1).astype(np.uint8)
+
+
+def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact integer Hamming distances between the rows of two broadcastable
+    bit arrays, letters on the last axis."""
+    return (a != b).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +220,14 @@ class Codebook:
         for w in self.words:
             if len(w) != self.n or set(w) - {"0", "1"}:
                 raise ShapeError(f"word {w!r} is not an {self.n}-bit string")
-        for i, w in enumerate(self.words):
-            for w2 in self.words[i + 1:]:
-                d = sum(c1 != c2 for c1, c2 in zip(w, w2))
-                if d < self.dmin:
-                    raise ShapeError(
-                        f"words {w!r} and {w2!r} at distance {d} < {self.dmin}"
-                    )
+        dist = self.pair_distances()
+        close = np.argwhere(np.triu(dist < self.dmin, 1))  # row-major order
+        if close.size:
+            i, j = close[0]
+            raise ShapeError(
+                f"words {self.words[i]!r} and {self.words[j]!r} "
+                f"at distance {dist[i, j]} < {self.dmin}"
+            )
 
     @property
     def size(self) -> int:
@@ -178,12 +235,12 @@ class Codebook:
 
     @property
     def bits(self) -> np.ndarray:
-        return np.array([[int(c) for c in w] for w in self.words], dtype=np.uint8)
+        return _word_bits(self.words, self.n)
 
     def pair_distances(self) -> np.ndarray:
         """Hamming distance for every ordered pair of codewords."""
-        b = self.bits.astype(np.int64)
-        return np.array([[int(np.sum(u != v)) for v in b] for u in b])
+        b = self.bits
+        return _hamming(b[:, None], b[None, :])
 
 
 def gilbert_varshamov_bound(n: int, dmin: int) -> int:
@@ -284,22 +341,10 @@ class ExampleHypergraphs:
     def input_edge_of_pair(self, w1: str, w2: str) -> int | None:
         """Edge of the input-pair structure: 1 on equality, 0 at distance
         at least the codebook minimum, None in the gap."""
-        d = sum(c1 != c2 for c1, c2 in zip(w1, w2))
+        d = _distance(w1, w2, self.n)
         if d == 0:
             return 1
         if d >= self.codebook.dmin:
-            return 0
-        return None
-
-    def output_edge_of_distance(self, d: float, gamma: float) -> int | None:
-        """Window containing an output distance: 1 for the equal window,
-        0 for the far window, None outside both."""
-        self.check_windows_disjoint(gamma)
-        lo0, hi0 = window_interval(self.n, gamma, self.epsilon, 0.0)
-        lod, hid = window_interval(self.n, gamma, self.epsilon, self.delta)
-        if lo0 < d < hi0:
-            return 1
-        if lod < d < hid:
             return 0
         return None
 
@@ -318,7 +363,7 @@ def build_example_hypergraphs(
     """Materialize the example's small hypergraphs for a codebook.
 
     When gamma is supplied the window-disjointness constraint is checked
-    immediately; it is re-checked whenever the output windows are used.
+    immediately.
     """
     if codebook.size < 2:
         raise ShapeError("need at least two codewords for mismatch edges")
@@ -327,25 +372,16 @@ def build_example_hypergraphs(
     m = codebook.size
     msgs = Alphabet.of_size(m)
     cw = Alphabet(codebook.words)
-
-    def split(alpha: Alphabet) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        mismatch = tuple(i * m + j for i in range(m) for j in range(m) if i != j)
-        match = tuple(i * m + i for i in range(m))
-        if alpha.size != m * m:
-            raise ShapeError("pair alphabet size mismatch")
-        return mismatch, match
-
-    h_vertices = msgs.product(msgs)
-    g1_vertices = cw.product(msgs)
-    g2_vertices = msgs.product(cw)
-    c_vertices = cw.product(cw)
+    equal = np.eye(m, dtype=bool).reshape(-1)  # row-major pair index i*m + j
+    split = (tuple(np.flatnonzero(~equal).tolist()),
+             tuple(np.flatnonzero(equal).tolist()))
     hyper = ExampleHypergraphs(
         codebook=codebook,
         epsilon=epsilon,
-        hyper_h=Hypergraph(h_vertices, split(h_vertices)),
-        hyper_g1=Hypergraph(g1_vertices, split(g1_vertices)),
-        hyper_g2=Hypergraph(g2_vertices, split(g2_vertices)),
-        hyper_c=Hypergraph(c_vertices, split(c_vertices)),
+        hyper_h=Hypergraph(msgs.product(msgs), split),
+        hyper_g1=Hypergraph(cw.product(msgs), split),
+        hyper_g2=Hypergraph(msgs.product(cw), split),
+        hyper_c=Hypergraph(cw.product(cw), split),
     )
     assert hyper.hyper_c.is_partition
     if gamma is not None:
@@ -367,13 +403,8 @@ def word_alphabet(n: int, cap: int = 1 << 20) -> Alphabet:
 
 def word_channel_rows(words: tuple[str, ...], n: int, gamma: float) -> np.ndarray:
     """Row per word: exact flip probabilities onto every n-bit word."""
-    out = np.zeros((len(words), 1 << n))
-    for wi, w in enumerate(words):
-        x = int(w, 2)
-        for y in range(1 << n):
-            d = (x ^ y).bit_count()
-            out[wi, y] = gamma**d * (1.0 - gamma) ** (n - d)
-    return out
+    law = np.array([gamma**d * (1.0 - gamma) ** (n - d) for d in range(n + 1)])
+    return law[_hamming(_word_bits(words, n)[:, None], _all_word_bits(n)[None, :])]
 
 
 def restricted_pair_channel(codebook: Codebook, gamma: float,
@@ -387,11 +418,9 @@ def restricted_pair_channel(codebook: Codebook, gamma: float,
     if (1 << (2 * n)) > cap:
         raise CapacityError(f"4**{n} output pairs exceed the cap {cap}")
     single = word_channel_rows(codebook.words, n, gamma)
-    pairs = codebook.size**2
-    rows = np.zeros((pairs, 1 << (2 * n)))
-    for i in range(codebook.size):
-        for j in range(codebook.size):
-            rows[i * codebook.size + j] = np.kron(single[i], single[j])
+    m = codebook.size
+    # row i*m + j is the Kronecker product of word rows i and j
+    rows = (single[:, None, :, None] * single[None, :, None, :]).reshape(m * m, -1)
     full = word_alphabet(n, cap)
     cw = Alphabet(codebook.words)
     return Channel(cw.product(cw), full.product(full), rows)
@@ -399,11 +428,8 @@ def restricted_pair_channel(codebook: Codebook, gamma: float,
 
 def pair_distance_table(n: int) -> np.ndarray:
     """Hamming distance of every ordered pair of n-bit words, row-major."""
-    d = np.zeros((1 << n, 1 << n), dtype=np.int64)
-    for x in range(1 << n):
-        for y in range(x + 1, 1 << n):
-            d[x, y] = d[y, x] = (x ^ y).bit_count()
-    return d
+    bits = _all_word_bits(n)
+    return _hamming(bits[:, None], bits[None, :])
 
 
 def threshold_split_hypergraph(n: int, t: float, cap: int = 1 << 20) -> Hypergraph:
@@ -426,9 +452,9 @@ def window_split_hypergraph(
 ) -> Hypergraph:
     """Word pairs split into the two concentration windows.
 
-    Pairs outside both windows are isolated vertices. Fails when a window
-    contains no integer distance (unavoidable at small n) or when the
-    windows collide.
+    Pairs outside both windows are isolated vertices. Fails with EmptyBlock
+    when a window contains no integer distance (unavoidable at small n) and
+    with EpsilonTooLarge when the windows collide.
     """
     if not epsilon < epsilon_max(delta, gamma):
         raise EpsilonTooLarge(
@@ -436,21 +462,21 @@ def window_split_hypergraph(
         )
     full = word_alphabet(n, cap)
     dist = pair_distance_table(n).reshape(-1)
-    lo0, hi0 = window_interval(n, gamma, epsilon, 0.0)
-    lod, hid = window_interval(n, gamma, epsilon, delta)
-    near = tuple(int(i) for i in np.nonzero((dist > lo0) & (dist < hi0))[0])
-    far = tuple(int(i) for i in np.nonzero((dist > lod) & (dist < hid))[0])
-    return Hypergraph(full.product(full), (far, near))
+    edges = []
+    for name, delta_nominal in (("far", delta), ("equal", 0.0)):
+        inside = np.flatnonzero(in_window(dist, n, gamma, epsilon, delta_nominal))
+        if not inside.size:
+            lo, hi = window_interval(n, gamma, epsilon, delta_nominal)
+            raise EmptyBlock(
+                f"{name} window ({lo:.6g}, {hi:.6g}) holds no integer distance at n={n}"
+            )
+        edges.append(tuple(inside.tolist()))
+    return Hypergraph(full.product(full), tuple(edges))
 
 
 # ---------------------------------------------------------------------------
 # Decoding and simulation
 # ---------------------------------------------------------------------------
-
-
-def acceptance_threshold(n: int, gamma: float, epsilon: float) -> float:
-    """One-sided accept boundary: the upper edge of the equal window."""
-    return n * (1.0 + epsilon) * theta(0.0, gamma)
 
 
 def id_decoder(
@@ -470,37 +496,28 @@ def id_decoder(
     safer. The window mode reproduces the two-sided membership test and
     returns 0 both in the far window and outside both windows.
     """
-    d = _distance(y1, y2, n)
-    if mode == "one-sided-threshold":
-        return int(d <= acceptance_threshold(n, gamma, epsilon))
-    if mode == "paper-windows":
-        return int(window_region(d, n, gamma, epsilon, delta) == "match-window")
-    raise RangeError(f"unknown decoder mode {mode!r}")
+    return int(accepts(_distance(y1, y2, n), n, gamma, epsilon, mode))
 
 
 def window_region(d: float, n: int, gamma: float, epsilon: float,
                   delta: float) -> str:
     """'match-window', 'mismatch-window', or 'outside'."""
-    lo0, hi0 = window_interval(n, gamma, epsilon, 0.0)
-    lod, hid = window_interval(n, gamma, epsilon, delta)
-    if lo0 < d < hi0:
+    if in_window(d, n, gamma, epsilon, 0.0):
         return "match-window"
-    if lod < d < hid:
+    if in_window(d, n, gamma, epsilon, delta):
         return "mismatch-window"
     return "outside"
 
 
 def _distance(y1, y2, n: int) -> int:
-    a = _bits(y1, n)
-    b = _bits(y2, n)
-    return int(np.sum(a != b))
+    return int(_hamming(_bits(y1, n), _bits(y2, n)))
 
 
 def _bits(y, n: int) -> np.ndarray:
     if isinstance(y, str):
-        if len(y) != n:
-            raise ShapeError(f"word {y!r} is not {n} bits long")
-        return np.array([int(c) for c in y], dtype=np.uint8)
+        if len(y) != n or set(y) - {"0", "1"}:
+            raise ShapeError(f"word {y!r} is not an {n}-bit string")
+        return _word_bits([y], n)[0]
     arr = np.asarray(y, dtype=np.uint8)
     if arr.shape != (n,):
         raise ShapeError(f"word shape {arr.shape} is not ({n},)")
@@ -569,8 +586,7 @@ def monte_carlo_id(
     bits = codebook.bits
     m = codebook.size
     n_equal = (trials + 1) // 2
-    thresh = acceptance_threshold(n, gamma, epsilon)
-    lo0, hi0 = window_interval(n, gamma, epsilon, 0.0)
+    accepts(np.zeros(0), n, gamma, epsilon, mode)  # reject a bad mode before any chunk
 
     def run_chunk(ci: int) -> tuple[int, int]:
         start = ci * MC_CHUNK
@@ -583,14 +599,8 @@ def monte_carlo_id(
         second = np.where(equal, first, jitter + (jitter >= first))
         flips1 = rng.random((count, n)) < gamma
         flips2 = rng.random((count, n)) < gamma
-        base = bits[first] ^ bits[second]
-        d = (base ^ (flips1 ^ flips2)).sum(axis=1)
-        if mode == "one-sided-threshold":
-            accept = d <= thresh
-        elif mode == "paper-windows":
-            accept = (d > lo0) & (d < hi0)
-        else:
-            raise RangeError(f"unknown decoder mode {mode!r}")
+        d = _hamming(bits[first] ^ flips1, bits[second] ^ flips2)
+        accept = accepts(d, n, gamma, epsilon, mode)
         fr = int(np.sum(equal & ~accept))
         fa = int(np.sum(~equal & accept))
         return fr, fa
@@ -620,28 +630,21 @@ def exact_error_rates(
 ) -> tuple[float, float]:
     """Oracle for the simulation: exact expected false reject and accept.
 
-    Uses the convolution law per codeword pair and the uniform sampling of
-    ordered distinct pairs that the simulation applies.
+    Averages over the ordered distinct pairs that the simulation samples
+    uniformly. Acceptance depends on a pair only through its distance, so
+    each distinct distance gets one convolution law, weighted by its count.
     """
     n = codebook.n
-    thresh = acceptance_threshold(n, gamma, epsilon)
-    lo0, hi0 = window_interval(n, gamma, epsilon, 0.0)
+    accepted = accepts(np.arange(n + 1), n, gamma, epsilon, mode)
 
     def accept_prob(k: int) -> float:
-        law = pair_distance_distribution(n, k, gamma)
-        if mode == "one-sided-threshold":
-            return law.cdf(thresh)
-        if mode == "paper-windows":
-            d = np.arange(n + 1)
-            return float(law.pmf[(d > lo0) & (d < hi0)].sum())
-        raise RangeError(f"unknown decoder mode {mode!r}")
+        return float(pair_distance_distribution(n, k, gamma).pmf[accepted].sum())
 
-    false_reject = 1.0 - accept_prob(0)
-    dists = codebook.pair_distances()
-    m = codebook.size
-    off = [dists[i, j] for i in range(m) for j in range(m) if i != j]
-    false_accept = float(np.mean([accept_prob(int(k)) for k in off]))
-    return false_reject, false_accept
+    off = codebook.pair_distances()[~np.eye(codebook.size, dtype=bool)]
+    counts = np.bincount(off)
+    ks = np.flatnonzero(counts)
+    false_accept = float(counts[ks] @ [accept_prob(k) for k in ks] / off.size)
+    return 1.0 - accept_prob(0), false_accept
 
 
 def rate_table(gamma: float, delta_grid) -> list[tuple[float, float, float]]:

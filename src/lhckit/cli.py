@@ -22,7 +22,7 @@ from .bipartite import assemble_id_code, run_branch_swap_harness
 from .codes import code_error_profile, FunctionCode
 from .decomposition import decompose, derandomize
 from .errors import LhcKitError
-from .verify import verify_lhc
+from .verify import VERIFY_SLACK, edge_vector, verify_lhc
 
 DEFAULT_SEED = 20240
 
@@ -140,19 +140,12 @@ def _load(config: ExperimentConfig, role: str):
     return _LOADERS[role](jsonio.read_json(config.inputs[role]))
 
 
-def _vector(value, count: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        return np.full(count, float(arr))
-    return arr
-
-
 def _run_verify(config: ExperimentConfig) -> int:
     channel = _load(config, "channel")
     source = _load(config, "source")
     target = _load(config, "target")
     edge_map = _load(config, "edge_map")
-    lam = _vector(config.params["lambda"], source.edge_count)
+    lam = edge_vector(config.params["lambda"], source.edge_count, "lambda")
     cert = verify_lhc(channel, source, target, edge_map, lam)
     jsonio.write_json(config.outputs["certificate"],
                       jsonio.certificate_to_dict(cert))
@@ -169,12 +162,11 @@ def _run_decompose(config: ExperimentConfig) -> int:
     source = _load(config, "source")
     target = _load(config, "target")
     e_edge = _load(config, "edge_map")
-    k = source.edge_count
     result = decompose(
         phi, gamma, source, target, e_edge,
-        kappa=_vector(config.params["kappa"], k),
-        mu=_vector(config.params["mu"], k),
-        lam=_vector(config.params["lambda"], k),
+        kappa=config.params["kappa"],
+        mu=config.params["mu"],
+        lam=config.params["lambda"],
     )
     prefix = config.outputs["prefix"]
     jsonio.write_json(f"{prefix}.intermediate.json",
@@ -196,7 +188,7 @@ def _run_derandomize(config: ExperimentConfig) -> int:
     prefix = config.outputs["prefix"]
     jsonio.write_json(f"{prefix}.encoder.json", jsonio.channel_to_dict(enc))
     jsonio.write_json(f"{prefix}.decoder.json", jsonio.channel_to_dict(dec))
-    ok = bool(np.all(new_profile <= 4.0 * lam + 1e-12))
+    ok = bool(np.all(new_profile <= 4.0 * lam + VERIFY_SLACK))
     jsonio.write_json(f"{prefix}.report.json", {
         "input_profile": [float(x) for x in lam],
         "bound": [float(4.0 * x) for x in lam],

@@ -30,9 +30,7 @@ from .hypergraph import (
     Hypergraph,
     characteristic_hypergraph,
 )
-from .verify import LhcCertificate, lambda_profile, verify_lhc
-
-VERIFY_SLACK = 1e-12
+from .verify import VERIFY_SLACK, LhcCertificate, edge_vector, lambda_profile, verify_lhc
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,15 +47,6 @@ class DecompositionResult:
     edge_map_gamma: EdgeMap
     cert_phi: LhcCertificate
     cert_gamma: LhcCertificate
-
-
-def _as_vector(x, n: int, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim == 0:
-        v = np.full(n, float(v))
-    if v.shape != (n,):
-        raise ShapeError(f"{name} must have one entry per edge ({n})")
-    return v
 
 
 def decompose(
@@ -86,9 +75,9 @@ def decompose(
     if phi.output.labels != gamma.input.labels:
         raise ShapeError("phi output must feed gamma input")
     k = source.edge_count
-    kappa = _as_vector(kappa, k, "kappa")
-    mu = _as_vector(mu, k, "mu")
-    lam = _as_vector(lam, k, "lam")
+    kappa = edge_vector(kappa, k, "kappa")
+    mu = edge_vector(mu, k, "mu")
+    lam = edge_vector(lam, k, "lam")
 
     if not e_edge.bijective:
         raise HypothesisViolated("composite edge map must be bijective")
@@ -189,7 +178,7 @@ def channel_is_lhc(
     """
     lam = code_error_profile(code)
     n_vals = lam.size
-    kappa = _as_vector(kappa, n_vals, "kappa")
+    kappa = edge_vector(kappa, n_vals, "kappa")
     bad = np.nonzero(4.0 * lam > kappa + VERIFY_SLACK)[0]
     if bad.size:
         raise HypothesisViolated(
@@ -198,9 +187,9 @@ def channel_is_lhc(
         )
     if np.any(kappa > 0.5):
         raise HypothesisViolated("kappa must be at most 1/2")
-    mu_dec = _as_vector(2.0 * lam if mu_decoder_split is None else mu_decoder_split,
+    mu_dec = edge_vector(2.0 * lam if mu_decoder_split is None else mu_decoder_split,
                         n_vals, "mu_decoder_split")
-    mu_enc = _as_vector(0.5 if mu_encoder_split is None else mu_encoder_split,
+    mu_enc = edge_vector(0.5 if mu_encoder_split is None else mu_encoder_split,
                         n_vals, "mu_encoder_split")
 
     h_f = characteristic_hypergraph(code.f)
@@ -251,7 +240,7 @@ def derandomize(code: FunctionCode, kappa=None) -> tuple[Channel, Channel]:
             f"error profile max {lam.max()} is not below 1/8; "
             "the factor-4 construction needs kappa = 4 * lam <= 1/2"
         )
-    kappa = _as_vector(4.0 * lam if kappa is None else kappa, lam.size, "kappa")
+    kappa = edge_vector(4.0 * lam if kappa is None else kappa, lam.size, "kappa")
     hyper_in, hyper_out, cert = channel_is_lhc(code, kappa)
 
     # Hitting probability of each output block from each channel input.

@@ -28,6 +28,16 @@ from .hypergraph import EdgeMap, Hypergraph
 VERIFY_SLACK = 1e-12
 
 
+def edge_vector(value, count: int, name: str) -> np.ndarray:
+    """Per-edge float vector: a scalar is broadcast to all count edges."""
+    v = np.asarray(value, dtype=np.float64)
+    if v.ndim == 0:
+        v = np.full(count, float(v))
+    if v.shape != (count,):
+        raise ShapeError(f"{name} must have one entry per edge ({count})")
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class LhcCertificate:
     """Edge map plus error vector with per-vertex evidence and a verdict."""

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -24,14 +24,46 @@ from lhckit.bsc_id import (
     theta,
     window_interval,
     window_region,
+    window_split_hypergraph,
 )
-from lhckit.errors import EpsilonTooLarge, Infeasible, RangeError, ShapeError
+from lhckit.errors import (
+    EmptyBlock,
+    EpsilonTooLarge,
+    Infeasible,
+    RangeError,
+    ShapeError,
+)
+
+MODES = ("one-sided-threshold", "paper-windows")
 
 
 def bsc_pair_distances(n: int) -> np.ndarray:
     from lhckit.bsc_id import pair_distance_table
 
     return pair_distance_table(n).reshape(-1)
+
+
+def zip_distance(w1: str, w2: str) -> int:
+    return sum(a != b for a, b in zip(w1, w2))
+
+
+def pairwise_error_rates(codebook, gamma, epsilon, mode):
+    """Reference oracle: one convolution law per ordered distinct codeword pair,
+    averaged in pair order."""
+    n = codebook.n
+    thresh = acceptance_threshold(n, gamma, epsilon)
+    lo0, hi0 = window_interval(n, gamma, epsilon, 0.0)
+
+    def accept_prob(k: int) -> float:
+        law = pair_distance_distribution(n, k, gamma)
+        if mode == "one-sided-threshold":
+            return law.cdf(thresh)
+        d = np.arange(n + 1)
+        return float(law.pmf[(d > lo0) & (d < hi0)].sum())
+
+    off = [zip_distance(u, v) for u in codebook.words for v in codebook.words
+           if u != v]
+    return 1.0 - accept_prob(0), float(np.mean([accept_prob(k) for k in off]))
 
 
 class TestClosedForms:
@@ -60,6 +92,11 @@ class TestClosedForms:
 
     def test_chernoff_caps_at_one(self):
         assert chernoff_bound(10, 1e-6, 0.1, 0.03) == 1.0
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_chernoff_rejects_nonpositive_block_length(self, n):
+        with pytest.raises(RangeError, match=f"n must be positive, got {n}"):
+            chernoff_bound(n, 0.3, 0.1, 0.03)
 
     def test_chernoff_log_linear_in_n(self):
         b1 = chernoff_bound(400, 0.3, 0.1, 0.03)
@@ -107,6 +144,24 @@ class TestCodebooks:
     def test_distance_validation_in_constructor(self):
         with pytest.raises(ShapeError):
             Codebook(n=3, words=("000", "001"), delta=1.0, dmin=3)
+
+    def test_constructor_names_first_close_pair_in_row_major_order(self):
+        # pairs (0, 3) and (1, 2) are both too close; row-major order meets
+        # (0, 3) first, column-major order would meet (1, 2) first
+        words = ("0000", "1100", "1110", "1000")
+        with pytest.raises(ShapeError) as info:
+            Codebook(n=4, words=words, delta=0.5, dmin=2)
+        assert str(info.value) == "words '0000' and '1000' at distance 1 < 2"
+
+    @given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_pair_distances_match_zip_count(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        words = sorted({"".join(map(str, rng.integers(0, 2, size=n)))
+                        for _ in range(m)})
+        book = Codebook(n=n, words=tuple(words), delta=1 / n, dmin=1)
+        expected = [[zip_distance(u, v) for v in words] for u in words]
+        assert book.pair_distances().tolist() == expected
 
 
 class TestDistanceLaw:
@@ -162,6 +217,55 @@ class TestWindowMiss:
         assert all(a >= b - 1e-15 for a, b in zip(probs, probs[1:]))
 
 
+class TestExactErrorRates:
+    @given(st.sampled_from(MODES),
+           st.sampled_from([("random-greedy", 64), ("lexicographic-greedy", 24)]),
+           st.data(), st.integers(2, 12), st.integers(0, 10_000),
+           st.floats(0.01, 0.45), st.floats(0.05, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_per_distance_oracle_matches_pairwise_sum(
+            self, mode, strategy_and_max_n, data, m, seed, gamma, eps):
+        strategy, max_n = strategy_and_max_n
+        n = data.draw(st.integers(4, max_n))
+        try:
+            book = gen_codebook(n, 0.2, m, seed=seed, strategy=strategy)
+        except Infeasible:
+            assume(False)
+        got = exact_error_rates(book, gamma, eps, mode=mode)
+        want = pairwise_error_rates(book, gamma, eps, mode)
+        # relative: false-accept rates fall far below any absolute tolerance
+        # (1e-57 in test_two_codewords); only the float summation order differs
+        for g, w in zip(got, want):
+            assert math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_two_codewords(self, mode):
+        book = Codebook(n=200, words=("0" * 200, "0" * 100 + "1" * 100),
+                        delta=0.5, dmin=100)
+        got = exact_error_rates(book, 0.05, 0.4, mode=mode)
+        want = pairwise_error_rates(book, 0.05, 0.4, mode)
+        assert 0.0 < got[1] < 1e-50
+        for g, w in zip(got, want):
+            assert math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0)
+
+
+class TestUnknownMode:
+    def test_decoder(self):
+        with pytest.raises(RangeError, match="unknown decoder mode 'bogus'"):
+            id_decoder("0000", "0000", 4, 0.03, 0.3, 0.5, mode="bogus")
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_monte_carlo(self, workers):
+        book = gen_codebook(16, 0.5, 4)
+        with pytest.raises(RangeError, match="unknown decoder mode 'bogus'"):
+            monte_carlo_id(book, 0.05, 0.3, 5000, mode="bogus", workers=workers)
+
+    def test_exact_oracle(self):
+        book = gen_codebook(16, 0.5, 4)
+        with pytest.raises(RangeError, match="unknown decoder mode 'bogus'"):
+            exact_error_rates(book, 0.05, 0.3, mode="bogus")
+
+
 class TestLargeBlockWindowCertificate:
     def test_antipodal_pairs_certify_at_one_percent(self):
         # at block length 1000 the equal and antipodal windows each hold all
@@ -205,8 +309,6 @@ class TestExampleHypergraphs:
         assert hi0 < lod
 
     def test_materialized_window_split(self):
-        from lhckit.bsc_id import window_split_hypergraph
-
         # n=8, gamma=0.25: equal window around 3, far window around 5
         h = window_split_hypergraph(8, 0.25, 1.0, 0.2)
         dists = bsc_pair_distances(8)
@@ -215,6 +317,11 @@ class TestExampleHypergraphs:
         assert {dists[i] for i in far} == {5}
         with pytest.raises(EpsilonTooLarge):
             window_split_hypergraph(8, 0.25, 1.0, 0.5)
+
+    def test_empty_window_is_named(self):
+        # n=8, gamma=0.03: the equal window (0.326, 0.605) holds no integer
+        with pytest.raises(EmptyBlock, match=r"equal window \(0\.32\d*, 0\.60\d*\)"):
+            window_split_hypergraph(8, 0.03, 0.4, 0.3)
 
 
 class TestDecoder:
@@ -235,6 +342,11 @@ class TestDecoder:
         y1, y2 = "0" * 20, "1" * 20
         for mode in ("one-sided-threshold", "paper-windows"):
             assert id_decoder(y1, y2, 20, 0.03, 0.3, 0.5, mode=mode) == 0
+
+    @pytest.mark.parametrize("word", ["000", "0a00", "0200"])
+    def test_malformed_word_rejected(self, word):
+        with pytest.raises(ShapeError, match="is not an 4-bit string"):
+            id_decoder(word, "0000", 4, 0.03, 0.3, 0.5)
 
     def test_threshold_boundary_flip(self):
         n, gamma, eps = 100, 0.1, 0.3

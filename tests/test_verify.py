@@ -16,8 +16,8 @@ from lhckit import (
     success_prob,
     verify_lhc,
 )
-from lhckit.errors import IsolatedVertex, RequiresPartition, SizeMismatch
-from lhckit.verify import enumerate_best_edge_map
+from lhckit.errors import IsolatedVertex, RequiresPartition, ShapeError, SizeMismatch
+from lhckit.verify import edge_vector, enumerate_best_edge_map
 
 from conftest import rand_channel, rand_partition
 
@@ -132,6 +132,16 @@ class TestVerify:
             edge = src.unique_edge_of(a)
             direct = phi.rows[a, list(tgt.edges[f_e(edge)])].sum()
             assert success_prob(phi, src, tgt, f_e, a) == pytest.approx(direct)
+
+
+class TestEdgeVector:
+    def test_scalar_broadcasts_and_vector_passes(self):
+        assert edge_vector(0.25, 3, "mu").tolist() == [0.25, 0.25, 0.25]
+        assert edge_vector([0.1, 0.2], 2, "mu").tolist() == [0.1, 0.2]
+
+    def test_wrong_count_names_parameter_and_count(self):
+        with pytest.raises(ShapeError, match=r"kappa must have one entry per edge \(3\)"):
+            edge_vector([0.1, 0.2], 3, "kappa")
 
 
 class TestInferEdgeMap:
