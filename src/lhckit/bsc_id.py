@@ -634,6 +634,8 @@ def exact_error_rates(
     uniformly. Acceptance depends on a pair only through its distance, so
     each distinct distance gets one convolution law, weighted by its count.
     """
+    if codebook.size < 2:
+        raise ShapeError("distinct-message trials need at least two codewords")
     n = codebook.n
     accepted = accepts(np.arange(n + 1), n, gamma, epsilon, mode)
 

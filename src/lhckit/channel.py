@@ -3,8 +3,9 @@
 Composition is matrix product, independent parallel use is the Kronecker
 product, and memoryless block use is the repeated Kronecker power. Product
 alphabets are materialized in row-major order with labels joined by '|',
-which is part of the file format contract; a hard cap on product sizes keeps
-large block lengths out of dense matrices (the binary-symmetric example has
+which is part of the file format contract; a hard cap on the entries of a
+dense product matrix, checked before it is allocated, keeps large block
+lengths out of dense matrices (the binary-symmetric example has
 analytic distance laws for those).
 """
 
@@ -79,16 +80,21 @@ def compose(first: Channel, second: Channel) -> Channel:
     return Channel(first.input, second.output, np.clip(rows, 0.0, 1.0))
 
 
+def _check_entries(in_size: int, out_size: int, cap: int) -> None:
+    """Refuse a dense in x out channel with more than cap entries."""
+    if in_size * out_size > cap:
+        raise CapacityError(
+            f"channel of {in_size} x {out_size} = {in_size * out_size} "
+            f"entries exceeds cap {cap}"
+        )
+
+
 def tensor(
     phi1: Channel, phi2: Channel, cap: int = DEFAULT_PRODUCT_CAP
 ) -> Channel:
     """Independent parallel use of two channels on the product alphabets."""
-    in_size = phi1.input.size * phi2.input.size
-    out_size = phi1.output.size * phi2.output.size
-    if in_size > cap or out_size > cap:
-        raise CapacityError(
-            f"product alphabet of size {max(in_size, out_size)} exceeds cap {cap}"
-        )
+    _check_entries(phi1.input.size * phi2.input.size,
+                   phi1.output.size * phi2.output.size, cap)
     return Channel(
         phi1.input.product(phi2.input),
         phi1.output.product(phi2.output),
@@ -100,22 +106,11 @@ def power(phi: Channel, n: int, cap: int = DEFAULT_PRODUCT_CAP) -> Channel:
     """n independent letter-wise uses of phi."""
     if n < 1:
         raise RangeError("block length must be at least 1")
-    if phi.input.size**n > cap or phi.output.size**n > cap:
-        raise CapacityError(
-            f"alphabet of size {max(phi.input.size, phi.output.size)}**{n} exceeds cap {cap}"
-        )
+    _check_entries(phi.input.size**n, phi.output.size**n, cap)
     out = phi
     for _ in range(n - 1):
         out = tensor(out, phi, cap=cap)
     return out
-
-
-def marginal_output(phi: Channel, keep_first: int) -> np.ndarray:
-    """Marginalize a product-output channel onto its first `keep_first` symbols."""
-    if phi.output.size % keep_first:
-        raise ShapeError("output size is not a multiple of the requested marginal")
-    block = phi.output.size // keep_first
-    return phi.rows.reshape(phi.input.size, keep_first, block).sum(axis=2)
 
 
 def named_rng(seed: int, *stream: object) -> np.random.Generator:

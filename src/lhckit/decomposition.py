@@ -30,7 +30,14 @@ from .hypergraph import (
     Hypergraph,
     characteristic_hypergraph,
 )
-from .verify import VERIFY_SLACK, LhcCertificate, edge_vector, lambda_profile, verify_lhc
+from .verify import (
+    VERIFY_SLACK,
+    LhcCertificate,
+    edge_mass,
+    edge_vector,
+    lambda_profile,
+    verify_lhc,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,9 +106,7 @@ def decompose(
         )
 
     # Hitting probability of each target edge from each intermediate symbol.
-    hit = np.zeros((gamma.input.size, target.edge_count))
-    for bj, edge in enumerate(target.edges):
-        hit[:, bj] = gamma.rows[:, list(edge)].sum(axis=1)
+    hit = edge_mass(gamma.rows, target)
 
     blocks = []
     for ai in range(k):
@@ -244,9 +249,7 @@ def derandomize(code: FunctionCode, kappa=None) -> tuple[Channel, Channel]:
     hyper_in, hyper_out, cert = channel_is_lhc(code, kappa)
 
     # Hitting probability of each output block from each channel input.
-    hit = np.zeros((code.channel.input.size, hyper_out.edge_count))
-    for bj, edge in enumerate(hyper_out.edges):
-        hit[:, bj] = code.channel.rows[:, list(edge)].sum(axis=1)
+    hit = edge_mass(code.channel.rows, hyper_out)
 
     attained = code.f.attained
     enc_choice = {}

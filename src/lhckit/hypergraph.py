@@ -4,13 +4,18 @@ Vertices are always addressed by their index in an ordered alphabet of
 distinct labels; edges are stored as sorted index tuples and compared as
 sets. Partition hypergraphs (edges pairwise disjoint and covering) are the
 main case: for those the unique edge containing a vertex is well defined,
-which is what makes edge maps induce vertex maps.
+which is what makes edge maps induce vertex maps. Each hypergraph caches a
+read-only vertex-by-edge incidence matrix, which the per-vertex membership
+queries read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     InvalidPartition,
@@ -159,25 +164,52 @@ class Hypergraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @property
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Read-only boolean V x E matrix; [v, e] is set when edge e holds v."""
+        k = len(self.edges)
+        s = np.zeros(self.vertices.size * k, dtype=bool)
+        s.put([v * k + ei for ei, e in enumerate(self.edges) for v in e], True)
+        s = s.reshape(self.vertices.size, k)
+        s.setflags(write=False)
+        return s
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Read-only number of edges containing each vertex."""
+        d = self.incidence.sum(axis=1)
+        d.setflags(write=False)
+        return d
+
+    @cached_property
     def edge_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(e) for e in self.edges)
 
+    @cached_property
+    def _edges_of(self) -> tuple[tuple[int, ...], ...]:
+        # row-major nonzeros list each vertex's edges in ascending order
+        flat = np.nonzero(self.incidence)[1].tolist()
+        ends = np.cumsum(self.degrees).tolist()
+        return tuple(tuple(flat[end - d:end])
+                     for end, d in zip(ends, self.degrees.tolist()))
+
     def edges_containing(self, v: int) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.edges) if v in e)
+        edges_of = self._edges_of
+        return edges_of[v] if 0 <= v < len(edges_of) else ()
 
-    @property
+    @cached_property
     def covered_vertices(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e)
+        return frozenset(np.flatnonzero(self.degrees).tolist())
 
-    @property
+    @cached_property
     def edges_disjoint(self) -> bool:
-        total = sum(len(e) for e in self.edges)
-        return total == len(self.covered_vertices)
+        # Read from the edge tuples: a set union is cheaper than building the
+        # matrix for the many small hypergraphs that only ask this question.
+        return sum(map(len, self.edges)) == len(frozenset().union(*self.edges))
 
-    @property
+    @cached_property
     def is_partition(self) -> bool:
-        return self.edges_disjoint and len(self.covered_vertices) == self.vertices.size
+        return bool(np.all(self.degrees == 1))
 
     def unique_edge_of(self, v: int) -> int:
         """Index of the single edge containing v; needs disjoint covering edges."""

@@ -10,7 +10,6 @@ exact summation over materialized channel rows; there is no sampling.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +64,12 @@ def _check_shapes(phi: Channel, source: Hypergraph, target: Hypergraph, f_e: Edg
         raise ShapeError("edge map target count differs from target hypergraph")
 
 
+def _allowed(target: Hypergraph, f_e: EdgeMap, hits) -> np.ndarray:
+    """Ascending target vertices lying in the image of every edge in hits."""
+    images = [f_e(ei) for ei in hits]
+    return np.flatnonzero(target.incidence[:, images].all(axis=1))
+
+
 def success_prob(
     phi: Channel, source: Hypergraph, target: Hypergraph, f_e: EdgeMap, a: int
 ) -> float:
@@ -73,22 +78,36 @@ def success_prob(
     hits = source.edges_containing(a)
     if not hits:
         raise IsolatedVertex(f"vertex {a} lies in no edge of the source hypergraph")
-    allowed = frozenset.intersection(*(target.edge_sets[f_e(ei)] for ei in hits))
-    if not allowed:
-        return 0.0
-    return float(phi.rows[a, sorted(allowed)].sum())
+    return float(phi.rows[a, _allowed(target, f_e, hits)].sum())
 
 
 def per_vertex_success(
     phi: Channel, source: Hypergraph, target: Hypergraph, f_e: EdgeMap
 ) -> np.ndarray:
-    """Success probability per source vertex; NaN for isolated vertices."""
+    """Success probability per source vertex; NaN for isolated vertices.
+
+    Vertices with the same incidence row (edge signature) share their
+    allowed target set, so it is intersected once per signature.
+    """
     _check_shapes(phi, source, target, f_e)
     out = np.full(source.vertices.size, np.nan)
-    for a in range(source.vertices.size):
-        if source.edges_containing(a):
-            out[a] = success_prob(phi, source, target, f_e, a)
+    _, first, sig = np.unique(
+        source.incidence, axis=0, return_index=True, return_inverse=True
+    )
+    sig = sig.reshape(-1)
+    members_of = np.split(np.argsort(sig, kind="stable"),
+                          np.cumsum(np.bincount(sig))[:-1])
+    for rep, members in zip(first.tolist(), members_of):
+        hits = source.edges_containing(rep)
+        if hits:
+            allowed = _allowed(target, f_e, hits)
+            out[members] = phi.rows[np.ix_(members, allowed)].sum(axis=1)
     return out
+
+
+def _profile(success: np.ndarray, source: Hypergraph) -> np.ndarray:
+    """Worst failure 1 - success among the vertices of each source edge."""
+    return np.where(source.incidence, 1.0 - success[:, None], -np.inf).max(axis=0)
 
 
 def lambda_profile(
@@ -100,11 +119,7 @@ def lambda_profile(
     minimal because the constraint at a vertex lower-bounds every edge
     containing it.
     """
-    p = per_vertex_success(phi, source, target, f_e)
-    lam = np.zeros(source.edge_count)
-    for ei, edge in enumerate(source.edges):
-        lam[ei] = max(1.0 - p[v] for v in edge)
-    return lam
+    return _profile(per_vertex_success(phi, source, target, f_e), source)
 
 
 def verify_lhc(
@@ -120,27 +135,38 @@ def verify_lhc(
         raise ShapeError(
             f"error vector has shape {lam.shape}, expected ({source.edge_count},)"
         )
-    profile = lambda_profile(phi, source, target, f_e)
+    success = per_vertex_success(phi, source, target, f_e)
+    profile = _profile(success, source)
     failing = tuple(
         int(e) for e in np.nonzero(lam < profile - VERIFY_SLACK)[0]
     )
     return LhcCertificate(
         edge_map=f_e,
         lam=lam,
-        per_vertex_success=per_vertex_success(phi, source, target, f_e),
+        per_vertex_success=success,
         passed=not failing,
         edge_bijective=f_e.bijective,
         failing_edges=failing,
     )
 
 
+def edge_mass(rows: np.ndarray, hyper: Hypergraph) -> np.ndarray:
+    """mass[x, e] = probability that row x lands in edge e of hyper.
+
+    Each edge's columns are gathered and summed in ascending order, so every
+    caller thresholding this mass sees the same rounding.
+    """
+    mass = np.zeros((rows.shape[0], hyper.edge_count))
+    for e, edge in enumerate(hyper.edges):
+        mass[:, e] = rows[:, list(edge)].sum(axis=1)
+    return mass
+
+
 def edge_cost_matrix(
     phi: Channel, source: Hypergraph, target: Hypergraph
 ) -> np.ndarray:
     """cost[A, B] = worst failure probability of any vertex of A aimed at B."""
-    mass = np.zeros((phi.input.size, target.edge_count))
-    for bj, edge in enumerate(target.edges):
-        mass[:, bj] = phi.rows[:, list(edge)].sum(axis=1)
+    mass = edge_mass(phi.rows, target)
     cost = np.zeros((source.edge_count, target.edge_count))
     for ai, edge in enumerate(source.edges):
         cost[ai] = (1.0 - mass[list(edge), :]).max(axis=0)
@@ -219,30 +245,4 @@ def infer_edge_map(
         )
     f_e = EdgeMap(source.edge_count, target.edge_count, mapping)
     lam = cost[np.arange(source.edge_count), list(mapping)]
-    return f_e, lam
-
-
-def enumerate_best_edge_map(
-    phi: Channel,
-    source: Hypergraph,
-    target: Hypergraph,
-    require_bijective: bool = True,
-) -> tuple[EdgeMap, np.ndarray]:
-    """Brute-force oracle for infer_edge_map; only viable for a few edges."""
-    cost = edge_cost_matrix(phi, source, target)
-    k, l = source.edge_count, target.edge_count
-    candidates = (
-        itertools.permutations(range(l), k)
-        if require_bijective
-        else itertools.product(range(l), repeat=k)
-    )
-    best: tuple[float, tuple[int, ...]] | None = None
-    for mapping in candidates:
-        worst = max(cost[i, mapping[i]] for i in range(k))
-        if best is None or worst < best[0]:
-            best = (worst, tuple(mapping))
-    if best is None:
-        raise SizeMismatch("no candidate edge maps exist")
-    f_e = EdgeMap(k, l, best[1])
-    lam = cost[np.arange(k), list(best[1])]
     return f_e, lam

@@ -249,6 +249,15 @@ class TestExactErrorRates:
             assert math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0)
 
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_word_codebook_has_no_distinct_pairs(self, mode):
+        book = gen_codebook(8, 0.5, 1)
+        with pytest.raises(ShapeError, match="at least two codewords"):
+            exact_error_rates(book, 0.05, 0.4, mode=mode)
+        with pytest.raises(ShapeError, match="at least two codewords"):
+            monte_carlo_id(book, 0.05, 0.4, 10, seed=0, mode=mode)
+
+
 class TestUnknownMode:
     def test_decoder(self):
         with pytest.raises(RangeError, match="unknown decoder mode 'bogus'"):

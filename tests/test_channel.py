@@ -16,10 +16,17 @@ from lhckit import (
     sample,
     tensor,
 )
-from lhckit.channel import marginal_output
 from lhckit.errors import CapacityError, RangeError, ShapeError
 
 from conftest import rand_channel
+
+
+def marginal_output(phi, keep_first: int) -> np.ndarray:
+    """Marginalize a product-output channel onto its first `keep_first` symbols."""
+    if phi.output.size % keep_first:
+        raise ShapeError("output size is not a multiple of the requested marginal")
+    block = phi.output.size // keep_first
+    return phi.rows.reshape(phi.input.size, keep_first, block).sum(axis=2)
 
 
 class TestConstructors:
@@ -123,6 +130,9 @@ class TestTensor:
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             tensor(bsc(0.1), bsc(0.1), cap=3)
+        with pytest.raises(CapacityError, match=r"4 x 4 = 16 entries exceeds cap 15"):
+            tensor(bsc(0.1), bsc(0.1), cap=15)
+        assert tensor(bsc(0.1), bsc(0.1), cap=16).rows.shape == (4, 4)
 
     def test_marginalization_recovers_first_factor(self):
         rng = np.random.default_rng(5)
@@ -158,6 +168,23 @@ class TestPower:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             power(bsc(0.1), 25)
+
+    def test_cap_counts_entries_not_alphabet_sides(self):
+        # 16 x 16 = 256 entries, although each side (16) is within the cap
+        with pytest.raises(CapacityError, match=r"16 x 16 = 256 entries exceeds cap 100"):
+            power(bsc(0.1), 4, cap=100)
+        assert power(bsc(0.1), 4, cap=256).rows.shape == (16, 16)
+
+    def test_power_checks_final_size_before_any_product(self, monkeypatch):
+        import lhckit.channel as channel
+
+        def no_kron(*args):
+            raise AssertionError("allocated before the cap check")
+
+        monkeypatch.setattr(channel.np, "kron", no_kron)
+        # each side (1024) is within the cap; the 2**20 entries are not
+        with pytest.raises(CapacityError, match=r"1024 x 1024 = 1048576 entries"):
+            power(bsc(0.1), 10, cap=1 << 12)
 
 
 class TestSample:

@@ -83,6 +83,44 @@ class TestPartition:
         assert h.unique_edge_of(1) == 0 and h.unique_edge_of(2) == 1
 
 
+class TestIncidence:
+    H = Hypergraph(Alphabet.of_size(5, "v"), ((3, 1), (1, 2), (0,)))
+
+    def test_matrix_and_derived_queries(self):
+        h = Hypergraph(self.H.vertices, self.H.edges)
+        assert h.incidence.tolist() == [
+            [False, False, True], [True, True, False], [False, True, False],
+            [True, False, False], [False, False, False]]
+        assert h.degrees.tolist() == [1, 2, 1, 1, 0]
+        assert [h.edges_containing(v) for v in range(5)] == [(2,), (0, 1), (1,), (0,), ()]
+        assert h.edges_containing(5) == () and h.edges_containing(-1) == ()
+        assert h.covered_vertices == frozenset({0, 1, 2, 3})
+        assert not h.edges_disjoint and not h.is_partition
+        assert h.edge_sets == (frozenset({1, 3}), frozenset({1, 2}), frozenset({0}))
+
+    def test_no_edges(self):
+        h = Hypergraph(Alphabet.of_size(2, "v"), ())
+        assert h.incidence.shape == (2, 0) and h.edges_containing(0) == ()
+        assert h.edges_disjoint and not h.is_partition and not h.covered_vertices
+
+    def test_cached_and_read_only(self):
+        h = Hypergraph(self.H.vertices, self.H.edges)
+        assert h.incidence is h.incidence and h.degrees is h.degrees
+        for arr in (h.incidence, h.degrees):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        fresh = Hypergraph(self.H.vertices, ((1, 3), (2, 1), (0,)))
+        used = Hypergraph(self.H.vertices, self.H.edges)
+        before = hash(used)
+        used.incidence, used.is_partition, used.edges_containing(1)
+        assert hash(used) == before == hash(fresh) and used == fresh
+        assert len({used, fresh}) == 1
+        assert used != Hypergraph(self.H.vertices, ((1, 3), (1, 2)))
+
+
 class TestCharacteristic:
     def test_equality_function_on_two_messages(self):
         h = characteristic_hypergraph(identification_table(2))

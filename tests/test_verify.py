@@ -7,18 +7,22 @@ from lhckit import (
     Alphabet,
     BITS,
     EdgeMap,
+    FunctionTable,
     Hypergraph,
     bsc,
     complete_1_uniform,
+    deterministic_channel,
     identity_channel,
     infer_edge_map,
     lambda_profile,
     success_prob,
     verify_lhc,
 )
+from lhckit import verify
 from lhckit.errors import IsolatedVertex, RequiresPartition, ShapeError, SizeMismatch
-from lhckit.verify import edge_vector, enumerate_best_edge_map
+from lhckit.verify import edge_cost_matrix, edge_vector, per_vertex_success
 
+import oracles
 from conftest import rand_channel, rand_partition
 
 BITS1 = complete_1_uniform(BITS)
@@ -185,7 +189,86 @@ class TestInferEdgeMap:
         phi = rand_channel(rng, src.vertices, tgt.vertices)
         got_map, got_lam = infer_edge_map(phi, src, tgt,
                                           require_bijective=bijective)
-        want_map, want_lam = enumerate_best_edge_map(phi, src, tgt,
-                                                     require_bijective=bijective)
+        want_map, want_lam = oracles.enumerate_best_edge_map(
+            phi, src, tgt, require_bijective=bijective)
         assert max(got_lam) == pytest.approx(max(want_lam), abs=1e-12)
         assert got_map.mapping == want_map.mapping
+
+
+def rand_hypergraph(rng, alphabet: Alphabet, max_edges: int) -> Hypergraph:
+    """Distinct random edges: overlaps, and uncovered (isolated) vertices."""
+    edges = set()
+    for _ in range(int(rng.integers(0, max_edges + 1))):
+        size = int(rng.integers(1, alphabet.size + 1))
+        edges.add(tuple(sorted(int(v) for v in
+                               rng.choice(alphabet.size, size=size, replace=False))))
+    return Hypergraph(alphabet, tuple(sorted(edges)))
+
+
+class TestAgainstPerVertexOracle:
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_frozenset_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        src = rand_hypergraph(rng, Alphabet.of_size(int(rng.integers(1, 8)), "s"), 5)
+        tgt = rand_hypergraph(rng, Alphabet.of_size(int(rng.integers(1, 7)), "t"), 4)
+        if src.edge_count and not tgt.edge_count:
+            tgt = complete_1_uniform(tgt.vertices)
+        if rng.integers(2):
+            phi = rand_channel(rng, src.vertices, tgt.vertices)
+        else:  # exact zeros and ones, so empty and full hits occur exactly
+            targets = rng.integers(tgt.vertices.size, size=src.vertices.size)
+            phi = deterministic_channel(
+                FunctionTable(src.vertices, tgt.vertices, tuple(int(t) for t in targets)))
+        # arbitrary maps: neither injective nor surjective in general
+        f_e = EdgeMap(src.edge_count, tgt.edge_count,
+                      tuple(int(j) for j in rng.integers(max(tgt.edge_count, 1),
+                                                         size=src.edge_count)))
+        want = oracles.per_vertex(phi, src, tgt, f_e)
+        assert np.array_equal(per_vertex_success(phi, src, tgt, f_e), want,
+                              equal_nan=True)
+        prof = oracles.profile(phi, src, tgt, f_e)
+        assert np.array_equal(lambda_profile(phi, src, tgt, f_e), prof)
+        # error vectors straddling the profile, so both verdicts occur
+        lam = np.clip(prof + rng.choice([-1e-3, 0.0, 1e-3], size=prof.size), 0, 1)
+        cert = verify_lhc(phi, src, tgt, f_e, lam)
+        assert np.array_equal(cert.per_vertex_success, want, equal_nan=True)
+        failing = oracles.failing_edges(phi, src, tgt, f_e, lam)
+        assert cert.failing_edges == failing and cert.passed == (not failing)
+        assert np.array_equal(edge_cost_matrix(phi, src, tgt),
+                              oracles.edge_cost(phi, src, tgt))
+
+    def test_isolated_and_empty_intersection(self):
+        src = Hypergraph(Alphabet.of_size(4, "s"), ((0, 1), (1, 2)))
+        phi = rand_channel(np.random.default_rng(3), src.vertices, BITS)
+        got = per_vertex_success(phi, src, BITS1, ID2)
+        # vertex 1 needs both disjoint singletons; vertex 3 is isolated
+        assert got[1] == 0.0 and np.isnan(got[3])
+        assert got[0] == phi.rows[0, 0] and got[2] == phi.rows[2, 1]
+
+
+def test_verify_computes_success_once_and_one_lookup_per_signature(monkeypatch):
+    calls = {"per_vertex": 0, "containing": 0}
+    per_vertex = verify.per_vertex_success
+    containing = Hypergraph.edges_containing
+
+    def counted_per_vertex(*args):
+        calls["per_vertex"] += 1
+        return per_vertex(*args)
+
+    def counted_containing(self, v):
+        calls["containing"] += 1
+        return containing(self, v)
+
+    monkeypatch.setattr(verify, "per_vertex_success", counted_per_vertex)
+    monkeypatch.setattr(Hypergraph, "edges_containing", counted_containing)
+    rng = np.random.default_rng(4)
+    src = Hypergraph(Alphabet.of_size(40, "s"),
+                     (tuple(range(0, 15)), tuple(range(10, 30)), tuple(range(30, 35))))
+    tgt = rand_partition(rng, Alphabet.of_size(30, "t"), 3)
+    phi = rand_channel(rng, src.vertices, tgt.vertices)
+    signatures = {row.tobytes() for row in src.incidence}
+    assert len(signatures) == 5  # {0}, {0, 1}, {1}, {2} and isolated
+    verify_lhc(phi, src, tgt, EdgeMap(3, 3, (0, 1, 1)), np.full(3, 0.5))
+    assert calls["per_vertex"] == 1
+    assert 0 < calls["containing"] <= len(signatures)
