@@ -118,12 +118,11 @@ def semi_det_split(
     if b1.labels != phi1.output.labels:
         raise ShapeError("target vertices must be the product of the channel outputs")
 
-    k = source.edge_count
     product = tensor(phi1, phi2)
     lam = lambda_profile(product, source, target, e_edge)
     if np.any(lam >= 0.5):
         raise HypothesisViolated("product channel profile must be below 1/2")
-    kappa_vec = np.full(k, 0.5) if kappa is None else np.asarray(kappa, dtype=float)
+    kappa = 0.5 if kappa is None else kappa
 
     split_g1 = decompose(
         phi=tensor(identity_channel(a1), phi2),
@@ -131,7 +130,7 @@ def semi_det_split(
         source=source,
         target=target,
         e_edge=e_edge,
-        kappa=kappa_vec,
+        kappa=kappa,
         mu=mu,
         lam=lam,
     )
@@ -141,7 +140,7 @@ def semi_det_split(
         source=source,
         target=target,
         e_edge=e_edge,
-        kappa=kappa_vec,
+        kappa=kappa,
         mu=mu,
         lam=lam,
     )
@@ -186,9 +185,7 @@ def check_branch_swap(
     }
     if len(counts) != 1:
         raise EdgeCountMismatch(f"edge counts differ: {sorted(counts)}")
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.ndim == 0:
-        lam = np.full(hyper_h.edge_count, float(lam))
+    lam = edge_vector(lam, hyper_h.edge_count, "lam")
 
     hyp_map, hyp_profile = infer_edge_map(
         tensor(identity_channel(a1), phi), hyper_h, hyper_g, require_bijective=True

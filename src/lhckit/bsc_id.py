@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import binom
 
-from .channel import Channel
+from .channel import Channel, _check_entries
 from .errors import (
     CapacityError,
     EmptyBlock,
@@ -412,13 +412,12 @@ def restricted_pair_channel(codebook: Codebook, gamma: float,
     """Two independent noisy copies, restricted to codeword-pair inputs.
 
     Input alphabet: ordered codeword pairs. Output alphabet: all ordered
-    n-bit word pairs (4^n of them, so only small n materialize).
+    n-bit word pairs (4^n of them, so only small n materialize). The
+    M^2 x 4^n dense entries are checked against cap before any allocation.
     """
-    n = codebook.n
-    if (1 << (2 * n)) > cap:
-        raise CapacityError(f"4**{n} output pairs exceed the cap {cap}")
+    n, m = codebook.n, codebook.size
+    _check_entries(m * m, 1 << (2 * n), cap)
     single = word_channel_rows(codebook.words, n, gamma)
-    m = codebook.size
     # row i*m + j is the Kronecker product of word rows i and j
     rows = (single[:, None, :, None] * single[None, :, None, :]).reshape(m * m, -1)
     full = word_alphabet(n, cap)

@@ -23,7 +23,7 @@ from .hypergraph import (
     characteristic_hypergraph,
     check_homomorphism,
 )
-from .verify import LhcCertificate, verify_lhc
+from .verify import LhcCertificate, edge_vector, verify_lhc
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +158,7 @@ def sandwich_transfer(
     )
     composite = compose(compose(pre, gamma), post)
 
-    lam = np.asarray(lam, dtype=np.float64)
+    lam = edge_vector(lam, hyper_f.edge_count, "lam")
     f_inv = f_edge.inverse()
     g_edge = h_edge.inverse().after(e_edge.after(f_inv))
     # lam is indexed by the edges of F; carry it over to G through f's edge map.

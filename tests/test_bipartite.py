@@ -126,6 +126,12 @@ class TestBranchSwap:
         with pytest.raises(ShapeError):
             check_branch_swap(phi, h, bad_g, i, f, lam)
 
+    def test_wrong_length_lam_rejected(self):
+        phi, h, g, i, f, _ = random_branch_swap_instance(np.random.default_rng(0))
+        assert h.edge_count == 1
+        with pytest.raises(ShapeError, match=r"lam must have one entry per edge \(1\)"):
+            check_branch_swap(phi, h, g, i, f, [0.1, 0.2, 0.3])
+
 
 class TestAssembleIdCode:
     def test_noiseless_trivial_encoders(self):

@@ -21,12 +21,15 @@ from lhckit.bsc_id import (
     monte_carlo_id,
     pair_distance_distribution,
     rate_table,
+    restricted_pair_channel,
     theta,
     window_interval,
     window_region,
     window_split_hypergraph,
 )
+from lhckit import bsc_id
 from lhckit.errors import (
+    CapacityError,
     EmptyBlock,
     EpsilonTooLarge,
     Infeasible,
@@ -331,6 +334,21 @@ class TestExampleHypergraphs:
         # n=8, gamma=0.03: the equal window (0.326, 0.605) holds no integer
         with pytest.raises(EmptyBlock, match=r"equal window \(0\.32\d*, 0\.60\d*\)"):
             window_split_hypergraph(8, 0.03, 0.4, 0.3)
+
+
+
+class TestRestrictedPairChannel:
+    def test_cap_counts_all_dense_entries_before_allocating(self, monkeypatch):
+        book = gen_codebook(4, 0.25, 5)  # 25 pair rows x 256 output pairs
+        channel = restricted_pair_channel(book, 0.1, cap=25 * 256)
+        assert channel.rows.shape == (25, 256)
+
+        def refuse(*args):
+            raise AssertionError("word rows built before the cap check")
+
+        monkeypatch.setattr(bsc_id, "word_channel_rows", refuse)
+        with pytest.raises(CapacityError, match=r"25 x 256 = 6400 entries exceeds cap 4096"):
+            restricted_pair_channel(book, 0.1, cap=1 << 12)
 
 
 class TestDecoder:

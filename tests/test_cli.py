@@ -1,4 +1,8 @@
+import builtins
+import collections
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,14 +157,18 @@ class TestDecomposeCommand:
         assert rc == 1
 
 
+def write_identity_code(path) -> None:
+    """Bundle of the identity code over BSC(0.02) and its four components."""
+    from lhckit import FunctionCode, FunctionTable, identity_channel
+
+    f = FunctionTable(BITS, BITS, (0, 1))
+    ident = identity_channel(BITS)
+    jsonio.write_code_bundle(path, FunctionCode(ident, ident, f, bsc(0.02)))
+
+
 class TestDerandomizeCommand:
     def test_bundle_round_trip(self, tmp_path):
-        from lhckit import FunctionCode, FunctionTable, identity_channel
-
-        f = FunctionTable(BITS, BITS, (0, 1))
-        ident = identity_channel(BITS)
-        code = FunctionCode(ident, ident, f, bsc(0.02))
-        jsonio.write_code_bundle(tmp_path / "code.json", code)
+        write_identity_code(tmp_path / "code.json")
         prefix = tmp_path / "det"
         rc = main(["derandomize", "--code", str(tmp_path / "code.json"),
                    "--out-prefix", str(prefix)])
@@ -171,47 +179,46 @@ class TestDerandomizeCommand:
         assert enc.deterministic
 
 
+def write_assemble_instance(tmp_path, prefix) -> list[str]:
+    """Noiseless two-message assembly inputs, one file per role; the argv."""
+    from lhckit import Alphabet, FunctionTable, deterministic_channel, \
+        identity_channel
+    from lhckit.hypergraph import Hypergraph
+
+    msgs = Alphabet.of_size(2)
+    x = Alphabet(("u", "v"))
+    pairs = x.product(x)
+    enc = jsonio.channel_to_dict(
+        deterministic_channel(FunctionTable(msgs, x, (0, 1))))
+
+    def square(alpha):
+        match = tuple(i * 2 + i for i in range(2))
+        mismatch = tuple(i * 2 + j for i in range(2) for j in range(2)
+                         if i != j)
+        return jsonio.hypergraph_to_dict(Hypergraph(alpha, (mismatch, match)))
+
+    files = {
+        "enc1": enc,
+        "enc2": enc,
+        "phi": jsonio.channel_to_dict(identity_channel(pairs)),
+        "hyper-h": square(msgs.product(msgs)),
+        "hyper-g1": square(x.product(msgs)),
+        "hyper-g2": square(msgs.product(x)),
+        "hyper-f": square(pairs),
+        "hyper-d": square(pairs),
+    }
+    argv = ["assemble-id"]
+    for flag, payload in files.items():
+        jsonio.write_json(tmp_path / f"{flag}.json", payload)
+        argv += [f"--{flag}", str(tmp_path / f"{flag}.json")]
+    return argv + ["--alpha", "0,0", "--beta", "0,0", "--mu", "0,0",
+                   "--out-prefix", str(prefix)]
+
+
 class TestAssembleCommand:
     def test_noiseless_assembly(self, tmp_path):
-        from lhckit import Alphabet, FunctionTable, deterministic_channel, \
-            identity_channel
-        from lhckit.hypergraph import Hypergraph
-
-        msgs = Alphabet.of_size(2)
-        x = Alphabet(("u", "v"))
-        pairs = x.product(x)
-        enc = deterministic_channel(FunctionTable(msgs, x, (0, 1)))
-
-        def square(alpha):
-            match = tuple(i * 2 + i for i in range(2))
-            mismatch = tuple(i * 2 + j for i in range(2) for j in range(2)
-                             if i != j)
-            return Hypergraph(alpha, (mismatch, match))
-
-        jsonio.write_json(tmp_path / "enc.json", jsonio.channel_to_dict(enc))
-        jsonio.write_json(tmp_path / "phi.json",
-                          jsonio.channel_to_dict(identity_channel(pairs)))
-        jsonio.write_json(tmp_path / "H.json",
-                          jsonio.hypergraph_to_dict(square(msgs.product(msgs))))
-        jsonio.write_json(tmp_path / "G1.json",
-                          jsonio.hypergraph_to_dict(square(x.product(msgs))))
-        jsonio.write_json(tmp_path / "G2.json",
-                          jsonio.hypergraph_to_dict(square(msgs.product(x))))
-        jsonio.write_json(tmp_path / "F.json",
-                          jsonio.hypergraph_to_dict(square(pairs)))
-        jsonio.write_json(tmp_path / "D.json",
-                          jsonio.hypergraph_to_dict(square(pairs)))
         prefix = tmp_path / "id"
-        rc = main(["assemble-id", "--enc1", str(tmp_path / "enc.json"),
-                   "--enc2", str(tmp_path / "enc.json"),
-                   "--phi", str(tmp_path / "phi.json"),
-                   "--hyper-h", str(tmp_path / "H.json"),
-                   "--hyper-g1", str(tmp_path / "G1.json"),
-                   "--hyper-g2", str(tmp_path / "G2.json"),
-                   "--hyper-f", str(tmp_path / "F.json"),
-                   "--hyper-d", str(tmp_path / "D.json"),
-                   "--alpha", "0,0", "--beta", "0,0", "--mu", "0,0",
-                   "--out-prefix", str(prefix)])
+        rc = main(write_assemble_instance(tmp_path, prefix))
         assert rc == 0
         report = jsonio.read_json(f"{prefix}.report.json")
         assert report["exact_profile"] == [0.0, 0.0]
@@ -273,3 +280,149 @@ class TestReproducibility:
         assert main(["rates", "--gamma", "0.03", "--grid", "0:0.3:0.05",
                      "--out", str(tmp_path / "r2.csv")]) == 0
         assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
+
+
+ID_SIM = ["id-sim", "--n", "16", "--gamma", "0.03", "--delta", "0.25",
+          "--eps", "0.3", "--M", "6", "--trials", "3000", "--seed", "11"]
+
+
+def write_id_sim_codebook(path) -> None:
+    """The random-greedy words that ID_SIM generates for itself."""
+    assert main(["codebook", "--n", "16", "--delta", "0.25", "--M", "6",
+                 "--seed", "11", "--strategy", "random-greedy",
+                 "--out", str(path)]) == 0
+
+
+class TestMalformedInputExitsTwo:
+    """Exit 2 with one stderr line and no traceback, before any output."""
+
+    def check(self, argv, out, capsys, text):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and text in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "", "0", "-1"])
+    def test_worker_count(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("LHC_KIT_WORKERS", value)
+        self.check(ID_SIM, tmp_path / "sim.csv", capsys, "LHC_KIT_WORKERS")
+
+    @pytest.mark.parametrize("grid", ["0:0.5:0", "0:0.5:-0.01", "0.5:0:0.01"])
+    def test_rates_grid(self, tmp_path, capsys, grid):
+        self.check(["rates", "--gamma", "0.03", "--grid", grid],
+                   tmp_path / "rates.csv", capsys, "grid")
+
+    @pytest.mark.parametrize("flag", ["--max-edges", "--max-symbols"])
+    def test_falsify_sizes(self, tmp_path, capsys, flag):
+        self.check(["falsify", "--trials", "5", flag, "0"],
+                   tmp_path / "dumps.json", capsys, flag[2:].replace("-", "_"))
+
+    def test_valid_worker_count_is_used(self, tmp_path, monkeypatch):
+        assert main([*ID_SIM, "--out", str(tmp_path / "one.csv")]) == 0
+        monkeypatch.setenv("LHC_KIT_WORKERS", "2")
+        assert main([*ID_SIM, "--out", str(tmp_path / "two.csv")]) == 0
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+
+class TestLoaderPaths:
+    def test_id_sim_codebook_file_matches_generated_words(self, tmp_path, capsys):
+        write_id_sim_codebook(tmp_path / "book.txt")
+        capsys.readouterr()
+        assert main([*ID_SIM, "--out", str(tmp_path / "gen.csv")]) == 0
+        generated = capsys.readouterr().out
+        assert main([*ID_SIM, "--codebook", str(tmp_path / "book.txt"),
+                     "--out", str(tmp_path / "file.csv")]) == 0
+        assert capsys.readouterr().out == generated
+        assert (tmp_path / "gen.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+
+    @pytest.mark.parametrize("role, content, message", [
+        ("code", '{"encoder": "e.json"}',
+         "error: input code: code bundle misses component 'decoder'"),
+        ("codebook", "0000\n1111\n",
+         "error: input codebook: codebook file must start with"),
+    ])
+    def test_malformed_file_is_diagnosed(self, tmp_path, capsys, role, content,
+                                         message):
+        bad = tmp_path / "bad"
+        bad.write_text(content)
+        task, argv = {
+            "code": ("derandomize", ["derandomize", "--code", str(bad),
+                                     "--out-prefix", str(tmp_path / "det")]),
+            "codebook": ("id-sim", [*ID_SIM, "--codebook", str(bad),
+                                    "--out", str(tmp_path / "sim.csv")]),
+        }[role]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": task, "inputs": {role: str(bad)}}))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith(message)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
+
+def verify_inputs(tmp_path):
+    write_singleton_instance(tmp_path)
+    names = ("ch.json", "G.json", "H.json", "m.json")
+    argv = ["verify"]
+    for flag, name in zip(("--channel", "--source", "--target", "--edge-map"), names):
+        argv += [flag, str(tmp_path / name)]
+    return argv + ["--lambda", "0.05", "--out", str(tmp_path / "c.json")], names
+
+
+def decompose_inputs(tmp_path):
+    write_singleton_instance(tmp_path, gamma=0.05)
+    (tmp_path / "ch2.json").write_bytes((tmp_path / "ch.json").read_bytes())
+    names = ("ch.json", "ch2.json", "G.json", "H.json", "m.json")
+    argv = ["decompose"]
+    for flag, name in zip(("--phi", "--gamma-channel", "--source", "--target",
+                           "--edge-map"), names):
+        argv += [flag, str(tmp_path / name)]
+    return argv + ["--lambda", "0.095", "--mu", "0.38", "--kappa", "0.25",
+                   "--out-prefix", str(tmp_path / "split")], names
+
+
+def derandomize_inputs(tmp_path):
+    write_identity_code(tmp_path / "code.json")
+    names = ("code.json", "code.encoder.json", "code.decoder.json",
+             "code.function.json", "code.channel.json")
+    return ["derandomize", "--code", str(tmp_path / "code.json"),
+            "--out-prefix", str(tmp_path / "det")], names
+
+
+def assemble_inputs(tmp_path):
+    argv = write_assemble_instance(tmp_path, tmp_path / "id")
+    return argv, tuple(Path(a).name for a in argv if a.endswith(".json"))
+
+
+def id_sim_codebook_inputs(tmp_path):
+    write_id_sim_codebook(tmp_path / "book.txt")
+    return [*ID_SIM, "--codebook", str(tmp_path / "book.txt"),
+            "--out", str(tmp_path / "sim.csv")], ("book.txt",)
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Opens for reading, counted by resolved path."""
+    counts = collections.Counter()
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if "r" in mode and not isinstance(file, int):
+            counts[Path(file).resolve()] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return counts
+
+
+@pytest.mark.parametrize("write_inputs", [
+    verify_inputs, decompose_inputs, derandomize_inputs, assemble_inputs,
+    id_sim_codebook_inputs,
+])
+def test_each_input_file_is_read_once(tmp_path, reads, write_inputs):
+    argv, names = write_inputs(tmp_path)
+    reads.clear()
+    assert main(argv) == 0
+    assert {n: reads[(tmp_path / n).resolve()] for n in names} == dict.fromkeys(names, 1)

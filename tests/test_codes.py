@@ -20,7 +20,7 @@ from lhckit import (
     sandwich_transfer,
     tensor,
 )
-from lhckit.errors import RequiresBijective
+from lhckit.errors import RequiresBijective, ShapeError
 
 from conftest import rand_channel, sandwich_instance
 
@@ -253,6 +253,16 @@ class TestSandwichTransfer:
             bsc(0.05), e_edge, g, g, g, g, np.array([0.1, 0.1]),
         )
         assert g_edge.mapping == (0, 1) and outer and inner
+
+    def test_scalar_lam_is_broadcast(self):
+        g = complete_1_uniform(BITS)
+        args = ((0, 1), EdgeMap.identity(2), (0, 1), EdgeMap.identity(2),
+                bsc(0.05), EdgeMap.identity(2), g, g, g, g)
+        for lam in (0.04, 0.1):
+            assert (sandwich_transfer(*args, lam)
+                    == sandwich_transfer(*args, np.array([lam, lam])))
+        with pytest.raises(ShapeError, match=r"lam must have one entry per edge \(2\)"):
+            sandwich_transfer(*args, [0.1, 0.1, 0.1])
 
     def test_permutation_relabelings_agree(self):
         g = complete_1_uniform(BITS)
