@@ -431,14 +431,19 @@ def pair_distance_table(n: int) -> np.ndarray:
     return _hamming(bits[:, None], bits[None, :])
 
 
+def _check_pair_count(n: int, cap: int) -> None:
+    """Refuse a hypergraph over all 4**n word pairs before allocating it."""
+    if (1 << (2 * n)) > cap:
+        raise CapacityError(f"4**{n} pairs exceed the cap {cap}")
+
+
 def threshold_split_hypergraph(n: int, t: float, cap: int = 1 << 20) -> Hypergraph:
     """Partition of all word pairs into far (distance above t) and near.
 
     Edge 0 holds the far pairs, edge 1 the near ones, matching the
     mismatch/match edge order used everywhere else.
     """
-    if (1 << (2 * n)) > cap:
-        raise CapacityError(f"4**{n} pairs exceed the cap {cap}")
+    _check_pair_count(n, cap)
     full = word_alphabet(n, cap)
     dist = pair_distance_table(n).reshape(-1)
     far = tuple(int(i) for i in np.nonzero(dist > t)[0])
@@ -459,6 +464,7 @@ def window_split_hypergraph(
         raise EpsilonTooLarge(
             f"epsilon {epsilon} is not below {epsilon_max(delta, gamma)}"
         )
+    _check_pair_count(n, cap)
     full = word_alphabet(n, cap)
     dist = pair_distance_table(n).reshape(-1)
     edges = []

@@ -62,6 +62,14 @@ _LOADERS = {
 }
 
 
+# Params whose range validate checks.
+_NUMBERS = ("gamma", "delta", "epsilon", "trials", "max_edges", "max_symbols", "m")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
     """Schema and range diagnostics without running the task.
 
@@ -83,7 +91,13 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
             except Exception as exc:  # malformed input must not crash
                 notes.append(f"error: input {role}: {exc}")
 
-    p = config.params
+    # a wrongly typed number gets a note instead of a range check
+    p: dict = {}
+    for key, value in config.params.items():
+        if key in _NUMBERS and value is not None and not _is_number(value):
+            notes.append(f"error: {key} must be a number, got {value!r}")
+        else:
+            p[key] = value
     gamma = p.get("gamma")
     if gamma is not None and not 0.0 <= gamma <= 1.0:
         notes.append(f"error: gamma {gamma} outside [0, 1]")
@@ -110,8 +124,11 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
     if m is not None and m < 2:
         notes.append(f"error: message count {m} must be at least 2")
     grid = p.get("grid")
-    if grid is not None and (len(grid) != 3 or grid[2] <= 0 or grid[1] < grid[0]):
-        notes.append(f"error: grid {':'.join(map(str, grid))} needs "
+    if grid is not None and not (
+            isinstance(grid, (list, tuple)) and len(grid) == 3
+            and all(map(_is_number, grid)) and grid[2] > 0 and grid[1] >= grid[0]):
+        text = ":".join(map(str, grid)) if isinstance(grid, (list, tuple)) else repr(grid)
+        notes.append(f"error: grid {text} needs "
                      "start:stop:step with step > 0 and stop >= start")
     if config.task == "id-sim":
         raw = os.environ.get("LHC_KIT_WORKERS", "1")

@@ -8,6 +8,8 @@ losslessly through its reader.
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import json
 from pathlib import Path
 
@@ -23,8 +25,95 @@ from .verify import LhcCertificate
 
 
 def write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
+    """Write ``json.dumps(payload, indent=2, sort_keys=True)`` plus LF.
+
+    The bytes are exactly those of ``json.dumps``, but any ``indent`` makes
+    ``json`` use its pure-Python encoder, so the containers are walked here
+    and each innermost one goes to the C encoder.
+    """
+    out: list[str] = []
+    _encode(payload, 0, out)
+    out.append("\n")
+    Path(path).write_text("".join(out), encoding="utf-8", newline="\n")
+
+
+_CONTAINERS = (list, tuple, dict)
+# Below this many entries numpy's fixed cost exceeds what formatting each
+# distinct value once saves; such matrices take the per-row C path.
+_MIN_MATRIX_ENTRIES = 64
+
+
+@functools.cache
+def _item_encoder(depth: int) -> json.JSONEncoder:
+    """C-path encoder whose item separator opens a line at ``depth``.
+
+    ``json`` uses its C encoder whenever ``indent`` is None. Strings escape
+    their control characters, so the separator only appears between items.
+    """
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "))
+
+
+def _encode(o, depth: int, out: list[str]) -> None:
+    """Append the ``indent=2`` text of ``o``, which opens at ``depth``."""
+    if not isinstance(o, _CONTAINERS) or not o:
+        out.append(_item_encoder(depth).encode(o))  # scalars, [] and {}
+        return
+    is_dict = isinstance(o, dict)
+    inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    values = o.values() if is_dict else o
+    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, values))):
+        text = _item_encoder(depth + 1).encode(o)
+        out += (text[0], inner, text[1:-1], close, text[-1])
+        return
+    if not is_dict:
+        rows = _float_rows(o, depth + 1)
+        if rows is not None:
+            out += ("[", inner, rows, close, "]")
+            return
+    out.append("{" if is_dict else "[")
+    sep = inner
+    for item in sorted(o.items()) if is_dict else o:
+        out.append(sep)
+        if is_dict:
+            key, item = item
+            out += (_key_text(key), ": ")
+        _encode(item, depth + 1, out)
+        sep = "," + inner
+    out += (close, "}" if is_dict else "]")
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json`` writes it, converted or refused by ``json`` itself."""
+    if isinstance(key, str):
+        return json.encoder.encode_basestring_ascii(key)
+    return _item_encoder(0).encode({key: None})[1:-len(": null}")]
+
+
+def _float_rows(rows, depth: int) -> str | None:
+    """The rows of a finite float matrix, each distinct value formatted once.
+
+    Returns the text between the outer brackets, or None unless ``rows`` is
+    a list of equal-length lists of plain, finite floats with at least
+    ``_MIN_MATRIX_ENTRIES`` entries. ``float.__repr__`` is what ``json``
+    writes for a finite float; an int64 view of the values keeps -0.0 apart
+    from 0.0.
+    """
+    if (set(map(type, rows)) - {list, tuple} or len(set(map(len, rows))) != 1
+            or len(rows) * len(rows[0]) < _MIN_MATRIX_ENTRIES
+            or set(map(type, itertools.chain.from_iterable(rows))) != {float}):
+        return None
+    matrix = np.array(rows, dtype=np.float64)
+    if not np.isfinite(matrix).all():
+        return None
+    bits, index = np.unique(matrix.view(np.int64).ravel(), return_inverse=True)
+    texts = np.array([float.__repr__(x) for x in bits.view(np.float64).tolist()],
+                     dtype=object)
+    cells = texts[index.reshape(matrix.shape)].tolist()
+    inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    row_sep = "," + inner
+    return ("," + close).join(
+        "[" + inner + row_sep.join(row) + close + "]" for row in cells
+    )
 
 
 def read_json(path) -> dict:
@@ -239,4 +328,5 @@ def write_csv(path, header: list[str], rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+            writer.writerow([float.__repr__(x) if isinstance(x, float) else x
+                             for x in row])

@@ -23,6 +23,7 @@ from lhckit.bsc_id import (
     rate_table,
     restricted_pair_channel,
     theta,
+    threshold_split_hypergraph,
     window_interval,
     window_region,
     window_split_hypergraph,
@@ -335,6 +336,18 @@ class TestExampleHypergraphs:
         with pytest.raises(EmptyBlock, match=r"equal window \(0\.32\d*, 0\.60\d*\)"):
             window_split_hypergraph(8, 0.03, 0.4, 0.3)
 
+    def test_window_split_caps_pairs_before_allocating(self, monkeypatch):
+        h = window_split_hypergraph(8, 0.25, 1.0, 0.2, cap=4 ** 8)
+        assert h.vertices.size == 4 ** 8
+
+        def refuse(n):
+            raise AssertionError("distance table built before the cap check")
+
+        monkeypatch.setattr(bsc_id, "pair_distance_table", refuse)
+        for split in (lambda cap: window_split_hypergraph(8, 0.25, 1.0, 0.2, cap=cap),
+                      lambda cap: threshold_split_hypergraph(8, 1, cap=cap)):
+            with pytest.raises(CapacityError, match=r"^4\*\*8 pairs exceed the cap 65535$"):
+                split(4 ** 8 - 1)
 
 
 class TestRestrictedPairChannel:

@@ -266,6 +266,46 @@ class TestValidateCommand:
         assert rc == 0 and "no file at" in captured
 
 
+WRONG_TYPES = [
+    ("rates", "gamma", "x", "error: gamma must be a number, got 'x'"),
+    ("falsify", "trials", "5", "error: trials must be a number, got '5'"),
+    ("falsify", "max_edges", True, "error: max_edges must be a number, got True"),
+    ("rates", "grid", ["a", 0.5, 0.1],
+     "error: grid a:0.5:0.1 needs start:stop:step with step > 0 and stop >= start"),
+]
+
+
+class TestWronglyTypedParams:
+    """A param of the wrong type is one note, never a traceback."""
+
+    @pytest.mark.parametrize("task,key,value,note", WRONG_TYPES)
+    def test_validate_notes(self, tmp_path, capsys, task, key, value, note):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": task, "params": {key: value}}))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == note + "\n"
+
+    @pytest.mark.parametrize("task,key,value,note", WRONG_TYPES)
+    def test_run_exits_two(self, tmp_path, capsys, monkeypatch, task, key, value,
+                           note):
+        from lhckit import cli
+
+        parsed = cli.config_from_args
+
+        def wrongly_typed(args):
+            config = parsed(args)
+            config.params[key] = value
+            return config
+
+        monkeypatch.setattr(cli, "config_from_args", wrongly_typed)
+        out = tmp_path / "out"
+        argv = {"rates": ["rates", "--gamma", "0.03", "--grid", "0:0.5:0.1"],
+                "falsify": ["falsify", "--trials", "5"]}[task]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == note + "\n"
+        assert not out.exists()
+
+
 class TestReproducibility:
     def test_artifacts_byte_identical_across_runs(self, tmp_path):
         args_a = ["id-sim", "--n", "64", "--gamma", "0.05", "--delta", "0.2",

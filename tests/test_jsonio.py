@@ -1,5 +1,11 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lhckit import (
     Alphabet,
@@ -12,9 +18,12 @@ from lhckit import (
     jsonio,
 )
 from lhckit.bipartite import random_branch_swap_instance
+from lhckit.cli import main
 from lhckit.errors import ShapeError
 
 from conftest import rand_channel, rand_partition
+
+GOLDEN = Path(__file__).parent / "data" / "derandomize"
 
 
 class TestRoundTrips:
@@ -116,3 +125,68 @@ def identity_channel_between(a, b):
     from lhckit import deterministic_channel
 
     return deterministic_channel(FunctionTable(a, b, tuple(range(a.size))))
+
+
+# -- writers ------------------------------------------------------------------
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, 0.1, 1 / 3, 1.0,
+                  float("nan"), float("inf"), float("-inf")]
+finite_floats = st.one_of(
+    st.sampled_from([x for x in SPECIAL_FLOATS if math.isfinite(x)]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+cells = st.one_of(finite_floats, st.sampled_from(SPECIAL_FLOATS), st.floats(),
+                  st.floats().map(np.float64), st.integers(-3, 3), st.booleans())
+
+
+def matrices(items):
+    """Equal-length rows, the shape of a channel's rows, drawn from a few
+    values; up to 144 entries, so both sides of the writer's size switch."""
+    return st.tuples(st.integers(1, 12), st.integers(1, 12),
+                     st.lists(items, min_size=1, max_size=4),
+                     st.randoms(use_true_random=False)).map(
+        lambda t: [[t[3].choice(t[2]) for _ in range(t[1])] for _ in range(t[0])])
+
+
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.text(max_size=8), st.sampled_from([", ", ",\n  ", ": ", "a\nb", "ü €😀", '"\\']),
+)
+payloads = st.recursive(
+    st.one_of(scalars, matrices(finite_floats), matrices(cells)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=4) | st.sampled_from([", ", "k\n", "é"]),
+                        inner, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+class TestWriters:
+    @given(st.dictionaries(st.text(max_size=4), payloads, max_size=5))
+    @example({"rows": [[0.0, -0.0], [5e-324, 1.0]] * 16})
+    @example({"rows": [[0.5, float("nan")], [float("inf"), -float("inf")]] * 16})
+    @example({"rows": [[1, 0.5], [True, 0.25]], "empty": [[], {}, [[]]]})
+    @example({"a": {"b": [[0.25, 0.75]], "c": []}, "d": [1, [2.5, {}]]})
+    @settings(max_examples=200, deadline=None)
+    def test_write_json_matches_json_dumps(self, tmp_path_factory, payload):
+        path = tmp_path_factory.getbasetemp() / "write_json.json"
+        jsonio.write_json(path, payload)
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("ascii")
+
+    def test_derandomize_outputs_match_golden_files(self, tmp_path):
+        """Outputs byte-equal to files of the ``json.dumps(indent=2)`` writer."""
+        prefix = tmp_path / "golden"
+        assert main(["derandomize", "--code", str(GOLDEN / "code.json"),
+                     "--out-prefix", str(prefix)]) == 0
+        for part in ("encoder", "decoder", "report"):
+            name = f"golden.{part}.json"
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_csv_writes_numpy_floats_as_numbers(self, tmp_path):
+        path = tmp_path / "t.csv"
+        jsonio.write_csv(path, ["a", "b", "c"], [[np.float64(0.5), 0.1, 3]])
+        assert path.read_text() == "a,b,c\n0.5,0.1,3\n"
