@@ -38,13 +38,18 @@ class Channel:
                 f"rows shape {rows.shape} does not match alphabets "
                 f"({self.input.size}, {self.output.size})"
             )
-        if np.any(rows < 0.0) or np.any(rows > 1.0):
-            raise ShapeError("probabilities must lie in [0, 1]")
-        sums = rows.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
-        if bad.size:
+        # NaN fails both comparisons, so non-finite entries are refused here
+        if not (rows.min() >= 0.0 and rows.max() <= 1.0):
+            x, y = np.argwhere(~((rows >= 0.0) & (rows <= 1.0)))[0]
             raise ShapeError(
-                f"row {bad[0]} sums to {sums[bad[0]]!r}, not 1 within {ROW_SUM_TOL}"
+                f"row {x} holds {float(rows[x, y])!r}; probabilities must lie in [0, 1]"
+            )
+        sums = rows.sum(axis=1)
+        dev = np.abs(sums - 1.0)
+        if dev.max() > ROW_SUM_TOL:
+            x = int(np.argmax(dev > ROW_SUM_TOL))
+            raise ShapeError(
+                f"row {x} sums to {float(sums[x])!r}, not 1 within {ROW_SUM_TOL}"
             )
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)

@@ -83,7 +83,9 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
         notes.append(f"error: unknown task {config.task!r}")
         return notes, objects
     for role, path in config.inputs.items():
-        if not Path(path).is_file():
+        if not isinstance(path, (str, os.PathLike)):
+            notes.append(f"error: input {role}: path must be a string, got {path!r}")
+        elif not Path(path).is_file():
             notes.append(f"error: input {role}: no file at {path}")
         elif role in _LOADERS:
             try:

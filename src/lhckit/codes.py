@@ -11,6 +11,7 @@ moves a certificate through deterministic relabelings on both ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,9 +50,9 @@ class FunctionCode:
                     f"{self.f.codomain.labels[b]!r}"
                 )
 
-    @property
+    @cached_property
     def composite(self) -> Channel:
-        """The end-to-end channel decoder(channel(encoder(.)))."""
+        """The end-to-end channel decoder(channel(encoder(.))), built once."""
         return compose(compose(self.encoder, self.channel), self.decoder)
 
     def value_column(self, b: int) -> int:
@@ -61,16 +62,11 @@ class FunctionCode:
 
 def code_error_profile(code: FunctionCode) -> np.ndarray:
     """Worst failure probability per attained value, by exact matrix algebra."""
-    psi = code.composite.rows
-    lam = np.zeros(len(code.f.attained))
-    for bi, b in enumerate(code.f.attained):
-        col = code.value_column(b)
-        worst = 0.0
-        for a in range(code.f.domain.size):
-            if code.f.mapping[a] == b:
-                worst = max(worst, 1.0 - psi[a, col])
-        lam[bi] = worst
-    return lam
+    attained = code.f.attained
+    cols = [code.value_column(b) for b in attained]
+    fail = 1.0 - code.composite.rows[:, cols]
+    preimage = np.equal.outer(code.f.mapping, attained)
+    return np.where(preimage, fail, 0.0).max(axis=0)
 
 
 def value_hypergraph(code: FunctionCode) -> Hypergraph:

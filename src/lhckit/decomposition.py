@@ -202,8 +202,9 @@ def channel_is_lhc(
     e_edge = EdgeMap.identity(h_f.edge_count)
 
     # First split: (channel after encoder) vs decoder, threshold 1/2.
+    encoded = compose(code.encoder, code.channel)
     first = decompose(
-        phi=compose(code.encoder, code.channel),
+        phi=encoded,
         gamma=code.decoder,
         source=h_f,
         target=values,
@@ -215,8 +216,7 @@ def channel_is_lhc(
     hyper_out = first.intermediate  # blocks on the channel output alphabet
 
     # Second split: encoder vs channel, aimed at the first split's blocks.
-    lam_mid = lambda_profile(compose(code.encoder, code.channel),
-                             h_f, hyper_out, first.edge_map_phi)
+    lam_mid = lambda_profile(encoded, h_f, hyper_out, first.edge_map_phi)
     second = decompose(
         phi=code.encoder,
         gamma=code.channel,

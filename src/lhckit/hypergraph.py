@@ -6,7 +6,7 @@ sets. Partition hypergraphs (edges pairwise disjoint and covering) are the
 main case: for those the unique edge containing a vertex is well defined,
 which is what makes edge maps induce vertex maps. Each hypergraph caches a
 read-only vertex-by-edge incidence matrix, which the per-vertex membership
-queries read.
+queries read, and the grouping of its vertices by the edges containing them.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class Hypergraph:
             s = frozenset(int(v) for v in e)
             if not s:
                 raise ShapeError("edges must be nonempty")
-            if any(not 0 <= v < self.vertices.size for v in s):
+            if min(s) < 0 or max(s) >= self.vertices.size:
                 raise ShapeError("edge contains vertex index outside alphabet")
             if s in seen:
                 raise ShapeError("edges must be pairwise distinct as sets")
@@ -192,6 +192,22 @@ class Hypergraph:
         ends = np.cumsum(self.degrees).tolist()
         return tuple(tuple(flat[end - d:end])
                      for end, d in zip(ends, self.degrees.tolist()))
+
+    @cached_property
+    def vertex_groups(self) -> tuple[np.ndarray, ...]:
+        """Read-only ascending vertex arrays, one per distinct edge signature.
+
+        Vertices in one group lie in exactly the same edges (isolated
+        vertices form the group of the empty signature); groups come in
+        order of their lowest vertex.
+        """
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for v, sig in enumerate(self._edges_of):
+            groups.setdefault(sig, []).append(v)
+        out = tuple(np.array(members, dtype=np.intp) for members in groups.values())
+        for members in out:
+            members.setflags(write=False)
+        return out
 
     def edges_containing(self, v: int) -> tuple[int, ...]:
         edges_of = self._edges_of

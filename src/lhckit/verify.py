@@ -53,11 +53,15 @@ class LhcCertificate:
         return "pass" if self.passed else "fail"
 
 
-def _check_shapes(phi: Channel, source: Hypergraph, target: Hypergraph, f_e: EdgeMap):
+def _check_alphabets(phi: Channel, source: Hypergraph, target: Hypergraph):
     if phi.input.labels != source.vertices.labels:
         raise ShapeError("channel input alphabet must equal the source vertex set")
     if phi.output.labels != target.vertices.labels:
         raise ShapeError("channel output alphabet must equal the target vertex set")
+
+
+def _check_shapes(phi: Channel, source: Hypergraph, target: Hypergraph, f_e: EdgeMap):
+    _check_alphabets(phi, source, target)
     if f_e.source_count != source.edge_count:
         raise ShapeError("edge map not total on source edges")
     if f_e.target_count != target.edge_count:
@@ -86,19 +90,15 @@ def per_vertex_success(
 ) -> np.ndarray:
     """Success probability per source vertex; NaN for isolated vertices.
 
-    Vertices with the same incidence row (edge signature) share their
-    allowed target set, so it is intersected once per signature.
+    Vertices with the same edge signature share their allowed target set,
+    so it is intersected once per group of ``source.vertex_groups``, which
+    the hypergraph caches. Each vertex's success is its row's mass on that
+    set, summed over the ascending allowed columns.
     """
     _check_shapes(phi, source, target, f_e)
     out = np.full(source.vertices.size, np.nan)
-    _, first, sig = np.unique(
-        source.incidence, axis=0, return_index=True, return_inverse=True
-    )
-    sig = sig.reshape(-1)
-    members_of = np.split(np.argsort(sig, kind="stable"),
-                          np.cumsum(np.bincount(sig))[:-1])
-    for rep, members in zip(first.tolist(), members_of):
-        hits = source.edges_containing(rep)
+    for members in source.vertex_groups:
+        hits = source.edges_containing(members[0])
         if hits:
             allowed = _allowed(target, f_e, hits)
             out[members] = phi.rows[np.ix_(members, allowed)].sum(axis=1)
@@ -166,6 +166,7 @@ def edge_cost_matrix(
     phi: Channel, source: Hypergraph, target: Hypergraph
 ) -> np.ndarray:
     """cost[A, B] = worst failure probability of any vertex of A aimed at B."""
+    _check_alphabets(phi, source, target)
     mass = edge_mass(phi.rows, target)
     cost = np.zeros((source.edge_count, target.edge_count))
     for ai, edge in enumerate(source.edges):

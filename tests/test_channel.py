@@ -59,10 +59,21 @@ class TestConstructors:
         assert np.array_equal(ch.rows, expected)
 
     def test_row_sum_validation(self):
-        with pytest.raises(ShapeError, match="sums to"):
+        with pytest.raises(ShapeError, match=r"^row 0 sums to 1\.000001\d*, not 1"):
             from lhckit import Channel
 
             Channel(BITS, BITS, np.array([[0.5, 0.5 + 1e-6], [0.5, 0.5]]))
+
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_names_its_row(self, value):
+        from lhckit import Channel
+
+        rows = np.array([[0.5, 0.5], [0.25, 0.75], [0.5, 0.5]])
+        rows[1] = value
+        with pytest.raises(ShapeError, match=rf"row 1 holds {value!r}; "
+                                             r"probabilities must lie in \[0, 1\]"):
+            Channel(Alphabet.of_size(3), BITS, rows)
 
 
 class TestCompose:

@@ -266,6 +266,33 @@ class TestValidateCommand:
         assert rc == 0 and "no file at" in captured
 
 
+    def test_non_string_input_path(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": "verify", "inputs": {"channel": 5},
+                                   "params": {"lambda": 0.05}}))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == (
+            "error: input channel: path must be a string, got 5\n")
+
+    def test_run_with_non_string_input_path_exits_two(self, tmp_path, capsys,
+                                                      monkeypatch):
+        from lhckit import cli
+
+        parsed = cli.config_from_args
+
+        def non_string_path(args):
+            config = parsed(args)
+            config.inputs["channel"] = 5
+            return config
+
+        monkeypatch.setattr(cli, "config_from_args", non_string_path)
+        argv, _ = verify_inputs(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: input channel: path must be a string, got 5\n")
+        assert not (tmp_path / "c.json").exists()
+
+
 WRONG_TYPES = [
     ("rates", "gamma", "x", "error: gamma must be a number, got 'x'"),
     ("falsify", "trials", "5", "error: trials must be a number, got '5'"),
@@ -357,6 +384,14 @@ class TestMalformedInputExitsTwo:
     def test_falsify_sizes(self, tmp_path, capsys, flag):
         self.check(["falsify", "--trials", "5", flag, "0"],
                    tmp_path / "dumps.json", capsys, flag[2:].replace("-", "_"))
+
+    def test_nan_channel(self, tmp_path, capsys):
+        argv, _ = verify_inputs(tmp_path)
+        (tmp_path / "ch.json").write_text(json.dumps(
+            {"input": ["0", "1"], "output": ["0", "1"],
+             "rows": [[float("nan"), float("nan")], [0.5, 0.5]]}))
+        self.check(argv[:-2], tmp_path / "c.json", capsys,
+                   "error: input channel: row 0 holds nan")
 
     def test_valid_worker_count_is_used(self, tmp_path, monkeypatch):
         assert main([*ID_SIM, "--out", str(tmp_path / "one.csv")]) == 0
@@ -466,3 +501,35 @@ def test_each_input_file_is_read_once(tmp_path, reads, write_inputs):
     reads.clear()
     assert main(argv) == 0
     assert {n: reads[(tmp_path / n).resolve()] for n in names} == dict.fromkeys(names, 1)
+
+
+CERTIFY = Path(__file__).parent / "data" / "certify"
+
+
+class TestCertificateGoldens:
+    """Certificates byte-equal to files written before vertex grouping was cached.
+
+    The verify instance has overlapping edges, isolated vertices and several
+    vertices per edge signature; the decompose instance leaves source and
+    intermediate symbols uncovered.
+    """
+
+    @staticmethod
+    def argv(cmd, *flags):
+        return [cmd, *(x for flag in flags
+                       for x in (f"--{flag}", str(CERTIFY / f"{cmd}.{flag}.json")))]
+
+    def test_verify(self, tmp_path):
+        out = tmp_path / "golden.verify.certificate.json"
+        assert main([*self.argv("verify", "channel", "source", "target", "edge-map"),
+                     "--lambda", "0.1", "--out", str(out)]) == 0
+        assert out.read_bytes() == (CERTIFY / out.name).read_bytes()
+
+    def test_decompose(self, tmp_path):
+        argv = self.argv("decompose", "phi", "gamma-channel", "source", "target",
+                         "edge-map")
+        assert main([*argv, "--lambda", "0.02", "--mu", "0.1", "--kappa", "0.25",
+                     "--out-prefix", str(tmp_path / "golden.decompose")]) == 0
+        for part in ("intermediate", "cert_phi", "cert_gamma"):
+            name = f"golden.decompose.{part}.json"
+            assert (tmp_path / name).read_bytes() == (CERTIFY / name).read_bytes()

@@ -13,6 +13,7 @@ from lhckit import (
     code_error_profile,
     code_to_lhc,
     complete_1_uniform,
+    compose,
     deterministic_channel,
     identification_table,
     identity_channel,
@@ -92,6 +93,27 @@ class TestErrorProfile:
         )
         lam = code_error_profile(FunctionCode(enc, dec, f, ch))
         assert lam[0] == 0.0 and lam[1] == 1.0
+
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_masked_max_equals_per_input_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        code = random_code(rng, dom_size=int(rng.integers(2, 7)),
+                           cod_size=int(rng.integers(1, 4)))
+        psi = code.composite.rows
+        loop = [max([0.0] + [1.0 - psi[a, code.value_column(b)]
+                             for a in range(code.f.domain.size)
+                             if code.f.mapping[a] == b])
+                for b in code.f.attained]
+        assert code_error_profile(code).tolist() == loop
+        assert np.allclose(loop, brute_force_profile(code), atol=1e-12)
+
+    def test_composite_is_built_once(self):
+        code = random_code(np.random.default_rng(1))
+        assert code.composite is code.composite
+        assert np.array_equal(
+            code.composite.rows,
+            compose(compose(code.encoder, code.channel), code.decoder).rows)
 
 
 def identity_channel_between(a: Alphabet, b: Alphabet):

@@ -103,10 +103,16 @@ class TestIncidence:
         assert h.incidence.shape == (2, 0) and h.edges_containing(0) == ()
         assert h.edges_disjoint and not h.is_partition and not h.covered_vertices
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_edge_vertex_outside_alphabet(self, bad):
+        with pytest.raises(ShapeError, match="outside alphabet"):
+            Hypergraph(Alphabet.of_size(3, "v"), ((0, bad),))
+
     def test_cached_and_read_only(self):
         h = Hypergraph(self.H.vertices, self.H.edges)
         assert h.incidence is h.incidence and h.degrees is h.degrees
-        for arr in (h.incidence, h.degrees):
+        assert h.vertex_groups is h.vertex_groups
+        for arr in (h.incidence, h.degrees, *h.vertex_groups):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1
@@ -119,6 +125,39 @@ class TestIncidence:
         assert hash(used) == before == hash(fresh) and used == fresh
         assert len({used, fresh}) == 1
         assert used != Hypergraph(self.H.vertices, ((1, 3), (1, 2)))
+
+
+@st.composite
+def hypergraphs(draw):
+    """Overlapping edges, isolated vertices and the edgeless case."""
+    size = draw(st.integers(1, 12))
+    edges = draw(st.lists(
+        st.frozensets(st.integers(0, size - 1), min_size=1), max_size=6,
+        unique=True))
+    return Hypergraph(Alphabet.of_size(size, "v"), tuple(map(tuple, edges)))
+
+
+class TestVertexGroups:
+    @given(hypergraphs())
+    @settings(max_examples=200, deadline=None)
+    def test_groups_partition_vertices_by_signature(self, h):
+        groups = h.vertex_groups
+        flat = np.concatenate(groups)
+        assert sorted(flat.tolist()) == list(range(h.vertices.size))
+        signatures = []
+        for members in groups:
+            assert members.size and np.all(np.diff(members) > 0)
+            assert not members.flags.writeable
+            sigs = {h.edges_containing(int(v)) for v in members}
+            assert len(sigs) == 1
+            signatures.append(sigs.pop())
+        assert len(set(signatures)) == len(signatures)
+        assert [int(m[0]) for m in groups] == sorted(int(m[0]) for m in groups)
+        assert h.vertex_groups is groups
+
+    def test_shared_signature_and_isolated_vertices(self):
+        h = Hypergraph(Alphabet.of_size(6, "v"), ((3, 1), (1, 2), (0, 4)))
+        assert [m.tolist() for m in h.vertex_groups] == [[0, 4], [1], [2], [3], [5]]
 
 
 class TestCharacteristic:

@@ -173,6 +173,18 @@ class TestInferEdgeMap:
         with pytest.raises(SizeMismatch):
             infer_edge_map(phi, three, BITS1, require_bijective=True)
 
+    @pytest.mark.parametrize("side", ["input", "output"])
+    def test_alphabets_must_be_the_vertex_sets(self, side):
+        three = Hypergraph(Alphabet.of_size(3), ((0, 1), (2,)))
+        four = Alphabet.of_size(4)
+        phi = identity_channel(four)
+        src = Hypergraph(four, ((0, 1), (2, 3))) if side == "output" else three
+        tgt = Hypergraph(four, ((0, 1), (2, 3))) if side == "input" else three
+        with pytest.raises(ShapeError, match=f"channel {side} alphabet"):
+            edge_cost_matrix(phi, src, tgt)
+        with pytest.raises(ShapeError, match=f"channel {side} alphabet"):
+            infer_edge_map(phi, src, tgt)
+
     @given(st.integers(0, 10_000), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_matches_exhaustive_enumeration(self, seed, bijective):
