@@ -20,8 +20,6 @@ from .hypergraph import (
     hom_from_edge_map,
     identification_table,
     k_identification_table,
-    make_partition_hypergraph,
-    relabel_hom,
     split_product_alphabet,
 )
 from .channel import (
@@ -39,7 +37,6 @@ from .verify import (
     LhcCertificate,
     infer_edge_map,
     lambda_profile,
-    success_prob,
     verify_lhc,
 )
 from .codes import (

@@ -21,7 +21,6 @@ from .channel import Channel, identity_channel, tensor
 from .decomposition import DecompositionResult, decompose
 from .codes import FunctionCode, code_error_profile
 from .errors import (
-    ChainInconsistent,
     DecompositionFailure,
     EdgeCountMismatch,
     HypothesisViolated,
@@ -100,7 +99,6 @@ def semi_det_split(
     target: Hypergraph,
     e_edge: EdgeMap,
     mu,
-    kappa=None,
 ) -> SemiDetSplit:
     """Split a product channel through both one-sided factorizations.
 
@@ -109,7 +107,7 @@ def semi_det_split(
     (phi1 x id)(id x phi2) yields an intermediate on a1 x b2; the other
     order yields one on b1 x a2. Both intermediates have as many edges as
     the target, and both one-sided channels are certified at mu. The block
-    threshold kappa defaults to the most permissive value one half.
+    threshold kappa is the most permissive value, one half.
     """
     a1 = split_product_alphabet(source.vertices, phi2.input)
     if a1.labels != phi1.input.labels:
@@ -122,7 +120,6 @@ def semi_det_split(
     lam = lambda_profile(product, source, target, e_edge)
     if np.any(lam >= 0.5):
         raise HypothesisViolated("product channel profile must be below 1/2")
-    kappa = 0.5 if kappa is None else kappa
 
     split_g1 = decompose(
         phi=tensor(identity_channel(a1), phi2),
@@ -130,7 +127,7 @@ def semi_det_split(
         source=source,
         target=target,
         e_edge=e_edge,
-        kappa=kappa,
+        kappa=0.5,
         mu=mu,
         lam=lam,
     )
@@ -140,7 +137,7 @@ def semi_det_split(
         source=source,
         target=target,
         e_edge=e_edge,
-        kappa=kappa,
+        kappa=0.5,
         mu=mu,
         lam=lam,
     )
@@ -188,10 +185,10 @@ def check_branch_swap(
     lam = edge_vector(lam, hyper_h.edge_count, "lam")
 
     hyp_map, hyp_profile = infer_edge_map(
-        tensor(identity_channel(a1), phi), hyper_h, hyper_g, require_bijective=True
+        tensor(identity_channel(a1), phi), hyper_h, hyper_g
     )
     conc_map, conc_profile = infer_edge_map(
-        tensor(identity_channel(x1), phi), hyper_i, hyper_f, require_bijective=True
+        tensor(identity_channel(x1), phi), hyper_i, hyper_f
     )
     instance = BipartiteInstance(
         a1=a1, a2=a2, x1=x1, x2=x2,
@@ -207,13 +204,6 @@ def check_branch_swap(
         conclusion_profile=conc_profile,
         instance=instance,
     )
-
-
-def _edge_index_of_set(hyper: Hypergraph, vertex_set: frozenset[int]) -> int:
-    for ei, e in enumerate(hyper.edge_sets):
-        if e == vertex_set:
-            return ei
-    raise ShapeError("expected edge not present")
 
 
 def assemble_id_code(
@@ -247,7 +237,7 @@ def assemble_id_code(
     if hyper_h.vertices.labels != f_id.domain.labels:
         raise ShapeError("hyper_h must live on the message-pair alphabet")
     h_ref = characteristic_hypergraph(f_id)
-    if set(hyper_h.edge_sets) != set(h_ref.edge_sets):
+    if set(hyper_h.edges) != set(h_ref.edges):
         raise ShapeError("hyper_h must be the equality-test partition")
     if hyper_d.edge_count != 2:
         raise EdgeCountMismatch(
@@ -274,8 +264,7 @@ def assemble_id_code(
 
     # Hop 1: first message encoded, second kept.
     m1, prof1 = infer_edge_map(
-        tensor(enc1, identity_channel(msgs)), hyper_h, hyper_g1,
-        require_bijective=True,
+        tensor(enc1, identity_channel(msgs)), hyper_h, hyper_g1
     )
     if np.any(prof1 > alpha + VERIFY_SLACK):
         raise HypothesisViolated(
@@ -283,8 +272,7 @@ def assemble_id_code(
         )
     # Stated hypothesis for the second encoder: raw first message.
     m2h, prof2h = infer_edge_map(
-        tensor(identity_channel(msgs), enc2), hyper_h, hyper_g2,
-        require_bijective=True,
+        tensor(identity_channel(msgs), enc2), hyper_h, hyper_g2
     )
     if np.any(prof2h > beta + VERIFY_SLACK):
         raise HypothesisViolated(
@@ -292,8 +280,7 @@ def assemble_id_code(
         )
     # Swapped middle hop, re-verified directly rather than assumed.
     m2, prof2 = infer_edge_map(
-        tensor(identity_channel(enc1.output), enc2), hyper_g1, hyper_f,
-        require_bijective=True,
+        tensor(identity_channel(enc1.output), enc2), hyper_g1, hyper_f
     )
     m1_inv = m1.inverse()
     beta_on_g1 = beta[[m1_inv(j) for j in range(k)]]
@@ -303,23 +290,15 @@ def assemble_id_code(
             f"(profile {prof2} vs {beta_on_g1}); branch swap does not transfer"
         )
     # Final hop through the channel into the decision windows.
-    m3, prof3 = infer_edge_map(phi, hyper_f, hyper_d, require_bijective=True)
+    m3, prof3 = infer_edge_map(phi, hyper_f, hyper_d)
     if np.any(prof3 > mu + VERIFY_SLACK):
         raise HypothesisViolated(
             f"channel hop exceeds mu: profile {prof3}, mu {mu}"
         )
 
-    chain = m3.after(m2.after(m1))
-    if not chain.bijective:
-        raise ChainInconsistent("composed edge maps are not bijective")
-    if not hyper_d.edges_disjoint:
-        raise ChainInconsistent("decision windows overlap; decoder undefined")
-
-    diag = frozenset(
-        a for a in range(f_id.domain.size) if f_id.mapping[a] == 1
-    )
-    diag_edge = _edge_index_of_set(hyper_h, diag)
-    accept_edge = chain(diag_edge)
+    # h_ref's edges are the preimages of 0 (off-diagonal) and 1 (diagonal)
+    off_edge, diag_edge = map(hyper_h.edges.index, h_ref.edges)
+    accept_edge = m3.after(m2.after(m1))(diag_edge)
     dec_map = [0] * hyper_d.vertices.size
     for y in hyper_d.edges[accept_edge]:
         dec_map[y] = 1
@@ -330,9 +309,6 @@ def assemble_id_code(
     code = FunctionCode(tensor(enc1, enc2), decoder, f_id, phi)
     bound_by_edge = alpha + beta + mu[[m2.after(m1)(i) for i in range(k)]]
     # Express the bound per attained value (0 then 1).
-    off_edge = _edge_index_of_set(
-        hyper_h, frozenset(range(f_id.domain.size)) - diag
-    )
     bound = np.array([bound_by_edge[off_edge], bound_by_edge[diag_edge]])
 
     profile = code_error_profile(code)

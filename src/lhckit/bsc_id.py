@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import binom
 
+from . import channel
 from .channel import Channel, _check_entries
 from .errors import (
     CapacityError,
@@ -114,13 +115,6 @@ class PairDistanceLaw:
     @property
     def mean(self) -> float:
         return float(np.arange(self.n + 1) @ self.pmf)
-
-    def cdf(self, d: float) -> float:
-        """Probability of output distance at most d."""
-        top = int(math.floor(d))
-        if top < 0:
-            return 0.0
-        return float(self.pmf[: min(top, self.n) + 1].sum())
 
 
 def pair_distance_distribution(n: int, k: int, gamma: float) -> PairDistanceLaw:
@@ -261,6 +255,8 @@ def gen_codebook(
     The lexicographic strategy scans words in numeric order and is fully
     deterministic; the random strategy draws candidate words from the seed.
     """
+    if m < 1:
+        raise RangeError(f"codebook size {m} must be at least 1")
     dmin = math.ceil(n * delta)
     if dmin < 1:
         raise RangeError("minimum distance must be at least 1 bit")
@@ -330,45 +326,24 @@ class ExampleHypergraphs:
     hyper_g2: Hypergraph
     hyper_c: Hypergraph
 
-    @property
-    def n(self) -> int:
-        return self.codebook.n
-
-    @property
-    def delta(self) -> float:
-        return self.codebook.delta
-
-    def input_edge_of_pair(self, w1: str, w2: str) -> int | None:
-        """Edge of the input-pair structure: 1 on equality, 0 at distance
-        at least the codebook minimum, None in the gap."""
-        d = _distance(w1, w2, self.n)
-        if d == 0:
-            return 1
-        if d >= self.codebook.dmin:
-            return 0
-        return None
-
-    def check_windows_disjoint(self, gamma: float) -> None:
-        e_max = epsilon_max(self.delta, gamma)
-        if not self.epsilon < e_max:
-            raise EpsilonTooLarge(
-                f"epsilon {self.epsilon} must be below {e_max} "
-                f"for delta {self.delta}, gamma {gamma}"
-            )
-
 
 def build_example_hypergraphs(
-    codebook: Codebook, epsilon: float, gamma: float | None = None
+    codebook: Codebook, epsilon: float, gamma: float
 ) -> ExampleHypergraphs:
     """Materialize the example's small hypergraphs for a codebook.
 
-    When gamma is supplied the window-disjointness constraint is checked
-    immediately.
+    The decision windows of crossover gamma must be disjoint at epsilon.
     """
     if codebook.size < 2:
         raise ShapeError("need at least two codewords for mismatch edges")
     if epsilon <= 0.0:
         raise RangeError("epsilon must be positive")
+    e_max = epsilon_max(codebook.delta, gamma)
+    if not epsilon < e_max:
+        raise EpsilonTooLarge(
+            f"epsilon {epsilon} must be below {e_max} "
+            f"for delta {codebook.delta}, gamma {gamma}"
+        )
     m = codebook.size
     msgs = Alphabet.of_size(m)
     cw = Alphabet(codebook.words)
@@ -384,8 +359,6 @@ def build_example_hypergraphs(
         hyper_c=Hypergraph(cw.product(cw), split),
     )
     assert hyper.hyper_c.is_partition
-    if gamma is not None:
-        hyper.check_windows_disjoint(gamma)
     return hyper
 
 
@@ -394,8 +367,9 @@ def build_example_hypergraphs(
 # ---------------------------------------------------------------------------
 
 
-def word_alphabet(n: int, cap: int = 1 << 20) -> Alphabet:
+def word_alphabet(n: int) -> Alphabet:
     """All n-bit words as labels, in numeric order."""
+    cap = channel.DEFAULT_PRODUCT_CAP
     if (1 << n) > cap:
         raise CapacityError(f"2**{n} words exceed the cap {cap}")
     return Alphabet(tuple(format(w, f"0{n}b") for w in range(1 << n)))
@@ -407,20 +381,19 @@ def word_channel_rows(words: tuple[str, ...], n: int, gamma: float) -> np.ndarra
     return law[_hamming(_word_bits(words, n)[:, None], _all_word_bits(n)[None, :])]
 
 
-def restricted_pair_channel(codebook: Codebook, gamma: float,
-                            cap: int = 1 << 20) -> Channel:
+def restricted_pair_channel(codebook: Codebook, gamma: float) -> Channel:
     """Two independent noisy copies, restricted to codeword-pair inputs.
 
     Input alphabet: ordered codeword pairs. Output alphabet: all ordered
     n-bit word pairs (4^n of them, so only small n materialize). The
-    M^2 x 4^n dense entries are checked against cap before any allocation.
+    M^2 x 4^n dense entries are checked against the cap before any allocation.
     """
     n, m = codebook.n, codebook.size
-    _check_entries(m * m, 1 << (2 * n), cap)
+    _check_entries(m * m, 1 << (2 * n))
     single = word_channel_rows(codebook.words, n, gamma)
     # row i*m + j is the Kronecker product of word rows i and j
     rows = (single[:, None, :, None] * single[None, :, None, :]).reshape(m * m, -1)
-    full = word_alphabet(n, cap)
+    full = word_alphabet(n)
     cw = Alphabet(codebook.words)
     return Channel(cw.product(cw), full.product(full), rows)
 
@@ -431,20 +404,21 @@ def pair_distance_table(n: int) -> np.ndarray:
     return _hamming(bits[:, None], bits[None, :])
 
 
-def _check_pair_count(n: int, cap: int) -> None:
+def _check_pair_count(n: int) -> None:
     """Refuse a hypergraph over all 4**n word pairs before allocating it."""
+    cap = channel.DEFAULT_PRODUCT_CAP
     if (1 << (2 * n)) > cap:
         raise CapacityError(f"4**{n} pairs exceed the cap {cap}")
 
 
-def threshold_split_hypergraph(n: int, t: float, cap: int = 1 << 20) -> Hypergraph:
+def threshold_split_hypergraph(n: int, t: float) -> Hypergraph:
     """Partition of all word pairs into far (distance above t) and near.
 
     Edge 0 holds the far pairs, edge 1 the near ones, matching the
     mismatch/match edge order used everywhere else.
     """
-    _check_pair_count(n, cap)
-    full = word_alphabet(n, cap)
+    _check_pair_count(n)
+    full = word_alphabet(n)
     dist = pair_distance_table(n).reshape(-1)
     far = tuple(int(i) for i in np.nonzero(dist > t)[0])
     near = tuple(int(i) for i in np.nonzero(dist <= t)[0])
@@ -452,7 +426,7 @@ def threshold_split_hypergraph(n: int, t: float, cap: int = 1 << 20) -> Hypergra
 
 
 def window_split_hypergraph(
-    n: int, gamma: float, delta: float, epsilon: float, cap: int = 1 << 20
+    n: int, gamma: float, delta: float, epsilon: float
 ) -> Hypergraph:
     """Word pairs split into the two concentration windows.
 
@@ -464,8 +438,8 @@ def window_split_hypergraph(
         raise EpsilonTooLarge(
             f"epsilon {epsilon} is not below {epsilon_max(delta, gamma)}"
         )
-    _check_pair_count(n, cap)
-    full = word_alphabet(n, cap)
+    _check_pair_count(n)
+    full = word_alphabet(n)
     dist = pair_distance_table(n).reshape(-1)
     edges = []
     for name, delta_nominal in (("far", delta), ("equal", 0.0)):
@@ -490,7 +464,6 @@ def id_decoder(
     n: int,
     gamma: float,
     epsilon: float,
-    delta: float,
     mode: str = "one-sided-threshold",
 ) -> int:
     """Decide equality of the originating messages from two noisy words.
@@ -504,16 +477,6 @@ def id_decoder(
     return int(accepts(_distance(y1, y2, n), n, gamma, epsilon, mode))
 
 
-def window_region(d: float, n: int, gamma: float, epsilon: float,
-                  delta: float) -> str:
-    """'match-window', 'mismatch-window', or 'outside'."""
-    if in_window(d, n, gamma, epsilon, 0.0):
-        return "match-window"
-    if in_window(d, n, gamma, epsilon, delta):
-        return "mismatch-window"
-    return "outside"
-
-
 def _distance(y1, y2, n: int) -> int:
     return int(_hamming(_bits(y1, n), _bits(y2, n)))
 
@@ -523,10 +486,12 @@ def _bits(y, n: int) -> np.ndarray:
         if len(y) != n or set(y) - {"0", "1"}:
             raise ShapeError(f"word {y!r} is not an {n}-bit string")
         return _word_bits([y], n)[0]
-    arr = np.asarray(y, dtype=np.uint8)
+    arr = np.asarray(y)
     if arr.shape != (n,):
         raise ShapeError(f"word shape {arr.shape} is not ({n},)")
-    return arr
+    if not np.isin(arr, (0, 1)).all():
+        raise ShapeError(f"word {y!r} is not an {n}-bit string")
+    return arr.astype(np.uint8)
 
 
 @dataclass(frozen=True, eq=False)

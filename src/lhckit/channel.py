@@ -20,6 +20,8 @@ from .errors import CapacityError, RangeError, ShapeError
 from .hypergraph import BITS, Alphabet, FunctionTable
 
 ROW_SUM_TOL = 1e-12
+# Most entries of any dense product matrix or word-pair set; every builder
+# reads it when called, so assigning the module attribute changes the cap.
 DEFAULT_PRODUCT_CAP = 1 << 20
 
 
@@ -85,21 +87,19 @@ def compose(first: Channel, second: Channel) -> Channel:
     return Channel(first.input, second.output, np.clip(rows, 0.0, 1.0))
 
 
-def _check_entries(in_size: int, out_size: int, cap: int) -> None:
-    """Refuse a dense in x out channel with more than cap entries."""
-    if in_size * out_size > cap:
+def _check_entries(in_size: int, out_size: int) -> None:
+    """Refuse a dense in x out channel with more entries than the cap."""
+    if in_size * out_size > DEFAULT_PRODUCT_CAP:
         raise CapacityError(
             f"channel of {in_size} x {out_size} = {in_size * out_size} "
-            f"entries exceeds cap {cap}"
+            f"entries exceeds cap {DEFAULT_PRODUCT_CAP}"
         )
 
 
-def tensor(
-    phi1: Channel, phi2: Channel, cap: int = DEFAULT_PRODUCT_CAP
-) -> Channel:
+def tensor(phi1: Channel, phi2: Channel) -> Channel:
     """Independent parallel use of two channels on the product alphabets."""
     _check_entries(phi1.input.size * phi2.input.size,
-                   phi1.output.size * phi2.output.size, cap)
+                   phi1.output.size * phi2.output.size)
     return Channel(
         phi1.input.product(phi2.input),
         phi1.output.product(phi2.output),
@@ -107,14 +107,14 @@ def tensor(
     )
 
 
-def power(phi: Channel, n: int, cap: int = DEFAULT_PRODUCT_CAP) -> Channel:
+def power(phi: Channel, n: int) -> Channel:
     """n independent letter-wise uses of phi."""
     if n < 1:
         raise RangeError("block length must be at least 1")
-    _check_entries(phi.input.size**n, phi.output.size**n, cap)
+    _check_entries(phi.input.size**n, phi.output.size**n)
     out = phi
     for _ in range(n - 1):
-        out = tensor(out, phi, cap=cap)
+        out = tensor(out, phi)
     return out
 
 

@@ -64,10 +64,18 @@ _LOADERS = {
 
 # Params whose range validate checks.
 _NUMBERS = ("gamma", "delta", "epsilon", "trials", "max_edges", "max_symbols", "m")
+# Per-edge error vectors: a number or a list of numbers.
+_VECTORS = ("lambda", "mu", "kappa", "alpha", "beta")
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _grid_points(grid) -> np.ndarray:
+    """The deltas of a start:stop:step grid, stop included."""
+    start, stop, step = grid
+    return np.arange(start, stop + step / 2, step)
 
 
 def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
@@ -126,12 +134,20 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
     if m is not None and m < 2:
         notes.append(f"error: message count {m} must be at least 2")
     grid = p.get("grid")
-    if grid is not None and not (
-            isinstance(grid, (list, tuple)) and len(grid) == 3
-            and all(map(_is_number, grid)) and grid[2] > 0 and grid[1] >= grid[0]):
+    if grid is not None:
         text = ":".join(map(str, grid)) if isinstance(grid, (list, tuple)) else repr(grid)
-        notes.append(f"error: grid {text} needs "
-                     "start:stop:step with step > 0 and stop >= start")
+        if not (isinstance(grid, (list, tuple)) and len(grid) == 3
+                and all(map(_is_number, grid)) and grid[2] > 0 and grid[1] >= grid[0]):
+            notes.append(f"error: grid {text} needs "
+                         "start:stop:step with step > 0 and stop >= start")
+        elif outside := [d for d in _grid_points(grid).tolist() if not 0 <= d <= 1]:
+            notes.append(f"error: grid {text} reaches delta {outside[0]!r} "
+                         "outside [0, 1]")
+    for key in _VECTORS:
+        value = p.get(key)
+        if any(_is_number(x) and np.isnan(x)
+               for x in (value if isinstance(value, list) else [value])):
+            notes.append(f"error: {key} must not be NaN, got {value}")
     if config.task == "id-sim":
         raw = os.environ.get("LHC_KIT_WORKERS", "1")
         try:
@@ -235,9 +251,7 @@ def _run_id_sim(p: dict, inp: dict, out: dict) -> int:
 
 
 def _run_rates(p: dict, inp: dict, out: dict) -> int:
-    start, stop, step = p["grid"]
-    grid = np.arange(start, stop + step / 2, step)
-    rows = bsc_id.rate_table(p["gamma"], grid)
+    rows = bsc_id.rate_table(p["gamma"], _grid_points(p["grid"]))
     jsonio.write_csv(out["csv"], ["delta", "gv_rate", "tx_rate"], rows)
     print(f"{len(rows)} rows written to {out['csv']}")
     return 0

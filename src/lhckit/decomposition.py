@@ -165,10 +165,7 @@ def _instance_dump(phi, gamma, source, target, e_edge, kappa, mu, lam) -> dict:
 
 
 def channel_is_lhc(
-    code: FunctionCode,
-    kappa,
-    mu_decoder_split=None,
-    mu_encoder_split=None,
+    code: FunctionCode, kappa
 ) -> tuple[Hypergraph, Hypergraph, LhcCertificate]:
     """Certify the bare channel of a reliable code as locally homomorphic.
 
@@ -178,8 +175,8 @@ def channel_is_lhc(
     thresholded at kappa). Returns hypergraphs on the channel input and
     output alphabets and a passing certificate for the channel between them
     at kappa, which must satisfy 4 * lam <= kappa <= 1/2 for the code's
-    error profile lam. The intermediate error vectors default to the proof
-    choices 2 * lam and 1/2 but can be overridden.
+    error profile lam. The intermediate error vectors are the proof's
+    choices, 2 * lam and 1/2.
     """
     lam = code_error_profile(code)
     n_vals = lam.size
@@ -192,10 +189,6 @@ def channel_is_lhc(
         )
     if np.any(kappa > 0.5):
         raise HypothesisViolated("kappa must be at most 1/2")
-    mu_dec = edge_vector(2.0 * lam if mu_decoder_split is None else mu_decoder_split,
-                        n_vals, "mu_decoder_split")
-    mu_enc = edge_vector(0.5 if mu_encoder_split is None else mu_encoder_split,
-                        n_vals, "mu_encoder_split")
 
     h_f = characteristic_hypergraph(code.f)
     values = value_hypergraph(code)
@@ -210,7 +203,7 @@ def channel_is_lhc(
         target=values,
         e_edge=e_edge,
         kappa=np.full(n_vals, 0.5),
-        mu=mu_dec,
+        mu=2.0 * lam,
         lam=lam,
     )
     hyper_out = first.intermediate  # blocks on the channel output alphabet
@@ -224,17 +217,17 @@ def channel_is_lhc(
         target=hyper_out,
         e_edge=first.edge_map_phi,
         kappa=kappa,
-        mu=mu_enc,
+        mu=0.5,
         lam=lam_mid,
     )
     hyper_in = second.intermediate  # blocks on the channel input alphabet
     return hyper_in, hyper_out, second.cert_gamma
 
 
-def derandomize(code: FunctionCode, kappa=None) -> tuple[Channel, Channel]:
+def derandomize(code: FunctionCode) -> tuple[Channel, Channel]:
     """Deterministic encoder and decoder at a factor of four in error.
 
-    Runs the double split at kappa = 4 * lam (overridable), then reads off a
+    Runs the double split at kappa = 4 * lam, then reads off a
     deterministic encoder (best input inside each block, lowest index on
     ties) and decoder (value of the covering output block, first codomain
     value for uncovered outputs). Requires every profile entry below 1/8.
@@ -245,8 +238,7 @@ def derandomize(code: FunctionCode, kappa=None) -> tuple[Channel, Channel]:
             f"error profile max {lam.max()} is not below 1/8; "
             "the factor-4 construction needs kappa = 4 * lam <= 1/2"
         )
-    kappa = edge_vector(4.0 * lam if kappa is None else kappa, lam.size, "kappa")
-    hyper_in, hyper_out, cert = channel_is_lhc(code, kappa)
+    hyper_in, hyper_out, cert = channel_is_lhc(code, 4.0 * lam)
 
     # Hitting probability of each output block from each channel input.
     hit = edge_mass(code.channel.rows, hyper_out)

@@ -9,10 +9,6 @@ class ShapeError(LhcKitError):
     """Alphabets, matrices or maps do not fit together."""
 
 
-class InvalidPartition(LhcKitError):
-    """Blocks overlap or fail to cover the vertex set."""
-
-
 class RequiresPartition(LhcKitError):
     """Operation is only defined for partition hypergraphs."""
 
@@ -27,10 +23,6 @@ class RangeError(LhcKitError):
 
 class CapacityError(LhcKitError):
     """A product alphabet would exceed the materialization cap."""
-
-
-class IsolatedVertex(LhcKitError):
-    """Vertex lies in no edge, so no constraint or probability is defined."""
 
 
 class SizeMismatch(LhcKitError):
@@ -51,10 +43,6 @@ class LambdaTooLarge(LhcKitError):
 
 class EdgeCountMismatch(LhcKitError):
     """Hypergraphs in a chain do not have the required edge counts."""
-
-
-class ChainInconsistent(LhcKitError):
-    """Composed edge maps do not align the decoder's two edges."""
 
 
 class EpsilonTooLarge(LhcKitError):

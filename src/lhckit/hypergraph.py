@@ -13,16 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidPartition,
-    RequiresBijective,
-    RequiresPartition,
-    ShapeError,
-)
+from .errors import RequiresBijective, RequiresPartition, ShapeError
 
 PRODUCT_SEP = "|"
 
@@ -182,10 +177,6 @@ class Hypergraph:
         return d
 
     @cached_property
-    def edge_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(e) for e in self.edges)
-
-    @cached_property
     def _edges_of(self) -> tuple[tuple[int, ...], ...]:
         # row-major nonzeros list each vertex's edges in ascending order
         flat = np.nonzero(self.incidence)[1].tolist()
@@ -212,10 +203,6 @@ class Hypergraph:
     def edges_containing(self, v: int) -> tuple[int, ...]:
         edges_of = self._edges_of
         return edges_of[v] if 0 <= v < len(edges_of) else ()
-
-    @cached_property
-    def covered_vertices(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.degrees).tolist())
 
     @cached_property
     def edges_disjoint(self) -> bool:
@@ -303,31 +290,6 @@ class HomReport:
     witness: tuple[int, int] | None  # (edge index, vertex index) violating inclusion
 
 
-def make_partition_hypergraph(
-    vertices: Alphabet, blocks: Sequence[Iterable[int]]
-) -> Hypergraph:
-    """Hypergraph whose edges are the given blocks; must partition the vertices."""
-    owner: dict[int, int] = {}
-    block_sets = []
-    for bi, block in enumerate(blocks):
-        s = frozenset(int(v) for v in block)
-        if not s:
-            raise InvalidPartition(f"block {bi} is empty")
-        for v in sorted(s):
-            if not 0 <= v < vertices.size:
-                raise ShapeError(f"block {bi} names vertex {v} outside alphabet")
-            if v in owner:
-                raise InvalidPartition(
-                    f"vertex {vertices.labels[v]!r} lies in blocks {owner[v]} and {bi}"
-                )
-            owner[v] = bi
-        block_sets.append(s)
-    for v in range(vertices.size):
-        if v not in owner:
-            raise InvalidPartition(f"vertex {vertices.labels[v]!r} is uncovered")
-    return Hypergraph(vertices, tuple(tuple(sorted(s)) for s in block_sets))
-
-
 def complete_1_uniform(vertices: Alphabet) -> Hypergraph:
     """One singleton edge per vertex; all vertices disconnected."""
     return Hypergraph(vertices, tuple((v,) for v in range(vertices.size)))
@@ -359,22 +321,13 @@ def check_homomorphism(
     if edge_map.target_count != target.edge_count:
         raise ShapeError("edge map target count differs from target hypergraph")
 
-    witness = None
-    is_hom = True
-    target_sets = target.edge_sets
-    for ei, edge in enumerate(source.edges):
-        allowed = target_sets[edge_map(ei)]
-        for v in edge:
-            if vm[v] not in allowed:
-                witness = (ei, v)
-                is_hom = False
-                break
-        if not is_hom:
-            break
+    inside = target.incidence
+    witness = next(((ei, v) for ei, edge in enumerate(source.edges)
+                    for v in edge if not inside[vm[v], edge_map(ei)]), None)
     return HomReport(
         vertex_map=vm,
         edge_map=edge_map,
-        is_hom=is_hom,
+        is_hom=witness is None,
         edge_surjective=edge_map.surjective,
         edge_bijective=edge_map.bijective,
         witness=witness,
@@ -403,21 +356,3 @@ def hom_from_edge_map(
         vm.append(image_edge[0])
     return tuple(vm)
 
-
-def relabel_hom(
-    f_edge: EdgeMap, h_edge: EdgeMap, g: Hypergraph
-) -> tuple[tuple[int, ...], EdgeMap]:
-    """Edge-bijective self-map of g aligning two edge maps with common source.
-
-    Returns (vertex map, edge map g_E) with g_E = f_edge composed with the
-    inverse of h_edge, so that g_E after h_edge equals f_edge exactly.
-    """
-    if not h_edge.bijective:
-        raise RequiresBijective("relabeling requires a bijective reference edge map")
-    if f_edge.source_count != h_edge.source_count:
-        raise ShapeError("edge maps must share their source edge set")
-    if f_edge.target_count != g.edge_count or h_edge.target_count != g.edge_count:
-        raise ShapeError("edge maps must land in the edges of g")
-    g_e = f_edge.after(h_edge.inverse())
-    vm = hom_from_edge_map(g_e, g, g)
-    return vm, g_e

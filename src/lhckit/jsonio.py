@@ -264,15 +264,14 @@ def write_codebook(path, book: Codebook) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def read_codebook(path, delta: float | None = None) -> Codebook:
+def read_codebook(path) -> Codebook:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("# n="):
         raise ShapeError("codebook file must start with a '# n=<n> d=<dmin>' header")
     head = dict(part.split("=") for part in lines[0][2:].split())
     n, dmin = int(head["n"]), int(head["d"])
     words = tuple(line.strip() for line in lines[1:] if line.strip())
-    return Codebook(n=n, words=words, delta=dmin / n if delta is None else delta,
-                    dmin=dmin)
+    return Codebook(n=n, words=words, delta=dmin / n, dmin=dmin)
 
 
 # -- branch-swap instances and counterexample dumps ---------------------------

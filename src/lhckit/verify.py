@@ -16,24 +16,25 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .channel import Channel
-from .errors import (
-    IsolatedVertex,
-    RequiresPartition,
-    ShapeError,
-    SizeMismatch,
-)
+from .errors import RangeError, RequiresPartition, ShapeError, SizeMismatch
 from .hypergraph import EdgeMap, Hypergraph
 
 VERIFY_SLACK = 1e-12
 
 
 def edge_vector(value, count: int, name: str) -> np.ndarray:
-    """Per-edge float vector: a scalar is broadcast to all count edges."""
+    """Per-edge float vector: a scalar is broadcast to all count edges.
+
+    NaN compares false against every bound, so it is refused here rather
+    than let a certificate pass or a hypothesis check hold vacuously.
+    """
     v = np.asarray(value, dtype=np.float64)
     if v.ndim == 0:
         v = np.full(count, float(v))
     if v.shape != (count,):
         raise ShapeError(f"{name} must have one entry per edge ({count})")
+    if np.isnan(v).any():
+        raise RangeError(f"{name} is NaN at edge {int(np.argmax(np.isnan(v)))}")
     return v
 
 
@@ -72,17 +73,6 @@ def _allowed(target: Hypergraph, f_e: EdgeMap, hits) -> np.ndarray:
     """Ascending target vertices lying in the image of every edge in hits."""
     images = [f_e(ei) for ei in hits]
     return np.flatnonzero(target.incidence[:, images].all(axis=1))
-
-
-def success_prob(
-    phi: Channel, source: Hypergraph, target: Hypergraph, f_e: EdgeMap, a: int
-) -> float:
-    """Probability that phi(a) lands in every image of an edge containing a."""
-    _check_shapes(phi, source, target, f_e)
-    hits = source.edges_containing(a)
-    if not hits:
-        raise IsolatedVertex(f"vertex {a} lies in no edge of the source hypergraph")
-    return float(phi.rows[a, _allowed(target, f_e, hits)].sum())
 
 
 def per_vertex_success(
@@ -130,11 +120,7 @@ def verify_lhc(
     lam,
 ) -> LhcCertificate:
     """Certificate for phi : source -> target at the given error vector."""
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (source.edge_count,):
-        raise ShapeError(
-            f"error vector has shape {lam.shape}, expected ({source.edge_count},)"
-        )
+    lam = edge_vector(lam, source.edge_count, "lam")
     success = per_vertex_success(phi, source, target, f_e)
     profile = _profile(success, source)
     failing = tuple(
@@ -217,13 +203,12 @@ def infer_edge_map(
     phi: Channel,
     source: Hypergraph,
     target: Hypergraph,
-    require_bijective: bool = True,
 ) -> tuple[EdgeMap, np.ndarray]:
-    """Edge map minimizing the worst edge error, with its error profile.
+    """Bijective edge map minimizing the worst edge error, with its profile.
 
     Restricted to partition hypergraphs, where each source edge's error under
-    a candidate map is independent of the other edges. The bijective case is
-    a bottleneck assignment; ties break to the lexicographically smallest
+    a candidate map is independent of the other edges. The map is a
+    bottleneck assignment; ties break to the lexicographically smallest
     mapping.
     """
     if not source.edges_disjoint:
@@ -231,19 +216,11 @@ def infer_edge_map(
     if not target.edges_disjoint:
         raise RequiresPartition("target edges must be pairwise disjoint")
     cost = edge_cost_matrix(phi, source, target)
-    if require_bijective:
-        if source.edge_count != target.edge_count:
-            raise SizeMismatch(
-                f"{source.edge_count} source edges vs {target.edge_count} target edges"
-            )
-        mapping = _bottleneck_assignment(cost)
-    else:
-        # unconstrained edges choose independently; among maps achieving the
-        # minimal worst error, take the lexicographically smallest mapping
-        t_star = cost.min(axis=1).max()
-        mapping = tuple(
-            int(np.nonzero(row <= t_star)[0][0]) for row in cost
+    if source.edge_count != target.edge_count:
+        raise SizeMismatch(
+            f"{source.edge_count} source edges vs {target.edge_count} target edges"
         )
+    mapping = _bottleneck_assignment(cost)
     f_e = EdgeMap(source.edge_count, target.edge_count, mapping)
     lam = cost[np.arange(source.edge_count), list(mapping)]
     return f_e, lam

@@ -58,17 +58,13 @@ def edge_cost(phi, source, target) -> np.ndarray:
     ]).reshape(source.edge_count, target.edge_count)
 
 
-def enumerate_best_edge_map(phi, source, target, require_bijective: bool = True):
-    """Brute force over every edge map: least worst cost, first in lex order."""
+def enumerate_best_edge_map(phi, source, target):
+    """Brute force over every bijective edge map: least worst cost, first in
+    lex order."""
     cost = edge_cost(phi, source, target)
     k, l = source.edge_count, target.edge_count
-    candidates = (
-        itertools.permutations(range(l), k)
-        if require_bijective
-        else itertools.product(range(l), repeat=k)
-    )
     best = None
-    for mapping in candidates:
+    for mapping in itertools.permutations(range(l), k):
         worst = max(cost[i, mapping[i]] for i in range(k))
         if best is None or worst < best[0]:
             best = (worst, tuple(mapping))

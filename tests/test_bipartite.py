@@ -18,7 +18,12 @@ from lhckit import (
 )
 from lhckit import bsc_id, jsonio
 from lhckit.bipartite import random_branch_swap_instance
-from lhckit.errors import EdgeCountMismatch, HypothesisViolated, ShapeError
+from lhckit.errors import (
+    EdgeCountMismatch,
+    HypothesisViolated,
+    RequiresPartition,
+    ShapeError,
+)
 from lhckit.hypergraph import Hypergraph
 
 
@@ -40,8 +45,8 @@ class TestSemiDetSplit:
         h = square_split(2, msgs.product(msgs))
         split = semi_det_split(ident, ident, h, h, EdgeMap.identity(2),
                                mu=np.array([0.3, 0.3]))
-        assert split.g1.edge_sets == h.edge_sets
-        assert split.g2.edge_sets == h.edge_sets
+        assert split.g1.edges == h.edges
+        assert split.g2.edges == h.edges
         assert split.cert_h_to_g1.passed and split.cert_h_to_g2.passed
 
     def test_repetition_instance_certs_pass(self):
@@ -209,4 +214,20 @@ class TestAssembleIdCode:
         d3 = Hypergraph(pairs, ((0,), (1, 2), (3,)))
         with pytest.raises(EdgeCountMismatch):
             assemble_id_code(enc, enc, identity_channel(pairs), h, g1, g2, f, d3,
+                             alpha=np.zeros(2), beta=np.zeros(2), mu=np.zeros(2))
+
+    def test_overlapping_decision_windows_refused(self):
+        # the channel hop's edge-map inference needs disjoint windows, so an
+        # overlap is refused before any decoder is read off
+        msgs = Alphabet.of_size(2)
+        x = Alphabet(("u", "v"))
+        enc = deterministic_channel(FunctionTable(msgs, x, (0, 1)))
+        pairs = x.product(x)
+        h = square_split(2, msgs.product(msgs))
+        g1 = square_split(2, x.product(msgs))
+        g2 = square_split(2, msgs.product(x))
+        f = square_split(2, pairs)
+        overlap = Hypergraph(pairs, ((1, 2, 3), (0, 3)))
+        with pytest.raises(RequiresPartition, match="target edges"):
+            assemble_id_code(enc, enc, identity_channel(pairs), h, g1, g2, f, overlap,
                              alpha=np.zeros(2), beta=np.zeros(2), mu=np.zeros(2))

@@ -18,6 +18,7 @@ from lhckit.bsc_id import (
     exact_window_miss,
     gen_codebook,
     id_decoder,
+    in_window,
     monte_carlo_id,
     pair_distance_distribution,
     rate_table,
@@ -25,10 +26,9 @@ from lhckit.bsc_id import (
     theta,
     threshold_split_hypergraph,
     window_interval,
-    window_region,
     window_split_hypergraph,
 )
-from lhckit import bsc_id
+from lhckit import bsc_id, channel
 from lhckit.errors import (
     CapacityError,
     EmptyBlock,
@@ -61,7 +61,7 @@ def pairwise_error_rates(codebook, gamma, epsilon, mode):
     def accept_prob(k: int) -> float:
         law = pair_distance_distribution(n, k, gamma)
         if mode == "one-sided-threshold":
-            return law.cdf(thresh)
+            return float(law.pmf[:math.floor(thresh) + 1].sum())
         d = np.arange(n + 1)
         return float(law.pmf[(d > lo0) & (d < hi0)].sum())
 
@@ -137,6 +137,12 @@ class TestCodebooks:
     def test_infeasible_reports_gv(self):
         with pytest.raises(Infeasible, match="2"):
             gen_codebook(4, 1.0, 3)
+
+    @pytest.mark.parametrize("strategy", ["lexicographic-greedy", "random-greedy"])
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_nonpositive_size_rejected(self, strategy, m):
+        with pytest.raises(RangeError, match=f"codebook size {m} must be at least 1"):
+            gen_codebook(10, 0.3, m, strategy=strategy)
 
     def test_random_greedy_respects_distance(self):
         book = gen_codebook(64, 0.2, 8, seed=9, strategy="random-greedy")
@@ -216,7 +222,8 @@ class TestWindowMiss:
     def test_one_sided_accept_monotone_in_distance(self):
         n, gamma, eps = 40, 0.05, 0.3
         t = acceptance_threshold(n, gamma, eps)
-        probs = [pair_distance_distribution(n, k, gamma).cdf(t)
+        top = math.floor(t) + 1
+        probs = [pair_distance_distribution(n, k, gamma).pmf[:top].sum()
                  for k in range(n + 1)]
         assert all(a >= b - 1e-15 for a, b in zip(probs, probs[1:]))
 
@@ -265,7 +272,7 @@ class TestExactErrorRates:
 class TestUnknownMode:
     def test_decoder(self):
         with pytest.raises(RangeError, match="unknown decoder mode 'bogus'"):
-            id_decoder("0000", "0000", 4, 0.03, 0.3, 0.5, mode="bogus")
+            id_decoder("0000", "0000", 4, 0.03, 0.3, mode="bogus")
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_monte_carlo(self, workers):
@@ -305,9 +312,6 @@ class TestExampleHypergraphs:
         assert ex.hyper_h.edge_count == 2
         assert ex.hyper_c.is_partition
         assert ex.hyper_c.vertices.size == 4  # rectangular codeword square
-        assert ex.input_edge_of_pair("000000", "000000") == 1
-        assert ex.input_edge_of_pair("000000", "111111") == 0
-        assert ex.input_edge_of_pair("000000", "000001") is None
 
     def test_epsilon_too_large(self):
         book = gen_codebook(6, 1.0, 2)
@@ -325,7 +329,7 @@ class TestExampleHypergraphs:
         # n=8, gamma=0.25: equal window around 3, far window around 5
         h = window_split_hypergraph(8, 0.25, 1.0, 0.2)
         dists = bsc_pair_distances(8)
-        far, near = h.edge_sets
+        far, near = h.edges
         assert {dists[i] for i in near} == {3}
         assert {dists[i] for i in far} == {5}
         with pytest.raises(EpsilonTooLarge):
@@ -337,56 +341,60 @@ class TestExampleHypergraphs:
             window_split_hypergraph(8, 0.03, 0.4, 0.3)
 
     def test_window_split_caps_pairs_before_allocating(self, monkeypatch):
-        h = window_split_hypergraph(8, 0.25, 1.0, 0.2, cap=4 ** 8)
+        monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 4 ** 8)
+        h = window_split_hypergraph(8, 0.25, 1.0, 0.2)
         assert h.vertices.size == 4 ** 8
 
         def refuse(n):
             raise AssertionError("distance table built before the cap check")
 
         monkeypatch.setattr(bsc_id, "pair_distance_table", refuse)
-        for split in (lambda cap: window_split_hypergraph(8, 0.25, 1.0, 0.2, cap=cap),
-                      lambda cap: threshold_split_hypergraph(8, 1, cap=cap)):
+        monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 4 ** 8 - 1)
+        for split in (lambda: window_split_hypergraph(8, 0.25, 1.0, 0.2),
+                      lambda: threshold_split_hypergraph(8, 1)):
             with pytest.raises(CapacityError, match=r"^4\*\*8 pairs exceed the cap 65535$"):
-                split(4 ** 8 - 1)
+                split()
 
 
 class TestRestrictedPairChannel:
     def test_cap_counts_all_dense_entries_before_allocating(self, monkeypatch):
         book = gen_codebook(4, 0.25, 5)  # 25 pair rows x 256 output pairs
-        channel = restricted_pair_channel(book, 0.1, cap=25 * 256)
-        assert channel.rows.shape == (25, 256)
+        monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 25 * 256)
+        assert restricted_pair_channel(book, 0.1).rows.shape == (25, 256)
 
         def refuse(*args):
             raise AssertionError("word rows built before the cap check")
 
         monkeypatch.setattr(bsc_id, "word_channel_rows", refuse)
+        monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 1 << 12)
         with pytest.raises(CapacityError, match=r"25 x 256 = 6400 entries exceeds cap 4096"):
-            restricted_pair_channel(book, 0.1, cap=1 << 12)
+            restricted_pair_channel(book, 0.1)
 
 
 class TestDecoder:
     def test_zero_distance_accepted(self):
-        assert id_decoder("0000", "0000", 4, 0.03, 0.3, 0.5) == 1
+        assert id_decoder("0000", "0000", 4, 0.03, 0.3) == 1
         # the open two-sided window contains 0 only when it is wide enough
-        assert id_decoder("0000", "0000", 4, 0.03, 1.2, 0.5,
+        assert id_decoder("0000", "0000", 4, 0.03, 1.2,
                           mode="paper-windows") == 1
 
     def test_strict_window_excludes_zero_when_narrow(self):
         # 0 is outside the open equal window whenever epsilon < 1; the
         # one-sided threshold rule exists precisely to avoid this artifact
-        assert id_decoder("0000", "0000", 4, 0.03, 0.3, 0.5,
+        assert id_decoder("0000", "0000", 4, 0.03, 0.3,
                           mode="paper-windows") == 0
-        assert id_decoder("0000", "0000", 4, 0.03, 0.3, 0.5) == 1
+        assert id_decoder("0000", "0000", 4, 0.03, 0.3) == 1
 
     def test_full_distance_rejected_in_both_modes(self):
         y1, y2 = "0" * 20, "1" * 20
         for mode in ("one-sided-threshold", "paper-windows"):
-            assert id_decoder(y1, y2, 20, 0.03, 0.3, 0.5, mode=mode) == 0
+            assert id_decoder(y1, y2, 20, 0.03, 0.3, mode=mode) == 0
 
-    @pytest.mark.parametrize("word", ["000", "0a00", "0200"])
+    @pytest.mark.parametrize("word", ["000", "0a00", "0200",
+                                      [0.5, 1, 0, 0], [0, 2, 0, 0]])
     def test_malformed_word_rejected(self, word):
         with pytest.raises(ShapeError, match="is not an 4-bit string"):
-            id_decoder(word, "0000", 4, 0.03, 0.3, 0.5)
+            id_decoder(word, "0000", 4, 0.03, 0.3)
 
     def test_threshold_boundary_flip(self):
         n, gamma, eps = 100, 0.1, 0.3
@@ -395,18 +403,19 @@ class TestDecoder:
         y_base = "0" * n
         y_at = "1" * at + "0" * (n - at)
         y_above = "1" * (at + 1) + "0" * (n - at - 1)
-        assert id_decoder(y_base, y_at, n, gamma, eps, 0.5) == 1
-        assert id_decoder(y_base, y_above, n, gamma, eps, 0.5) == 0
+        assert id_decoder(y_base, y_at, n, gamma, eps) == 1
+        assert id_decoder(y_base, y_above, n, gamma, eps) == 0
 
     def test_outside_both_windows_flagged(self):
         n, gamma, eps, delta = 1000, 0.03, 0.1, 0.5
         lo0, hi0 = window_interval(n, gamma, eps, 0.0)
         lod, hid = window_interval(n, gamma, eps, delta)
         d = int((hi0 + lod) / 2)
-        assert window_region(d, n, gamma, eps, delta) == "outside"
+        assert not in_window(d, n, gamma, eps, 0.0)
+        assert not in_window(d, n, gamma, eps, delta)
         y1 = "0" * n
         y2 = "1" * d + "0" * (n - d)
-        assert id_decoder(y1, y2, n, gamma, eps, delta, mode="paper-windows") == 0
+        assert id_decoder(y1, y2, n, gamma, eps, mode="paper-windows") == 0
 
 
 class TestMonteCarlo:

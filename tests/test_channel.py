@@ -16,6 +16,7 @@ from lhckit import (
     sample,
     tensor,
 )
+from lhckit import channel
 from lhckit.errors import CapacityError, RangeError, ShapeError
 
 from conftest import rand_channel
@@ -138,12 +139,15 @@ class TestTensor:
         out = tensor(bsc(0.1), bsc(0.2))
         assert out.rows[0, 3] == pytest.approx(0.1 * 0.2, abs=1e-15)
 
-    def test_capacity_cap(self):
+    def test_capacity_cap(self, monkeypatch):
+        monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 3)
         with pytest.raises(CapacityError):
-            tensor(bsc(0.1), bsc(0.1), cap=3)
+            tensor(bsc(0.1), bsc(0.1))
+        monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 15)
         with pytest.raises(CapacityError, match=r"4 x 4 = 16 entries exceeds cap 15"):
-            tensor(bsc(0.1), bsc(0.1), cap=15)
-        assert tensor(bsc(0.1), bsc(0.1), cap=16).rows.shape == (4, 4)
+            tensor(bsc(0.1), bsc(0.1))
+        monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 16)
+        assert tensor(bsc(0.1), bsc(0.1)).rows.shape == (4, 4)
 
     def test_marginalization_recovers_first_factor(self):
         rng = np.random.default_rng(5)
@@ -180,22 +184,23 @@ class TestPower:
         with pytest.raises(CapacityError):
             power(bsc(0.1), 25)
 
-    def test_cap_counts_entries_not_alphabet_sides(self):
+    def test_cap_counts_entries_not_alphabet_sides(self, monkeypatch):
         # 16 x 16 = 256 entries, although each side (16) is within the cap
+        monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 100)
         with pytest.raises(CapacityError, match=r"16 x 16 = 256 entries exceeds cap 100"):
-            power(bsc(0.1), 4, cap=100)
-        assert power(bsc(0.1), 4, cap=256).rows.shape == (16, 16)
+            power(bsc(0.1), 4)
+        monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 256)
+        assert power(bsc(0.1), 4).rows.shape == (16, 16)
 
     def test_power_checks_final_size_before_any_product(self, monkeypatch):
-        import lhckit.channel as channel
-
         def no_kron(*args):
             raise AssertionError("allocated before the cap check")
 
         monkeypatch.setattr(channel.np, "kron", no_kron)
+        monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 1 << 12)
         # each side (1024) is within the cap; the 2**20 entries are not
         with pytest.raises(CapacityError, match=r"1024 x 1024 = 1048576 entries"):
-            power(bsc(0.1), 10, cap=1 << 12)
+            power(bsc(0.1), 10)
 
 
 class TestSample:

@@ -375,7 +375,8 @@ class TestMalformedInputExitsTwo:
         monkeypatch.setenv("LHC_KIT_WORKERS", value)
         self.check(ID_SIM, tmp_path / "sim.csv", capsys, "LHC_KIT_WORKERS")
 
-    @pytest.mark.parametrize("grid", ["0:0.5:0", "0:0.5:-0.01", "0.5:0:0.01"])
+    @pytest.mark.parametrize("grid", ["0:0.5:0", "0:0.5:-0.01", "0.5:0:0.01",
+                                      "0:2:0.5", "0.5:1.2:0.25"])
     def test_rates_grid(self, tmp_path, capsys, grid):
         self.check(["rates", "--gamma", "0.03", "--grid", grid],
                    tmp_path / "rates.csv", capsys, "grid")
@@ -501,6 +502,30 @@ def test_each_input_file_is_read_once(tmp_path, reads, write_inputs):
     reads.clear()
     assert main(argv) == 0
     assert {n: reads[(tmp_path / n).resolve()] for n in names} == dict.fromkeys(names, 1)
+
+
+@pytest.mark.parametrize("write_inputs, flag", [
+    (verify_inputs, "--lambda"), (decompose_inputs, "--mu"),
+    (decompose_inputs, "--kappa"), (assemble_inputs, "--alpha"),
+    (assemble_inputs, "--beta"),
+])
+def test_nan_error_vector_exits_two(tmp_path, capsys, write_inputs, flag):
+    """NaN fails every comparison, so unrefused it lets a certificate pass."""
+    argv, _ = write_inputs(tmp_path)
+    argv[argv.index(flag) + 1] = "0.1,nan"
+    before = set(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag[2:]} must not be NaN, got [0.1, nan]\n")
+    assert set(tmp_path.iterdir()) == before
+
+
+def test_validate_notes_nan_error_vector(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"task": "verify", "params": {"lambda": float("nan")}}))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == "error: lambda must not be NaN, got nan\n"
 
 
 CERTIFY = Path(__file__).parent / "data" / "certify"

@@ -16,7 +16,7 @@ from lhckit import (
     derandomize,
     identity_channel,
 )
-from lhckit.errors import EmptyBlock, HypothesisViolated, LambdaTooLarge
+from lhckit.errors import EmptyBlock, HypothesisViolated, LambdaTooLarge, RangeError
 
 from conftest import reliable_code, two_stage_instance
 
@@ -47,13 +47,20 @@ class TestDecompose:
     def test_identity_second_stage_recovers_target(self):
         result = decompose(bsc(0.05), identity_channel(BITS), BITS1, BITS1, ID2,
                            kappa=0.4, mu=0.2, lam=0.05)
-        assert result.intermediate.edge_sets == BITS1.edge_sets
+        assert result.intermediate.edges == BITS1.edges
         assert np.all(result.cert_gamma.per_vertex_success == 1.0)
 
     def test_kappa_above_half_rejected(self):
         with pytest.raises(HypothesisViolated, match="kappa"):
             decompose(bsc(0.05), bsc(0.05), BITS1, BITS1, ID2,
                       kappa=0.6, mu=0.38, lam=0.095)
+
+    @pytest.mark.parametrize("name", ["kappa", "mu", "lam"])
+    def test_nan_hypothesis_refused(self, name):
+        # a NaN entry fails every comparison, so unrefused it slips past each check
+        params = dict(kappa=0.25, mu=0.38, lam=0.095) | {name: [0.1, np.nan]}
+        with pytest.raises(RangeError, match=f"{name} is NaN at edge 1"):
+            decompose(bsc(0.05), bsc(0.05), BITS1, BITS1, ID2, **params)
 
     def test_lam_mu_kappa_inequality_named(self):
         with pytest.raises(HypothesisViolated, match="mu"):

@@ -14,22 +14,11 @@ from lhckit import (
     hom_from_edge_map,
     identification_table,
     k_identification_table,
-    make_partition_hypergraph,
-    relabel_hom,
     split_product_alphabet,
 )
-from lhckit.errors import (
-    InvalidPartition,
-    RequiresBijective,
-    RequiresPartition,
-    ShapeError,
-)
+from lhckit.errors import RequiresBijective, RequiresPartition, ShapeError
 
 from conftest import rand_partition
-
-
-def edge_sets(h: Hypergraph) -> set[frozenset[int]]:
-    return set(h.edge_sets)
 
 
 class TestAlphabet:
@@ -57,20 +46,12 @@ class TestAlphabet:
 
 class TestPartition:
     def test_identity_partition(self):
-        h = make_partition_hypergraph(Alphabet(("0", "1")), [{0}, {1}])
+        h = Hypergraph(Alphabet(("0", "1")), ((0,), (1,)))
         assert h.edges == ((0,), (1,)) and h.is_partition
 
     def test_two_blocks(self):
-        h = make_partition_hypergraph(Alphabet(("a", "b", "c")), [{0, 1}, {2}])
+        h = Hypergraph(Alphabet(("a", "b", "c")), ((0, 1), (2,)))
         assert h.edge_count == 2 and h.is_partition
-
-    def test_overlap_names_vertex(self):
-        with pytest.raises(InvalidPartition, match="'b'"):
-            make_partition_hypergraph(Alphabet(("a", "b", "c")), [{0, 1}, {1, 2}])
-
-    def test_uncovered_names_vertex(self):
-        with pytest.raises(InvalidPartition, match="'c'"):
-            make_partition_hypergraph(Alphabet(("a", "b", "c")), [{0, 1}])
 
     def test_complete_1_uniform(self):
         assert complete_1_uniform(Alphabet(("0", "1"))).edges == ((0,), (1,))
@@ -79,7 +60,7 @@ class TestPartition:
         assert h.edge_count == 3 and h.is_partition
 
     def test_unique_edge_of(self):
-        h = make_partition_hypergraph(Alphabet(("a", "b", "c")), [{0, 1}, {2}])
+        h = Hypergraph(Alphabet(("a", "b", "c")), ((0, 1), (2,)))
         assert h.unique_edge_of(1) == 0 and h.unique_edge_of(2) == 1
 
 
@@ -94,14 +75,13 @@ class TestIncidence:
         assert h.degrees.tolist() == [1, 2, 1, 1, 0]
         assert [h.edges_containing(v) for v in range(5)] == [(2,), (0, 1), (1,), (0,), ()]
         assert h.edges_containing(5) == () and h.edges_containing(-1) == ()
-        assert h.covered_vertices == frozenset({0, 1, 2, 3})
         assert not h.edges_disjoint and not h.is_partition
-        assert h.edge_sets == (frozenset({1, 3}), frozenset({1, 2}), frozenset({0}))
+        assert h.edges == ((1, 3), (1, 2), (0,))
 
     def test_no_edges(self):
         h = Hypergraph(Alphabet.of_size(2, "v"), ())
         assert h.incidence.shape == (2, 0) and h.edges_containing(0) == ()
-        assert h.edges_disjoint and not h.is_partition and not h.covered_vertices
+        assert h.edges_disjoint and not h.is_partition and not h.degrees.any()
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_edge_vertex_outside_alphabet(self, bad):
@@ -164,7 +144,7 @@ class TestCharacteristic:
     def test_equality_function_on_two_messages(self):
         h = characteristic_hypergraph(identification_table(2))
         # domain order: (0,0), (0,1), (1,0), (1,1)
-        assert edge_sets(h) == {frozenset({0, 3}), frozenset({1, 2})}
+        assert set(h.edges) == {(0, 3), (1, 2)}
         assert h.is_partition
 
     def test_constant_function(self):
@@ -205,7 +185,7 @@ class TestHomomorphism:
         assert report.is_hom and report.edge_bijective and report.witness is None
 
     def test_identity_all_flags(self):
-        g = make_partition_hypergraph(Alphabet(("a", "b", "c")), [{0, 1}, {2}])
+        g = Hypergraph(Alphabet(("a", "b", "c")), ((0, 1), (2,)))
         report = check_homomorphism((0, 1, 2), EdgeMap.identity(2), g, g)
         assert report.is_hom and report.edge_surjective and report.edge_bijective
 
@@ -224,7 +204,7 @@ class TestHomomorphism:
 
 class TestHomFromEdgeMap:
     def test_identity_picks_min_index(self):
-        g = make_partition_hypergraph(Alphabet(("a", "b", "c")), [{0, 1}, {2}])
+        g = Hypergraph(Alphabet(("a", "b", "c")), ((0, 1), (2,)))
         assert hom_from_edge_map(EdgeMap.identity(2), g, g) == (0, 0, 2)
 
     def test_forced_construction(self):
@@ -258,36 +238,32 @@ class TestHomFromEdgeMap:
 
 
 class TestRelabelHom:
+    """The edge relabeling g_E = f_E after h_E^-1, which satisfies
+    g_E after h_E = f_E, built from EdgeMap.inverse and EdgeMap.after."""
+
     def test_equal_maps_give_identity(self):
-        g = complete_1_uniform(Alphabet(("a", "b")))
         m = EdgeMap(2, 2, (1, 0))
-        _, g_e = relabel_hom(m, m, g)
-        assert g_e.mapping == (0, 1)
+        assert m.after(m.inverse()).mapping == (0, 1)
 
     def test_swap(self):
-        g = complete_1_uniform(Alphabet(("a", "b")))
-        _, g_e = relabel_hom(EdgeMap.identity(2), EdgeMap(2, 2, (1, 0)), g)
+        g_e = EdgeMap.identity(2).after(EdgeMap(2, 2, (1, 0)).inverse())
         assert g_e.mapping == (1, 0)
 
     def test_cycle_inverse(self):
-        g = complete_1_uniform(Alphabet(("a", "b", "c")))
         cycle = EdgeMap(3, 3, (1, 2, 0))
-        _, g_e = relabel_hom(EdgeMap.identity(3), cycle, g)
+        g_e = EdgeMap.identity(3).after(cycle.inverse())
         assert g_e.mapping == (2, 0, 1)  # inverse cycle
 
     def test_compose_identity(self):
         rng = np.random.default_rng(3)
-        g = complete_1_uniform(Alphabet.of_size(4))
         for _ in range(20):
             h_edge = EdgeMap(4, 4, tuple(int(i) for i in rng.permutation(4)))
             f_edge = EdgeMap(4, 4, tuple(int(i) for i in rng.integers(4, size=4)))
-            _, g_e = relabel_hom(f_edge, h_edge, g)
-            assert g_e.after(h_edge).mapping == f_edge.mapping
+            assert f_edge.after(h_edge.inverse()).after(h_edge) == f_edge
 
     def test_requires_bijective(self):
-        g = complete_1_uniform(Alphabet(("a", "b")))
         with pytest.raises(RequiresBijective):
-            relabel_hom(EdgeMap.identity(2), EdgeMap(2, 2, (0, 0)), g)
+            EdgeMap(2, 2, (0, 0)).inverse()
 
 
 class TestRelabelInvariance:
