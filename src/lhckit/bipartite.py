@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import Channel, identity_channel, tensor
+from .channel import Channel, deterministic_channel, identity_channel, named_rng, tensor
 from .decomposition import DecompositionResult, decompose
 from .codes import FunctionCode, code_error_profile
 from .errors import (
@@ -36,8 +36,7 @@ from .hypergraph import (
     identification_table,
     split_product_alphabet,
 )
-from .channel import deterministic_channel
-from .verify import VERIFY_SLACK, edge_vector, infer_edge_map, lambda_profile
+from .verify import edge_vector, exceeds, infer_edge_map, lambda_profile
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,11 +115,7 @@ def semi_det_split(
     if b1.labels != phi1.output.labels:
         raise ShapeError("target vertices must be the product of the channel outputs")
 
-    product = tensor(phi1, phi2)
-    lam = lambda_profile(product, source, target, e_edge)
-    if np.any(lam >= 0.5):
-        raise HypothesisViolated("product channel profile must be below 1/2")
-
+    lam = lambda_profile(tensor(phi1, phi2), source, target, e_edge)
     split_g1 = decompose(
         phi=tensor(identity_channel(a1), phi2),
         gamma=tensor(phi1, identity_channel(phi2.output)),
@@ -163,8 +158,11 @@ def check_branch_swap(
     passes at lam under the best bijective edge map. Conclusion: id x phi
     from hyper_i (sent x raw) to hyper_f (sent x sent) passes at lam
     likewise. The error vector is applied positionally to the source edges
-    on each side. A report with a failed conclusion under a passing
-    hypothesis is a counterexample candidate.
+    on each side, so a caller with a correspondence between the edges of
+    hyper_h and hyper_i lists hyper_i's edges in hyper_h's order, as
+    ``assemble_id_code`` does. All four hypergraphs need the same edge
+    count. A report with a failed conclusion under a passing hypothesis is
+    a counterexample candidate.
     """
     a2 = phi.input
     x2 = phi.output
@@ -174,12 +172,7 @@ def check_branch_swap(
         raise ShapeError("hypothesis target must live on a1 x x2")
     if hyper_f.vertices.labels != x1.product(x2).labels:
         raise ShapeError("conclusion target must live on x1 x x2")
-    counts = {
-        hyper_h.edge_count,
-        hyper_g.edge_count,
-        hyper_i.edge_count,
-        hyper_f.edge_count,
-    }
+    counts = {h.edge_count for h in (hyper_h, hyper_g, hyper_i, hyper_f)}
     if len(counts) != 1:
         raise EdgeCountMismatch(f"edge counts differ: {sorted(counts)}")
     lam = edge_vector(lam, hyper_h.edge_count, "lam")
@@ -196,8 +189,8 @@ def check_branch_swap(
         phi=phi, lam=lam,
     )
     return BranchSwapReport(
-        hypothesis_holds=bool(np.all(hyp_profile <= lam + VERIFY_SLACK)),
-        conclusion_holds=bool(np.all(conc_profile <= lam + VERIFY_SLACK)),
+        hypothesis_holds=not exceeds(hyp_profile, lam).any(),
+        conclusion_holds=not exceeds(conc_profile, lam).any(),
         hypothesis_map=hyp_map,
         conclusion_map=conc_map,
         hypothesis_profile=hyp_profile,
@@ -221,13 +214,20 @@ def assemble_id_code(
 ) -> tuple[FunctionCode, np.ndarray]:
     """Build an identification code from two one-sided encoder certificates.
 
-    Verifies the three locally homomorphic channels (first encoder against
-    hyper_g1 at alpha, second encoder against hyper_g2 at beta, channel from
-    hyper_f to hyper_d at mu), re-verifies the swapped middle hop directly,
-    then composes the inferred edge maps so the decoder maps the window
-    reached from the all-equal edge to output 1. Returns the product-encoder
-    code and the bound alpha + beta + mu per attained function value; the
-    code's exact error profile is recomputed and must obey the bound.
+    Verifies the three locally homomorphic channels (first encoder from
+    hyper_h to hyper_g1 at alpha, second encoder from hyper_h to hyper_g2 at
+    beta, channel from hyper_f to hyper_d at mu) and re-verifies the swapped
+    middle hop, hyper_g1 to hyper_f at beta, with ``check_branch_swap``. Its
+    hyper_g1 is reordered through the first hop's edge map, so beta lines up
+    with the edges of hyper_h on both sides and the middle hop's map is the
+    composite hyper_h -> hyper_f. For two edges the reorder cannot change
+    a map that passes below 1/2: a source edge's costs for two disjoint
+    target edges sum to at least 1, so the bottleneck assignment can only
+    tie at 1/2 or above. The edge maps then compose so the decoder maps the
+    window reached from the all-equal edge to output 1. Returns the
+    product-encoder code and the bound alpha + beta + mu per attained
+    function value; the code's exact error profile is recomputed and must
+    obey the bound.
     """
     msgs = enc1.input
     if enc2.input.labels != msgs.labels:
@@ -243,9 +243,6 @@ def assemble_id_code(
         raise EdgeCountMismatch(
             f"decoder hypergraph needs exactly 2 edges, got {hyper_d.edge_count}"
         )
-    for hg, name in ((hyper_g1, "g1"), (hyper_g2, "g2"), (hyper_f, "f")):
-        if hg.edge_count != 2:
-            raise EdgeCountMismatch(f"hyper_{name} needs exactly 2 edges")
     if hyper_g1.vertices.labels != enc1.output.product(msgs).labels:
         raise ShapeError("hyper_g1 must live on codewords x messages")
     if hyper_g2.vertices.labels != msgs.product(enc2.output).labels:
@@ -266,39 +263,38 @@ def assemble_id_code(
     m1, prof1 = infer_edge_map(
         tensor(enc1, identity_channel(msgs)), hyper_h, hyper_g1
     )
-    if np.any(prof1 > alpha + VERIFY_SLACK):
+    if exceeds(prof1, alpha).any():
         raise HypothesisViolated(
             f"first encoder hop exceeds alpha: profile {prof1}, alpha {alpha}"
         )
-    # Stated hypothesis for the second encoder: raw first message.
-    m2h, prof2h = infer_edge_map(
-        tensor(identity_channel(msgs), enc2), hyper_h, hyper_g2
+    # Second encoder: stated with the first message raw, re-verified with it
+    # already encoded rather than assumed.
+    g1_in_h_order = Hypergraph(
+        hyper_g1.vertices, tuple(hyper_g1.edges[m1(i)] for i in range(k))
     )
-    if np.any(prof2h > beta + VERIFY_SLACK):
+    swap = check_branch_swap(enc2, hyper_h, hyper_g2, g1_in_h_order, hyper_f, beta)
+    if not swap.hypothesis_holds:
         raise HypothesisViolated(
-            f"second encoder hop exceeds beta: profile {prof2h}, beta {beta}"
+            "second encoder hop exceeds beta: "
+            f"profile {swap.hypothesis_profile}, beta {beta}"
         )
-    # Swapped middle hop, re-verified directly rather than assumed.
-    m2, prof2 = infer_edge_map(
-        tensor(identity_channel(enc1.output), enc2), hyper_g1, hyper_f
-    )
-    m1_inv = m1.inverse()
-    beta_on_g1 = beta[[m1_inv(j) for j in range(k)]]
-    if np.any(prof2 > beta_on_g1 + VERIFY_SLACK):
+    if not swap.conclusion_holds:
         raise HypothesisViolated(
             "swapped second-encoder hop fails at beta "
-            f"(profile {prof2} vs {beta_on_g1}); branch swap does not transfer"
+            f"(profile {swap.conclusion_profile} vs {beta}); "
+            "branch swap does not transfer"
         )
+    m2 = swap.conclusion_map  # hyper_h edge -> hyper_f edge
     # Final hop through the channel into the decision windows.
     m3, prof3 = infer_edge_map(phi, hyper_f, hyper_d)
-    if np.any(prof3 > mu + VERIFY_SLACK):
+    if exceeds(prof3, mu).any():
         raise HypothesisViolated(
             f"channel hop exceeds mu: profile {prof3}, mu {mu}"
         )
 
     # h_ref's edges are the preimages of 0 (off-diagonal) and 1 (diagonal)
     off_edge, diag_edge = map(hyper_h.edges.index, h_ref.edges)
-    accept_edge = m3.after(m2.after(m1))(diag_edge)
+    accept_edge = m3.after(m2)(diag_edge)
     dec_map = [0] * hyper_d.vertices.size
     for y in hyper_d.edges[accept_edge]:
         dec_map[y] = 1
@@ -307,12 +303,12 @@ def assemble_id_code(
     )
 
     code = FunctionCode(tensor(enc1, enc2), decoder, f_id, phi)
-    bound_by_edge = alpha + beta + mu[[m2.after(m1)(i) for i in range(k)]]
+    bound_by_edge = alpha + beta + mu[list(m2.mapping)]
     # Express the bound per attained value (0 then 1).
     bound = np.array([bound_by_edge[off_edge], bound_by_edge[diag_edge]])
 
     profile = code_error_profile(code)
-    if np.any(profile > bound + VERIFY_SLACK):
+    if exceeds(profile, bound).any():
         raise DecompositionFailure(
             f"assembled code error {profile} exceeds bound {bound} "
             "although all three hops were certified"
@@ -391,7 +387,7 @@ def run_branch_swap_harness(
     trials: int, seed: int, max_edges: int = 3, max_symbols: int = 3
 ) -> HarnessSummary:
     """Sample instances, verify both sides, and collect counterexamples."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x51AB]))
+    rng = named_rng(seed, 0x51AB)
     hypothesis_held = 0
     conclusion_held = 0
     counterexamples: list[BranchSwapReport] = []

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.stats import binom
 
 from . import channel
-from .channel import Channel, _check_entries
+from .channel import Channel, _check_entries, named_rng
 from .errors import (
     CapacityError,
     EmptyBlock,
@@ -280,7 +280,7 @@ def gen_codebook(
                 if len(kept) == m:
                     break
     elif strategy == "random-greedy":
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xC0DE]))
+        rng = named_rng(seed, 0xC0DE)
         budget = max(10_000, 500 * m)
         for _ in range(budget):
             cand = 0
@@ -561,7 +561,7 @@ def monte_carlo_id(
     def run_chunk(ci: int) -> tuple[int, int]:
         start = ci * MC_CHUNK
         count = min(MC_CHUNK, trials - start)
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), ci]))
+        rng = named_rng(seed, ci)
         idx = np.arange(start, start + count)
         equal = idx < n_equal
         first = rng.integers(m, size=count)

@@ -18,12 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bsc_id, jsonio
+from . import bsc_id, channel, jsonio
 from .bipartite import assemble_id_code, run_branch_swap_harness
 from .codes import code_error_profile, FunctionCode
 from .decomposition import decompose, derandomize
-from .errors import LhcKitError
-from .verify import VERIFY_SLACK, edge_vector, verify_lhc
+from .errors import LhcKitError, RangeError
+from .verify import edge_vector, exceeds, verify_lhc
 
 DEFAULT_SEED = 20240
 
@@ -73,9 +73,28 @@ def _is_number(value) -> bool:
 
 
 def _grid_points(grid) -> np.ndarray:
-    """The deltas of a start:stop:step grid, stop included."""
+    """The deltas of a start:stop:step grid, stop included.
+
+    Raises RangeError for a malformed grid, a non-finite bound or more
+    points than ``channel.DEFAULT_PRODUCT_CAP``, all before any array is
+    built, and for a grid reaching outside [0, 1].
+    """
+    text = ":".join(map(str, grid)) if isinstance(grid, (list, tuple)) else repr(grid)
+    if not (isinstance(grid, (list, tuple)) and len(grid) == 3
+            and all(map(_is_number, grid)) and grid[2] > 0 and grid[1] >= grid[0]):
+        raise RangeError(f"grid {text} needs "
+                         "start:stop:step with step > 0 and stop >= start")
+    if not all(abs(x) <= sys.float_info.max for x in grid):  # inf, NaN, huge int
+        raise RangeError(f"grid {text} needs finite start, stop and step")
     start, stop, step = grid
-    return np.arange(start, stop + step / 2, step)
+    # np.arange makes ceil of this many points; inf when the quotient overflows
+    if not (stop + step / 2 - start) / step <= channel.DEFAULT_PRODUCT_CAP:
+        raise RangeError(f"grid {text} has more than "
+                         f"{channel.DEFAULT_PRODUCT_CAP} points")
+    points = np.arange(start, stop + step / 2, step)
+    if outside := [d for d in points.tolist() if not 0 <= d <= 1]:
+        raise RangeError(f"grid {text} reaches delta {outside[0]!r} outside [0, 1]")
+    return points
 
 
 def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
@@ -133,21 +152,26 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
     m = p.get("m")
     if m is not None and m < 2:
         notes.append(f"error: message count {m} must be at least 2")
-    grid = p.get("grid")
-    if grid is not None:
-        text = ":".join(map(str, grid)) if isinstance(grid, (list, tuple)) else repr(grid)
-        if not (isinstance(grid, (list, tuple)) and len(grid) == 3
-                and all(map(_is_number, grid)) and grid[2] > 0 and grid[1] >= grid[0]):
-            notes.append(f"error: grid {text} needs "
-                         "start:stop:step with step > 0 and stop >= start")
-        elif outside := [d for d in _grid_points(grid).tolist() if not 0 <= d <= 1]:
-            notes.append(f"error: grid {text} reaches delta {outside[0]!r} "
-                         "outside [0, 1]")
+    if p.get("grid") is not None:
+        try:
+            _grid_points(p["grid"])
+        except RangeError as exc:
+            notes.append(f"error: {exc}")
+    # the hypergraph whose edges the error vectors are indexed by
+    hyper = objects.get("hyper_h" if config.task == "assemble-id" else "source")
     for key in _VECTORS:
         value = p.get(key)
-        if any(_is_number(x) and np.isnan(x)
+        if any(_is_number(x) and x != x  # NaN; np.isnan refuses huge ints
                for x in (value if isinstance(value, list) else [value])):
             notes.append(f"error: {key} must not be NaN, got {value}")
+        elif value is not None and hyper is not None:
+            try:
+                edge_vector(value, hyper.edge_count, key)
+            except LhcKitError as exc:
+                notes.append(f"error: {exc}")
+            except (TypeError, ValueError, OverflowError):
+                notes.append(f"error: {key} must be a number or a list of "
+                             f"numbers, got {value!r}")
     if config.task == "id-sim":
         raw = os.environ.get("LHC_KIT_WORKERS", "1")
         try:
@@ -163,9 +187,8 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
 
 
 def _run_verify(p: dict, inp: dict, out: dict) -> int:
-    lam = edge_vector(p["lambda"], inp["source"].edge_count, "lambda")
     cert = verify_lhc(inp["channel"], inp["source"], inp["target"],
-                      inp["edge_map"], lam)
+                      inp["edge_map"], p["lambda"])
     jsonio.write_json(out["certificate"], jsonio.certificate_to_dict(cert))
     if cert.passed:
         print(f"pass: certificate written to {out['certificate']}")
@@ -199,7 +222,7 @@ def _run_derandomize(p: dict, inp: dict, out: dict) -> int:
     prefix = out["prefix"]
     jsonio.write_json(f"{prefix}.encoder.json", jsonio.channel_to_dict(enc))
     jsonio.write_json(f"{prefix}.decoder.json", jsonio.channel_to_dict(dec))
-    ok = bool(np.all(new_profile <= 4.0 * lam + VERIFY_SLACK))
+    ok = not exceeds(new_profile, 4.0 * lam).any()
     jsonio.write_json(f"{prefix}.report.json", {
         "input_profile": [float(x) for x in lam],
         "bound": [float(4.0 * x) for x in lam],

@@ -21,7 +21,6 @@ from .errors import (
     EmptyBlock,
     HypothesisViolated,
     LambdaTooLarge,
-    RequiresPartition,
     ShapeError,
 )
 from .hypergraph import (
@@ -31,11 +30,11 @@ from .hypergraph import (
     characteristic_hypergraph,
 )
 from .verify import (
-    VERIFY_SLACK,
     LhcCertificate,
     edge_mass,
     edge_vector,
-    lambda_profile,
+    exceeds,
+    require_disjoint_edges,
     verify_lhc,
 )
 
@@ -75,10 +74,7 @@ def decompose(
     the composite passes at lam with a bijective edge map, every lam entry is
     below one half, and lam <= mu * kappa with kappa at most one half.
     """
-    if not source.edges_disjoint:
-        raise RequiresPartition("source edges must be pairwise disjoint")
-    if not target.edges_disjoint:
-        raise RequiresPartition("target edges must be pairwise disjoint")
+    require_disjoint_edges(source, target)
     if phi.output.labels != gamma.input.labels:
         raise ShapeError("phi output must feed gamma input")
     k = source.edge_count
@@ -98,7 +94,7 @@ def decompose(
         raise HypothesisViolated("every lam entry must be below 1/2")
     if np.any(kappa > 0.5):
         raise HypothesisViolated("every kappa entry must be at most 1/2")
-    bad = np.nonzero(lam > mu * kappa + VERIFY_SLACK)[0]
+    bad = np.nonzero(exceeds(lam, mu * kappa))[0]
     if bad.size:
         raise HypothesisViolated(
             f"lam <= mu * kappa fails at edge {bad[0]}: "
@@ -147,17 +143,15 @@ def decompose(
 
 
 def _instance_dump(phi, gamma, source, target, e_edge, kappa, mu, lam) -> dict:
+    # jsonio imports bipartite, which imports this module
+    from .jsonio import channel_to_dict, edge_map_to_dict, hypergraph_to_dict
+
     return {
-        "phi": {"input": list(phi.input.labels), "output": list(phi.output.labels),
-                "rows": phi.rows.tolist()},
-        "gamma": {"input": list(gamma.input.labels),
-                  "output": list(gamma.output.labels),
-                  "rows": gamma.rows.tolist()},
-        "source": {"vertices": list(source.vertices.labels),
-                   "edges": [list(e) for e in source.edges]},
-        "target": {"vertices": list(target.vertices.labels),
-                   "edges": [list(e) for e in target.edges]},
-        "edge_map": list(e_edge.mapping),
+        "phi": channel_to_dict(phi),
+        "gamma": channel_to_dict(gamma),
+        "source": hypergraph_to_dict(source),
+        "target": hypergraph_to_dict(target),
+        "edge_map": edge_map_to_dict(e_edge),
         "kappa": list(map(float, np.atleast_1d(kappa))),
         "mu": list(map(float, np.atleast_1d(mu))),
         "lambda": list(map(float, np.atleast_1d(lam))),
@@ -181,7 +175,7 @@ def channel_is_lhc(
     lam = code_error_profile(code)
     n_vals = lam.size
     kappa = edge_vector(kappa, n_vals, "kappa")
-    bad = np.nonzero(4.0 * lam > kappa + VERIFY_SLACK)[0]
+    bad = np.nonzero(exceeds(4.0 * lam, kappa))[0]
     if bad.size:
         raise HypothesisViolated(
             f"4 * lam <= kappa fails at value {bad[0]}: "
@@ -208,8 +202,8 @@ def channel_is_lhc(
     )
     hyper_out = first.intermediate  # blocks on the channel output alphabet
 
-    # Second split: encoder vs channel, aimed at the first split's blocks.
-    lam_mid = lambda_profile(encoded, h_f, hyper_out, first.edge_map_phi)
+    # Second split: encoder vs channel, aimed at the first split's blocks;
+    # first.cert_phi has certified the composite there at 2 * lam.
     second = decompose(
         phi=code.encoder,
         gamma=code.channel,
@@ -218,7 +212,7 @@ def channel_is_lhc(
         e_edge=first.edge_map_phi,
         kappa=kappa,
         mu=0.5,
-        lam=lam_mid,
+        lam=2.0 * lam,
     )
     hyper_in = second.intermediate  # blocks on the channel input alphabet
     return hyper_in, hyper_out, second.cert_gamma
@@ -228,8 +222,9 @@ def derandomize(code: FunctionCode) -> tuple[Channel, Channel]:
     """Deterministic encoder and decoder at a factor of four in error.
 
     Runs the double split at kappa = 4 * lam, then reads off a
-    deterministic encoder (best input inside each block, lowest index on
-    ties) and decoder (value of the covering output block, first codomain
+    deterministic encoder (the input inside each block with the most
+    ``edge_mass`` on its output block, lowest index among bit-equal masses)
+    and decoder (value of the covering output block, first codomain
     value for uncovered outputs). Requires every profile entry below 1/8.
     """
     lam = code_error_profile(code)

@@ -25,10 +25,6 @@ class CapacityError(LhcKitError):
     """A product alphabet would exceed the materialization cap."""
 
 
-class SizeMismatch(LhcKitError):
-    """Edge counts differ where a bijection is required."""
-
-
 class EmptyBlock(LhcKitError):
     """A thresholded block came out empty; hypotheses are too tight."""
 
@@ -42,7 +38,7 @@ class LambdaTooLarge(LhcKitError):
 
 
 class EdgeCountMismatch(LhcKitError):
-    """Hypergraphs in a chain do not have the required edge counts."""
+    """Edge counts differ where a bijection or a chain requires them to fit."""
 
 
 class EpsilonTooLarge(LhcKitError):

@@ -243,6 +243,13 @@ class EdgeMap:
     def __call__(self, i: int) -> int:
         return self.mapping[i]
 
+    def check_fit(self, source: Hypergraph, target: Hypergraph) -> None:
+        """Raise ShapeError unless the map runs from source's to target's edges."""
+        if self.source_count != source.edge_count:
+            raise ShapeError("edge map not total on source edges")
+        if self.target_count != target.edge_count:
+            raise ShapeError("edge map target count differs from target hypergraph")
+
     @property
     def surjective(self) -> bool:
         return len(set(self.mapping)) == self.target_count
@@ -316,10 +323,7 @@ def check_homomorphism(
     for w in vm:
         if not 0 <= w < target.vertices.size:
             raise ShapeError(f"vertex image {w} outside target alphabet")
-    if edge_map.source_count != source.edge_count:
-        raise ShapeError("edge map not total on source edges")
-    if edge_map.target_count != target.edge_count:
-        raise ShapeError("edge map target count differs from target hypergraph")
+    edge_map.check_fit(source, target)
 
     inside = target.incidence
     witness = next(((ei, v) for ei, edge in enumerate(source.edges)
@@ -346,10 +350,7 @@ def hom_from_edge_map(
         raise RequiresPartition("source must be a partition hypergraph")
     if not target.is_partition:
         raise RequiresPartition("target must be a partition hypergraph")
-    if edge_map.source_count != source.edge_count:
-        raise ShapeError("edge map not total on source edges")
-    if edge_map.target_count != target.edge_count:
-        raise ShapeError("edge map target count differs from target hypergraph")
+    edge_map.check_fit(source, target)
     vm = []
     for v in range(source.vertices.size):
         image_edge = target.edges[edge_map(source.unique_edge_of(v))]

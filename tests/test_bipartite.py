@@ -202,6 +202,36 @@ class TestAssembleIdCode:
         )
         assert np.array_equal(code.decoder.rows[:, ::-1], straight.decoder.rows)
 
+    def test_first_hop_edge_swap_gives_same_code(self):
+        # hyper_g1 lists its edges in the opposite order from hyper_h, so the
+        # first hop's edge map is a swap; beta is tight and asymmetric, so
+        # the swapped middle hop passes only with beta carried through it
+        msgs = Alphabet.of_size(2)
+        x = Alphabet(("u", "v", "w"))
+        enc = Channel(msgs, x, np.array([[0.9, 0.05, 0.05], [0.1, 0.8, 0.1]]))
+        pairs = x.product(x)
+        h = square_split(2, msgs.product(msgs))
+        g1 = pair_hypergraph(x.product(msgs), [0, 3], [1, 2, 4, 5])
+        g1_swapped = Hypergraph(g1.vertices, g1.edges[::-1])
+        g2 = pair_hypergraph(msgs.product(x), [0, 4], [1, 2, 3, 5])
+        f = pair_hypergraph(pairs, [0, 4], [1, 2, 3, 5, 6, 7, 8])
+        beta = np.array([0.1, 0.2])  # mismatch, match: the exact profile
+
+        def assemble(hyper_g1, beta):
+            return assemble_id_code(enc, enc, identity_channel(pairs), h, hyper_g1,
+                                    g2, f, f, alpha=np.array([0.1, 0.2]),
+                                    beta=beta, mu=np.zeros(2))
+
+        code, bound = assemble(g1, beta)
+        swapped_code, swapped_bound = assemble(g1_swapped, beta)
+        assert np.array_equal(swapped_bound, bound)
+        assert np.array_equal(bound, [0.2, 0.4])
+        for part in ("encoder", "decoder", "channel"):
+            assert np.array_equal(getattr(swapped_code, part).rows,
+                                  getattr(code, part).rows)
+        with pytest.raises(HypothesisViolated, match="beta"):
+            assemble(g1_swapped, beta[::-1])
+
     def test_decoder_edge_count_checked(self):
         msgs = Alphabet.of_size(2)
         x = Alphabet(("u", "v"))

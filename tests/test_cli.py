@@ -376,7 +376,8 @@ class TestMalformedInputExitsTwo:
         self.check(ID_SIM, tmp_path / "sim.csv", capsys, "LHC_KIT_WORKERS")
 
     @pytest.mark.parametrize("grid", ["0:0.5:0", "0:0.5:-0.01", "0.5:0:0.01",
-                                      "0:2:0.5", "0.5:1.2:0.25"])
+                                      "0:2:0.5", "0.5:1.2:0.25", "0:inf:0.1",
+                                      "0:1:1e-9"])
     def test_rates_grid(self, tmp_path, capsys, grid):
         self.check(["rates", "--gamma", "0.03", "--grid", grid],
                    tmp_path / "rates.csv", capsys, "grid")
@@ -521,6 +522,45 @@ def test_nan_error_vector_exits_two(tmp_path, capsys, write_inputs, flag):
     assert set(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("write_inputs, flag", [
+    (verify_inputs, "--lambda"), (decompose_inputs, "--mu"),
+    (assemble_inputs, "--beta"),
+])
+def test_wrong_length_error_vector_exits_two(tmp_path, capsys, write_inputs, flag):
+    """A vector not fitting the source edges is malformed input, not a failure."""
+    argv, _ = write_inputs(tmp_path)
+    argv[argv.index(flag) + 1] = "0.1,0.1,0.1"
+    before = set(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag[2:]} must have one entry per edge (2)\n")
+    assert set(tmp_path.iterdir()) == before
+
+
+def test_validate_notes_malformed_error_vector(tmp_path, capsys):
+    write_singleton_instance(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"task": "verify",
+                               "inputs": {"source": str(tmp_path / "G.json")},
+                               "params": {"lambda": "abc"}}))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == (
+        "error: lambda must be a number or a list of numbers, got 'abc'\n")
+
+
+def test_validate_notes_ints_beyond_float_range(tmp_path, capsys):
+    write_singleton_instance(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"task": "verify",
+                               "inputs": {"source": str(tmp_path / "G.json")},
+                               "params": {"lambda": 10**400, "grid": [0, 10**400, 1]}}))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    notes = capsys.readouterr().out.splitlines()
+    assert [n.split()[:2] for n in notes] == [["error:", "grid"], ["error:", "lambda"]]
+    assert notes[0].endswith("needs finite start, stop and step")
+
+
 def test_validate_notes_nan_error_vector(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"task": "verify", "params": {"lambda": float("nan")}}))
@@ -558,3 +598,21 @@ class TestCertificateGoldens:
         for part in ("intermediate", "cert_phi", "cert_gamma"):
             name = f"golden.decompose.{part}.json"
             assert (tmp_path / name).read_bytes() == (CERTIFY / name).read_bytes()
+
+
+ASSEMBLE = Path(__file__).parent / "data" / "assemble"
+
+
+def test_assemble_outputs_match_golden_files(tmp_path):
+    """Noisy encoders, and hyper_g1, hyper_f and hyper_d each listing their
+    edges in the opposite order from the hop before, so every edge map is a
+    swap and the asymmetric alpha, beta and mu must follow them."""
+    argv = ["assemble-id"]
+    for flag in ("enc1", "enc2", "phi", "hyper-h", "hyper-g1", "hyper-g2",
+                 "hyper-f", "hyper-d"):
+        argv += [f"--{flag}", str(ASSEMBLE / f"{flag}.json")]
+    assert main([*argv, "--alpha", "0.1,0.2", "--beta", "0.1,0.15",
+                 "--mu", "0.024,0.007", "--out-prefix", str(tmp_path / "golden")]) == 0
+    for part in ("code", "encoder", "decoder", "function", "channel", "report"):
+        name = f"golden.{part}.json"
+        assert (tmp_path / name).read_bytes() == (ASSEMBLE / name).read_bytes()

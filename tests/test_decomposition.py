@@ -31,6 +31,18 @@ def bit_code(gamma: float) -> FunctionCode:
 
 
 class TestDecompose:
+    def test_failure_instance_reads_back_through_jsonio(self):
+        from lhckit import jsonio
+        from lhckit.decomposition import _instance_dump
+
+        d = _instance_dump(bsc(0.05), bsc(0.1), BITS1, BITS1, ID2,
+                           kappa=0.25, mu=0.38, lam=0.095)
+        assert np.array_equal(jsonio.channel_from_dict(d["gamma"]).rows,
+                              bsc(0.1).rows)
+        assert jsonio.hypergraph_from_dict(d["target"]) == BITS1
+        assert jsonio.edge_map_from_dict(d["edge_map"]) == ID2
+        assert d["lambda"] == [0.095]
+
     def test_two_noisy_stages(self):
         result = decompose(bsc(0.05), bsc(0.05), BITS1, BITS1, ID2,
                            kappa=0.25, mu=0.38, lam=0.095)

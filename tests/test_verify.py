@@ -18,7 +18,7 @@ from lhckit import (
     verify_lhc,
 )
 from lhckit import verify
-from lhckit.errors import RangeError, RequiresPartition, ShapeError, SizeMismatch
+from lhckit.errors import EdgeCountMismatch, RangeError, RequiresPartition, ShapeError
 from lhckit.verify import edge_cost_matrix, edge_vector, per_vertex_success
 
 import oracles
@@ -184,7 +184,7 @@ class TestInferEdgeMap:
     def test_size_mismatch(self):
         three = complete_1_uniform(Alphabet(("a", "b", "c")))
         phi = rand_channel(np.random.default_rng(0), three.vertices, BITS)
-        with pytest.raises(SizeMismatch):
+        with pytest.raises(EdgeCountMismatch):
             infer_edge_map(phi, three, BITS1)
 
     @pytest.mark.parametrize("side", ["input", "output"])
