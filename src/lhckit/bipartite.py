@@ -17,10 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import channel
 from .channel import Channel, deterministic_channel, identity_channel, named_rng, tensor
 from .decomposition import DecompositionResult, decompose
 from .codes import FunctionCode, code_error_profile
 from .errors import (
+    CapacityError,
     DecompositionFailure,
     EdgeCountMismatch,
     HypothesisViolated,
@@ -383,10 +385,25 @@ def random_branch_swap_instance(
     return phi, hyper_h, hyper_g, hyper_i, hyper_f, lam
 
 
+def check_harness_symbols(max_symbols) -> None:
+    """Raise CapacityError if the harness's largest channel is over the cap.
+
+    That channel is id x phi from a1 x a2 to a1 x x2, with (s * s) x (s * s)
+    entries at s = max_symbols; this runs before any alphabet is built.
+    """
+    side = max_symbols * max_symbols
+    if side * side > channel.DEFAULT_PRODUCT_CAP:
+        raise CapacityError(
+            f"max_symbols {max_symbols} allows a {side} x {side} channel, "
+            f"more than the cap of {channel.DEFAULT_PRODUCT_CAP} entries"
+        )
+
+
 def run_branch_swap_harness(
     trials: int, seed: int, max_edges: int = 3, max_symbols: int = 3
 ) -> HarnessSummary:
     """Sample instances, verify both sides, and collect counterexamples."""
+    check_harness_symbols(max_symbols)
     rng = named_rng(seed, 0x51AB)
     hypothesis_held = 0
     conclusion_held = 0

@@ -107,7 +107,7 @@ class PairDistanceLaw:
         pmf = np.asarray(self.pmf, dtype=np.float64)
         if pmf.shape != (self.n + 1,):
             raise ShapeError(f"pmf must have length n + 1 = {self.n + 1}")
-        if abs(pmf.sum() - 1.0) > 1e-12:
+        if abs(pmf.sum() - 1.0) > channel.ROW_SUM_TOL:
             raise ShapeError(f"pmf sums to {pmf.sum()!r}, not 1")
         pmf.setflags(write=False)
         object.__setattr__(self, "pmf", pmf)

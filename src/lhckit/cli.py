@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import bsc_id, channel, jsonio
-from .bipartite import assemble_id_code, run_branch_swap_harness
+from .bipartite import assemble_id_code, check_harness_symbols, run_branch_swap_harness
 from .codes import code_error_profile, FunctionCode
 from .decomposition import decompose, derandomize
-from .errors import LhcKitError, RangeError
+from .errors import CapacityError, LhcKitError, RangeError
 from .verify import edge_vector, exceeds, verify_lhc
 
 DEFAULT_SEED = 20240
@@ -149,6 +149,11 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
     for key in ("trials", "max_edges", "max_symbols"):
         if p.get(key) is not None and p[key] < 1:
             notes.append(f"error: {key} {p[key]} must be at least 1")
+    if (p.get("max_symbols") or 0) >= 1:
+        try:
+            check_harness_symbols(p["max_symbols"])
+        except CapacityError as exc:
+            notes.append(f"error: {exc}")
     m = p.get("m")
     if m is not None and m < 2:
         notes.append(f"error: message count {m} must be at least 2")

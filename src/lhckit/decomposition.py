@@ -45,12 +45,11 @@ class DecompositionResult:
 
     The intermediate keeps the full middle alphabet as vertex set, so its
     blocks need not cover it; uncovered vertices are isolated and carry no
-    constraint.
+    constraint. Block i belongs to source edge i, so ``cert_phi.edge_map``
+    is the identity and ``cert_gamma.edge_map`` is the composite's edge map.
     """
 
     intermediate: Hypergraph
-    edge_map_phi: EdgeMap
-    edge_map_gamma: EdgeMap
     cert_phi: LhcCertificate
     cert_gamma: LhcCertificate
 
@@ -67,12 +66,12 @@ def decompose(
 ) -> DecompositionResult:
     """Split a certified composite gamma(phi(.)) into two certified stages.
 
-    Blocks of the intermediate alphabet collect the symbols from which gamma
-    hits each target edge with probability above 1 - kappa (strict, no
-    tolerance, so boundary mass is excluded). Preconditions: both hypergraphs
-    have pairwise disjoint edges (partitions, possibly of a covered subset),
-    the composite passes at lam with a bijective edge map, every lam entry is
-    below one half, and lam <= mu * kappa with kappa at most one half.
+    Checks the preconditions, each with its named error, then returns
+    ``_split``'s blocks and stage certificates. Preconditions: both
+    hypergraphs have pairwise disjoint edges (partitions, possibly of a
+    covered subset), the composite passes at lam with a bijective edge map,
+    every lam entry is below one half, and lam <= mu * kappa with kappa at
+    most one half.
     """
     require_disjoint_edges(source, target)
     if phi.output.labels != gamma.input.labels:
@@ -84,8 +83,7 @@ def decompose(
 
     if not e_edge.bijective:
         raise HypothesisViolated("composite edge map must be bijective")
-    composite = compose(phi, gamma)
-    cert_eta = verify_lhc(composite, source, target, e_edge, lam)
+    cert_eta = verify_lhc(compose(phi, gamma), source, target, e_edge, lam)
     if not cert_eta.passed:
         raise HypothesisViolated(
             f"composite channel fails at lam on edges {cert_eta.failing_edges}"
@@ -100,7 +98,20 @@ def decompose(
             f"lam <= mu * kappa fails at edge {bad[0]}: "
             f"{lam[bad[0]]} > {mu[bad[0]]} * {kappa[bad[0]]}"
         )
+    return _split(phi, gamma, source, target, e_edge, kappa, mu, lam)
 
+
+def _split(phi, gamma, source, target, e_edge, kappa, mu, lam) -> DecompositionResult:
+    """Blocks and stage certificates of a split whose hypotheses hold.
+
+    Blocks of the intermediate alphabet collect the symbols from which gamma
+    hits each target edge with probability above 1 - kappa (strict, no
+    tolerance, so boundary mass is excluded). kappa, mu and lam are per-edge
+    vectors. Nothing here checks ``decompose``'s preconditions, so a caller
+    that skips ``decompose`` must have established them; a stage certificate
+    that fails anyway raises ``DecompositionFailure`` with the instance.
+    """
+    k = source.edge_count
     # Hitting probability of each target edge from each intermediate symbol.
     hit = edge_mass(gamma.rows, target)
 
@@ -127,11 +138,9 @@ def decompose(
             seen[b] = ai
 
     intermediate = Hypergraph(gamma.input, tuple(blocks))
-    f_edge = EdgeMap.identity(k)  # source edge i -> block i
-    g_edge = EdgeMap(k, target.edge_count, tuple(e_edge(i) for i in range(k)))
-
-    cert_phi = verify_lhc(phi, source, intermediate, f_edge, mu)
-    cert_gamma = verify_lhc(gamma, intermediate, target, g_edge, kappa)
+    # source edge i -> block i -> target edge e_edge(i)
+    cert_phi = verify_lhc(phi, source, intermediate, EdgeMap.identity(k), mu)
+    cert_gamma = verify_lhc(gamma, intermediate, target, e_edge, kappa)
     if not (cert_phi.passed and cert_gamma.passed):
         raise DecompositionFailure(
             "a stage certificate failed although all hypotheses were verified "
@@ -139,7 +148,7 @@ def decompose(
             instance=_instance_dump(phi, gamma, source, target, e_edge,
                                     kappa, mu, lam),
         )
-    return DecompositionResult(intermediate, f_edge, g_edge, cert_phi, cert_gamma)
+    return DecompositionResult(intermediate, cert_phi, cert_gamma)
 
 
 def _instance_dump(phi, gamma, source, target, e_edge, kappa, mu, lam) -> dict:
@@ -163,14 +172,20 @@ def channel_is_lhc(
 ) -> tuple[Hypergraph, Hypergraph, LhcCertificate]:
     """Certify the bare channel of a reliable code as locally homomorphic.
 
-    Splits the composite twice: first between channel-with-encoder and
-    decoder (block threshold one half, certified at twice the code error),
-    then between encoder and channel (certified at one half, blocks
-    thresholded at kappa). Returns hypergraphs on the channel input and
-    output alphabets and a passing certificate for the channel between them
-    at kappa, which must satisfy 4 * lam <= kappa <= 1/2 for the code's
-    error profile lam. The intermediate error vectors are the proof's
-    choices, 2 * lam and 1/2.
+    Splits the composite twice with ``_split``: first between
+    channel-with-encoder and decoder (block threshold one half, certified at
+    twice the code error), then between encoder and channel (certified at
+    one half, blocks thresholded at kappa). Returns hypergraphs on the
+    channel input and output alphabets and a passing certificate for the
+    channel between them at kappa, which must satisfy 4 * lam <= kappa <= 1/2
+    for the code's error profile lam. The intermediate error vectors are the
+    proof's choices, 2 * lam and 1/2. Every edge map is the identity, so
+    block i of both hypergraphs belongs to attained value i.
+
+    Neither split re-checks its hypotheses: the composite passes at its own
+    exact profile lam, the second split's composite is the first split's
+    first stage, certified at 2 * lam, and 4 * lam <= kappa <= 1/2 implies
+    the rest (lam <= 1/8, and 2 * lam <= kappa / 2 within VERIFY_SLACK).
     """
     lam = code_error_profile(code)
     n_vals = lam.size
@@ -185,47 +200,31 @@ def channel_is_lhc(
         raise HypothesisViolated("kappa must be at most 1/2")
 
     h_f = characteristic_hypergraph(code.f)
-    values = value_hypergraph(code)
-    e_edge = EdgeMap.identity(h_f.edge_count)
+    identity = EdgeMap.identity(n_vals)
+    half = np.full(n_vals, 0.5)
 
     # First split: (channel after encoder) vs decoder, threshold 1/2.
     encoded = compose(code.encoder, code.channel)
-    first = decompose(
-        phi=encoded,
-        gamma=code.decoder,
-        source=h_f,
-        target=values,
-        e_edge=e_edge,
-        kappa=np.full(n_vals, 0.5),
-        mu=2.0 * lam,
-        lam=lam,
-    )
+    first = _split(encoded, code.decoder, h_f, value_hypergraph(code), identity,
+                   half, 2.0 * lam, lam)
     hyper_out = first.intermediate  # blocks on the channel output alphabet
 
     # Second split: encoder vs channel, aimed at the first split's blocks;
-    # first.cert_phi has certified the composite there at 2 * lam.
-    second = decompose(
-        phi=code.encoder,
-        gamma=code.channel,
-        source=h_f,
-        target=hyper_out,
-        e_edge=first.edge_map_phi,
-        kappa=kappa,
-        mu=0.5,
-        lam=2.0 * lam,
-    )
-    hyper_in = second.intermediate  # blocks on the channel input alphabet
-    return hyper_in, hyper_out, second.cert_gamma
+    # its intermediate holds the blocks on the channel input alphabet.
+    second = _split(code.encoder, code.channel, h_f, hyper_out, identity,
+                    kappa, half, 2.0 * lam)
+    return second.intermediate, hyper_out, second.cert_gamma
 
 
 def derandomize(code: FunctionCode) -> tuple[Channel, Channel]:
     """Deterministic encoder and decoder at a factor of four in error.
 
-    Runs the double split at kappa = 4 * lam, then reads off a
-    deterministic encoder (the input inside each block with the most
+    Runs the double split at kappa = 4 * lam, whose blocks i on the channel
+    input and output both belong to attained value i. It then reads off a
+    deterministic encoder (the input inside each input block with the most
     ``edge_mass`` on its output block, lowest index among bit-equal masses)
-    and decoder (value of the covering output block, first codomain
-    value for uncovered outputs). Requires every profile entry below 1/8.
+    and decoder (value of the covering output block, first codomain value
+    for uncovered outputs). Requires every profile entry below 1/8.
     """
     lam = code_error_profile(code)
     if np.any(lam >= 0.125):
@@ -233,26 +232,24 @@ def derandomize(code: FunctionCode) -> tuple[Channel, Channel]:
             f"error profile max {lam.max()} is not below 1/8; "
             "the factor-4 construction needs kappa = 4 * lam <= 1/2"
         )
-    hyper_in, hyper_out, cert = channel_is_lhc(code, 4.0 * lam)
+    hyper_in, hyper_out, _ = channel_is_lhc(code, 4.0 * lam)
 
     # Hitting probability of each output block from each channel input.
     hit = edge_mass(code.channel.rows, hyper_out)
 
     attained = code.f.attained
-    enc_choice = {}
-    for vi in range(len(attained)):
-        block = hyper_in.edges[vi]
-        target_edge = cert.edge_map(vi)
-        best = max(block, key=lambda x: (hit[x, target_edge], -x))
-        enc_choice[attained[vi]] = best
+    enc_choice = {
+        attained[vi]: max(block, key=lambda x: (hit[x, vi], -x))
+        for vi, block in enumerate(hyper_in.edges)
+    }
     enc_map = tuple(enc_choice[code.f.mapping[a]] for a in range(code.f.domain.size))
     enc = deterministic_channel(
         FunctionTable(code.f.domain, code.channel.input, enc_map)
     )
 
     dec_map = [0] * code.decoder.input.size
-    for vi in range(len(attained)):
-        for y in hyper_out.edges[cert.edge_map(vi)]:
+    for vi, block in enumerate(hyper_out.edges):
+        for y in block:
             dec_map[y] = attained[vi]
     dec = deterministic_channel(
         FunctionTable(code.decoder.input, code.f.codomain, tuple(dec_map))

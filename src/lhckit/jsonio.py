@@ -120,6 +120,18 @@ def read_json(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def _index(value, what: str) -> int:
+    """An index read from JSON; anything but an integer raises ShapeError.
+
+    ``int`` would truncate 2.7 to 2 and turn true into 1, so a malformed
+    file could pass for a well-formed one.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        text = json.dumps(value, default=repr)
+        raise ShapeError(f"{what} must be an integer, got {text}")
+    return value
+
+
 # -- hypergraphs ------------------------------------------------------------
 
 
@@ -133,7 +145,7 @@ def hypergraph_to_dict(h: Hypergraph) -> dict:
 def hypergraph_from_dict(d: dict) -> Hypergraph:
     return Hypergraph(
         Alphabet(tuple(d["vertices"])),
-        tuple(tuple(int(v) for v in e) for e in d["edges"]),
+        tuple(tuple(_index(v, "vertex index") for v in e) for e in d["edges"]),
     )
 
 
@@ -152,7 +164,7 @@ def function_table_from_dict(d: dict) -> FunctionTable:
     return FunctionTable(
         Alphabet(tuple(d["domain"])),
         Alphabet(tuple(d["codomain"])),
-        tuple(int(i) for i in d["map"]),
+        tuple(_index(i, "function value index") for i in d["map"]),
     )
 
 
@@ -188,9 +200,9 @@ def edge_map_to_dict(m: EdgeMap) -> dict:
 
 def edge_map_from_dict(d: dict) -> EdgeMap:
     return EdgeMap(
-        int(d["source_edges"]),
-        int(d["target_edges"]),
-        tuple(int(i) for i in d["map"]),
+        _index(d["source_edges"], "source edge count"),
+        _index(d["target_edges"], "target edge count"),
+        tuple(_index(i, "edge map entry") for i in d["map"]),
     )
 
 
@@ -220,7 +232,7 @@ def certificate_from_dict(d: dict) -> LhcCertificate:
         ),
         passed=d["verdict"] == "pass",
         edge_bijective=bool(d["edge_bijective"]),
-        failing_edges=tuple(int(e) for e in d["failing_edges"]),
+        failing_edges=tuple(_index(e, "failing edge") for e in d["failing_edges"]),
     )
 
 

@@ -16,9 +16,10 @@ from lhckit import (
     run_branch_swap_harness,
     semi_det_split,
 )
-from lhckit import bsc_id, jsonio
+from lhckit import bsc_id, channel, jsonio
 from lhckit.bipartite import random_branch_swap_instance
 from lhckit.errors import (
+    CapacityError,
     EdgeCountMismatch,
     HypothesisViolated,
     RequiresPartition,
@@ -123,6 +124,14 @@ class TestBranchSwap:
             again = check_branch_swap(inst.phi, inst.hyper_h, inst.hyper_g,
                                       inst.hyper_i, inst.hyper_f, inst.lam)
             assert again.hypothesis_holds and not again.conclusion_holds
+
+    def test_harness_refuses_symbols_over_cap_before_drawing(self, monkeypatch):
+        # max_symbols 3 gives a 9 x 9 channel: 81 entries
+        monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 80)
+        with pytest.raises(CapacityError, match="max_symbols 3 allows a 9 x 9"):
+            run_branch_swap_harness(1, seed=5, max_symbols=3)
+        monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 81)
+        assert run_branch_swap_harness(1, seed=5, max_symbols=3).trials == 1
 
     def test_shape_validation(self):
         rng = np.random.default_rng(1)

@@ -387,6 +387,29 @@ class TestMalformedInputExitsTwo:
         self.check(["falsify", "--trials", "5", flag, "0"],
                    tmp_path / "dumps.json", capsys, flag[2:].replace("-", "_"))
 
+    def test_falsify_symbols_over_cap(self, tmp_path, capsys):
+        # 33 symbols give a 1089 x 1089 channel, over the 2**20-entry cap
+        self.check(["falsify", "--trials", "1", "--max-symbols", "33"],
+                   tmp_path / "dumps.json", capsys, "max_symbols 33")
+
+    @pytest.mark.parametrize("role, edit, text", [
+        ("edge-map", lambda d: d.update(map=[i + 0.4 for i in d["map"]]),
+         "error: input edge_map: edge map entry must be an integer, got 0.4"),
+        ("source", lambda d: d["edges"][0].__setitem__(0, True),
+         "error: input source: vertex index must be an integer, got true"),
+    ])
+    def test_non_integer_index(self, tmp_path, capsys, role, edit, text):
+        # int() would read 0.4 as 0 and true as 1, and the certificate pass
+        files = {flag: CERTIFY / f"verify.{flag}.json"
+                 for flag in ("channel", "source", "target", "edge-map")}
+        payload = json.loads(files[role].read_text())
+        edit(payload)
+        files[role] = tmp_path / f"{role}.json"
+        files[role].write_text(json.dumps(payload))
+        argv = ["verify", *(x for flag, path in files.items()
+                            for x in (f"--{flag}", str(path))), "--lambda", "0.1"]
+        self.check(argv, tmp_path / "c.json", capsys, text)
+
     def test_nan_channel(self, tmp_path, capsys):
         argv, _ = verify_inputs(tmp_path)
         (tmp_path / "ch.json").write_text(json.dumps(

@@ -10,18 +10,34 @@ from lhckit import (
     FunctionTable,
     bsc,
     channel_is_lhc,
+    characteristic_hypergraph,
     code_error_profile,
     complete_1_uniform,
+    compose,
     decompose,
     derandomize,
     identity_channel,
 )
+from lhckit.codes import value_hypergraph
 from lhckit.errors import EmptyBlock, HypothesisViolated, LambdaTooLarge, RangeError
 
 from conftest import reliable_code, two_stage_instance
 
 BITS1 = complete_1_uniform(BITS)
 ID2 = EdgeMap.identity(2)
+
+
+def checked_channel_is_lhc(code: FunctionCode, kappa):
+    """Reference route: the same two splits as two checked decompose calls."""
+    lam = code_error_profile(code)
+    h_f = characteristic_hypergraph(code.f)
+    identity = EdgeMap.identity(lam.size)
+    first = decompose(compose(code.encoder, code.channel), code.decoder, h_f,
+                      value_hypergraph(code), identity,
+                      kappa=0.5, mu=2.0 * lam, lam=lam)
+    second = decompose(code.encoder, code.channel, h_f, first.intermediate,
+                       identity, kappa=kappa, mu=0.5, lam=2.0 * lam)
+    return second.intermediate, first.intermediate, second.cert_gamma
 
 
 def bit_code(gamma: float) -> FunctionCode:
@@ -141,6 +157,22 @@ class TestChannelIsLhc:
         assert hyper_in.edge_count == len(code.f.attained)
         assert hyper_out.edge_count == len(code.f.attained)
         assert cert.passed
+        assert cert.edge_map == EdgeMap.identity(len(code.f.attained))
+
+    @given(st.integers(0, 100_000), st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_two_checked_decompose_calls(self, seed, u):
+        """Skipping decompose's checks changes no block and no certificate bit."""
+        code = reliable_code(np.random.default_rng(seed))
+        four_lam = 4.0 * code_error_profile(code)
+        kappa = four_lam + u * (0.5 - four_lam)
+        hyper_in, hyper_out, cert = channel_is_lhc(code, kappa)
+        ref_in, ref_out, ref = checked_channel_is_lhc(code, kappa)
+        assert hyper_in.edges == ref_in.edges
+        assert hyper_out.edges == ref_out.edges
+        assert cert.edge_map == ref.edge_map
+        assert cert.lam.tobytes() == ref.lam.tobytes()
+        assert cert.per_vertex_success.tobytes() == ref.per_vertex_success.tobytes()
 
 
 class TestDerandomize:

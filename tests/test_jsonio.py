@@ -164,6 +164,22 @@ payloads = st.recursive(
 )
 
 
+@pytest.mark.parametrize("load, payload, text", [
+    (jsonio.hypergraph_from_dict, {"vertices": ["a", "b"], "edges": [[0], [1.0]]},
+     "vertex index must be an integer, got 1.0"),
+    (jsonio.function_table_from_dict,
+     {"domain": ["a", "b"], "codomain": ["0", "1"], "map": [0, True]},
+     "function value index must be an integer, got true"),
+    (jsonio.edge_map_from_dict, {"source_edges": 2.0, "target_edges": 2, "map": [0, 1]},
+     "source edge count must be an integer, got 2.0"),
+    (jsonio.edge_map_from_dict, {"source_edges": 2, "target_edges": 2, "map": [0, "1"]},
+     'edge map entry must be an integer, got "1"'),
+])
+def test_loaders_accept_only_integer_indices(load, payload, text):
+    with pytest.raises(ShapeError, match=text):
+        load(payload)
+
+
 class TestWriters:
     @given(st.dictionaries(st.text(max_size=4), payloads, max_size=5))
     @example({"rows": [[0.0, -0.0], [5e-324, 1.0]] * 16})
