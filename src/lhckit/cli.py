@@ -11,6 +11,7 @@ the task runs on the parsed objects.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -178,6 +179,7 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
                 notes.append(f"error: {key} must be a number or a list of "
                              f"numbers, got {value!r}")
     if config.task == "id-sim":
+        notes += _codebook_misfit(objects.get("codebook"), p)
         raw = os.environ.get("LHC_KIT_WORKERS", "1")
         try:
             objects["workers"] = int(raw)
@@ -189,6 +191,29 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
     if not notes:
         notes.append("ok: configuration is well formed")
     return notes, objects
+
+
+def _codebook_misfit(book, p: dict) -> list[str]:
+    """One note if an id-sim codebook file is not the code its flags describe.
+
+    The run simulates the file's words and states the bound at the flags'
+    n and delta, so the file must have length n, M words and a minimum
+    distance of at least ceil(n * delta).
+    """
+    if book is None:
+        return []
+    n, m, delta = p.get("n"), p.get("m"), p.get("delta")
+    misfits = []
+    if _is_number(n) and n != book.n:
+        misfits.append(f"word length {book.n}, not n = {n}")
+    if _is_number(m) and m != book.size:
+        misfits.append(f"{book.size} words, not M = {m}")
+    if _is_number(delta) and 0.0 <= delta <= 1.0:
+        need = math.ceil(book.n * delta)
+        if book.dmin < need:
+            misfits.append(f"minimum distance {book.dmin}, "
+                           f"below ceil(n * delta) = {need}")
+    return ["error: input codebook: has " + "; ".join(misfits)] if misfits else []
 
 
 def _run_verify(p: dict, inp: dict, out: dict) -> int:

@@ -131,7 +131,8 @@ def sandwich_transfer(
     channel gamma between the vertex sets of G and H, the composite
     h(gamma(f(.))) : F -> I at lam corresponds to gamma : G -> H at lam with
     the conjugated edge map. Both verdicts are returned; the theory says
-    they agree.
+    they agree. An e_edge that does not run from the edges of F to those of
+    I raises ShapeError where the edge maps are composed.
     """
     rep_f = check_homomorphism(f_vertex, f_edge, hyper_f, hyper_g)
     if not rep_f.is_hom:
@@ -143,8 +144,6 @@ def sandwich_transfer(
         raise ShapeError(f"suffix map is not a homomorphism (witness {rep_h.witness})")
     if not rep_h.edge_bijective:
         raise RequiresBijective("suffix homomorphism must be edge-bijective")
-    if e_edge.source_count != hyper_f.edge_count or e_edge.target_count != hyper_i.edge_count:
-        raise ShapeError("composite edge map must go from the edges of F to those of I")
 
     pre = deterministic_channel(
         FunctionTable(hyper_f.vertices, hyper_g.vertices, tuple(f_vertex))

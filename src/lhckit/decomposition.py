@@ -21,7 +21,6 @@ from .errors import (
     EmptyBlock,
     HypothesisViolated,
     LambdaTooLarge,
-    ShapeError,
 )
 from .hypergraph import (
     EdgeMap,
@@ -74,8 +73,7 @@ def decompose(
     most one half.
     """
     require_disjoint_edges(source, target)
-    if phi.output.labels != gamma.input.labels:
-        raise ShapeError("phi output must feed gamma input")
+    eta = compose(phi, gamma)  # ShapeError unless phi's output feeds gamma
     k = source.edge_count
     kappa = edge_vector(kappa, k, "kappa")
     mu = edge_vector(mu, k, "mu")
@@ -83,7 +81,7 @@ def decompose(
 
     if not e_edge.bijective:
         raise HypothesisViolated("composite edge map must be bijective")
-    cert_eta = verify_lhc(compose(phi, gamma), source, target, e_edge, lam)
+    cert_eta = verify_lhc(eta, source, target, e_edge, lam)
     if not cert_eta.passed:
         raise HypothesisViolated(
             f"composite channel fails at lam on edges {cert_eta.failing_edges}"

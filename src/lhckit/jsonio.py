@@ -120,6 +120,10 @@ def read_json(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def _text(value) -> str:
+    return json.dumps(value, default=repr)
+
+
 def _index(value, what: str) -> int:
     """An index read from JSON; anything but an integer raises ShapeError.
 
@@ -127,9 +131,28 @@ def _index(value, what: str) -> int:
     file could pass for a well-formed one.
     """
     if isinstance(value, bool) or not isinstance(value, int):
-        text = json.dumps(value, default=repr)
-        raise ShapeError(f"{what} must be an integer, got {text}")
+        raise ShapeError(f"{what} must be an integer, got {_text(value)}")
     return value
+
+
+def _numbers(values, what: str, null: bool = False) -> np.ndarray:
+    """A float array read from a JSON list of numbers, or a list of such lists.
+
+    ``np.array(values, dtype=float)`` would turn true into 1.0 and "0.25"
+    into 0.25, so every entry must be a JSON int or float (or null, read as
+    NaN, where ``null`` is set); anything else raises ShapeError naming the
+    first offending entry.
+    """
+    if not isinstance(values, list):
+        raise ShapeError(f"{what}: expected a list, got {_text(values)}")
+    nested = set(map(type, values)) == {list}
+    entries = list(itertools.chain.from_iterable(values)) if nested else values
+    allowed = {int, float, type(None)} if null else {int, float}
+    if not set(map(type, entries)) <= allowed:
+        bad = next(x for x in entries if type(x) not in allowed)
+        raise ShapeError(f"{what} must be a number, got {_text(bad)}")
+    return np.array([np.nan if x is None else x for x in values] if null else values,
+                    dtype=np.float64)
 
 
 # -- hypergraphs ------------------------------------------------------------
@@ -183,7 +206,7 @@ def channel_from_dict(d: dict) -> Channel:
     return Channel(
         Alphabet(tuple(d["input"])),
         Alphabet(tuple(d["output"])),
-        np.array(d["rows"], dtype=np.float64),
+        _numbers(d["rows"], "channel entry"),
     )
 
 
@@ -223,15 +246,17 @@ def certificate_to_dict(cert: LhcCertificate) -> dict:
 
 
 def certificate_from_dict(d: dict) -> LhcCertificate:
+    if not isinstance(d["edge_bijective"], bool):
+        raise ShapeError(
+            f"edge_bijective must be true or false, got {_text(d['edge_bijective'])}"
+        )
     return LhcCertificate(
         edge_map=edge_map_from_dict(d["edge_map"]),
-        lam=np.array(d["lambda"], dtype=np.float64),
-        per_vertex_success=np.array(
-            [np.nan if p is None else p for p in d["per_vertex_success"]],
-            dtype=np.float64,
-        ),
+        lam=_numbers(d["lambda"], "lambda entry"),
+        per_vertex_success=_numbers(d["per_vertex_success"], "per-vertex success",
+                                    null=True),
         passed=d["verdict"] == "pass",
-        edge_bijective=bool(d["edge_bijective"]),
+        edge_bijective=d["edge_bijective"],
         failing_edges=tuple(_index(e, "failing edge") for e in d["failing_edges"]),
     )
 
@@ -315,7 +340,7 @@ def instance_from_dict(d: dict) -> BipartiteInstance:
         hyper_i=hypergraph_from_dict(d["hyper_i"]),
         hyper_f=hypergraph_from_dict(d["hyper_f"]),
         phi=channel_from_dict(d["phi"]),
-        lam=np.array(d["lambda"], dtype=np.float64),
+        lam=_numbers(d["lambda"], "lambda entry"),
     )
 
 

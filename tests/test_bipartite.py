@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from lhckit import (
+    BITS,
     Alphabet,
     Channel,
     EdgeMap,
@@ -11,12 +14,17 @@ from lhckit import (
     bsc,
     check_branch_swap,
     code_error_profile,
+    complete_1_uniform,
+    decompose,
     deterministic_channel,
     identity_channel,
+    lambda_profile,
     run_branch_swap_harness,
+    sandwich_transfer,
     semi_det_split,
+    tensor,
 )
-from lhckit import bsc_id, channel, jsonio
+from lhckit import bsc_id, channel, decomposition, jsonio
 from lhckit.bipartite import random_branch_swap_instance
 from lhckit.errors import (
     CapacityError,
@@ -26,6 +34,8 @@ from lhckit.errors import (
     ShapeError,
 )
 from lhckit.hypergraph import Hypergraph
+
+from conftest import rand_partition, sharp_channel
 
 
 def pair_hypergraph(alpha: Alphabet, match_pairs, mismatch_pairs) -> Hypergraph:
@@ -37,6 +47,75 @@ def square_split(m: int, alpha: Alphabet) -> Hypergraph:
     match = [i * m + i for i in range(m)]
     mismatch = [i * m + j for i in range(m) for j in range(m) if i != j]
     return pair_hypergraph(alpha, match, mismatch)
+
+
+def repetition_split_args() -> tuple:
+    """The n = 6 repetition-code product channel, its hypergraphs and mu."""
+    n, gamma, t = 6, 0.03, 2
+    book = bsc_id.gen_codebook(n, 1.0, 2)
+    cw = Alphabet(book.words)
+    full = bsc_id.word_alphabet(n)
+    phi1 = Channel(cw, full, bsc_id.word_channel_rows(book.words, n, gamma))
+    ex = bsc_id.build_example_hypergraphs(book, epsilon=0.3, gamma=gamma)
+    hyper_d = bsc_id.threshold_split_hypergraph(n, t)
+    b = bsc_id.beta(gamma)
+    fr = float(binom.sf(t, n, b))
+    fa = float(binom.cdf(t, n, 1.0 - b))
+    mu = 2.0 * np.array([fa, fr]) + 1e-9
+    return phi1, phi1, ex.hyper_c, hyper_d, EdgeMap.identity(2), mu
+
+
+def checked_semi_det_split(phi1, phi2, source, target, e_edge, mu):
+    """Reference route: both factorization orders as checked decompose calls."""
+    lam = lambda_profile(tensor(phi1, phi2), source, target, e_edge)
+    first = decompose(tensor(identity_channel(phi1.input), phi2),
+                      tensor(phi1, identity_channel(phi2.output)),
+                      source, target, e_edge, kappa=0.5, mu=mu, lam=lam)
+    second = decompose(tensor(phi1, identity_channel(phi2.input)),
+                       tensor(identity_channel(phi1.output), phi2),
+                       source, target, e_edge, kappa=0.5, mu=mu, lam=lam)
+    return first, second
+
+
+def product_split_instance(rng: np.random.Generator) -> tuple:
+    """Sharp phi1 x phi2 from the preimage partition of a random target.
+
+    Each source edge is the preimage of a target edge under the two
+    channels' most likely outputs; target edges without a preimage are
+    dropped, and the edge map is a random bijection.
+    """
+    a1, a2, b1, b2 = (Alphabet.of_size(int(rng.integers(1, 4)), prefix)
+                      for prefix in ("a", "b", "u", "v"))
+    f1 = rng.integers(b1.size, size=a1.size)
+    f2 = rng.integers(b2.size, size=a2.size)
+    noise = rng.uniform(0.0, 0.12, size=2)
+    phi1 = sharp_channel(rng, a1, b1, f1, noise[0])
+    phi2 = sharp_channel(rng, a2, b2, f2, noise[1])
+    blocks = rand_partition(rng, b1.product(b2),
+                            int(rng.integers(1, b1.size * b2.size + 1))).edges
+    image = [int(f1[i]) * b2.size + int(f2[j])
+             for i in range(a1.size) for j in range(a2.size)]
+    pairs = [(pre, block) for block in blocks
+             if (pre := tuple(v for v, y in enumerate(image) if y in block))]
+    perm = [int(x) for x in rng.permutation(len(pairs))]
+    source = Hypergraph(a1.product(a2), tuple(pre for pre, _ in pairs))
+    target = Hypergraph(b1.product(b2), tuple(pairs[perm.index(j)][1]
+                                              for j in range(len(pairs))))
+    e_edge = EdgeMap(len(pairs), len(pairs), perm)
+    lam = lambda_profile(tensor(phi1, phi2), source, target, e_edge)
+    mu = np.minimum(1.0, 2.0 * lam + rng.uniform(0.0, 0.3, size=lam.size))
+    return phi1, phi2, source, target, e_edge, mu
+
+
+def same_split(got, ref) -> bool:
+    """Blocks and both stage certificates equal to the last bit."""
+    return got.intermediate == ref.intermediate and all(
+        a.edge_map == b.edge_map and a.passed == b.passed
+        and a.failing_edges == b.failing_edges
+        and a.lam.tobytes() == b.lam.tobytes()
+        and a.per_vertex_success.tobytes() == b.per_vertex_success.tobytes()
+        for a, b in ((got.cert_phi, ref.cert_phi), (got.cert_gamma, ref.cert_gamma))
+    )
 
 
 class TestSemiDetSplit:
@@ -51,23 +130,43 @@ class TestSemiDetSplit:
         assert split.cert_h_to_g1.passed and split.cert_h_to_g2.passed
 
     def test_repetition_instance_certs_pass(self):
-        n, gamma, t = 6, 0.03, 2
-        book = bsc_id.gen_codebook(n, 1.0, 2)
-        cw = Alphabet(book.words)
-        full = bsc_id.word_alphabet(n)
-        phi1 = Channel(cw, full, bsc_id.word_channel_rows(book.words, n, gamma))
-        ex = bsc_id.build_example_hypergraphs(book, epsilon=0.3, gamma=gamma)
-        hyper_d = bsc_id.threshold_split_hypergraph(n, t)
-        b = bsc_id.beta(gamma)
-        fr = float(binom.sf(t, n, b))
-        fa = float(binom.cdf(t, n, 1.0 - b))
-        mu = 2.0 * np.array([fa, fr]) + 1e-9
-        split = semi_det_split(phi1, phi1, ex.hyper_c, hyper_d,
-                               EdgeMap.identity(2), mu=mu)
+        args = repetition_split_args()
+        mu = args[-1]
+        split = semi_det_split(*args)
         assert split.cert_h_to_g1.passed and split.cert_h_to_g2.passed
         assert split.g1.edge_count == split.g2.edge_count == 2
         # certified levels come straight from the binomial tails
         assert np.all(split.cert_h_to_g1.lam <= mu + 1e-15)
+
+    def test_hypotheses_checked_once(self, monkeypatch):
+        """One composite certificate for both orders: 1 compose, 5 verify_lhc."""
+        calls = {"compose": 0, "verify_lhc": 0}
+        for name in calls:
+            real = getattr(decomposition, name)
+
+            def counted(*a, _real=real, _name=name, **kw):
+                calls[_name] += 1
+                return _real(*a, **kw)
+
+            monkeypatch.setattr(decomposition, name, counted)
+        semi_det_split(*repetition_split_args())
+        assert calls == {"compose": 1, "verify_lhc": 5}
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_two_checked_decompose_calls(self, seed):
+        """Skipping the second order's checks changes no block and no bit."""
+        args = product_split_instance(np.random.default_rng(seed))
+        try:
+            ref = checked_semi_det_split(*args)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as got:
+                semi_det_split(*args)
+            assert str(got.value) == str(exc)
+            return
+        split = semi_det_split(*args)
+        assert same_split(split.split_g1, ref[0])
+        assert same_split(split.split_g2, ref[1])
 
     def test_mu_too_small_rejected(self):
         msgs = Alphabet.of_size(2)
@@ -139,6 +238,20 @@ class TestBranchSwap:
         bad_g = Hypergraph(Alphabet.of_size(g.vertices.size, "zz"), g.edges)
         with pytest.raises(ShapeError):
             check_branch_swap(phi, h, bad_g, i, f, lam)
+
+    def test_conclusion_side_edge_count_checked(self):
+        # hyper_i and hyper_f agree with each other, so neither inference
+        # sees the mismatch, and a one-entry lam would broadcast over both
+        # conclusion edges
+        a1, a2, x1, x2 = (Alphabet.of_size(2, prefix) for prefix in "abuv")
+
+        def one_edge(alpha):
+            return Hypergraph(alpha, (tuple(range(alpha.size)),))
+
+        with pytest.raises(EdgeCountMismatch, match="1 hyper_h edges vs 2 hyper_i edges"):
+            check_branch_swap(Channel(a2, x2, np.eye(2)), one_edge(a1.product(a2)),
+                              one_edge(a1.product(x2)), square_split(2, x1.product(a2)),
+                              square_split(2, x1.product(x2)), 0.3)
 
     def test_wrong_length_lam_rejected(self):
         phi, h, g, i, f, _ = random_branch_swap_instance(np.random.default_rng(0))
@@ -270,3 +383,126 @@ class TestAssembleIdCode:
         with pytest.raises(RequiresPartition, match="target edges"):
             assemble_id_code(enc, enc, identity_channel(pairs), h, g1, g2, f, overlap,
                              alpha=np.zeros(2), beta=np.zeros(2), mu=np.zeros(2))
+
+
+def relabeled(h: Hypergraph) -> Hypergraph:
+    return Hypergraph(Alphabet.of_size(h.vertices.size, "z"), h.edges)
+
+
+def input_relabeled(c: Channel) -> Channel:
+    return Channel(Alphabet.of_size(c.input.size, "z"), c.output, c.rows)
+
+
+def output_relabeled(c: Channel) -> Channel:
+    return Channel(c.input, Alphabet.of_size(c.output.size, "z"), c.rows)
+
+
+def first_edge_split(h: Hypergraph) -> Hypergraph:
+    """One more edge: the first edge's lowest vertex on its own."""
+    head, *rest = h.edges
+    return Hypergraph(h.vertices, ((head[0],), head[1:], *rest))
+
+
+def assemble_args() -> tuple:
+    msgs = Alphabet.of_size(2)
+    x = Alphabet(("u", "v"))
+    pairs = x.product(x)
+    enc = deterministic_channel(FunctionTable(msgs, x, (0, 1)))
+    return assemble_id_code, dict(
+        enc1=enc, enc2=enc, phi=identity_channel(pairs),
+        hyper_h=square_split(2, msgs.product(msgs)),
+        hyper_g1=square_split(2, x.product(msgs)),
+        hyper_g2=square_split(2, msgs.product(x)),
+        hyper_f=square_split(2, pairs), hyper_d=square_split(2, pairs),
+        alpha=np.zeros(2), beta=np.zeros(2), mu=np.zeros(2),
+    )
+
+
+def branch_swap_args() -> tuple:
+    a1, a2, x1, x2 = (Alphabet.of_size(2, prefix) for prefix in "abuv")
+    return check_branch_swap, dict(
+        phi=Channel(a2, x2, np.eye(2)),
+        hyper_h=square_split(2, a1.product(a2)),
+        hyper_g=square_split(2, a1.product(x2)),
+        hyper_i=square_split(2, x1.product(a2)),
+        hyper_f=square_split(2, x1.product(x2)), lam=0.3,
+    )
+
+
+def semi_det_split_args() -> tuple:
+    msgs = Alphabet.of_size(2)
+    ident = identity_channel(msgs)
+    h = square_split(2, msgs.product(msgs))
+    return semi_det_split, dict(phi1=ident, phi2=ident, source=h, target=h,
+                                e_edge=EdgeMap.identity(2), mu=0.3)
+
+
+def decompose_args() -> tuple:
+    bits1 = complete_1_uniform(BITS)
+    return decompose, dict(phi=bsc(0.02), gamma=bsc(0.03), source=bits1,
+                           target=bits1, e_edge=EdgeMap.identity(2),
+                           kappa=0.25, mu=0.38, lam=0.095)
+
+
+def sandwich_args() -> tuple:
+    g = complete_1_uniform(BITS)
+    return sandwich_transfer, dict(
+        f_vertex=(0, 1), f_edge=EdgeMap.identity(2), h_vertex=(0, 1),
+        h_edge=EdgeMap.identity(2), gamma=bsc(0.05), e_edge=EdgeMap.identity(2),
+        hyper_f=g, hyper_g=g, hyper_h=g, hyper_i=g, lam=0.1,
+    )
+
+
+# (instance, argument, change, error): each input that a check the routine
+# no longer makes itself refused, and the error class it still raises from
+# the callee that meets it first.
+REFUSED_WHERE_USED = [
+    (assemble_args, "enc2", input_relabeled, ShapeError),
+    (assemble_args, "hyper_g1", relabeled, ShapeError),
+    (assemble_args, "hyper_g2", relabeled, ShapeError),
+    (assemble_args, "hyper_f", relabeled, ShapeError),
+    (assemble_args, "phi", input_relabeled, ShapeError),
+    (assemble_args, "phi", output_relabeled, ShapeError),
+    (branch_swap_args, "hyper_g", relabeled, ShapeError),
+    (branch_swap_args, "hyper_f", relabeled, ShapeError),
+    (branch_swap_args, "hyper_g", first_edge_split, EdgeCountMismatch),
+    (branch_swap_args, "hyper_f", first_edge_split, EdgeCountMismatch),
+    (branch_swap_args, "hyper_i", first_edge_split, EdgeCountMismatch),
+    (semi_det_split_args, "source", relabeled, ShapeError),
+    (semi_det_split_args, "target", relabeled, ShapeError),
+    (decompose_args, "gamma", input_relabeled, ShapeError),
+    (sandwich_args, "e_edge",
+     lambda e: EdgeMap(3, e.target_count, (*e.mapping, 0)), ShapeError),
+    (sandwich_args, "e_edge",
+     lambda e: EdgeMap(e.source_count, 3, e.mapping), ShapeError),
+]
+
+
+class TestInputsRefusedWhereUsed:
+    @pytest.mark.parametrize("instance", sorted({c[0] for c in REFUSED_WHERE_USED},
+                                                key=lambda f: f.__name__))
+    def test_unchanged_instance_runs(self, instance):
+        func, kwargs = instance()
+        func(**kwargs)
+
+    @pytest.mark.parametrize("instance, arg, change, error", REFUSED_WHERE_USED)
+    def test_same_error_class(self, instance, arg, change, error):
+        func, kwargs = instance()
+        kwargs[arg] = change(kwargs[arg])
+        with pytest.raises(error):
+            func(**kwargs)
+
+    def test_one_message_with_one_edge_decoder(self):
+        # without the two-edge check this ends in a bare ValueError when the
+        # one edge of hyper_h is unpacked into the off- and on-diagonal edges
+        msgs = Alphabet.of_size(1)
+        x = Alphabet(("u",))
+        enc = deterministic_channel(FunctionTable(msgs, x, (0,)))
+        pairs = x.product(x)
+        one = Hypergraph(pairs, ((0,),))
+        with pytest.raises(EdgeCountMismatch, match="exactly 2 edges, got 1"):
+            assemble_id_code(enc, enc, identity_channel(pairs),
+                             Hypergraph(msgs.product(msgs), ((0,),)),
+                             Hypergraph(x.product(msgs), ((0,),)),
+                             Hypergraph(msgs.product(x), ((0,),)), one, one,
+                             alpha=0.0, beta=0.0, mu=0.0)

@@ -418,6 +418,17 @@ class TestMalformedInputExitsTwo:
         self.check(argv[:-2], tmp_path / "c.json", capsys,
                    "error: input channel: row 0 holds nan")
 
+    @pytest.mark.parametrize("rows, text", [
+        ([[True, False], ["0.25", "0.75"]], "must be a number, got true"),
+        ([[1, 0], ["0.25", "0.75"]], 'must be a number, got "0.25"'),
+    ])
+    def test_non_number_channel_entry(self, tmp_path, capsys, rows, text):
+        argv, _ = verify_inputs(tmp_path)
+        (tmp_path / "ch.json").write_text(json.dumps(
+            {"input": ["0", "1"], "output": ["0", "1"], "rows": rows}))
+        self.check(argv[:-2], tmp_path / "c.json", capsys,
+                   f"error: input channel: channel entry {text}")
+
     def test_valid_worker_count_is_used(self, tmp_path, monkeypatch):
         assert main([*ID_SIM, "--out", str(tmp_path / "one.csv")]) == 0
         monkeypatch.setenv("LHC_KIT_WORKERS", "2")
@@ -435,6 +446,26 @@ class TestLoaderPaths:
                      "--out", str(tmp_path / "file.csv")]) == 0
         assert capsys.readouterr().out == generated
         assert (tmp_path / "gen.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+
+    @pytest.mark.parametrize("flags, misfit", [
+        (["--n", "999", "--delta", "0.3", "--M", "3"],
+         "word length 200, not n = 999; 5 words, not M = 3; "
+         "minimum distance 4, below ceil(n * delta) = 60"),
+        (["--n", "200", "--delta", "0.3", "--M", "5"],
+         "minimum distance 4, below ceil(n * delta) = 60"),
+    ])
+    def test_id_sim_codebook_must_be_the_flagged_code(self, tmp_path, capsys,
+                                                      flags, misfit):
+        """The bound is stated at the flags' n and delta, so a file with other
+        words would get a bound for a different code."""
+        book, out = tmp_path / "cb.txt", tmp_path / "sim.csv"
+        assert main(["codebook", "--n", "200", "--delta", "0.02", "--M", "5",
+                     "--strategy", "random-greedy", "--out", str(book)]) == 0
+        capsys.readouterr()
+        assert main(["id-sim", "--codebook", str(book), *flags, "--gamma", "0.03",
+                     "--eps", "0.3", "--trials", "100", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: input codebook: has {misfit}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("role, content, message", [
         ("code", '{"encoder": "e.json"}',
@@ -639,3 +670,66 @@ def test_assemble_outputs_match_golden_files(tmp_path):
     for part in ("code", "encoder", "decoder", "function", "channel", "report"):
         name = f"golden.{part}.json"
         assert (tmp_path / name).read_bytes() == (ASSEMBLE / name).read_bytes()
+
+
+FALSIFY = Path(__file__).parent / "data" / "falsify"
+
+
+def test_falsify_dumps_match_golden_file(tmp_path):
+    """Tallies and the six counterexample dumps of 200 trials at seed 1, which
+    pin the verdicts, edge maps and profiles of ``check_branch_swap`` and the
+    layout of ``counterexample_to_dict``."""
+    out = tmp_path / "golden.json"
+    assert main(["falsify", "--trials", "200", "--seed", "1", "--out", str(out)]) == 0
+    assert out.read_bytes() == (FALSIFY / "golden.json").read_bytes()
+
+
+def _relabel_vertices(d):
+    d["vertices"] = [f"z{i}" for i in range(len(d["vertices"]))]
+
+
+def _relabel_input(d):
+    d["input"] = [f"z{i}" for i in range(len(d["input"]))]
+
+
+def _relabel_output(d):
+    d["output"] = [f"z{i}" for i in range(len(d["output"]))]
+
+
+@pytest.mark.parametrize("flag, edit", [
+    ("enc2", _relabel_input), ("hyper-g1", _relabel_vertices),
+    ("hyper-g2", _relabel_vertices), ("hyper-f", _relabel_vertices),
+    ("phi", _relabel_input), ("phi", _relabel_output),
+])
+def test_assemble_alphabet_mismatch_exits_one(tmp_path, capsys, flag, edit):
+    """Each hop checks the alphabets it meets; a mismatch fails the run."""
+    argv = ["assemble-id"]
+    for name in ("enc1", "enc2", "phi", "hyper-h", "hyper-g1", "hyper-g2",
+                 "hyper-f", "hyper-d"):
+        path = ASSEMBLE / f"{name}.json"
+        if name == flag:
+            payload = json.loads(path.read_text())
+            edit(payload)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(payload))
+        argv += [f"--{name}", str(path)]
+    capsys.readouterr()
+    assert main([*argv, "--alpha", "0.1,0.2", "--beta", "0.1,0.15",
+                 "--mu", "0.024,0.007", "--out-prefix", str(tmp_path / "id")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fail:") and err.count("\n") == 1
+    assert not list(tmp_path.glob("id.*"))
+
+
+def test_decompose_stage_mismatch_exits_one(tmp_path, capsys):
+    payload = json.loads((CERTIFY / "decompose.gamma-channel.json").read_text())
+    _relabel_input(payload)
+    (tmp_path / "gamma.json").write_text(json.dumps(payload))
+    argv = TestCertificateGoldens.argv("decompose", "phi", "source", "target",
+                                       "edge-map")
+    capsys.readouterr()
+    assert main([*argv, "--gamma-channel", str(tmp_path / "gamma.json"),
+                 "--lambda", "0.02", "--mu", "0.1", "--kappa", "0.25",
+                 "--out-prefix", str(tmp_path / "split")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fail:") and err.count("\n") == 1

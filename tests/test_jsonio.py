@@ -180,6 +180,51 @@ def test_loaders_accept_only_integer_indices(load, payload, text):
         load(payload)
 
 
+CHANNEL = {"input": ["0", "1"], "output": ["0", "1"], "rows": [[0.75, 0.25], [0, 1]]}
+CERTIFICATE = {"edge_map": {"source_edges": 1, "target_edges": 1, "map": [0]},
+               "lambda": [0.1], "per_vertex_success": [None, 0.95, 1],
+               "verdict": "pass", "edge_bijective": True, "failing_edges": []}
+
+
+def branch_swap_instance_dict() -> dict:
+    phi, h, g, i, f, lam = random_branch_swap_instance(np.random.default_rng(3))
+    from lhckit import check_branch_swap
+
+    return jsonio.instance_to_dict(check_branch_swap(phi, h, g, i, f, lam).instance)
+
+
+@pytest.mark.parametrize("load, base, key, value, text", [
+    (jsonio.channel_from_dict, lambda: CHANNEL, "rows",
+     [[True, False], ["0.25", "0.75"]], "channel entry must be a number, got true"),
+    (jsonio.channel_from_dict, lambda: CHANNEL, "rows",
+     [[1, 0], ["0.25", "0.75"]], 'channel entry must be a number, got "0.25"'),
+    (jsonio.channel_from_dict, lambda: CHANNEL, "rows", [[1, 0], 0.5],
+     r"channel entry must be a number, got \[1, 0\]"),
+    (jsonio.channel_from_dict, lambda: CHANNEL, "rows", "1",
+     'channel entry: expected a list, got "1"'),
+    (jsonio.certificate_from_dict, lambda: CERTIFICATE, "lambda", ["0.1"],
+     'lambda entry must be a number, got "0.1"'),
+    (jsonio.certificate_from_dict, lambda: CERTIFICATE, "per_vertex_success", [True],
+     "per-vertex success must be a number, got true"),
+    (jsonio.certificate_from_dict, lambda: CERTIFICATE, "edge_bijective", "no",
+     'edge_bijective must be true or false, got "no"'),
+    (jsonio.instance_from_dict, branch_swap_instance_dict, "lambda", ["0.3"],
+     'lambda entry must be a number, got "0.3"'),
+])
+def test_loaders_accept_only_numbers(load, base, key, value, text):
+    """np.array(..., dtype=float) would read true as 1.0 and "0.25" as 0.25."""
+    assert load(base()) is not None
+    with pytest.raises(ShapeError, match=text):
+        load({**base(), key: value})
+
+
+def test_number_reader_takes_ints_and_null():
+    assert jsonio.channel_from_dict(CHANNEL).rows.tolist() == [[0.75, 0.25], [0.0, 1.0]]
+    cert = jsonio.certificate_from_dict(CERTIFICATE)
+    assert np.isnan(cert.per_vertex_success[0])
+    assert cert.per_vertex_success[1:].tolist() == [0.95, 1.0]
+
+
 class TestWriters:
     @given(st.dictionaries(st.text(max_size=4), payloads, max_size=5))
     @example({"rows": [[0.0, -0.0], [5e-324, 1.0]] * 16})
