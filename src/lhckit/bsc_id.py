@@ -12,10 +12,11 @@ rule (with `in_window` the one open-window test) and the single-shot
 decoder, the Monte Carlo simulator and the exact oracle all call it;
 Hamming distances of bit matrices come from one integer routine. Because
 acceptance depends on a codeword pair only through its distance, the exact
-oracle weighs one convolution law per distinct pair distance. Distance laws
-are exact binomial convolutions and never materialize a 4^n matrix. Monte
-Carlo simulation draws raw channel flips so it stays independent of the
-convolution oracle.
+oracle weighs one convolution law per distinct pair distance, all built
+from one batched binomial grid. Distance laws are exact binomial
+convolutions and never materialize a 4^n matrix. Monte Carlo simulation
+draws raw channel flips so it stays independent of the convolution oracle,
+and counts output distances as the XOR parity of flips and codeword letters.
 """
 
 from __future__ import annotations
@@ -121,12 +122,29 @@ def pair_distance_distribution(n: int, k: int, gamma: float) -> PairDistanceLaw:
     """Exact law of the output distance: matching letters differ exactly when
     one copy flips, differing letters stay apart when both or neither flips,
     so the distance is a sum of two independent binomials."""
-    if not 0 <= k <= n:
-        raise RangeError(f"input distance {k} outside [0, {n}]")
+    return _distance_laws(n, [k], gamma)[0]
+
+
+def _distance_laws(n: int, ks, gamma: float) -> list[PairDistanceLaw]:
+    """pair_distance_distribution for each input distance in ks.
+
+    One binom.pmf call fills a (len(ks), n + 1) grid for the matching
+    letters and one for the differing letters; row i of each holds the
+    binomial of n - ks[i] (or ks[i]) trials, zero past its support. The pmf
+    is elementwise, so each sliced row has the bits of a single-k call.
+    """
+    ks = np.asarray(ks)
+    bad = ks[(ks < 0) | (ks > n) | (ks % 1 != 0)]
+    if bad.size:
+        raise RangeError(f"input distance {bad[0]} is not an integer in [0, {n}]")
+    ks = ks.astype(np.int64)
     b = beta(gamma)
-    same = binom.pmf(np.arange(n - k + 1), n - k, b)
-    diff = binom.pmf(np.arange(k + 1), k, 1.0 - b)
-    return PairDistanceLaw(n, k, gamma, np.convolve(same, diff))
+    j = np.arange(n + 1)
+    same = binom.pmf(j, (n - ks)[:, None], b)
+    diff = binom.pmf(j, ks[:, None], 1.0 - b)
+    return [PairDistanceLaw(n, int(k), gamma,
+                            np.convolve(same[i, :n - k + 1], diff[i, :k + 1]))
+            for i, k in enumerate(ks)]
 
 
 def window_interval(n: int, gamma: float, epsilon: float,
@@ -283,9 +301,8 @@ def gen_codebook(
         rng = named_rng(seed, 0xC0DE)
         budget = max(10_000, 500 * m)
         for _ in range(budget):
-            cand = 0
-            for bit in rng.integers(0, 2, size=n):
-                cand = (cand << 1) | int(bit)
+            draw = np.packbits(rng.integers(0, 2, size=n))  # first bit highest
+            cand = int.from_bytes(draw, "big") >> (-n % 8)
             if far_enough(cand):
                 kept.append(cand)
                 if len(kept) == m:
@@ -556,20 +573,27 @@ def monte_carlo_id(
     bits = codebook.bits
     m = codebook.size
     n_equal = (trials + 1) // 2
+    tally = np.min_scalar_type(n)  # narrowest unsigned type holding a distance
     accepts(np.zeros(0), n, gamma, epsilon, mode)  # reject a bad mode before any chunk
 
     def run_chunk(ci: int) -> tuple[int, int]:
         start = ci * MC_CHUNK
         count = min(MC_CHUNK, trials - start)
         rng = named_rng(seed, ci)
-        idx = np.arange(start, start + count)
-        equal = idx < n_equal
+        equal = np.arange(start, start + count) < n_equal
         first = rng.integers(m, size=count)
         jitter = rng.integers(m - 1, size=count)
         second = np.where(equal, first, jitter + (jitter >= first))
-        flips1 = rng.random((count, n)) < gamma
-        flips2 = rng.random((count, n)) < gamma
-        d = _hamming(bits[first] ^ flips1, bits[second] ^ flips2)
+        # two output letters differ exactly when an odd number of the two
+        # flips and the two codeword letters is set: XOR them in one buffer
+        u = rng.random((count, n))
+        parity = (u < gamma).view(np.uint8)
+        rng.random(out=u)
+        parity ^= u < gamma
+        parity ^= bits.take(first, axis=0)
+        parity ^= bits.take(second, axis=0)
+        # intp: numpy 1.x would compare a uint8 with the float threshold in float16
+        d = parity.sum(axis=1, dtype=tally).astype(np.intp)
         accept = accepts(d, n, gamma, epsilon, mode)
         fr = int(np.sum(equal & ~accept))
         fa = int(np.sum(~equal & accept))
@@ -608,15 +632,13 @@ def exact_error_rates(
         raise ShapeError("distinct-message trials need at least two codewords")
     n = codebook.n
     accepted = accepts(np.arange(n + 1), n, gamma, epsilon, mode)
-
-    def accept_prob(k: int) -> float:
-        return float(pair_distance_distribution(n, k, gamma).pmf[accepted].sum())
-
     off = codebook.pair_distances()[~np.eye(codebook.size, dtype=bool)]
     counts = np.bincount(off)
-    ks = np.flatnonzero(counts)
-    false_accept = float(counts[ks] @ [accept_prob(k) for k in ks] / off.size)
-    return 1.0 - accept_prob(0), false_accept
+    ks = np.flatnonzero(counts)  # distinct codewords: never distance 0
+    laws = _distance_laws(n, np.concatenate(([0], ks)), gamma)
+    equal, *far = [float(law.pmf[accepted].sum()) for law in laws]
+    false_accept = float(counts[ks] @ np.array(far) / off.size)
+    return 1.0 - equal, false_accept
 
 
 def rate_table(gamma: float, delta_grid) -> list[tuple[float, float, float]]:

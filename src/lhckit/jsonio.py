@@ -250,14 +250,21 @@ def certificate_from_dict(d: dict) -> LhcCertificate:
         raise ShapeError(
             f"edge_bijective must be true or false, got {_text(d['edge_bijective'])}"
         )
+    verdict = d["verdict"]
+    if verdict not in ("pass", "fail"):
+        raise ShapeError(f'verdict must be "pass" or "fail", got {_text(verdict)}')
+    failing = tuple(_index(e, "failing edge") for e in d["failing_edges"])
+    if (verdict == "pass") == bool(failing):  # verify_lhc passes exactly when none fail
+        raise ShapeError(f"verdict {_text(verdict)} disagrees with failing edges "
+                         f"{_text(list(failing))}")
     return LhcCertificate(
         edge_map=edge_map_from_dict(d["edge_map"]),
         lam=_numbers(d["lambda"], "lambda entry"),
         per_vertex_success=_numbers(d["per_vertex_success"], "per-vertex success",
                                     null=True),
-        passed=d["verdict"] == "pass",
+        passed=verdict == "pass",
         edge_bijective=d["edge_bijective"],
-        failing_edges=tuple(_index(e, "failing edge") for e in d["failing_edges"]),
+        failing_edges=failing,
     )
 
 

@@ -72,9 +72,23 @@ class LhcCertificate:
 
 def _check_alphabets(phi: Channel, source: Hypergraph, target: Hypergraph):
     if phi.input.labels != source.vertices.labels:
-        raise ShapeError("channel input alphabet must equal the source vertex set")
+        raise _alphabet_mismatch("input", phi.input.labels, "source",
+                                 source.vertices.labels)
     if phi.output.labels != target.vertices.labels:
-        raise ShapeError("channel output alphabet must equal the target vertex set")
+        raise _alphabet_mismatch("output", phi.output.labels, "target",
+                                 target.vertices.labels)
+
+
+def _alphabet_mismatch(side: str, got: tuple, role: str, want: tuple) -> ShapeError:
+    """The refusal naming both alphabet sizes and the first differing label."""
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+             min(len(got), len(want)))
+    at = [repr(labels[i]) if i < len(labels) else "none" for labels in (got, want)]
+    return ShapeError(
+        f"channel {side} alphabet must equal the {role} vertex set: "
+        f"{len(got)} labels against {len(want)}, first differing at "
+        f"position {i}: {at[0]} against {at[1]}"
+    )
 
 
 def _allowed(target: Hypergraph, f_e: EdgeMap, hits) -> np.ndarray:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -453,28 +455,51 @@ def sandwich_args() -> tuple:
     )
 
 
-# (instance, argument, change, error): each input that a check the routine
-# no longer makes itself refused, and the error class it still raises from
-# the callee that meets it first.
+def _alphabet_message(side: str, role: str, got: str, want: str) -> str:
+    return (f"channel {side} alphabet must equal the {role} vertex set: 4 labels "
+            f"against 4, first differing at position 0: '{got}' against '{want}'")
+
+
+# (instance, argument, change, error, message): each input that a check the
+# routine no longer makes itself refused, the error class it still raises
+# from the callee that meets it first, and that callee's whole message. An
+# alphabet message names both sizes and the first differing label, so the
+# mislabelled input can be told from it.
 REFUSED_WHERE_USED = [
-    (assemble_args, "enc2", input_relabeled, ShapeError),
-    (assemble_args, "hyper_g1", relabeled, ShapeError),
-    (assemble_args, "hyper_g2", relabeled, ShapeError),
-    (assemble_args, "hyper_f", relabeled, ShapeError),
-    (assemble_args, "phi", input_relabeled, ShapeError),
-    (assemble_args, "phi", output_relabeled, ShapeError),
-    (branch_swap_args, "hyper_g", relabeled, ShapeError),
-    (branch_swap_args, "hyper_f", relabeled, ShapeError),
-    (branch_swap_args, "hyper_g", first_edge_split, EdgeCountMismatch),
-    (branch_swap_args, "hyper_f", first_edge_split, EdgeCountMismatch),
-    (branch_swap_args, "hyper_i", first_edge_split, EdgeCountMismatch),
-    (semi_det_split_args, "source", relabeled, ShapeError),
-    (semi_det_split_args, "target", relabeled, ShapeError),
-    (decompose_args, "gamma", input_relabeled, ShapeError),
+    (assemble_args, "enc2", input_relabeled, ShapeError,
+     "label '0|0' does not end in '|z0'"),
+    (assemble_args, "hyper_g1", relabeled, ShapeError,
+     _alphabet_message("output", "target", "u|0", "z0")),
+    (assemble_args, "hyper_g2", relabeled, ShapeError,
+     _alphabet_message("output", "target", "0|u", "z0")),
+    (assemble_args, "hyper_f", relabeled, ShapeError,
+     _alphabet_message("output", "target", "u|u", "z0")),
+    (assemble_args, "phi", input_relabeled, ShapeError,
+     _alphabet_message("input", "source", "z0", "u|u")),
+    (assemble_args, "phi", output_relabeled, ShapeError,
+     _alphabet_message("output", "target", "z0", "u|u")),
+    (branch_swap_args, "hyper_g", relabeled, ShapeError,
+     _alphabet_message("output", "target", "a0|v0", "z0")),
+    (branch_swap_args, "hyper_f", relabeled, ShapeError,
+     _alphabet_message("output", "target", "u0|v0", "z0")),
+    (branch_swap_args, "hyper_g", first_edge_split, EdgeCountMismatch,
+     "2 source edges vs 3 target edges"),
+    (branch_swap_args, "hyper_f", first_edge_split, EdgeCountMismatch,
+     "2 source edges vs 3 target edges"),
+    (branch_swap_args, "hyper_i", first_edge_split, EdgeCountMismatch,
+     "2 hyper_h edges vs 3 hyper_i edges"),
+    (semi_det_split_args, "source", relabeled, ShapeError,
+     _alphabet_message("input", "source", "0|0", "z0")),
+    (semi_det_split_args, "target", relabeled, ShapeError,
+     _alphabet_message("output", "target", "0|0", "z0")),
+    (decompose_args, "gamma", input_relabeled, ShapeError,
+     "output alphabet of first must equal input alphabet of second"),
     (sandwich_args, "e_edge",
-     lambda e: EdgeMap(3, e.target_count, (*e.mapping, 0)), ShapeError),
+     lambda e: EdgeMap(3, e.target_count, (*e.mapping, 0)), ShapeError,
+     "edge maps do not compose: counts mismatch"),
     (sandwich_args, "e_edge",
-     lambda e: EdgeMap(e.source_count, 3, e.mapping), ShapeError),
+     lambda e: EdgeMap(e.source_count, 3, e.mapping), ShapeError,
+     "edge maps do not compose: counts mismatch"),
 ]
 
 
@@ -485,11 +510,14 @@ class TestInputsRefusedWhereUsed:
         func, kwargs = instance()
         func(**kwargs)
 
-    @pytest.mark.parametrize("instance, arg, change, error", REFUSED_WHERE_USED)
+    @pytest.mark.parametrize("instance, arg, change, error",
+                             [case[:4] for case in REFUSED_WHERE_USED])
     def test_same_error_class(self, instance, arg, change, error):
+        message = next(case[4] for case in REFUSED_WHERE_USED
+                       if case[:4] == (instance, arg, change, error))
         func, kwargs = instance()
         kwargs[arg] = change(kwargs[arg])
-        with pytest.raises(error):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             func(**kwargs)
 
     def test_one_message_with_one_edge_decoder(self):

@@ -51,6 +51,13 @@ def zip_distance(w1: str, w2: str) -> int:
     return sum(a != b for a, b in zip(w1, w2))
 
 
+def per_k_law(n: int, k: int, gamma: float) -> np.ndarray:
+    """Reference law: one convolution of two binomials of their own lengths."""
+    b = beta(gamma)
+    return np.convolve(binom.pmf(np.arange(n - k + 1), n - k, b),
+                       binom.pmf(np.arange(k + 1), k, 1.0 - b))
+
+
 def pairwise_error_rates(codebook, gamma, epsilon, mode):
     """Reference oracle: one convolution law per ordered distinct codeword pair,
     averaged in pair order."""
@@ -197,6 +204,34 @@ class TestDistanceLaw:
         law = pair_distance_distribution(100, 37, 0.07)
         assert abs(law.pmf.sum() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.03, 0.5])
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_every_law_has_the_bits_of_its_own_convolution(self, n, gamma):
+        """Each law, alone and in one batch of all n + 1 distances, equals the
+        convolution of two binomials of its own length bit for bit; k = 0 and
+        k = n are where slicing a row of the shared grid can go wrong."""
+        want = [per_k_law(n, k, gamma).tobytes() for k in range(n + 1)]
+        assert [pair_distance_distribution(n, k, gamma).pmf.tobytes()
+                for k in range(n + 1)] == want
+        batch = bsc_id._distance_laws(n, np.arange(n + 1), gamma)
+        assert [(law.k, law.pmf.tobytes()) for law in batch] == list(enumerate(want))
+
+    @given(st.integers(1, 80), st.data(), st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_order_and_repeats_do_not_move_bits(self, n, data, gamma):
+        ks = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=12))
+        laws = bsc_id._distance_laws(n, ks, gamma)
+        assert [law.k for law in laws] == ks
+        for law in laws:
+            assert law.pmf.tobytes() == per_k_law(n, law.k, gamma).tobytes()
+
+    @pytest.mark.parametrize("k", [-1, 8, 2.5])
+    def test_distance_outside_block_refused(self, k):
+        # 2.5 must not be truncated to the law of distance 2
+        with pytest.raises(RangeError,
+                           match=rf"^input distance {k} is not an integer in \[0, 7\]$"):
+            pair_distance_distribution(7, k, 0.1)
+
 
 class TestWindowMiss:
     @pytest.mark.parametrize("n", [100, 500, 1000])
@@ -259,6 +294,39 @@ class TestExactErrorRates:
         for g, w in zip(got, want):
             assert math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0)
 
+
+    # float.hex of (false reject, false accept), written by the per-distance
+    # oracle before its laws were batched
+    PINNED = {
+        ("antipodal-halves", "one-sided-threshold"):
+            ("0x1.49eb8af1275c0p-5", "0x1.497847c806a4ap-190"),
+        ("antipodal-halves", "paper-windows"):
+            ("0x1.19ecb0e0d1f48p-4", "0x1.497847c806a4ap-190"),
+        ("lexicode-12", "one-sided-threshold"):
+            ("0x1.3dbf8ff703ad8p-3", "0x1.137e3dbc05899p-2"),
+        ("lexicode-12", "paper-windows"):
+            ("0x1.fb0649f06aef0p-3", "0x1.12d3b2c22f956p-2"),
+        ("random-200", "one-sided-threshold"):
+            ("0x1.e080639e595c0p-7", "0x1.58a5bde6d2171p-144"),
+        ("random-200", "paper-windows"):
+            ("0x1.5cecf32fc4c80p-6", "0x1.58a5bde6d2171p-144"),
+    }
+
+    @staticmethod
+    def pinned_code(name):
+        """(codebook, gamma, epsilon) of a pinned case."""
+        if name == "antipodal-halves":
+            return Codebook(n=200, words=("0" * 200, "0" * 100 + "1" * 100),
+                            delta=0.5, dmin=100), 0.05, 0.4
+        if name == "lexicode-12":
+            return gen_codebook(12, 0.25, 8, strategy="lexicographic-greedy"), 0.1, 0.6
+        return gen_codebook(200, 0.1, 20, seed=7, strategy="random-greedy"), 0.05, 0.5
+
+    @pytest.mark.parametrize("name, mode", sorted(PINNED))
+    def test_rates_keep_their_bits(self, name, mode):
+        book, gamma, eps = self.pinned_code(name)
+        got = exact_error_rates(book, gamma, eps, mode=mode)
+        assert tuple(x.hex() for x in got) == self.PINNED[name, mode]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_word_codebook_has_no_distinct_pairs(self, mode):
@@ -442,6 +510,22 @@ class TestMonteCarlo:
                 for w in (1, 4, 16)]
         tallies = {(r.false_rejects, r.false_accepts) for r in runs}
         assert len(tallies) == 1
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("code, gamma, eps, trials, mode, tallies", [
+        ((64, 0.2, 12, 3), 0.1, 0.5, 9000, "one-sided-threshold", (141, 1)),
+        ((64, 0.2, 12, 3), 0.1, 0.5, 9000, "paper-windows", (219, 1)),
+        ((300, 0.1, 5, 1), 0.2, 0.3, 5000, "one-sided-threshold", (0, 6)),  # n > 255
+    ])
+    def test_tallies_keep_their_bits(self, code, gamma, eps, trials, mode, tallies,
+                                     workers):
+        """(false rejects, false accepts) at seed 5, written by the simulator
+        that drew each copy's flips into an array of its own."""
+        n, delta, m, book_seed = code
+        book = gen_codebook(n, delta, m, seed=book_seed, strategy="random-greedy")
+        est = monte_carlo_id(book, gamma, eps, trials, seed=5, mode=mode,
+                             workers=workers)
+        assert (est.false_rejects, est.false_accepts) == tallies
 
     def test_interval_guard_at_zero(self):
         book = gen_codebook(16, 0.5, 2)

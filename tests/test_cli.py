@@ -684,6 +684,23 @@ def test_falsify_dumps_match_golden_file(tmp_path):
     assert out.read_bytes() == (FALSIFY / "golden.json").read_bytes()
 
 
+BSC = Path(__file__).parent / "data" / "bsc"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["codebook", "--n", "200", "--delta", "0.1", "--M", "20",
+      "--strategy", "random-greedy", "--seed", "7"], "golden.codebook.txt"),
+    (["id-sim", "--n", "200", "--gamma", "0.03", "--delta", "0.1", "--eps", "0.3",
+      "--M", "20", "--trials", "12000", "--seed", "7"], "golden.id-sim.csv"),
+])
+def test_seeded_bsc_outputs_match_golden_files(tmp_path, argv, name):
+    """The random-greedy candidate stream and the Monte Carlo flips at a seed:
+    the codebook words, and the simulated rates of the code drawn from them."""
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (BSC / name).read_bytes()
+
+
 def _relabel_vertices(d):
     d["vertices"] = [f"z{i}" for i in range(len(d["vertices"]))]
 

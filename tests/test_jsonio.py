@@ -225,6 +225,27 @@ def test_number_reader_takes_ints_and_null():
     assert cert.per_vertex_success[1:].tolist() == [0.95, 1.0]
 
 
+@pytest.mark.parametrize("verdict, failing, text", [
+    ("garbage", [], 'verdict must be "pass" or "fail", got "garbage"'),
+    (None, [], 'verdict must be "pass" or "fail", got null'),
+    (True, [], 'verdict must be "pass" or "fail", got true'),
+    ("pass", [0], r'verdict "pass" disagrees with failing edges \[0\]'),
+    ("fail", [], r'verdict "fail" disagrees with failing edges \[\]'),
+])
+def test_certificate_verdict_must_match_failing_edges(verdict, failing, text):
+    """Any verdict but "pass" used to load as a failing certificate, and none
+    was compared with the failing edges that decide it."""
+    with pytest.raises(ShapeError, match=f"^{text}$"):
+        jsonio.certificate_from_dict(
+            {**CERTIFICATE, "verdict": verdict, "failing_edges": failing})
+
+
+def test_failing_certificate_reads_back():
+    cert = jsonio.certificate_from_dict(
+        {**CERTIFICATE, "verdict": "fail", "failing_edges": [0]})
+    assert not cert.passed and cert.failing_edges == (0,)
+
+
 class TestWriters:
     @given(st.dictionaries(st.text(max_size=4), payloads, max_size=5))
     @example({"rows": [[0.0, -0.0], [5e-324, 1.0]] * 16})

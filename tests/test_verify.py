@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,6 +200,23 @@ class TestInferEdgeMap:
             edge_cost_matrix(phi, src, tgt)
         with pytest.raises(ShapeError, match=f"channel {side} alphabet"):
             infer_edge_map(phi, src, tgt)
+
+    @pytest.mark.parametrize("labels, difference", [
+        (("0", "1", "2"), "3 labels against 4, first differing at position 3: "
+                          "none against '3'"),
+        (("0", "1", "x", "3", "4"), "5 labels against 4, first differing at "
+                                    "position 2: 'x' against '2'"),
+    ])
+    def test_alphabet_message_names_sizes_and_first_difference(self, labels, difference):
+        four = Hypergraph(Alphabet.of_size(4), ((0, 1), (2, 3)))
+        other = Hypergraph(Alphabet(labels), ((0,), (1,)))
+        phi = identity_channel(other.vertices)
+        message = f"channel output alphabet must equal the target vertex set: {difference}"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            per_vertex_success(phi, other, four, EdgeMap.identity(2))
+        message = message.replace("output", "input").replace("target", "source")
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            infer_edge_map(phi, four, other)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
