@@ -25,7 +25,6 @@ from .errors import (
     CapacityError,
     DecompositionFailure,
     EdgeCountMismatch,
-    HypothesisViolated,
     ShapeError,
 )
 from .hypergraph import (
@@ -38,7 +37,7 @@ from .hypergraph import (
     identification_table,
     split_product_alphabet,
 )
-from .verify import edge_vector, exceeds, infer_edge_map, lambda_profile
+from .verify import edge_vector, exceeds, infer_edge_map, lambda_profile, require_within
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +228,8 @@ def assemble_id_code(
     meets it first.
     """
     msgs = enc1.input
-    f_id = identification_table(msgs.size)
+    f_id = FunctionTable(msgs.product(msgs), BITS,
+                         identification_table(msgs.size).mapping)
     if hyper_h.vertices.labels != f_id.domain.labels:
         raise ShapeError("hyper_h must live on the message-pair alphabet")
     h_ref = characteristic_hypergraph(f_id)
@@ -249,34 +249,20 @@ def assemble_id_code(
     m1, prof1 = infer_edge_map(
         tensor(enc1, identity_channel(msgs)), hyper_h, hyper_g1
     )
-    if exceeds(prof1, alpha).any():
-        raise HypothesisViolated(
-            f"first encoder hop exceeds alpha: profile {prof1}, alpha {alpha}"
-        )
+    require_within(prof1, alpha, "first encoder hop profile <= alpha")
     # Second encoder: stated with the first message raw, re-verified with it
     # already encoded rather than assumed.
     g1_in_h_order = Hypergraph(
         hyper_g1.vertices, tuple(hyper_g1.edges[m1(i)] for i in range(k))
     )
     swap = check_branch_swap(enc2, hyper_h, hyper_g2, g1_in_h_order, hyper_f, beta)
-    if not swap.hypothesis_holds:
-        raise HypothesisViolated(
-            "second encoder hop exceeds beta: "
-            f"profile {swap.hypothesis_profile}, beta {beta}"
-        )
-    if not swap.conclusion_holds:
-        raise HypothesisViolated(
-            "swapped second-encoder hop fails at beta "
-            f"(profile {swap.conclusion_profile} vs {beta}); "
-            "branch swap does not transfer"
-        )
+    require_within(swap.hypothesis_profile, beta, "second encoder hop profile <= beta")
+    require_within(swap.conclusion_profile, beta,
+                   "swapped second encoder hop profile <= beta")
     m2 = swap.conclusion_map  # hyper_h edge -> hyper_f edge
     # Final hop through the channel into the decision windows.
     m3, prof3 = infer_edge_map(phi, hyper_f, hyper_d)
-    if exceeds(prof3, mu).any():
-        raise HypothesisViolated(
-            f"channel hop exceeds mu: profile {prof3}, mu {mu}"
-        )
+    require_within(prof3, mu, "channel hop profile <= mu")
 
     # h_ref's edges are the preimages of 0 (off-diagonal) and 1 (diagonal)
     off_edge, diag_edge = map(hyper_h.edges.index, h_ref.edges)

@@ -128,7 +128,7 @@ def pair_distance_distribution(n: int, k: int, gamma: float) -> PairDistanceLaw:
 def _distance_laws(n: int, ks, gamma: float) -> list[PairDistanceLaw]:
     """pair_distance_distribution for each input distance in ks.
 
-    One binom.pmf call fills a (len(ks), n + 1) grid for the matching
+    One ``_binom_grid`` call fills a (len(ks), n + 1) grid for the matching
     letters and one for the differing letters; row i of each holds the
     binomial of n - ks[i] (or ks[i]) trials, zero past its support. The pmf
     is elementwise, so each sliced row has the bits of a single-k call.
@@ -140,11 +140,28 @@ def _distance_laws(n: int, ks, gamma: float) -> list[PairDistanceLaw]:
     ks = ks.astype(np.int64)
     b = beta(gamma)
     j = np.arange(n + 1)
-    same = binom.pmf(j, (n - ks)[:, None], b)
-    diff = binom.pmf(j, ks[:, None], 1.0 - b)
+    same = _binom_grid(j, n - ks, b)
+    diff = _binom_grid(j, ks, 1.0 - b)
     return [PairDistanceLaw(n, int(k), gamma,
                             np.convolve(same[i, :n - k + 1], diff[i, :k + 1]))
             for i, k in enumerate(ks)]
+
+
+def _binom_grid(j, trials, p: float) -> np.ndarray:
+    """binom.pmf(j, t, p) in one row per t in trials, from one pmf call.
+
+    scipy's pmf raises OverflowError for some p near the smallest normal
+    float (between about 5.6e-309 and 2.3e-308 on scipy 1.17.1). Then each
+    row is filled alone, by exp(binom.logpmf) if its own pmf overflows, so
+    every row keeps the bits of a call for its t alone.
+    """
+    try:
+        return binom.pmf(j, trials[:, None], p)
+    except OverflowError:
+        if trials.size == 1:
+            return np.exp(binom.logpmf(j, trials[:, None], p))
+        return np.vstack([_binom_grid(j, trials[i:i + 1], p)
+                          for i in range(trials.size)])
 
 
 def window_interval(n: int, gamma: float, epsilon: float,

@@ -24,7 +24,7 @@ from .hypergraph import (
     characteristic_hypergraph,
     check_homomorphism,
 )
-from .verify import LhcCertificate, edge_vector, verify_lhc
+from .verify import LhcCertificate, edge_vector, verify_lhc, worst_failure
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,10 +63,10 @@ class FunctionCode:
 def code_error_profile(code: FunctionCode) -> np.ndarray:
     """Worst failure probability per attained value, by exact matrix algebra."""
     attained = code.f.attained
-    cols = [code.value_column(b) for b in attained]
-    fail = 1.0 - code.composite.rows[:, cols]
     preimage = np.equal.outer(code.f.mapping, attained)
-    return np.where(preimage, fail, 0.0).max(axis=0)
+    cols = [code.value_column(b) for b in attained]
+    # each input's row of preimage holds one True, at its own value
+    return worst_failure(code.composite.rows[:, cols][preimage], preimage)
 
 
 def value_hypergraph(code: FunctionCode) -> Hypergraph:

@@ -32,8 +32,9 @@ from .verify import (
     LhcCertificate,
     edge_mass,
     edge_vector,
-    exceeds,
+    lambda_profile,
     require_disjoint_edges,
+    require_within,
     verify_lhc,
 )
 
@@ -81,21 +82,13 @@ def decompose(
 
     if not e_edge.bijective:
         raise HypothesisViolated("composite edge map must be bijective")
-    cert_eta = verify_lhc(eta, source, target, e_edge, lam)
-    if not cert_eta.passed:
-        raise HypothesisViolated(
-            f"composite channel fails at lam on edges {cert_eta.failing_edges}"
-        )
+    require_within(lambda_profile(eta, source, target, e_edge), lam,
+                   "composite profile <= lam")
     if np.any(lam >= 0.5):
         raise HypothesisViolated("every lam entry must be below 1/2")
     if np.any(kappa > 0.5):
         raise HypothesisViolated("every kappa entry must be at most 1/2")
-    bad = np.nonzero(exceeds(lam, mu * kappa))[0]
-    if bad.size:
-        raise HypothesisViolated(
-            f"lam <= mu * kappa fails at edge {bad[0]}: "
-            f"{lam[bad[0]]} > {mu[bad[0]]} * {kappa[bad[0]]}"
-        )
+    require_within(lam, mu * kappa, "lam <= mu * kappa")
     return _split(phi, gamma, source, target, e_edge, kappa, mu, lam)
 
 
@@ -188,12 +181,7 @@ def channel_is_lhc(
     lam = code_error_profile(code)
     n_vals = lam.size
     kappa = edge_vector(kappa, n_vals, "kappa")
-    bad = np.nonzero(exceeds(4.0 * lam, kappa))[0]
-    if bad.size:
-        raise HypothesisViolated(
-            f"4 * lam <= kappa fails at value {bad[0]}: "
-            f"4 * {lam[bad[0]]} > {kappa[bad[0]]}"
-        )
+    require_within(4.0 * lam, kappa, "4 * lam <= kappa")
     if np.any(kappa > 0.5):
         raise HypothesisViolated("kappa must be at most 1/2")
 

@@ -11,6 +11,7 @@ import csv
 import functools
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -309,11 +310,12 @@ def write_codebook(path, book: Codebook) -> None:
 
 
 def read_codebook(path) -> Codebook:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("# n="):
-        raise ShapeError("codebook file must start with a '# n=<n> d=<dmin>' header")
-    head = dict(part.split("=") for part in lines[0][2:].split())
-    n, dmin = int(head["n"]), int(head["d"])
+    lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]
+    head = re.fullmatch(r"# n=([1-9][0-9]*) d=([0-9]+)", lines[0])
+    if head is None:
+        raise ShapeError("codebook file must start with a '# n=<n> d=<dmin>' "
+                         f"header with n >= 1, got {lines[0]!r}")
+    n, dmin = map(int, head.groups())
     words = tuple(line.strip() for line in lines[1:] if line.strip())
     return Codebook(n=n, words=words, delta=dmin / n, dmin=dmin)
 

@@ -16,7 +16,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .channel import Channel
-from .errors import EdgeCountMismatch, RangeError, RequiresPartition, ShapeError
+from .errors import (EdgeCountMismatch, HypothesisViolated, RangeError,
+                     RequiresPartition, ShapeError)
 from .hypergraph import EdgeMap, Hypergraph
 
 VERIFY_SLACK = 1e-12
@@ -28,6 +29,35 @@ def exceeds(value, bound) -> np.ndarray:
     The one tolerance rule of every certificate, hypothesis and bound check.
     """
     return np.asarray(bound) < np.asarray(value) - VERIFY_SLACK
+
+
+def require_within(value, bound, what: str) -> None:
+    """Raise HypothesisViolated where value exceeds its bound (see ``exceeds``).
+
+    The one refusal of a violated per-edge bound: the message names the
+    inequality ``what``, the first failing edge and both values there.
+    """
+    value, bound = np.broadcast_arrays(value, bound)
+    bad = np.flatnonzero(exceeds(value, bound))
+    if bad.size:
+        e = int(bad[0])
+        raise HypothesisViolated(
+            f"{what} fails at edge {e}: {float(value[e])!r} > {float(bound[e])!r}"
+        )
+
+
+def worst_failure(success, member) -> np.ndarray:
+    """Worst failure 1 - success among the members of each column of member.
+
+    The one rule that forms an error profile. member is a V x E boolean
+    membership matrix whose every column holds a member (an edge, or an
+    attained value's preimage); a (V,) success gives (E,), a (V, L) one
+    gives (E, L). Only members' rows are gathered, grouped by column, so
+    the work is the number of memberships times L.
+    """
+    column, row = np.nonzero(member.T)  # grouped by column
+    starts = np.searchsorted(column, np.arange(member.shape[1]))
+    return np.maximum.reduceat(1.0 - success[row], starts, axis=0)
 
 
 def require_disjoint_edges(source: Hypergraph, target: Hypergraph) -> None:
@@ -118,11 +148,6 @@ def per_vertex_success(
     return out
 
 
-def _profile(success: np.ndarray, source: Hypergraph) -> np.ndarray:
-    """Worst failure 1 - success among the vertices of each source edge."""
-    return np.where(source.incidence, 1.0 - success[:, None], -np.inf).max(axis=0)
-
-
 def lambda_profile(
     phi: Channel, source: Hypergraph, target: Hypergraph, f_e: EdgeMap
 ) -> np.ndarray:
@@ -132,7 +157,8 @@ def lambda_profile(
     minimal because the constraint at a vertex lower-bounds every edge
     containing it.
     """
-    return _profile(per_vertex_success(phi, source, target, f_e), source)
+    return worst_failure(per_vertex_success(phi, source, target, f_e),
+                         source.incidence)
 
 
 def verify_lhc(
@@ -145,7 +171,7 @@ def verify_lhc(
     """Certificate for phi : source -> target at the given error vector."""
     lam = edge_vector(lam, source.edge_count, "lam")
     success = per_vertex_success(phi, source, target, f_e)
-    profile = _profile(success, source)
+    profile = worst_failure(success, source.incidence)
     failing = tuple(int(e) for e in np.nonzero(exceeds(profile, lam))[0])
     return LhcCertificate(
         edge_map=f_e,
@@ -177,11 +203,7 @@ def edge_cost_matrix(
 ) -> np.ndarray:
     """cost[A, B] = worst failure probability of any vertex of A aimed at B."""
     _check_alphabets(phi, source, target)
-    mass = edge_mass(phi.rows, target)
-    cost = np.zeros((source.edge_count, target.edge_count))
-    for ai, edge in enumerate(source.edges):
-        cost[ai] = (1.0 - mass[list(edge), :]).max(axis=0)
-    return cost
+    return worst_failure(edge_mass(phi.rows, target), source.incidence)
 
 
 def _has_perfect_matching(allowed: np.ndarray) -> bool:

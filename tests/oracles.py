@@ -1,11 +1,12 @@
-"""Definitional per-vertex oracles for certificate verification.
+"""Definitional oracles for certificate verification and code error.
 
-Each quantity is recomputed from the edge tuples alone, vertex by vertex,
-with frozensets, as the defining inequality states it. Nothing here reads
-the library's incidence matrix or calls its verification routines, so the
-tests never grade the library against itself. Every probability is the
-same gathered-row sum the definition names, so results can be compared
-bitwise.
+Each certificate quantity is recomputed from the edge tuples alone, vertex
+by vertex, with frozensets, as the defining inequality states it; a code's
+error is the explicit triple sum over encoder, channel and decoder. Nothing
+here reads the library's incidence matrix or calls its verification
+routines, so the tests never grade the library against itself. Every
+probability is the same gathered-row sum the definition names, so results
+can be compared bitwise.
 """
 
 from __future__ import annotations
@@ -70,3 +71,23 @@ def enumerate_best_edge_map(phi, source, target):
             best = (worst, tuple(mapping))
     assert best is not None, "no candidate edge maps exist"
     return EdgeMap(k, l, best[1]), cost[np.arange(k), list(best[1])]
+
+
+def brute_force_profile(code) -> np.ndarray:
+    """Worst failure per attained value, by an explicit triple sum over
+    encoder, channel and decoder outcomes."""
+    enc, ch, dec = code.encoder.rows, code.channel.rows, code.decoder.rows
+    lam = []
+    for b in code.f.attained:
+        col = code.value_column(b)
+        worst = 0.0
+        for a in range(code.f.domain.size):
+            if code.f.mapping[a] != b:
+                continue
+            p = 0.0
+            for x in range(ch.shape[0]):
+                for y in range(ch.shape[1]):
+                    p += enc[a, x] * ch[x, y] * dec[y, col]
+            worst = max(worst, 1.0 - p)
+        lam.append(worst)
+    return np.array(lam)

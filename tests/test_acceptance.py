@@ -30,6 +30,7 @@ from lhckit import bsc_id, jsonio
 from lhckit.bipartite import run_branch_swap_harness, check_branch_swap
 from lhckit.cli import main
 
+import oracles
 from conftest import (
     rand_channel,
     reliable_code,
@@ -40,25 +41,6 @@ from conftest import (
 
 def announce(num: int, text: str) -> None:
     print(f"[criterion {num:2d}] PASS — {text}")
-
-
-def brute_force_profile(code: FunctionCode) -> np.ndarray:
-    enc, ch, dec = code.encoder.rows, code.channel.rows, code.decoder.rows
-    lam = []
-    for b in code.f.attained:
-        col = code.value_column(b)
-        worst = 0.0
-        for a in range(code.f.domain.size):
-            if code.f.mapping[a] != b:
-                continue
-            p = sum(
-                enc[a, x] * ch[x, y] * dec[y, col]
-                for x in range(ch.shape[0])
-                for y in range(ch.shape[1])
-            )
-            worst = max(worst, 1.0 - p)
-        lam.append(worst)
-    return np.array(lam)
 
 
 def test_criterion_1_code_certificate_equivalence():
@@ -83,7 +65,7 @@ def test_criterion_1_code_certificate_equivalence():
                                  Alphabet.of_size(mid_y, "y")),
                 )
                 cert = code_to_lhc(code)
-                oracle = brute_force_profile(code)
+                oracle = oracles.brute_force_profile(code)
                 assert np.all(np.abs(cert.lam - oracle) <= 1e-12)
                 restored = lhc_to_code(cert, code)
                 assert np.all(code_error_profile(restored) <= cert.lam + 1e-12)

@@ -141,8 +141,9 @@ class TestSemiDetSplit:
         assert np.all(split.cert_h_to_g1.lam <= mu + 1e-15)
 
     def test_hypotheses_checked_once(self, monkeypatch):
-        """One composite certificate for both orders: 1 compose, 5 verify_lhc."""
-        calls = {"compose": 0, "verify_lhc": 0}
+        """One composite check for both orders: 1 compose, 1 composite
+        profile and 4 stage certificates."""
+        calls = {"compose": 0, "lambda_profile": 0, "verify_lhc": 0}
         for name in calls:
             real = getattr(decomposition, name)
 
@@ -152,7 +153,7 @@ class TestSemiDetSplit:
 
             monkeypatch.setattr(decomposition, name, counted)
         semi_det_split(*repetition_split_args())
-        assert calls == {"compose": 1, "verify_lhc": 5}
+        assert calls == {"compose": 1, "lambda_profile": 1, "verify_lhc": 4}
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
@@ -355,6 +356,36 @@ class TestAssembleIdCode:
                                   getattr(code, part).rows)
         with pytest.raises(HypothesisViolated, match="beta"):
             assemble(g1_swapped, beta[::-1])
+
+    @staticmethod
+    def labelled_instance(msgs: Alphabet) -> dict:
+        x = Alphabet(("u", "v"))
+        enc = Channel(msgs, x, np.array([[0.95, 0.05], [0.1, 0.9]]))
+        pairs = x.product(x)
+        return dict(enc1=enc, enc2=enc, phi=identity_channel(pairs),
+                    hyper_h=square_split(2, msgs.product(msgs)),
+                    hyper_g1=square_split(2, x.product(msgs)),
+                    hyper_g2=square_split(2, msgs.product(x)),
+                    hyper_f=square_split(2, pairs), hyper_d=square_split(2, pairs),
+                    alpha=0.2, beta=0.2, mu=0.0)
+
+    def test_relabelled_messages_assemble(self):
+        # the equality function lives on the encoder's own message pairs
+        code, bound = assemble_id_code(**self.labelled_instance(Alphabet(("a", "b"))))
+        ref, ref_bound = assemble_id_code(**self.labelled_instance(Alphabet.of_size(2)))
+        assert code.f.domain.labels == ("a|a", "a|b", "b|a", "b|b")
+        assert code.f.mapping == ref.f.mapping == (1, 0, 0, 1)
+        assert np.array_equal(bound, ref_bound)
+        assert np.array_equal(code_error_profile(code), code_error_profile(ref))
+        for part in ("encoder", "decoder", "channel"):
+            assert np.array_equal(getattr(code, part).rows, getattr(ref, part).rows)
+
+    def test_hyper_h_on_other_pairs_refused(self):
+        kwargs = self.labelled_instance(Alphabet(("a", "b")))
+        numbered = Alphabet.of_size(2)
+        kwargs["hyper_h"] = square_split(2, numbered.product(numbered))
+        with pytest.raises(ShapeError, match="^hyper_h must live on the message-pair"):
+            assemble_id_code(**kwargs)
 
     def test_decoder_edge_count_checked(self):
         msgs = Alphabet.of_size(2)

@@ -54,8 +54,16 @@ def zip_distance(w1: str, w2: str) -> int:
 def per_k_law(n: int, k: int, gamma: float) -> np.ndarray:
     """Reference law: one convolution of two binomials of their own lengths."""
     b = beta(gamma)
-    return np.convolve(binom.pmf(np.arange(n - k + 1), n - k, b),
-                       binom.pmf(np.arange(k + 1), k, 1.0 - b))
+    return np.convolve(binomial(n - k, b), binomial(k, 1.0 - b))
+
+
+def binomial(t: int, p: float) -> np.ndarray:
+    """binom.pmf over 0..t; exp(logpmf) where scipy's pmf overflows, which
+    it does for some p near the smallest normal float."""
+    try:
+        return binom.pmf(np.arange(t + 1), t, p)
+    except OverflowError:
+        return np.exp(binom.logpmf(np.arange(t + 1), t, p))
 
 
 def pairwise_error_rates(codebook, gamma, epsilon, mode):
@@ -224,6 +232,22 @@ class TestDistanceLaw:
         assert [law.k for law in laws] == ks
         for law in laws:
             assert law.pmf.tobytes() == per_k_law(n, law.k, gamma).tobytes()
+
+    # beta(gamma) is the smallest normal float, where scipy's pmf overflows
+    @pytest.mark.parametrize("n, k", [(4, 0), (7, 2), (7, 7)])
+    def test_law_at_the_smallest_normal_beta(self, n, k):
+        gamma = 1.1125369292536007e-308
+        assert beta(gamma) == np.finfo(np.float64).tiny
+        law = pair_distance_distribution(n, k, gamma)
+        assert law.pmf[k] == 1.0  # both copies keep every letter
+        assert law.pmf.tobytes() == per_k_law(n, k, gamma).tobytes()
+
+    def test_rates_at_the_smallest_normal_beta(self):
+        gamma = 1.1125369292536007e-308
+        assert pair_distance_distribution(4, 0, gamma).pmf[0] == 1.0
+        book = Codebook(6, ("000000", "000111", "111000"), 0.5, 3)
+        for mode in MODES:
+            assert np.isfinite(exact_error_rates(book, gamma, 0.3, mode)).all()
 
     @pytest.mark.parametrize("k", [-1, 8, 2.5])
     def test_distance_outside_block_refused(self, k):

@@ -429,6 +429,14 @@ class TestMalformedInputExitsTwo:
         self.check(argv[:-2], tmp_path / "c.json", capsys,
                    f"error: input channel: channel entry {text}")
 
+    @pytest.mark.parametrize("header", ["# n=5 d", "# n=x d=1", "# n=0 d=0", "# n=5"])
+    def test_codebook_header(self, tmp_path, capsys, header):
+        book = tmp_path / "book.txt"
+        book.write_text(f"{header}\n00000\n11111\n")
+        self.check([*ID_SIM, "--codebook", str(book)], tmp_path / "sim.csv", capsys,
+                   f"error: input codebook: codebook file must start with a "
+                   f"'# n=<n> d=<dmin>' header with n >= 1, got {header!r}\n")
+
     def test_valid_worker_count_is_used(self, tmp_path, monkeypatch):
         assert main([*ID_SIM, "--out", str(tmp_path / "one.csv")]) == 0
         monkeypatch.setenv("LHC_KIT_WORKERS", "2")

@@ -23,6 +23,7 @@ from lhckit import (
 )
 from lhckit.errors import RequiresBijective, ShapeError
 
+import oracles
 from conftest import rand_channel, sandwich_instance
 
 
@@ -46,25 +47,6 @@ def random_code(rng, dom_size=3, cod_size=2, mid=3) -> FunctionCode:
     )
 
 
-def brute_force_profile(code: FunctionCode) -> np.ndarray:
-    """Explicit triple sum over encoder, channel, decoder outcomes."""
-    enc, ch, dec = code.encoder.rows, code.channel.rows, code.decoder.rows
-    lam = []
-    for b in code.f.attained:
-        col = code.value_column(b)
-        worst = 0.0
-        for a in range(code.f.domain.size):
-            if code.f.mapping[a] != b:
-                continue
-            p = 0.0
-            for x in range(ch.shape[0]):
-                for y in range(ch.shape[1]):
-                    p += enc[a, x] * ch[x, y] * dec[y, col]
-            worst = max(worst, 1.0 - p)
-        lam.append(worst)
-    return np.array(lam)
-
-
 class TestErrorProfile:
     def test_noiseless_identity(self):
         assert np.array_equal(code_error_profile(perfect_identity_code()), [0, 0])
@@ -81,7 +63,7 @@ class TestErrorProfile:
         code = FunctionCode(enc, dec, f, ch)
         lam = code_error_profile(code)
         assert np.allclose(lam, [0.03, 0.03], atol=1e-15)
-        assert np.allclose(lam, brute_force_profile(code), atol=1e-12)
+        assert np.allclose(lam, oracles.brute_force_profile(code), atol=1e-12)
 
     def test_constant_decoder(self):
         f = FunctionTable(Alphabet.of_size(2, "a"), BITS, (0, 1))
@@ -106,7 +88,7 @@ class TestErrorProfile:
                              if code.f.mapping[a] == b])
                 for b in code.f.attained]
         assert code_error_profile(code).tolist() == loop
-        assert np.allclose(loop, brute_force_profile(code), atol=1e-12)
+        assert np.allclose(loop, oracles.brute_force_profile(code), atol=1e-12)
 
     def test_composite_is_built_once(self):
         code = random_code(np.random.default_rng(1))
@@ -135,7 +117,7 @@ class TestCodeToLhc:
                            cod_size=int(rng.integers(1, 3)),
                            mid=int(rng.integers(1, 4)))
         cert = code_to_lhc(code)
-        assert np.allclose(cert.lam, brute_force_profile(code), atol=1e-12)
+        assert np.allclose(cert.lam, oracles.brute_force_profile(code), atol=1e-12)
 
 
 class TestLhcToCode:

@@ -91,9 +91,20 @@ class TestDecompose:
             decompose(bsc(0.05), bsc(0.05), BITS1, BITS1, ID2, **params)
 
     def test_lam_mu_kappa_inequality_named(self):
-        with pytest.raises(HypothesisViolated, match="mu"):
+        with pytest.raises(HypothesisViolated, match=r"^lam <= mu \* kappa fails at "
+                           r"edge 0: 0\.095 > 0\.020000000000000004$"):
             decompose(bsc(0.05), bsc(0.05), BITS1, BITS1, ID2,
                       kappa=0.1, mu=0.2, lam=0.095)
+
+    @pytest.mark.parametrize("name, message", [
+        ("lam", "every lam entry must be below 1/2"),
+        ("kappa", "every kappa entry must be at most 1/2"),
+    ])
+    def test_half_is_strict_inside_verify_slack(self, name, message):
+        # 1e-13 is below VERIFY_SLACK, but the 1/2 checks take no slack
+        params = dict(kappa=0.25, mu=1.0, lam=0.095) | {name: 0.5 + 1e-13}
+        with pytest.raises(HypothesisViolated, match=f"^{message}$"):
+            decompose(bsc(0.02), bsc(0.03), BITS1, BITS1, ID2, **params)
 
     def test_boundary_mass_gives_empty_block(self):
         # the second stage hits the target edge with probability exactly
@@ -103,7 +114,9 @@ class TestDecompose:
                       kappa=0.25, mu=1.0, lam=0.25)
 
     def test_composite_must_pass(self):
-        with pytest.raises(HypothesisViolated, match="composite"):
+        with pytest.raises(HypothesisViolated,
+                           match=r"^composite profile <= lam fails at edge 0: "
+                           r"0\.31999999999999984 > 0\.01$"):
             decompose(bsc(0.2), bsc(0.2), BITS1, BITS1, ID2,
                       kappa=0.5, mu=0.9, lam=0.01)
 
@@ -145,8 +158,14 @@ class TestChannelIsLhc:
 
     def test_four_lambda_bound_checked(self):
         code = bit_code(0.2)
-        with pytest.raises(HypothesisViolated, match="4"):
+        with pytest.raises(HypothesisViolated,
+                           match=r"^4 \* lam <= kappa fails at edge 0: "
+                           r"0\.7999999999999998 > 0\.5$"):
             channel_is_lhc(code, kappa=0.5)
+
+    def test_half_is_strict_inside_verify_slack(self):
+        with pytest.raises(HypothesisViolated, match="^kappa must be at most 1/2$"):
+            channel_is_lhc(bit_code(0.01), kappa=0.5 + 1e-13)
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=30, deadline=None)

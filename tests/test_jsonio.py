@@ -105,6 +105,15 @@ class TestRoundTrips:
         with pytest.raises(ShapeError):
             jsonio.read_codebook(path)
 
+    # each of these raised ValueError, ZeroDivisionError or KeyError
+    @pytest.mark.parametrize("header", ["# n=5 d", "# n=x d=1", "# n=0 d=0",
+                                        "# n=5", "", "# n=5 d=1 x=2"])
+    def test_malformed_codebook_header_is_a_shape_error(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\n00000\n11111\n")
+        with pytest.raises(ShapeError, match=f"header with n >= 1, got {header!r}$"):
+            jsonio.read_codebook(path)
+
     def test_branch_swap_instance(self):
         from lhckit import check_branch_swap
 

@@ -20,7 +20,8 @@ from lhckit import (
     verify_lhc,
 )
 from lhckit import verify
-from lhckit.errors import EdgeCountMismatch, RangeError, RequiresPartition, ShapeError
+from lhckit.errors import (EdgeCountMismatch, HypothesisViolated, RangeError,
+                           RequiresPartition, ShapeError)
 from lhckit.verify import edge_cost_matrix, edge_vector, per_vertex_success
 
 import oracles
@@ -140,6 +141,38 @@ class TestVerify:
             edge = src.unique_edge_of(a)
             direct = phi.rows[a, list(tgt.edges[f_e(edge)])].sum()
             assert success[a] == pytest.approx(direct)
+
+
+class TestRequireWithin:
+    def test_message_names_inequality_edge_and_both_values(self):
+        with pytest.raises(HypothesisViolated,
+                           match=r"^lam <= mu \* kappa fails at edge 1: 0\.3 > 0\.25$"):
+            verify.require_within([0.1, 0.3, 0.4], [0.2, 0.25, 0.3], "lam <= mu * kappa")
+
+    def test_nothing_raised_within_verify_slack(self):
+        over = 0.2 + verify.VERIFY_SLACK / 2
+        verify.require_within([over, 0.0], 0.2, "profile <= lam")
+        with pytest.raises(HypothesisViolated, match="^profile <= lam fails at edge 0: "):
+            verify.require_within([0.2 + 2 * verify.VERIFY_SLACK, 0.0], 0.2,
+                                  "profile <= lam")
+
+
+class TestWorstFailure:
+    def test_worst_member_per_column(self):
+        member = np.array([[True, False], [True, True], [False, True]])
+        got = verify.worst_failure(np.array([0.9, 0.7, 1.0]), member)
+        assert got.tolist() == [1.0 - 0.7, 1.0 - 0.7]
+
+    def test_each_column_of_a_matrix_is_its_own_profile(self):
+        rng = np.random.default_rng(3)
+        success = rng.uniform(size=(7, 4))
+        member = rng.uniform(size=(7, 3)) < 0.6
+        member[0] = True  # no empty column
+        got = verify.worst_failure(success, member)
+        assert got.shape == (3, 4)
+        for j in range(4):
+            assert got[:, j].tobytes() == verify.worst_failure(success[:, j],
+                                                               member).tobytes()
 
 
 class TestEdgeVector:
