@@ -26,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from . import channel
 from .channel import Channel, _check_entries, named_rng
@@ -153,8 +152,11 @@ def _binom_grid(j, trials, p: float) -> np.ndarray:
     scipy's pmf raises OverflowError for some p near the smallest normal
     float (between about 5.6e-309 and 2.3e-308 on scipy 1.17.1). Then each
     row is filled alone, by exp(binom.logpmf) if its own pmf overflows, so
-    every row keeps the bits of a call for its t alone.
+    every row keeps the bits of a call for its t alone. scipy.stats is
+    imported here, its one user, so that importing lhckit loads no scipy.
     """
+    from scipy.stats import binom
+
     try:
         return binom.pmf(j, trials[:, None], p)
     except OverflowError:

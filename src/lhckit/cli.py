@@ -11,6 +11,7 @@ the task runs on the parsed objects.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -446,6 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main parses with one parser per process; nothing in it changes between
+# parses, and building it costs milliseconds per call
+_parser = functools.cache(build_parser)
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """Outputs and file inputs by their dests; every other flag is a param."""
     params = dict(vars(args))
@@ -458,8 +464,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
 
     if args.command == "validate":
         try:

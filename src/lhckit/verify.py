@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .channel import Channel
 from .errors import (EdgeCountMismatch, HypothesisViolated, RangeError,
@@ -206,39 +205,52 @@ def edge_cost_matrix(
     return worst_failure(edge_mass(phi.rows, target), source.incidence)
 
 
-def _has_perfect_matching(allowed: np.ndarray) -> bool:
-    penalty = np.where(allowed, 0.0, 1.0)
-    rows, cols = linear_sum_assignment(penalty)
-    return bool(penalty[rows, cols].sum() == 0.0)
+def _has_perfect_matching(allowed: list, rows: list, cols: list) -> bool:
+    """Whether rows match one-to-one onto the equally many cols within allowed.
+
+    allowed is a nested list of booleans indexed [row][col]. Kuhn's
+    augmenting paths: exact, and at the edge counts of a partition cheaper
+    than building an array for a compiled solver.
+    """
+    owner: dict = {}  # col -> the row it is matched to
+
+    def augment(r: int, seen: set) -> bool:
+        row = allowed[r]
+        for c in cols:
+            if row[c] and c not in seen:
+                seen.add(c)
+                if c not in owner or augment(owner[c], seen):
+                    owner[c] = r
+                    return True
+        return False
+
+    return all(augment(r, set()) for r in rows)
 
 
 def _bottleneck_assignment(cost: np.ndarray) -> tuple[int, ...]:
     """Bijection minimizing the max cost; lexicographically smallest on ties."""
     k = cost.shape[0]
+    every = list(range(k))
     thresholds = np.unique(cost)
     lo, hi = 0, thresholds.size - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _has_perfect_matching(cost <= thresholds[mid]):
+        if _has_perfect_matching((cost <= thresholds[mid]).tolist(), every, every):
             hi = mid
         else:
             lo = mid + 1
-    t_star = thresholds[lo]
-    allowed = cost <= t_star
+    allowed = (cost <= thresholds[lo]).tolist()
 
     mapping: list[int] = []
-    free = list(range(k))
+    free = every
     for i in range(k):
         for j in free:
-            if not allowed[i, j]:
+            if not allowed[i][j]:
                 continue
-            rest_rows = list(range(i + 1, k))
             rest_cols = [c for c in free if c != j]
-            if not rest_rows or _has_perfect_matching(
-                allowed[np.ix_(rest_rows, rest_cols)]
-            ):
+            if _has_perfect_matching(allowed, every[i + 1:], rest_cols):
                 mapping.append(j)
-                free.remove(j)
+                free = rest_cols
                 break
         else:
             raise AssertionError("bottleneck matching lost feasibility")

@@ -59,18 +59,33 @@ def edge_cost(phi, source, target) -> np.ndarray:
     ]).reshape(source.edge_count, target.edge_count)
 
 
+def lex_first_bottleneck(cost) -> tuple[int, ...]:
+    """Brute force over every injection of rows into columns: least worst
+    cost, first in lex order."""
+    k, l = np.shape(cost)
+    best = None
+    for mapping in itertools.permutations(range(l), k):
+        worst = max(cost[i][mapping[i]] for i in range(k))
+        if best is None or worst < best[0]:
+            best = (worst, tuple(mapping))
+    assert best is not None, "no candidate edge maps exist"
+    return best[1]
+
+
+def some_permutation_fits(allowed, rows, cols) -> bool:
+    """Whether some bijection of rows onto cols keeps every pair allowed."""
+    return len(rows) == len(cols) and any(
+        all(allowed[r][c] for r, c in zip(rows, perm))
+        for perm in itertools.permutations(cols))
+
+
 def enumerate_best_edge_map(phi, source, target):
     """Brute force over every bijective edge map: least worst cost, first in
     lex order."""
     cost = edge_cost(phi, source, target)
     k, l = source.edge_count, target.edge_count
-    best = None
-    for mapping in itertools.permutations(range(l), k):
-        worst = max(cost[i, mapping[i]] for i in range(k))
-        if best is None or worst < best[0]:
-            best = (worst, tuple(mapping))
-    assert best is not None, "no candidate edge maps exist"
-    return EdgeMap(k, l, best[1]), cost[np.arange(k), list(best[1])]
+    mapping = lex_first_bottleneck(cost)
+    return EdgeMap(k, l, mapping), cost[np.arange(k), list(mapping)]
 
 
 def brute_force_profile(code) -> np.ndarray:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lhckit import BITS, EdgeMap, bsc, complete_1_uniform, jsonio
+from lhckit import BITS, EdgeMap, bsc, cli, complete_1_uniform, jsonio
 from lhckit.cli import main
 
 
@@ -758,3 +758,49 @@ def test_decompose_stage_mismatch_exits_one(tmp_path, capsys):
                  "--out-prefix", str(tmp_path / "split")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("fail:") and err.count("\n") == 1
+
+
+class TestParserOncePerProcess:
+    def test_build_parser_is_fresh_and_main_reuses_one(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
+    def test_cached_parser_carries_no_state(self, tmp_path, monkeypatch):
+        """A run sequence through the one parser gives each run the config
+        and exit code a fresh parser gives it."""
+        write_id_sim_codebook(tmp_path / "book.txt")
+        sequence = [
+            [*ID_SIM, "--codebook", str(tmp_path / "book.txt"),
+             "--out", str(tmp_path / "sim.csv")],
+            [*ID_SIM, "--out", str(tmp_path / "sim.csv")],
+            ["id-sim", "--codebook", str(tmp_path / "book.txt"), "--n", "x"],
+            verify_inputs(tmp_path)[0],
+            ["rates", "--gamma", "0.03", "--grid", "0:0.5:0.01",
+             "--out", str(tmp_path / "rates.csv")],
+        ]
+        configs = []
+        real_config_from_args = cli.config_from_args
+
+        def recording(args):
+            configs.append(real_config_from_args(args))
+            return configs[-1]
+
+        monkeypatch.setattr(cli, "config_from_args", recording)
+
+        def run(parser) -> list:
+            monkeypatch.setattr(cli, "_parser", parser)
+            results = []
+            for argv in sequence:
+                configs.clear()
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                results.append((code, configs[:]))
+            return results
+
+        cached = run(cli._parser)
+        assert [code for code, _ in cached] == [0, 0, 2, 0, 0]
+        assert cached == run(cli.build_parser)
+        assert cached[0][1][0].inputs == {"codebook": str(tmp_path / "book.txt")}
+        assert cached[1][1][0].inputs == {}

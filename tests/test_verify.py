@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -265,6 +266,49 @@ class TestInferEdgeMap:
         want_map, want_lam = oracles.enumerate_best_edge_map(phi, src, tgt)
         assert max(got_lam) == pytest.approx(max(want_lam), abs=1e-12)
         assert got_map.mapping == want_map.mapping
+
+
+class TestMatcherAgainstBruteForce:
+    """The matching test and the bottleneck assignment on tie-heavy inputs,
+    where random channels almost never tie."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_every_boolean_matrix(self, k):
+        every = list(range(k))
+        for bits in itertools.product([False, True], repeat=k * k):
+            allowed = [list(bits[r * k:(r + 1) * k]) for r in every]
+            assert verify._has_perfect_matching(allowed, every, every) == \
+                oracles.some_permutation_fits(allowed, every, every), allowed
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_random_boolean_matrices(self, k):
+        rng = np.random.default_rng(k)
+        every = list(range(k))
+        for density in (0.3, 0.5, 0.7, 0.9):
+            for _ in range(40):
+                allowed = (rng.random((k, k)) < density).tolist()
+                assert verify._has_perfect_matching(allowed, every, every) == \
+                    oracles.some_permutation_fits(allowed, every, every), allowed
+
+    def test_row_and_column_subsets(self):
+        """The index lists the lexicographic pass hands over: any equally
+        many rows and columns of a larger matrix, in any order."""
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            allowed = (rng.random((6, 6)) < 0.5).tolist()
+            size = int(rng.integers(0, 6))
+            rows = [int(r) for r in rng.choice(6, size, replace=False)]
+            cols = [int(c) for c in rng.choice(6, size, replace=False)]
+            assert verify._has_perfect_matching(allowed, rows, cols) == \
+                oracles.some_permutation_fits(allowed, rows, cols)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_bottleneck_on_quarter_costs(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(60):
+            cost = rng.integers(0, 5, size=(k, k)) / 4.0
+            assert verify._bottleneck_assignment(cost) == \
+                oracles.lex_first_bottleneck(cost), cost
 
 
 def rand_hypergraph(rng, alphabet: Alphabet, max_edges: int) -> Hypergraph:
