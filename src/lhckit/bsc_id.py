@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +37,8 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .hypergraph import Alphabet, Hypergraph
+from .hypergraph import (Alphabet, Hypergraph, characteristic_hypergraph,
+                         identification_table)
 
 MC_CHUNK = 2048
 
@@ -215,7 +216,14 @@ def exact_window_miss(n: int, k: int, gamma: float, epsilon: float,
 
 
 def _word_bits(words, n: int) -> np.ndarray:
-    """uint8 bit matrix of n-letter '0'/'1' words, one row per word."""
+    """uint8 bit matrix of n-letter '0'/'1' words, one row per word.
+
+    The one check that a word is an n-bit string: anything else, a
+    non-string included, raises ShapeError naming the first such word.
+    """
+    for w in words:
+        if not isinstance(w, str) or len(w) != n or set(w) - {"0", "1"}:
+            raise ShapeError(f"word {w!r} is not an {n}-bit string")
     flat = np.frombuffer("".join(words).encode("ascii"), dtype=np.uint8)
     return (flat - ord("0")).reshape(len(words), n)
 
@@ -226,9 +234,18 @@ def _all_word_bits(n: int) -> np.ndarray:
 
 
 def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer Hamming distances between the rows of two broadcastable
-    bit arrays, letters on the last axis."""
-    return (a != b).sum(axis=-1)
+    """Exact integer Hamming distances between the rows of two bit matrices:
+    the len(a) x len(b) matrix, letters on the last axis.
+
+    Rows of a are compared in blocks of at most channel.DEFAULT_PRODUCT_CAP
+    letter pairs (one row when a single row exceeds it), so no temporary
+    grows with len(a) * len(b) * n.
+    """
+    out = np.empty((len(a), len(b)), dtype=np.int_)
+    step = max(1, channel.DEFAULT_PRODUCT_CAP // max(1, b.size))
+    for i in range(0, len(a), step):
+        out[i:i + step] = (a[i:i + step, None] != b).sum(axis=-1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +261,15 @@ class Codebook:
     words: tuple[str, ...]
     delta: float
     dmin: int
+    # built once from words by the constructor, read-only
+    bits: np.ndarray = field(init=False, repr=False, compare=False)
+    _distances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.words)) != len(self.words):
             raise ShapeError("codewords must be distinct")
-        for w in self.words:
-            if len(w) != self.n or set(w) - {"0", "1"}:
-                raise ShapeError(f"word {w!r} is not an {self.n}-bit string")
-        dist = self.pair_distances()
+        bits = _word_bits(self.words, self.n)
+        dist = _hamming(bits, bits)
         close = np.argwhere(np.triu(dist < self.dmin, 1))  # row-major order
         if close.size:
             i, j = close[0]
@@ -259,19 +277,17 @@ class Codebook:
                 f"words {self.words[i]!r} and {self.words[j]!r} "
                 f"at distance {dist[i, j]} < {self.dmin}"
             )
+        for name, value in (("bits", bits), ("_distances", dist)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
         return len(self.words)
 
-    @property
-    def bits(self) -> np.ndarray:
-        return _word_bits(self.words, self.n)
-
     def pair_distances(self) -> np.ndarray:
-        """Hamming distance for every ordered pair of codewords."""
-        b = self.bits
-        return _hamming(b[:, None], b[None, :])
+        """Read-only Hamming distance for every ordered pair of codewords."""
+        return self._distances
 
 
 def gilbert_varshamov_bound(n: int, dmin: int) -> int:
@@ -300,35 +316,28 @@ def gen_codebook(
     if dmin > n:
         raise RangeError(f"minimum distance {dmin} exceeds block length {n}")
 
-    kept: list[int] = []
-
-    def far_enough(cand: int) -> bool:
-        return all((cand ^ w).bit_count() >= dmin for w in kept)
-
     if strategy == "lexicographic-greedy":
         if n > 24:
             raise CapacityError(
                 f"lexicographic scan over 2**{n} words is not materializable; "
                 "use the random-greedy strategy"
             )
-        for cand in range(1 << n):
-            if far_enough(cand):
-                kept.append(cand)
-                if len(kept) == m:
-                    break
+        candidates = range(1 << n)
     elif strategy == "random-greedy":
         rng = named_rng(seed, 0xC0DE)
-        budget = max(10_000, 500 * m)
-        for _ in range(budget):
-            draw = np.packbits(rng.integers(0, 2, size=n))  # first bit highest
-            cand = int.from_bytes(draw, "big") >> (-n % 8)
-            if far_enough(cand):
-                kept.append(cand)
-                if len(kept) == m:
-                    break
+        # drawn lazily: the scan stops drawing once it has m words
+        candidates = (int.from_bytes(np.packbits(rng.integers(0, 2, size=n)), "big")
+                      >> (-n % 8)  # first bit highest
+                      for _ in range(max(10_000, 500 * m)))
     else:
         raise RangeError(f"unknown strategy {strategy!r}")
 
+    kept: list[int] = []
+    for cand in candidates:
+        if all((cand ^ w).bit_count() >= dmin for w in kept):
+            kept.append(cand)
+            if len(kept) == m:
+                break
     if len(kept) < m:
         raise Infeasible(
             f"greedy found only {len(kept)} of {m} words at distance {dmin} "
@@ -345,14 +354,16 @@ def gen_codebook(
 
 @dataclass(frozen=True, eq=False)
 class ExampleHypergraphs:
-    """Materialized message-pair structures plus predicate-backed windows.
+    """The equality split on the example's four pair alphabets.
 
-    The equality-test partition on message pairs, its two one-sided-encoded
-    forms, and the codeword-pair restriction are materialized (indexed by
-    messages and codewords only). The full input-pair and output-pair
-    structures exist only as distance predicates, so no 4^n vertex set is
-    ever enumerated. Edge index 0 is the far/mismatch edge, index 1 the
-    equal/match edge, matching the preimage order of the equality test.
+    hyper_h is the equality-test partition on message pairs; hyper_g1 and
+    hyper_g2 carry the same split on (codeword, message) and (message,
+    codeword) pairs, and hyper_c on codeword pairs. All four are indexed by
+    messages and codewords only, so no 4^n vertex set is enumerated; a split
+    of all n-bit word pairs comes from threshold_split_hypergraph or
+    window_split_hypergraph, for small n. Edge index 0 is the far/mismatch
+    edge, index 1 the equal/match edge, matching the preimage order of the
+    equality test.
     """
 
     codebook: Codebook
@@ -380,19 +391,16 @@ def build_example_hypergraphs(
             f"epsilon {epsilon} must be below {e_max} "
             f"for delta {codebook.delta}, gamma {gamma}"
         )
-    m = codebook.size
-    msgs = Alphabet.of_size(m)
+    hyper_h = characteristic_hypergraph(identification_table(codebook.size))
+    msgs = Alphabet.of_size(codebook.size)
     cw = Alphabet(codebook.words)
-    equal = np.eye(m, dtype=bool).reshape(-1)  # row-major pair index i*m + j
-    split = (tuple(np.flatnonzero(~equal).tolist()),
-             tuple(np.flatnonzero(equal).tolist()))
     hyper = ExampleHypergraphs(
         codebook=codebook,
         epsilon=epsilon,
-        hyper_h=Hypergraph(msgs.product(msgs), split),
-        hyper_g1=Hypergraph(cw.product(msgs), split),
-        hyper_g2=Hypergraph(msgs.product(cw), split),
-        hyper_c=Hypergraph(cw.product(cw), split),
+        hyper_h=hyper_h,
+        hyper_g1=Hypergraph(cw.product(msgs), hyper_h.edges),
+        hyper_g2=Hypergraph(msgs.product(cw), hyper_h.edges),
+        hyper_c=Hypergraph(cw.product(cw), hyper_h.edges),
     )
     assert hyper.hyper_c.is_partition
     return hyper
@@ -414,7 +422,7 @@ def word_alphabet(n: int) -> Alphabet:
 def word_channel_rows(words: tuple[str, ...], n: int, gamma: float) -> np.ndarray:
     """Row per word: exact flip probabilities onto every n-bit word."""
     law = np.array([gamma**d * (1.0 - gamma) ** (n - d) for d in range(n + 1)])
-    return law[_hamming(_word_bits(words, n)[:, None], _all_word_bits(n)[None, :])]
+    return law[_hamming(_word_bits(words, n), _all_word_bits(n))]
 
 
 def restricted_pair_channel(codebook: Codebook, gamma: float) -> Channel:
@@ -437,14 +445,22 @@ def restricted_pair_channel(codebook: Codebook, gamma: float) -> Channel:
 def pair_distance_table(n: int) -> np.ndarray:
     """Hamming distance of every ordered pair of n-bit words, row-major."""
     bits = _all_word_bits(n)
-    return _hamming(bits[:, None], bits[None, :])
+    return _hamming(bits, bits)
 
 
-def _check_pair_count(n: int) -> None:
-    """Refuse a hypergraph over all 4**n word pairs before allocating it."""
+def _word_pair_split(n: int, split) -> Hypergraph:
+    """Hypergraph on all ordered pairs of n-bit words, one edge per boolean
+    mask that split returns for the flat row-major pair_distance_table.
+
+    The 4**n pairs are checked against the cap before the table is built.
+    """
     cap = channel.DEFAULT_PRODUCT_CAP
     if (1 << (2 * n)) > cap:
         raise CapacityError(f"4**{n} pairs exceed the cap {cap}")
+    full = word_alphabet(n)
+    masks = split(pair_distance_table(n).reshape(-1))
+    return Hypergraph(full.product(full),
+                      tuple(tuple(np.flatnonzero(mask).tolist()) for mask in masks))
 
 
 def threshold_split_hypergraph(n: int, t: float) -> Hypergraph:
@@ -453,12 +469,7 @@ def threshold_split_hypergraph(n: int, t: float) -> Hypergraph:
     Edge 0 holds the far pairs, edge 1 the near ones, matching the
     mismatch/match edge order used everywhere else.
     """
-    _check_pair_count(n)
-    full = word_alphabet(n)
-    dist = pair_distance_table(n).reshape(-1)
-    far = tuple(int(i) for i in np.nonzero(dist > t)[0])
-    near = tuple(int(i) for i in np.nonzero(dist <= t)[0])
-    return Hypergraph(full.product(full), (far, near))
+    return _word_pair_split(n, lambda dist: (dist > t, dist <= t))
 
 
 def window_split_hypergraph(
@@ -470,23 +481,21 @@ def window_split_hypergraph(
     when a window contains no integer distance (unavoidable at small n) and
     with EpsilonTooLarge when the windows collide.
     """
-    if not epsilon < epsilon_max(delta, gamma):
-        raise EpsilonTooLarge(
-            f"epsilon {epsilon} is not below {epsilon_max(delta, gamma)}"
-        )
-    _check_pair_count(n)
-    full = word_alphabet(n)
-    dist = pair_distance_table(n).reshape(-1)
-    edges = []
-    for name, delta_nominal in (("far", delta), ("equal", 0.0)):
-        inside = np.flatnonzero(in_window(dist, n, gamma, epsilon, delta_nominal))
-        if not inside.size:
-            lo, hi = window_interval(n, gamma, epsilon, delta_nominal)
-            raise EmptyBlock(
-                f"{name} window ({lo:.6g}, {hi:.6g}) holds no integer distance at n={n}"
-            )
-        edges.append(tuple(inside.tolist()))
-    return Hypergraph(full.product(full), tuple(edges))
+    e_max = epsilon_max(delta, gamma)
+    if not epsilon < e_max:
+        raise EpsilonTooLarge(f"epsilon {epsilon} is not below {e_max}")
+
+    def windows(dist):
+        for name, delta_nominal in (("far", delta), ("equal", 0.0)):
+            inside = in_window(dist, n, gamma, epsilon, delta_nominal)
+            if not inside.any():
+                lo, hi = window_interval(n, gamma, epsilon, delta_nominal)
+                raise EmptyBlock(
+                    f"{name} window ({lo:.6g}, {hi:.6g}) holds no integer distance at n={n}"
+                )
+            yield inside
+
+    return _word_pair_split(n, windows)
 
 
 # ---------------------------------------------------------------------------
@@ -510,24 +519,19 @@ def id_decoder(
     safer. The window mode reproduces the two-sided membership test and
     returns 0 both in the far window and outside both windows.
     """
-    return int(accepts(_distance(y1, y2, n), n, gamma, epsilon, mode))
-
-
-def _distance(y1, y2, n: int) -> int:
-    return int(_hamming(_bits(y1, n), _bits(y2, n)))
+    d = _hamming(_bits(y1, n), _bits(y2, n))[0, 0]
+    return int(accepts(d, n, gamma, epsilon, mode))
 
 
 def _bits(y, n: int) -> np.ndarray:
-    if isinstance(y, str):
-        if len(y) != n or set(y) - {"0", "1"}:
-            raise ShapeError(f"word {y!r} is not an {n}-bit string")
-        return _word_bits([y], n)[0]
-    arr = np.asarray(y)
-    if arr.shape != (n,):
-        raise ShapeError(f"word shape {arr.shape} is not ({n},)")
-    if not np.isin(arr, (0, 1)).all():
-        raise ShapeError(f"word {y!r} is not an {n}-bit string")
-    return arr.astype(np.uint8)
+    """1 x n bit row of a word given as an n-bit string or n entries 0 or 1."""
+    if not isinstance(y, str):
+        arr = np.asarray(y)
+        if arr.shape != (n,):
+            raise ShapeError(f"word shape {arr.shape} is not ({n},)")
+        if np.isin(arr, (0, 1)).all():
+            return arr.astype(np.uint8)[None]
+    return _word_bits([y], n)  # refuses a non-string with the string message
 
 
 @dataclass(frozen=True, eq=False)
@@ -586,10 +590,11 @@ def monte_carlo_id(
     """
     if trials < 1:
         raise RangeError("need at least one trial")
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise RangeError(f"worker count {workers!r} is not an integer >= 1")
     if codebook.size < 2:
         raise ShapeError("distinct-message trials need at least two codewords")
     n = codebook.n
-    bits = codebook.bits
     m = codebook.size
     n_equal = (trials + 1) // 2
     tally = np.min_scalar_type(n)  # narrowest unsigned type holding a distance
@@ -609,8 +614,8 @@ def monte_carlo_id(
         parity = (u < gamma).view(np.uint8)
         rng.random(out=u)
         parity ^= u < gamma
-        parity ^= bits.take(first, axis=0)
-        parity ^= bits.take(second, axis=0)
+        parity ^= codebook.bits.take(first, axis=0)
+        parity ^= codebook.bits.take(second, axis=0)
         # intp: numpy 1.x would compare a uint8 with the float threshold in float16
         d = parity.sum(axis=1, dtype=tally).astype(np.intp)
         accept = accepts(d, n, gamma, epsilon, mode)

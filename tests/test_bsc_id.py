@@ -178,15 +178,39 @@ class TestCodebooks:
             Codebook(n=4, words=words, delta=0.5, dmin=2)
         assert str(info.value) == "words '0000' and '1000' at distance 1 < 2"
 
-    @given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1),
+           st.sampled_from([None, 1, 5]))
     @settings(max_examples=60, deadline=None)
-    def test_pair_distances_match_zip_count(self, n, m, seed):
+    def test_pair_distances_match_zip_count(self, n, m, seed, rows):
+        """rows, when set, is the block of codewords compared at once under a
+        lowered entry cap: one, or five, which need not divide the size."""
         rng = np.random.default_rng(seed)
         words = sorted({"".join(map(str, rng.integers(0, 2, size=n)))
                         for _ in range(m)})
-        book = Codebook(n=n, words=tuple(words), delta=1 / n, dmin=1)
+        with pytest.MonkeyPatch.context() as patch:
+            if rows:
+                patch.setattr(channel, "DEFAULT_PRODUCT_CAP", rows * len(words) * n)
+            book = Codebook(n=n, words=tuple(words), delta=1 / n, dmin=1)
         expected = [[zip_distance(u, v) for v in words] for u in words]
         assert book.pair_distances().tolist() == expected
+
+    def test_stored_arrays_are_read_only(self):
+        book = gen_codebook(16, 0.25, 6)
+        for stored in (book.bits, book.pair_distances()):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0] = 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rates_and_simulation_read_the_stored_arrays(self, monkeypatch, mode):
+        book = gen_codebook(16, 0.25, 6)
+
+        def refuse(*args):
+            raise AssertionError("codeword bits or distances built again")
+
+        monkeypatch.setattr(bsc_id, "_word_bits", refuse)
+        monkeypatch.setattr(bsc_id, "_hamming", refuse)
+        exact_error_rates(book, 0.05, 0.3, mode=mode)
+        monte_carlo_id(book, 0.05, 0.3, 5000, seed=1, mode=mode, workers=2)
 
 
 class TestDistanceLaw:
@@ -488,6 +512,15 @@ class TestDecoder:
         with pytest.raises(ShapeError, match="is not an 4-bit string"):
             id_decoder(word, "0000", 4, 0.03, 0.3)
 
+    @pytest.mark.parametrize("word", ["000", "0a00", "0200", ("0", "1", "0", "0")])
+    def test_codebook_and_decoder_refuse_a_word_alike(self, word):
+        with pytest.raises(ShapeError) as book_error:
+            Codebook(n=4, words=("1111", word), delta=0.25, dmin=1)
+        with pytest.raises(ShapeError) as decoder_error:
+            id_decoder(word, "0000", 4, 0.03, 0.3)
+        assert (str(book_error.value) == str(decoder_error.value)
+                == f"word {word!r} is not an 4-bit string")
+
     def test_threshold_boundary_flip(self):
         n, gamma, eps = 100, 0.1, 0.3
         t = acceptance_threshold(n, gamma, eps)
@@ -550,6 +583,13 @@ class TestMonteCarlo:
         est = monte_carlo_id(book, gamma, eps, trials, seed=5, mode=mode,
                              workers=workers)
         assert (est.false_rejects, est.false_accepts) == tallies
+
+    @pytest.mark.parametrize("workers", [0, -2, 2.5, "2"])
+    def test_worker_count_must_be_an_integer_of_at_least_one(self, workers):
+        book = gen_codebook(16, 0.5, 4)
+        with pytest.raises(RangeError) as info:
+            monte_carlo_id(book, 0.05, 0.3, 100, workers=workers)
+        assert str(info.value) == f"worker count {workers!r} is not an integer >= 1"
 
     def test_interval_guard_at_zero(self):
         book = gen_codebook(16, 0.5, 2)
