@@ -30,8 +30,9 @@ assert h.is_partition
 # Any function is an edge-bijective homomorphism into the disconnected
 # hypergraph on its values: each preimage edge maps inside one singleton.
 values = complete_1_uniform(f_id.codomain)
-report = check_homomorphism(f_id.mapping, EdgeMap.identity(2), h, values)
-print("is_hom:", report.is_hom, "| edge-bijective:", report.edge_bijective)
+e_map = EdgeMap.identity(2)
+report = check_homomorphism(f_id.mapping, e_map, h, values)
+print("is_hom:", report.is_hom, "| edge-bijective:", e_map.bijective)
 
 # Between partition hypergraphs, any edge map lifts to a vertex map: send
 # each vertex to the lowest-index vertex of its edge's image.

@@ -59,8 +59,7 @@ from lhckit import EdgeMap
 
 swapped_cert = LhcCertificate(
     edge_map=EdgeMap(2, 2, (1, 0)), lam=cert.lam,
-    per_vertex_success=cert.per_vertex_success, passed=True,
-    edge_bijective=True, failing_edges=(),
+    per_vertex_success=cert.per_vertex_success, failing_edges=(),
 )
 recovered = lhc_to_code(swapped_cert, scrambled)
 print("recovered profile:   ", code_error_profile(recovered))

@@ -74,24 +74,6 @@ class BranchSwapReport:
         return self.hypothesis_holds and not self.conclusion_holds
 
 
-@dataclass(frozen=True, eq=False)
-class SemiDetSplit:
-    """Both factorization orders of a product channel, decomposed."""
-
-    g1: Hypergraph  # on a1 x b2: first message raw, second already sent
-    g2: Hypergraph  # on b1 x a2
-    split_g1: DecompositionResult
-    split_g2: DecompositionResult
-
-    @property
-    def cert_h_to_g1(self):
-        return self.split_g1.cert_phi
-
-    @property
-    def cert_h_to_g2(self):
-        return self.split_g2.cert_phi
-
-
 def semi_det_split(
     phi1: Channel,
     phi2: Channel,
@@ -99,7 +81,7 @@ def semi_det_split(
     target: Hypergraph,
     e_edge: EdgeMap,
     mu,
-) -> SemiDetSplit:
+) -> tuple[DecompositionResult, DecompositionResult]:
     """Split a product channel through both one-sided factorizations.
 
     The product phi1 x phi2 must be a certified edge-bijective locally
@@ -107,34 +89,24 @@ def semi_det_split(
     (phi1 x id)(id x phi2) yields an intermediate on a1 x b2; the other
     order yields one on b1 x a2. Both intermediates have as many edges as
     the target, and both one-sided channels are certified at mu. The block
-    threshold kappa is the most permissive value, one half.
+    threshold kappa is the most permissive value, one half. Returns both
+    splits in that order; each holds its intermediate and, as ``cert_phi``,
+    the certificate from the source to it.
 
     Both orders share the source, target, edge map, kappa, mu, lam and
     product channel, so ``decompose`` checks the hypotheses once, for the
     first order, and the second runs its ``_split`` directly.
     """
     lam = lambda_profile(tensor(phi1, phi2), source, target, e_edge)
-    split_g1 = decompose(
-        phi=tensor(identity_channel(phi1.input), phi2),
-        gamma=tensor(phi1, identity_channel(phi2.output)),
-        source=source,
-        target=target,
-        e_edge=e_edge,
-        kappa=0.5,
-        mu=mu,
-        lam=lam,
-    )
+    split_g1 = decompose(tensor(identity_channel(phi1.input), phi2),
+                         tensor(phi1, identity_channel(phi2.output)),
+                         source, target, e_edge, kappa=0.5, mu=mu, lam=lam)
     # the kappa and mu vectors decompose checked, as its certificates hold them
     kappa, mu = split_g1.cert_gamma.lam, split_g1.cert_phi.lam
     split_g2 = _split(tensor(phi1, identity_channel(phi2.input)),
                       tensor(identity_channel(phi1.output), phi2),
                       source, target, e_edge, kappa, mu, lam)
-    return SemiDetSplit(
-        g1=split_g1.intermediate,
-        g2=split_g2.intermediate,
-        split_g1=split_g1,
-        split_g2=split_g2,
-    )
+    return split_g1, split_g2
 
 
 def check_branch_swap(

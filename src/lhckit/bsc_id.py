@@ -101,7 +101,6 @@ class PairDistanceLaw:
 
     n: int
     k: int
-    gamma: float
     pmf: np.ndarray
 
     def __post_init__(self):
@@ -142,8 +141,7 @@ def _distance_laws(n: int, ks, gamma: float) -> list[PairDistanceLaw]:
     j = np.arange(n + 1)
     same = _binom_grid(j, n - ks, b)
     diff = _binom_grid(j, ks, 1.0 - b)
-    return [PairDistanceLaw(n, int(k), gamma,
-                            np.convolve(same[i, :n - k + 1], diff[i, :k + 1]))
+    return [PairDistanceLaw(n, int(k), np.convolve(same[i, :n - k + 1], diff[i, :k + 1]))
             for i, k in enumerate(ks)]
 
 
@@ -259,7 +257,6 @@ class Codebook:
 
     n: int
     words: tuple[str, ...]
-    delta: float
     dmin: int
     # built once from words by the constructor, read-only
     bits: np.ndarray = field(init=False, repr=False, compare=False)
@@ -284,6 +281,11 @@ class Codebook:
     @property
     def size(self) -> int:
         return len(self.words)
+
+    @property
+    def delta(self) -> float:
+        """The guaranteed relative distance dmin / n."""
+        return self.dmin / self.n
 
     def pair_distances(self) -> np.ndarray:
         """Read-only Hamming distance for every ordered pair of codewords."""
@@ -344,7 +346,7 @@ def gen_codebook(
             f"(the sphere-packing greedy guarantee is {gilbert_varshamov_bound(n, dmin)})"
         )
     words = tuple(format(w, f"0{n}b") for w in kept)
-    return Codebook(n=n, words=words, delta=delta, dmin=dmin)
+    return Codebook(n=n, words=words, dmin=dmin)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +368,6 @@ class ExampleHypergraphs:
     equality test.
     """
 
-    codebook: Codebook
-    epsilon: float
     hyper_h: Hypergraph
     hyper_g1: Hypergraph
     hyper_g2: Hypergraph
@@ -379,7 +379,8 @@ def build_example_hypergraphs(
 ) -> ExampleHypergraphs:
     """Materialize the example's small hypergraphs for a codebook.
 
-    The decision windows of crossover gamma must be disjoint at epsilon.
+    The decision windows of crossover gamma must be disjoint at epsilon for
+    the codebook's guaranteed relative distance ``codebook.delta``.
     """
     if codebook.size < 2:
         raise ShapeError("need at least two codewords for mismatch edges")
@@ -395,8 +396,6 @@ def build_example_hypergraphs(
     msgs = Alphabet.of_size(codebook.size)
     cw = Alphabet(codebook.words)
     hyper = ExampleHypergraphs(
-        codebook=codebook,
-        epsilon=epsilon,
         hyper_h=hyper_h,
         hyper_g1=Hypergraph(cw.product(msgs), hyper_h.edges),
         hyper_g2=Hypergraph(msgs.product(cw), hyper_h.edges),
@@ -421,8 +420,13 @@ def word_alphabet(n: int) -> Alphabet:
 
 def word_channel_rows(words: tuple[str, ...], n: int, gamma: float) -> np.ndarray:
     """Row per word: exact flip probabilities onto every n-bit word."""
+    return _flip_rows(_word_bits(words, n), n, gamma)
+
+
+def _flip_rows(bits: np.ndarray, n: int, gamma: float) -> np.ndarray:
+    """word_channel_rows of the words whose n-column bit matrix is bits."""
     law = np.array([gamma**d * (1.0 - gamma) ** (n - d) for d in range(n + 1)])
-    return law[_hamming(_word_bits(words, n), _all_word_bits(n))]
+    return law[_hamming(bits, _all_word_bits(n))]
 
 
 def restricted_pair_channel(codebook: Codebook, gamma: float) -> Channel:
@@ -434,7 +438,7 @@ def restricted_pair_channel(codebook: Codebook, gamma: float) -> Channel:
     """
     n, m = codebook.n, codebook.size
     _check_entries(m * m, 1 << (2 * n))
-    single = word_channel_rows(codebook.words, n, gamma)
+    single = _flip_rows(codebook.bits, n, gamma)
     # row i*m + j is the Kronecker product of word rows i and j
     rows = (single[:, None, :, None] * single[None, :, None, :]).reshape(m * m, -1)
     full = word_alphabet(n)
@@ -538,13 +542,14 @@ def _bits(y, n: int) -> np.ndarray:
 class ErrorEstimate:
     """Monte Carlo tallies with normal-approximation 95% intervals."""
 
-    trials: int
     equal_trials: int
     distinct_trials: int
     false_rejects: int
     false_accepts: int
-    seed: int
-    mode: str
+
+    @property
+    def trials(self) -> int:
+        return self.equal_trials + self.distinct_trials
 
     @property
     def false_reject_rate(self) -> float:
@@ -632,13 +637,10 @@ def monte_carlo_id(
     false_rejects = sum(r[0] for r in results)
     false_accepts = sum(r[1] for r in results)
     return ErrorEstimate(
-        trials=trials,
         equal_trials=n_equal,
         distinct_trials=trials - n_equal,
         false_rejects=false_rejects,
         false_accepts=false_accepts,
-        seed=seed,
-        mode=mode,
     )
 
 

@@ -137,12 +137,12 @@ def sandwich_transfer(
     rep_f = check_homomorphism(f_vertex, f_edge, hyper_f, hyper_g)
     if not rep_f.is_hom:
         raise ShapeError(f"prefix map is not a homomorphism (witness {rep_f.witness})")
-    if not rep_f.edge_bijective:
+    if not f_edge.bijective:
         raise RequiresBijective("prefix homomorphism must be edge-bijective")
     rep_h = check_homomorphism(h_vertex, h_edge, hyper_h, hyper_i)
     if not rep_h.is_hom:
         raise ShapeError(f"suffix map is not a homomorphism (witness {rep_h.witness})")
-    if not rep_h.edge_bijective:
+    if not h_edge.bijective:
         raise RequiresBijective("suffix homomorphism must be edge-bijective")
 
     pre = deterministic_channel(

@@ -251,16 +251,8 @@ class EdgeMap:
             raise ShapeError("edge map target count differs from target hypergraph")
 
     @property
-    def surjective(self) -> bool:
-        return len(set(self.mapping)) == self.target_count
-
-    @property
-    def injective(self) -> bool:
-        return len(set(self.mapping)) == self.source_count
-
-    @property
     def bijective(self) -> bool:
-        return self.surjective and self.injective
+        return len(set(self.mapping)) == self.source_count == self.target_count
 
     def inverse(self) -> "EdgeMap":
         if not self.bijective:
@@ -287,14 +279,13 @@ class EdgeMap:
 
 @dataclass(frozen=True)
 class HomReport:
-    """Verdicts for a candidate hypergraph homomorphism."""
+    """Verdict for a candidate hypergraph homomorphism."""
 
-    vertex_map: tuple[int, ...]
-    edge_map: EdgeMap
-    is_hom: bool
-    edge_surjective: bool
-    edge_bijective: bool
     witness: tuple[int, int] | None  # (edge index, vertex index) violating inclusion
+
+    @property
+    def is_hom(self) -> bool:
+        return self.witness is None
 
 
 def complete_1_uniform(vertices: Alphabet) -> Hypergraph:
@@ -328,14 +319,7 @@ def check_homomorphism(
     inside = target.incidence
     witness = next(((ei, v) for ei, edge in enumerate(source.edges)
                     for v in edge if not inside[vm[v], edge_map(ei)]), None)
-    return HomReport(
-        vertex_map=vm,
-        edge_map=edge_map,
-        is_hom=witness is None,
-        edge_surjective=edge_map.surjective,
-        edge_bijective=edge_map.bijective,
-        witness=witness,
-    )
+    return HomReport(witness)
 
 
 def hom_from_edge_map(

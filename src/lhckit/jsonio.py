@@ -136,6 +136,30 @@ def _index(value, what: str) -> int:
     return value
 
 
+def _require(d, what: str, *keys: str) -> None:
+    """Raise ShapeError unless d is a JSON object holding every key."""
+    if not isinstance(d, dict):
+        raise ShapeError(f"{what} must be a JSON object, got a {type(d).__name__}")
+    missing = [key for key in keys if key not in d]
+    if missing:
+        raise ShapeError(f"{what} misses component {missing[0]!r}")
+
+
+def _alphabet(labels, what: str) -> Alphabet:
+    """An alphabet read from a JSON list of strings.
+
+    ``Alphabet`` takes the ``str`` of each label, so the string "ab" would
+    read as the labels "a" and "b", and the label ["a"] as "['a']"; anything
+    but a list of strings raises ShapeError naming the first offending entry.
+    """
+    if not isinstance(labels, list):
+        raise ShapeError(f"{what} must be a list of strings, got {_text(labels)}")
+    if set(map(type, labels)) - {str}:
+        bad = next(x for x in labels if type(x) is not str)
+        raise ShapeError(f"{what} entry must be a string, got {_text(bad)}")
+    return Alphabet(tuple(labels))
+
+
 def _numbers(values, what: str, null: bool = False) -> np.ndarray:
     """A float array read from a JSON list of numbers, or a list of such lists.
 
@@ -167,8 +191,9 @@ def hypergraph_to_dict(h: Hypergraph) -> dict:
 
 
 def hypergraph_from_dict(d: dict) -> Hypergraph:
+    _require(d, "hypergraph", "vertices", "edges")
     return Hypergraph(
-        Alphabet(tuple(d["vertices"])),
+        _alphabet(d["vertices"], "vertices"),
         tuple(tuple(_index(v, "vertex index") for v in e) for e in d["edges"]),
     )
 
@@ -185,9 +210,10 @@ def function_table_to_dict(f: FunctionTable) -> dict:
 
 
 def function_table_from_dict(d: dict) -> FunctionTable:
+    _require(d, "function table", "domain", "codomain", "map")
     return FunctionTable(
-        Alphabet(tuple(d["domain"])),
-        Alphabet(tuple(d["codomain"])),
+        _alphabet(d["domain"], "domain"),
+        _alphabet(d["codomain"], "codomain"),
         tuple(_index(i, "function value index") for i in d["map"]),
     )
 
@@ -204,9 +230,10 @@ def channel_to_dict(c: Channel) -> dict:
 
 
 def channel_from_dict(d: dict) -> Channel:
+    _require(d, "channel", "input", "output", "rows")
     return Channel(
-        Alphabet(tuple(d["input"])),
-        Alphabet(tuple(d["output"])),
+        _alphabet(d["input"], "input"),
+        _alphabet(d["output"], "output"),
         _numbers(d["rows"], "channel entry"),
     )
 
@@ -223,6 +250,7 @@ def edge_map_to_dict(m: EdgeMap) -> dict:
 
 
 def edge_map_from_dict(d: dict) -> EdgeMap:
+    _require(d, "edge map", "source_edges", "target_edges", "map")
     return EdgeMap(
         _index(d["source_edges"], "source edge count"),
         _index(d["target_edges"], "target edge count"),
@@ -247,10 +275,13 @@ def certificate_to_dict(cert: LhcCertificate) -> dict:
 
 
 def certificate_from_dict(d: dict) -> LhcCertificate:
-    if not isinstance(d["edge_bijective"], bool):
-        raise ShapeError(
-            f"edge_bijective must be true or false, got {_text(d['edge_bijective'])}"
-        )
+    """The certificate a file describes; its verdict and edge_bijective flag
+    are derived from the failing edges and the edge map, so both must agree."""
+    _require(d, "certificate", "edge_map", "lambda", "per_vertex_success",
+             "verdict", "edge_bijective", "failing_edges")
+    bijective = d["edge_bijective"]
+    if not isinstance(bijective, bool):
+        raise ShapeError(f"edge_bijective must be true or false, got {_text(bijective)}")
     verdict = d["verdict"]
     if verdict not in ("pass", "fail"):
         raise ShapeError(f'verdict must be "pass" or "fail", got {_text(verdict)}')
@@ -258,13 +289,15 @@ def certificate_from_dict(d: dict) -> LhcCertificate:
     if (verdict == "pass") == bool(failing):  # verify_lhc passes exactly when none fail
         raise ShapeError(f"verdict {_text(verdict)} disagrees with failing edges "
                          f"{_text(list(failing))}")
+    edge_map = edge_map_from_dict(d["edge_map"])
+    if bijective != edge_map.bijective:
+        raise ShapeError(f"edge_bijective {_text(bijective)} disagrees with edge map "
+                         f"{_text(list(edge_map.mapping))}")
     return LhcCertificate(
-        edge_map=edge_map_from_dict(d["edge_map"]),
+        edge_map=edge_map,
         lam=_numbers(d["lambda"], "lambda entry"),
         per_vertex_success=_numbers(d["per_vertex_success"], "per-vertex success",
                                     null=True),
-        passed=verdict == "pass",
-        edge_bijective=d["edge_bijective"],
         failing_edges=failing,
     )
 
@@ -290,9 +323,7 @@ def write_code_bundle(path, code: FunctionCode, prefix: str | None = None) -> No
 def read_code_bundle(path) -> FunctionCode:
     path = Path(path)
     refs = read_json(path)
-    for key in ("encoder", "decoder", "function", "channel"):
-        if key not in refs:
-            raise ShapeError(f"code bundle misses component {key!r}")
+    _require(refs, "code bundle", "encoder", "decoder", "function", "channel")
     return FunctionCode(
         encoder=channel_from_dict(read_json(path.parent / refs["encoder"])),
         decoder=channel_from_dict(read_json(path.parent / refs["decoder"])),
@@ -317,7 +348,7 @@ def read_codebook(path) -> Codebook:
                          f"header with n >= 1, got {lines[0]!r}")
     n, dmin = map(int, head.groups())
     words = tuple(line.strip() for line in lines[1:] if line.strip())
-    return Codebook(n=n, words=words, delta=dmin / n, dmin=dmin)
+    return Codebook(n=n, words=words, dmin=dmin)
 
 
 # -- branch-swap instances and counterexample dumps ---------------------------
@@ -339,11 +370,13 @@ def instance_to_dict(inst: BipartiteInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> BipartiteInstance:
+    _require(d, "branch-swap instance", "a1", "a2", "x1", "x2", "hyper_h",
+             "hyper_g", "hyper_i", "hyper_f", "phi", "lambda")
     return BipartiteInstance(
-        a1=Alphabet(tuple(d["a1"])),
-        a2=Alphabet(tuple(d["a2"])),
-        x1=Alphabet(tuple(d["x1"])),
-        x2=Alphabet(tuple(d["x2"])),
+        a1=_alphabet(d["a1"], "a1"),
+        a2=_alphabet(d["a2"], "a2"),
+        x1=_alphabet(d["x1"], "x1"),
+        x2=_alphabet(d["x2"], "x2"),
         hyper_h=hypergraph_from_dict(d["hyper_h"]),
         hyper_g=hypergraph_from_dict(d["hyper_g"]),
         hyper_i=hypergraph_from_dict(d["hyper_i"]),

@@ -85,14 +85,20 @@ def edge_vector(value, count: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LhcCertificate:
-    """Edge map plus error vector with per-vertex evidence and a verdict."""
+    """Edge map plus error vector with per-vertex evidence and the failing edges."""
 
     edge_map: EdgeMap
     lam: np.ndarray
     per_vertex_success: np.ndarray  # NaN where the vertex is isolated
-    passed: bool
-    edge_bijective: bool
     failing_edges: tuple[int, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failing_edges
+
+    @property
+    def edge_bijective(self) -> bool:
+        return self.edge_map.bijective
 
     @property
     def verdict(self) -> str:
@@ -176,8 +182,6 @@ def verify_lhc(
         edge_map=f_e,
         lam=lam,
         per_vertex_success=success,
-        passed=not failing,
-        edge_bijective=f_e.bijective,
         failing_edges=failing,
     )
 
@@ -230,6 +234,8 @@ def _has_perfect_matching(allowed: list, rows: list, cols: list) -> bool:
 def _bottleneck_assignment(cost: np.ndarray) -> tuple[int, ...]:
     """Bijection minimizing the max cost; lexicographically smallest on ties."""
     k = cost.shape[0]
+    if k == 0:
+        return ()  # the empty map; np.unique below would find no threshold
     every = list(range(k))
     thresholds = np.unique(cost)
     lo, hi = 0, thresholds.size - 1

@@ -65,7 +65,7 @@ def lex_first_bottleneck(cost) -> tuple[int, ...]:
     k, l = np.shape(cost)
     best = None
     for mapping in itertools.permutations(range(l), k):
-        worst = max(cost[i][mapping[i]] for i in range(k))
+        worst = max((cost[i][mapping[i]] for i in range(k)), default=0.0)
         if best is None or worst < best[0]:
             best = (worst, tuple(mapping))
     assert best is not None, "no candidate edge maps exist"

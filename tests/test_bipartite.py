@@ -125,20 +125,20 @@ class TestSemiDetSplit:
         msgs = Alphabet.of_size(2)
         ident = identity_channel(msgs)
         h = square_split(2, msgs.product(msgs))
-        split = semi_det_split(ident, ident, h, h, EdgeMap.identity(2),
-                               mu=np.array([0.3, 0.3]))
-        assert split.g1.edges == h.edges
-        assert split.g2.edges == h.edges
-        assert split.cert_h_to_g1.passed and split.cert_h_to_g2.passed
+        split_g1, split_g2 = semi_det_split(ident, ident, h, h, EdgeMap.identity(2),
+                                            mu=np.array([0.3, 0.3]))
+        assert split_g1.intermediate.edges == h.edges
+        assert split_g2.intermediate.edges == h.edges
+        assert split_g1.cert_phi.passed and split_g2.cert_phi.passed
 
     def test_repetition_instance_certs_pass(self):
         args = repetition_split_args()
         mu = args[-1]
-        split = semi_det_split(*args)
-        assert split.cert_h_to_g1.passed and split.cert_h_to_g2.passed
-        assert split.g1.edge_count == split.g2.edge_count == 2
+        split_g1, split_g2 = semi_det_split(*args)
+        assert split_g1.cert_phi.passed and split_g2.cert_phi.passed
+        assert split_g1.intermediate.edge_count == split_g2.intermediate.edge_count == 2
         # certified levels come straight from the binomial tails
-        assert np.all(split.cert_h_to_g1.lam <= mu + 1e-15)
+        assert np.all(split_g1.cert_phi.lam <= mu + 1e-15)
 
     def test_hypotheses_checked_once(self, monkeypatch):
         """One composite check for both orders: 1 compose, 1 composite
@@ -167,9 +167,9 @@ class TestSemiDetSplit:
                 semi_det_split(*args)
             assert str(got.value) == str(exc)
             return
-        split = semi_det_split(*args)
-        assert same_split(split.split_g1, ref[0])
-        assert same_split(split.split_g2, ref[1])
+        split_g1, split_g2 = semi_det_split(*args)
+        assert same_split(split_g1, ref[0])
+        assert same_split(split_g2, ref[1])
 
     def test_mu_too_small_rejected(self):
         msgs = Alphabet.of_size(2)

@@ -27,6 +27,7 @@ from lhckit.bsc_id import (
     threshold_split_hypergraph,
     window_interval,
     window_split_hypergraph,
+    word_channel_rows,
 )
 from lhckit import bsc_id, channel
 from lhckit.errors import (
@@ -168,14 +169,14 @@ class TestCodebooks:
 
     def test_distance_validation_in_constructor(self):
         with pytest.raises(ShapeError):
-            Codebook(n=3, words=("000", "001"), delta=1.0, dmin=3)
+            Codebook(n=3, words=("000", "001"), dmin=3)
 
     def test_constructor_names_first_close_pair_in_row_major_order(self):
         # pairs (0, 3) and (1, 2) are both too close; row-major order meets
         # (0, 3) first, column-major order would meet (1, 2) first
         words = ("0000", "1100", "1110", "1000")
         with pytest.raises(ShapeError) as info:
-            Codebook(n=4, words=words, delta=0.5, dmin=2)
+            Codebook(n=4, words=words, dmin=2)
         assert str(info.value) == "words '0000' and '1000' at distance 1 < 2"
 
     @given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1),
@@ -190,7 +191,7 @@ class TestCodebooks:
         with pytest.MonkeyPatch.context() as patch:
             if rows:
                 patch.setattr(channel, "DEFAULT_PRODUCT_CAP", rows * len(words) * n)
-            book = Codebook(n=n, words=tuple(words), delta=1 / n, dmin=1)
+            book = Codebook(n=n, words=tuple(words), dmin=1)
         expected = [[zip_distance(u, v) for v in words] for u in words]
         assert book.pair_distances().tolist() == expected
 
@@ -269,7 +270,7 @@ class TestDistanceLaw:
     def test_rates_at_the_smallest_normal_beta(self):
         gamma = 1.1125369292536007e-308
         assert pair_distance_distribution(4, 0, gamma).pmf[0] == 1.0
-        book = Codebook(6, ("000000", "000111", "111000"), 0.5, 3)
+        book = Codebook(6, ("000000", "000111", "111000"), 3)
         for mode in MODES:
             assert np.isfinite(exact_error_rates(book, gamma, 0.3, mode)).all()
 
@@ -335,7 +336,7 @@ class TestExactErrorRates:
     @pytest.mark.parametrize("mode", MODES)
     def test_two_codewords(self, mode):
         book = Codebook(n=200, words=("0" * 200, "0" * 100 + "1" * 100),
-                        delta=0.5, dmin=100)
+                        dmin=100)
         got = exact_error_rates(book, 0.05, 0.4, mode=mode)
         want = pairwise_error_rates(book, 0.05, 0.4, mode)
         assert 0.0 < got[1] < 1e-50
@@ -365,7 +366,7 @@ class TestExactErrorRates:
         """(codebook, gamma, epsilon) of a pinned case."""
         if name == "antipodal-halves":
             return Codebook(n=200, words=("0" * 200, "0" * 100 + "1" * 100),
-                            delta=0.5, dmin=100), 0.05, 0.4
+                            dmin=100), 0.05, 0.4
         if name == "lexicode-12":
             return gen_codebook(12, 0.25, 8, strategy="lexicographic-greedy"), 0.1, 0.6
         return gen_codebook(200, 0.1, 20, seed=7, strategy="random-greedy"), 0.05, 0.5
@@ -481,10 +482,21 @@ class TestRestrictedPairChannel:
         def refuse(*args):
             raise AssertionError("word rows built before the cap check")
 
-        monkeypatch.setattr(bsc_id, "word_channel_rows", refuse)
+        monkeypatch.setattr(bsc_id, "_flip_rows", refuse)
         monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 1 << 12)
         with pytest.raises(CapacityError, match=r"25 x 256 = 6400 entries exceeds cap 4096"):
             restricted_pair_channel(book, 0.1)
+
+    def test_rows_come_from_the_codebook_bits(self, monkeypatch):
+        book = gen_codebook(4, 0.25, 5)
+        single = word_channel_rows(book.words, 4, 0.1)
+
+        def refuse(*args):
+            raise AssertionError("codewords parsed again")
+
+        monkeypatch.setattr(bsc_id, "_word_bits", refuse)
+        rows = restricted_pair_channel(book, 0.1).rows
+        assert rows.tobytes() == np.kron(single, single).tobytes()
 
 
 class TestDecoder:
@@ -515,7 +527,7 @@ class TestDecoder:
     @pytest.mark.parametrize("word", ["000", "0a00", "0200", ("0", "1", "0", "0")])
     def test_codebook_and_decoder_refuse_a_word_alike(self, word):
         with pytest.raises(ShapeError) as book_error:
-            Codebook(n=4, words=("1111", word), delta=0.25, dmin=1)
+            Codebook(n=4, words=("1111", word), dmin=1)
         with pytest.raises(ShapeError) as decoder_error:
             id_decoder(word, "0000", 4, 0.03, 0.3)
         assert (str(book_error.value) == str(decoder_error.value)
@@ -550,7 +562,7 @@ class TestMonteCarlo:
         assert est.false_rejects == 0 and est.false_accepts == 0
 
     def test_agrees_with_exact_rates_on_repetition(self):
-        book = Codebook(n=64, words=("0" * 64, "1" * 64), delta=1.0, dmin=64)
+        book = Codebook(n=64, words=("0" * 64, "1" * 64), dmin=64)
         trials = 40_000
         est = monte_carlo_id(book, 0.03, 0.3, trials, seed=3)
         fr, fa = exact_error_rates(book, 0.03, 0.3)

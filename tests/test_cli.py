@@ -480,17 +480,31 @@ class TestLoaderPaths:
          "error: input code: code bundle misses component 'decoder'"),
         ("codebook", "0000\n1111\n",
          "error: input codebook: codebook file must start with"),
+        # each loaded as something else, or failed with a bare KeyError or
+        # TypeError message
+        ("source", '{"vertices": "01", "edges": [[0], [1]]}',
+         'error: input source: vertices must be a list of strings, got "01"'),
+        ("source", '{"vertices": ["0", ["1"]], "edges": [[0], [1]]}',
+         'error: input source: vertices entry must be a string, got ["1"]'),
+        ("channel", '{"input": ["0", "1"], "output": ["0", "1"]}',
+         "error: input channel: channel misses component 'rows'"),
+        ("channel", "[[0.97, 0.03], [0.03, 0.97]]",
+         "error: input channel: channel must be a JSON object, got a list"),
     ])
     def test_malformed_file_is_diagnosed(self, tmp_path, capsys, role, content,
                                          message):
         bad = tmp_path / "bad"
         bad.write_text(content)
-        task, argv = {
-            "code": ("derandomize", ["derandomize", "--code", str(bad),
-                                     "--out-prefix", str(tmp_path / "det")]),
-            "codebook": ("id-sim", [*ID_SIM, "--codebook", str(bad),
-                                    "--out", str(tmp_path / "sim.csv")]),
-        }[role]
+        if role in ("source", "channel"):  # the other verify inputs are well formed
+            task, (argv, _) = "verify", verify_inputs(tmp_path)
+            argv[argv.index(f"--{role}") + 1] = str(bad)
+        else:
+            task, argv = {
+                "code": ("derandomize", ["derandomize", "--code", str(bad),
+                                         "--out-prefix", str(tmp_path / "det")]),
+                "codebook": ("id-sim", [*ID_SIM, "--codebook", str(bad),
+                                        "--out", str(tmp_path / "sim.csv")]),
+            }[role]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"task": task, "inputs": {role: str(bad)}}))
         assert main(["validate", "--config", str(cfg)]) == 0

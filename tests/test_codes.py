@@ -153,8 +153,7 @@ class TestLhcToCode:
 
         cert_perm = LhcCertificate(
             edge_map=swapped_cert_map, lam=cert.lam,
-            per_vertex_success=cert.per_vertex_success, passed=True,
-            edge_bijective=True, failing_edges=(),
+            per_vertex_success=cert.per_vertex_success, failing_edges=(),
         )
         restored = lhc_to_code(cert_perm, scrambled)
         assert np.allclose(code_error_profile(restored), base, atol=1e-12)
@@ -181,8 +180,7 @@ class TestLhcToCode:
 
         cert_shift = LhcCertificate(
             edge_map=EdgeMap(3, 3, (1, 2, 0)), lam=cert.lam,
-            per_vertex_success=cert.per_vertex_success, passed=True,
-            edge_bijective=True, failing_edges=(),
+            per_vertex_success=cert.per_vertex_success, failing_edges=(),
         )
         restored = lhc_to_code(cert_shift, scrambled)
         assert np.allclose(code_error_profile(restored), base, atol=1e-12)
@@ -203,8 +201,7 @@ class TestLhcToCode:
 
         broken = LhcCertificate(
             edge_map=EdgeMap(2, 2, (0, 0)), lam=cert.lam,
-            per_vertex_success=cert.per_vertex_success, passed=True,
-            edge_bijective=False, failing_edges=(),
+            per_vertex_success=cert.per_vertex_success, failing_edges=(),
         )
         with pytest.raises(RequiresBijective):
             lhc_to_code(broken, code)

@@ -91,13 +91,15 @@ class TestRoundTrips:
         assert back.f.mapping == code.f.mapping
 
     def test_codebook_file(self, tmp_path):
-        book = gen_codebook(7, 3 / 7, 16)
-        path = tmp_path / "book.txt"
-        jsonio.write_codebook(path, book)
-        text = path.read_text()
-        assert text.startswith("# n=7 d=3\n")
-        back = jsonio.read_codebook(path)
-        assert back.words == book.words and back.dmin == book.dmin
+        for delta in (3 / 7, 0.42):  # 0.42 asks for less than dmin / n = 3 / 7
+            book = gen_codebook(7, delta, 16)
+            path = tmp_path / "book.txt"
+            jsonio.write_codebook(path, book)
+            text = path.read_text()
+            assert text.startswith("# n=7 d=3\n")
+            back = jsonio.read_codebook(path)
+            assert back.words == book.words and back.dmin == book.dmin
+            assert back == book
 
     def test_codebook_header_required(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -217,6 +219,12 @@ def branch_swap_instance_dict() -> dict:
      "per-vertex success must be a number, got true"),
     (jsonio.certificate_from_dict, lambda: CERTIFICATE, "edge_bijective", "no",
      'edge_bijective must be true or false, got "no"'),
+    # the flag is the edge map's, so a file may not claim otherwise
+    (jsonio.certificate_from_dict, lambda: CERTIFICATE, "edge_bijective", False,
+     r"edge_bijective false disagrees with edge map \[0\]"),
+    (jsonio.certificate_from_dict, lambda: CERTIFICATE, "edge_map",
+     {"source_edges": 2, "target_edges": 2, "map": [0, 0]},
+     r"edge_bijective true disagrees with edge map \[0, 0\]"),
     (jsonio.instance_from_dict, branch_swap_instance_dict, "lambda", ["0.3"],
      'lambda entry must be a number, got "0.3"'),
 ])

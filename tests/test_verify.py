@@ -258,13 +258,17 @@ class TestInferEdgeMap:
         rng = np.random.default_rng(seed)
         n_src = int(rng.integers(2, 6))
         n_tgt = int(rng.integers(2, 6))
-        k = int(rng.integers(1, min(4, n_src, n_tgt) + 1))
-        src = rand_partition(rng, Alphabet.of_size(n_src, "s"), k)
-        tgt = rand_partition(rng, Alphabet.of_size(n_tgt, "t"), k)
+        k = int(rng.integers(0, min(4, n_src, n_tgt) + 1))
+        # k = 0: no edges on either side, so the empty map and an empty profile
+        src, tgt = (rand_partition(rng, Alphabet.of_size(size, prefix), k) if k
+                    else Hypergraph(Alphabet.of_size(size, prefix), ())
+                    for size, prefix in ((n_src, "s"), (n_tgt, "t")))
         phi = rand_channel(rng, src.vertices, tgt.vertices)
         got_map, got_lam = infer_edge_map(phi, src, tgt)
         want_map, want_lam = oracles.enumerate_best_edge_map(phi, src, tgt)
-        assert max(got_lam) == pytest.approx(max(want_lam), abs=1e-12)
+        assert got_lam.shape == want_lam.shape == (k,)
+        assert max(got_lam, default=0.0) == pytest.approx(max(want_lam, default=0.0),
+                                                          abs=1e-12)
         assert got_map.mapping == want_map.mapping
 
 
