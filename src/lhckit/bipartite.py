@@ -43,18 +43,25 @@ from .verify import edge_vector, exceeds, infer_edge_map, lambda_profile, requir
 @dataclass(frozen=True, eq=False)
 class BipartiteInstance:
     """Self-contained branch-swap instance: four alphabets, four hypergraphs,
-    the per-branch channel, and the error vector under test."""
+    the per-branch channel, and the error vector under test. The second
+    factors a2 and x2 are phi's input and output alphabets."""
 
     a1: Alphabet
-    a2: Alphabet
     x1: Alphabet
-    x2: Alphabet
     hyper_h: Hypergraph  # on a1 x a2
     hyper_g: Hypergraph  # on a1 x x2
     hyper_i: Hypergraph  # on x1 x a2
     hyper_f: Hypergraph  # on x1 x x2
     phi: Channel  # a2 -> x2
     lam: np.ndarray
+
+    @property
+    def a2(self) -> Alphabet:
+        return self.phi.input
+
+    @property
+    def x2(self) -> Alphabet:
+        return self.phi.output
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +156,7 @@ def check_branch_swap(
         tensor(identity_channel(x1), phi), hyper_i, hyper_f
     )
     instance = BipartiteInstance(
-        a1=a1, a2=a2, x1=x1, x2=phi.output,
+        a1=a1, x1=x1,
         hyper_h=hyper_h, hyper_g=hyper_g, hyper_i=hyper_i, hyper_f=hyper_f,
         phi=phi, lam=lam,
     )

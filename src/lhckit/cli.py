@@ -251,8 +251,8 @@ def _run_derandomize(p: dict, inp: dict, out: dict) -> int:
     new_code = FunctionCode(enc, dec, code.f, code.channel)
     new_profile = code_error_profile(new_code)
     prefix = out["prefix"]
-    jsonio.write_json(f"{prefix}.encoder.json", jsonio.channel_to_dict(enc))
-    jsonio.write_json(f"{prefix}.decoder.json", jsonio.channel_to_dict(dec))
+    jsonio.write_channel(f"{prefix}.encoder.json", enc)
+    jsonio.write_channel(f"{prefix}.decoder.json", dec)
     ok = not exceeds(new_profile, 4.0 * lam).any()
     jsonio.write_json(f"{prefix}.report.json", {
         "input_profile": [float(x) for x in lam],

@@ -30,7 +30,8 @@ def write_json(path, payload: dict) -> None:
 
     The bytes are exactly those of ``json.dumps``, but any ``indent`` makes
     ``json`` use its pure-Python encoder, so the containers are walked here
-    and each innermost one goes to the C encoder.
+    and each innermost one goes to the C encoder. An ndarray in the payload
+    is written as its ``tolist()`` would be.
     """
     out: list[str] = []
     _encode(payload, 0, out)
@@ -38,39 +39,53 @@ def write_json(path, payload: dict) -> None:
     Path(path).write_text("".join(out), encoding="utf-8", newline="\n")
 
 
-_CONTAINERS = (list, tuple, dict)
+_CONTAINERS = (list, tuple, dict, np.ndarray)
 # Below this many entries numpy's fixed cost exceeds what formatting each
 # distinct value once saves; such matrices take the per-row C path.
 _MIN_MATRIX_ENTRIES = 64
 
 
 @functools.cache
-def _item_encoder(depth: int) -> json.JSONEncoder:
-    """C-path encoder whose item separator opens a line at ``depth``.
+def _item_encoder(depth: int):
+    """C-path ``encode`` whose item separator opens a line at ``depth``.
 
-    ``json`` uses its C encoder whenever ``indent`` is None. Strings escape
+    ``json`` uses its C encoder whenever ``indent`` is None, but builds it
+    anew on every call; here it is built once per depth. Strings escape
     their control characters, so the separator only appears between items.
+    Only innermost containers and scalars are encoded, which cannot hold a
+    cycle, so no circular-reference markers are kept.
     """
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "))
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "))
+    if json.encoder.c_make_encoder is None:
+        return encoder.encode
+    # the arguments JSONEncoder.iterencode passes, without markers
+    iterencode = json.encoder.c_make_encoder(
+        None, encoder.default, json.encoder.encode_basestring_ascii, None,
+        encoder.key_separator, encoder.item_separator, True, False, True)
+    return lambda o: "".join(iterencode(o, 0))
 
 
 def _encode(o, depth: int, out: list[str]) -> None:
     """Append the ``indent=2`` text of ``o``, which opens at ``depth``."""
+    if isinstance(o, np.ndarray):
+        if _is_float_matrix(o):
+            out.append(_matrix_text(o, depth))
+            return
+        o = o.tolist()
     if not isinstance(o, _CONTAINERS) or not o:
-        out.append(_item_encoder(depth).encode(o))  # scalars, [] and {}
+        out.append(_item_encoder(depth)(o))  # scalars, [] and {}
         return
     is_dict = isinstance(o, dict)
     inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
     values = o.values() if is_dict else o
     if not any(issubclass(t, _CONTAINERS) for t in set(map(type, values))):
-        text = _item_encoder(depth + 1).encode(o)
+        text = _item_encoder(depth + 1)(o)
         out += (text[0], inner, text[1:-1], close, text[-1])
         return
-    if not is_dict:
-        rows = _float_rows(o, depth + 1)
-        if rows is not None:
-            out += ("[", inner, rows, close, "]")
-            return
+    if (not is_dict and _is_float_rows(o)
+            and _is_float_matrix(matrix := np.array(o, dtype=np.float64))):
+        out.append(_matrix_text(matrix, depth))
+        return
     out.append("{" if is_dict else "[")
     sep = inner
     for item in sorted(o.items()) if is_dict else o:
@@ -87,38 +102,108 @@ def _key_text(key) -> str:
     """A dict key as ``json`` writes it, converted or refused by ``json`` itself."""
     if isinstance(key, str):
         return json.encoder.encode_basestring_ascii(key)
-    return _item_encoder(0).encode({key: None})[1:-len(": null}")]
+    return _item_encoder(0)({key: None})[1:-len(": null}")]
 
 
-def _float_rows(rows, depth: int) -> str | None:
-    """The rows of a finite float matrix, each distinct value formatted once.
+def _is_float_rows(rows) -> bool:
+    """Whether ``rows`` is a list of equal-length lists of plain floats with
+    at least ``_MIN_MATRIX_ENTRIES`` entries."""
+    return not (set(map(type, rows)) - {list, tuple} or len(set(map(len, rows))) != 1
+                or len(rows) * len(rows[0]) < _MIN_MATRIX_ENTRIES
+                or set(map(type, itertools.chain.from_iterable(rows))) != {float})
 
-    Returns the text between the outer brackets, or None unless ``rows`` is
-    a list of equal-length lists of plain, finite floats with at least
-    ``_MIN_MATRIX_ENTRIES`` entries. ``float.__repr__`` is what ``json``
-    writes for a finite float; an int64 view of the values keeps -0.0 apart
-    from 0.0.
+
+def _is_float_matrix(matrix: np.ndarray) -> bool:
+    """Whether ``matrix`` is a finite 2-D float64 array of at least
+    ``_MIN_MATRIX_ENTRIES`` entries, which ``_matrix_text`` writes."""
+    return (matrix.ndim == 2 and matrix.dtype == np.float64
+            and matrix.size >= _MIN_MATRIX_ENTRIES and bool(np.isfinite(matrix).all()))
+
+
+def _matrix_text(matrix: np.ndarray, depth: int) -> str:
+    """The text of a finite float matrix that opens at ``depth``, each
+    distinct value formatted once.
+
+    ``float.__repr__`` is what ``json`` writes for a finite float; an int64
+    view of the values keeps -0.0 apart from 0.0.
     """
-    if (set(map(type, rows)) - {list, tuple} or len(set(map(len, rows))) != 1
-            or len(rows) * len(rows[0]) < _MIN_MATRIX_ENTRIES
-            or set(map(type, itertools.chain.from_iterable(rows))) != {float}):
-        return None
-    matrix = np.array(rows, dtype=np.float64)
-    if not np.isfinite(matrix).all():
-        return None
     bits, index = np.unique(matrix.view(np.int64).ravel(), return_inverse=True)
     texts = np.array([float.__repr__(x) for x in bits.view(np.float64).tolist()],
                      dtype=object)
     cells = texts[index.reshape(matrix.shape)].tolist()
-    inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    close, row_close, inner = ("\n" + "  " * (depth + k) for k in range(3))
     row_sep = "," + inner
-    return ("," + close).join(
-        "[" + inner + row_sep.join(row) + close + "]" for row in cells
-    )
+    return "".join(("[", row_close, ("," + row_close).join(
+        "[" + inner + row_sep.join(row) + row_close + "]" for row in cells
+    ), close, "]"))
+
+
+# The memo rule's thresholds, measured on one pinned CPU of a 2-vCPU host.
+# Sampling a file's last _MEMO_SAMPLE_CHARS characters takes 0.01-0.04 ms.
+# A channel file of _MEMO_MIN_CHARS characters parses in 1.5 ms or more, so
+# the sample costs at most ~2% where no memo pays; smaller files (a falsify
+# dump parses in well under 0.1 ms) are not sampled.
+_MEMO_MIN_CHARS = 1 << 17
+_MEMO_SAMPLE_CHARS = 4096
+# 40k numbers: 16- and 17-digit texts take CPython's slow correctly rounded
+# path, and through a memo they parse in 0.39-0.52 of the time with 1000
+# distinct texts, 0.73-0.91 with 5000 and 0.85-1.48 with 10000. 15-digit
+# texts gain 4-6%, and texts of 8 or fewer digits at most 10% even when only
+# 8 are distinct; with 10k distinct texts those parse 1.5-3x slower.
+_SLOW_DIGITS = 16
+# A sample holds 140 items of 16-17 digit rows (up to ~200 of shorter
+# ones). Of 140, a file whose D distinct texts are spread evenly shows about
+# D (1 - exp(-140 / D)) distinct ones: 34 at D = 35, 91 at D = 150, 131 at
+# D = 1000. At most a quarter distinct thus means about 35 distinct texts
+# or fewer, far inside the range where a memo pays.
+_MEMO_MAX_DISTINCT_SHARE = 1 / 4
+# A slow text parses in the time of three to five short ones, so where at
+# least half of the distinct texts are slow, most of the parse time is theirs.
+_MEMO_MIN_SLOW_SHARE = 1 / 2
+_NUMBER_TEXT = re.compile(r"-?(\d+)(?:\.(\d+))?(?:[eE][-+]?\d+)?")
+
+
+class _FloatMemo(dict):
+    """The float of each number text, parsed the first time it is seen."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
+def _parse_float(text: str):
+    """A ``parse_float`` for ``json.loads(text)``: a memo's lookup where the
+    file's float texts repeat and are slow to parse, else None.
+
+    The comma-separated items of the last ``_MEMO_SAMPLE_CHARS`` characters
+    stand for the file; a channel's ``rows`` sort last. The memo is used
+    where few of the sampled items are distinct and most distinct ones are
+    numbers of ``_SLOW_DIGITS`` or more significant digits: a 9 x 4096 BSC
+    pair channel (23 distinct texts) then parses 3x faster, while a dense
+    channel (every text distinct) would parse 2x slower. ``float`` is what
+    ``json`` calls by default, so every value keeps its bits.
+    """
+    if len(text) < _MEMO_MIN_CHARS:
+        return None
+    sample = text[-_MEMO_SAMPLE_CHARS:].split(",")[1:]  # the first may be cut
+    distinct = set(sample)
+    if not 0 < len(distinct) <= _MEMO_MAX_DISTINCT_SHARE * len(sample):
+        return None
+    slow = 0
+    for item in distinct:
+        number = _NUMBER_TEXT.fullmatch(item.strip(" \n[]{}"))
+        if number and len("".join(number.groups("")).lstrip("0")) >= _SLOW_DIGITS:
+            slow += 1
+    return (_FloatMemo().__getitem__ if slow >= _MEMO_MIN_SLOW_SHARE * len(distinct)
+            else None)
 
 
 def read_json(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """The value ``json.loads`` reads from the file at ``path``."""
+    text = Path(path).read_text(encoding="utf-8")
+    parse_float = _parse_float(text)
+    return json.loads(text) if parse_float is None else json.loads(
+        text, parse_float=parse_float)
 
 
 def _text(value) -> str:
@@ -160,22 +245,45 @@ def _alphabet(labels, what: str) -> Alphabet:
     return Alphabet(tuple(labels))
 
 
+def _list(value, what: str) -> list:
+    """``value`` if it is a JSON list; anything else raises ShapeError."""
+    if not isinstance(value, list):
+        raise ShapeError(f"{what}: expected a list, got {_text(value)}")
+    return value
+
+
 def _numbers(values, what: str, null: bool = False) -> np.ndarray:
     """A float array read from a JSON list of numbers, or a list of such lists.
 
     ``np.array(values, dtype=float)`` would turn true into 1.0 and "0.25"
     into 0.25, so every entry must be a JSON int or float (or null, read as
     NaN, where ``null`` is set); anything else raises ShapeError naming the
-    first offending entry.
+    first offending entry, and so do rows of unequal length.
+
+    numpy finds the dtype: a 1-D or 2-D float64 or int64 array holds only
+    numbers, up to a true or false read as 1 or 0. Only a list that gives
+    another array, or an exact 0 or 1, has its entries' types checked.
     """
-    if not isinstance(values, list):
-        raise ShapeError(f"{what}: expected a list, got {_text(values)}")
+    _list(values, what)
+    try:
+        array = np.array(values)
+    except (ValueError, TypeError, OverflowError):  # ragged rows, among others
+        array = None
+    numeric = (array is not None and array.ndim in (1, 2)
+               and array.dtype in (np.float64, np.int64))
+    if numeric and not np.count_nonzero((array == 0) | (array == 1)):
+        return array.astype(np.float64, copy=False)
     nested = set(map(type, values)) == {list}
     entries = list(itertools.chain.from_iterable(values)) if nested else values
     allowed = {int, float, type(None)} if null else {int, float}
     if not set(map(type, entries)) <= allowed:
         bad = next(x for x in entries if type(x) not in allowed)
         raise ShapeError(f"{what} must be a number, got {_text(bad)}")
+    if numeric:
+        return array.astype(np.float64, copy=False)
+    if nested and len(lengths := sorted(set(map(len, values)))) > 1:
+        raise ShapeError(f"{what}: expected rows of equal length, got lengths "
+                         f"{lengths[0]} and {lengths[-1]}")
     return np.array([np.nan if x is None else x for x in values] if null else values,
                     dtype=np.float64)
 
@@ -194,7 +302,8 @@ def hypergraph_from_dict(d: dict) -> Hypergraph:
     _require(d, "hypergraph", "vertices", "edges")
     return Hypergraph(
         _alphabet(d["vertices"], "vertices"),
-        tuple(tuple(_index(v, "vertex index") for v in e) for e in d["edges"]),
+        tuple(tuple(_index(v, "vertex index") for v in _list(e, "edge"))
+              for e in _list(d["edges"], "edges")),
     )
 
 
@@ -214,7 +323,7 @@ def function_table_from_dict(d: dict) -> FunctionTable:
     return FunctionTable(
         _alphabet(d["domain"], "domain"),
         _alphabet(d["codomain"], "codomain"),
-        tuple(_index(i, "function value index") for i in d["map"]),
+        tuple(_index(i, "function value index") for i in _list(d["map"], "map")),
     )
 
 
@@ -227,6 +336,13 @@ def channel_to_dict(c: Channel) -> dict:
         "output": list(c.output.labels),
         "rows": c.rows.tolist(),
     }
+
+
+def write_channel(path, c: Channel) -> None:
+    """Write ``channel_to_dict(c)`` as ``write_json`` does, the rows straight
+    from the array."""
+    write_json(path, {"input": list(c.input.labels), "output": list(c.output.labels),
+                      "rows": c.rows})
 
 
 def channel_from_dict(d: dict) -> Channel:
@@ -254,7 +370,7 @@ def edge_map_from_dict(d: dict) -> EdgeMap:
     return EdgeMap(
         _index(d["source_edges"], "source edge count"),
         _index(d["target_edges"], "target edge count"),
-        tuple(_index(i, "edge map entry") for i in d["map"]),
+        tuple(_index(i, "edge map entry") for i in _list(d["map"], "map")),
     )
 
 
@@ -285,7 +401,8 @@ def certificate_from_dict(d: dict) -> LhcCertificate:
     verdict = d["verdict"]
     if verdict not in ("pass", "fail"):
         raise ShapeError(f'verdict must be "pass" or "fail", got {_text(verdict)}')
-    failing = tuple(_index(e, "failing edge") for e in d["failing_edges"])
+    failing = tuple(_index(e, "failing edge")
+                    for e in _list(d["failing_edges"], "failing_edges"))
     if (verdict == "pass") == bool(failing):  # verify_lhc passes exactly when none fail
         raise ShapeError(f"verdict {_text(verdict)} disagrees with failing edges "
                          f"{_text(list(failing))}")
@@ -309,15 +426,12 @@ def write_code_bundle(path, code: FunctionCode, prefix: str | None = None) -> No
     """Write the four components next to the bundle file, referenced by name."""
     path = Path(path)
     stem = prefix if prefix is not None else path.stem
-    parts = {
-        "encoder": (f"{stem}.encoder.json", channel_to_dict(code.encoder)),
-        "decoder": (f"{stem}.decoder.json", channel_to_dict(code.decoder)),
-        "function": (f"{stem}.function.json", function_table_to_dict(code.f)),
-        "channel": (f"{stem}.channel.json", channel_to_dict(code.channel)),
-    }
-    for name, payload in parts.values():
-        write_json(path.parent / name, payload)
-    write_json(path, {key: name for key, (name, _) in parts.items()})
+    names = {key: f"{stem}.{key}.json"
+             for key in ("encoder", "decoder", "function", "channel")}
+    for key in ("encoder", "decoder", "channel"):
+        write_channel(path.parent / names[key], getattr(code, key))
+    write_json(path.parent / names["function"], function_table_to_dict(code.f))
+    write_json(path, names)
 
 
 def read_code_bundle(path) -> FunctionCode:
@@ -370,18 +484,23 @@ def instance_to_dict(inst: BipartiteInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> BipartiteInstance:
+    """The instance a file describes; its a2 and x2 are phi's input and
+    output alphabets, so both must agree with phi."""
     _require(d, "branch-swap instance", "a1", "a2", "x1", "x2", "hyper_h",
              "hyper_g", "hyper_i", "hyper_f", "phi", "lambda")
+    phi = channel_from_dict(d["phi"])
+    for key, side, alphabet in (("a2", "input", phi.input), ("x2", "output", phi.output)):
+        if _alphabet(d[key], key) != alphabet:
+            raise ShapeError(f"{key} {_text(d[key])} disagrees with phi {side} "
+                             f"{_text(list(alphabet.labels))}")
     return BipartiteInstance(
         a1=_alphabet(d["a1"], "a1"),
-        a2=_alphabet(d["a2"], "a2"),
         x1=_alphabet(d["x1"], "x1"),
-        x2=_alphabet(d["x2"], "x2"),
         hyper_h=hypergraph_from_dict(d["hyper_h"]),
         hyper_g=hypergraph_from_dict(d["hyper_g"]),
         hyper_i=hypergraph_from_dict(d["hyper_i"]),
         hyper_f=hypergraph_from_dict(d["hyper_f"]),
-        phi=channel_from_dict(d["phi"]),
+        phi=phi,
         lam=_numbers(d["lambda"], "lambda entry"),
     )
 

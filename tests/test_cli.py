@@ -490,6 +490,12 @@ class TestLoaderPaths:
          "error: input channel: channel misses component 'rows'"),
         ("channel", "[[0.97, 0.03], [0.03, 0.97]]",
          "error: input channel: channel must be a JSON object, got a list"),
+        ("source", '{"vertices": ["0", "1"], "edges": 5}',
+         "error: input source: edges: expected a list, got 5"),
+        ("channel", '{"input": ["0", "1"], "output": ["0", "1"], '
+                    '"rows": [[0.97, 0.03], [1.0]]}',
+         "error: input channel: channel entry: expected rows of equal length, "
+         "got lengths 1 and 2"),
     ])
     def test_malformed_file_is_diagnosed(self, tmp_path, capsys, role, content,
                                          message):

@@ -1,6 +1,7 @@
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from lhckit import (
     FunctionCode,
     FunctionTable,
     code_to_lhc,
+    bsc_id,
     gen_codebook,
     identity_channel,
     jsonio,
@@ -204,6 +206,11 @@ def branch_swap_instance_dict() -> dict:
     return jsonio.instance_to_dict(check_branch_swap(phi, h, g, i, f, lam).instance)
 
 
+HYPERGRAPH = {"vertices": ["a", "b"], "edges": [[0], [1]]}
+FUNCTION_TABLE = {"domain": ["a", "b"], "codomain": ["0", "1"], "map": [0, 1]}
+EDGE_MAP = {"source_edges": 2, "target_edges": 2, "map": [1, 0]}
+
+
 @pytest.mark.parametrize("load, base, key, value, text", [
     (jsonio.channel_from_dict, lambda: CHANNEL, "rows",
      [[True, False], ["0.25", "0.75"]], "channel entry must be a number, got true"),
@@ -227,6 +234,26 @@ def branch_swap_instance_dict() -> dict:
      r"edge_bijective true disagrees with edge map \[0, 0\]"),
     (jsonio.instance_from_dict, branch_swap_instance_dict, "lambda", ["0.3"],
      'lambda entry must be a number, got "0.3"'),
+    # a2 and x2 are phi's alphabets, so a file may not name others
+    (jsonio.instance_from_dict, branch_swap_instance_dict, "a2", ["zz0"],
+     r'^a2 \["zz0"\] disagrees with phi input \["b0"\]$'),
+    (jsonio.instance_from_dict, branch_swap_instance_dict, "x2", ["v0", "v1"],
+     r'^x2 \["v0", "v1"\] disagrees with phi output \["v0"\]$'),
+    # each raised a bare TypeError or numpy's ValueError
+    (jsonio.hypergraph_from_dict, lambda: HYPERGRAPH, "edges", 5,
+     "^edges: expected a list, got 5$"),
+    (jsonio.hypergraph_from_dict, lambda: HYPERGRAPH, "edges", [[0], 1],
+     "^edge: expected a list, got 1$"),
+    (jsonio.function_table_from_dict, lambda: FUNCTION_TABLE, "map", "01",
+     '^map: expected a list, got "01"$'),
+    (jsonio.edge_map_from_dict, lambda: EDGE_MAP, "map", {"0": 1},
+     r'^map: expected a list, got \{"0": 1\}$'),
+    (jsonio.certificate_from_dict, lambda: CERTIFICATE, "failing_edges", 0,
+     "^failing_edges: expected a list, got 0$"),
+    (jsonio.channel_from_dict, lambda: CHANNEL, "rows", [[0.75, 0.25], [1]],
+     "^channel entry: expected rows of equal length, got lengths 1 and 2$"),
+    (jsonio.channel_from_dict, lambda: CHANNEL, "rows", [[0.75, 0.25, 0.0], [0, 1]],
+     "^channel entry: expected rows of equal length, got lengths 2 and 3$"),
 ])
 def test_loaders_accept_only_numbers(load, base, key, value, text):
     """np.array(..., dtype=float) would read true as 1.0 and "0.25" as 0.25."""
@@ -289,3 +316,96 @@ class TestWriters:
         path = tmp_path / "t.csv"
         jsonio.write_csv(path, ["a", "b", "c"], [[np.float64(0.5), 0.1, 3]])
         assert path.read_text() == "a,b,c\n0.5,0.1,3\n"
+
+
+# -- channel files --------------------------------------------------------------
+
+# texts of 16-17 significant digits, which CPython parses on its slow path
+LONG_TEXTS = [0.1 + 0.2, 2.052623858367325e-05, 5.555920409999998e-16, 1 / 3]
+# one pool of entry values per kind of channel file
+value_pools = st.one_of(
+    st.lists(st.floats(0, 1), min_size=1, max_size=200),  # dense, mostly distinct
+    st.just([0.05 / 256, 0.95 + 0.05 / 256]),  # sharp
+    st.lists(st.sampled_from(LONG_TEXTS), min_size=1, max_size=4),  # few long texts
+    st.lists(st.sampled_from([*LONG_TEXTS, 0.0, -0.0, 5e-324, 1.0, 0, 1, 3]),
+             min_size=1, max_size=6),  # ints and signed zeros mixed in
+)
+# 63, 64 and 65 entries sit around the writer's _MIN_MATRIX_ENTRIES
+shapes = st.one_of(st.sampled_from([(1, 63), (63, 1), (7, 9), (1, 64), (8, 8), (1, 65),
+                                    (5, 13)]),
+                   st.tuples(st.integers(1, 12), st.integers(1, 12)))
+channel_rows = st.tuples(shapes, value_pools, st.randoms(use_true_random=False)).map(
+    lambda t: [[t[2].choice(t[1]) for _ in range(t[0][1])] for _ in range(t[0][0])])
+
+
+def typed_hex(rows):
+    """Each entry with its type, a float by its exact bits."""
+    return [[(type(x), float.hex(x) if isinstance(x, float) else x) for x in row]
+            for row in rows]
+
+
+class TestChannelFiles:
+    @given(channel_rows)
+    @example([[0.0, -0.0, 5e-324, 1, 0.1 + 0.2] * 13])
+    @settings(max_examples=150, deadline=None)
+    def test_read_json_gives_the_values_of_json_loads(self, tmp_path_factory, rows):
+        """Parsing each distinct number text once keeps every type and bit."""
+        path = tmp_path_factory.getbasetemp() / "rows.json"
+        jsonio.write_json(path, {"rows": rows})
+        expected = typed_hex(json.loads(path.read_text())["rows"])
+        for parse_float in (lambda text: None,
+                            lambda text: jsonio._FloatMemo().__getitem__):
+            with mock.patch.object(jsonio, "_parse_float", parse_float):
+                assert typed_hex(jsonio.read_json(path)["rows"]) == expected
+
+    @given(channel_rows, st.sampled_from([float("nan"), float("inf"), None]))
+    @example([[0.5, -0.0]] * 40, None)
+    @example([[0.0, -0.0] * 4] * 8, None)
+    @example([[1.0]], float("nan"))
+    @settings(max_examples=150, deadline=None)
+    def test_array_rows_write_the_bytes_of_their_list(self, tmp_path_factory, rows,
+                                                      special):
+        """``write_json`` writes an ndarray as ``json.dumps`` writes its tolist()."""
+        matrix = np.array(rows, dtype=np.float64)
+        if special is not None:
+            matrix[-1, -1] = special
+        path = tmp_path_factory.getbasetemp() / "array.json"
+        for array in (matrix, matrix.T, matrix[None],
+                      matrix.astype(np.int64) if special is None else matrix[0]):
+            for wrap in (lambda x: {"input": ["a"], "rows": x}, lambda x: {"rows": x},
+                         lambda x: {"a": [x, 0.5]}):
+                jsonio.write_json(path, wrap(array))
+                expected = json.dumps(wrap(array.tolist()), indent=2, sort_keys=True)
+                assert path.read_bytes() == (expected + "\n").encode("ascii")
+
+    @given(st.lists(st.lists(st.sampled_from([0, 1, 0.0, 1.0]), min_size=4, max_size=4),
+                    min_size=1, max_size=20),
+           st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_a_bool_among_zeros_and_ones_is_refused(self, rows, flag, rnd):
+        """numpy reads true as 1, so an array of 0s and 1s has its types checked."""
+        rows[rnd.randrange(len(rows))][rnd.randrange(4)] = flag
+        labels = [str(i) for i in range(len(rows))]
+        with pytest.raises(ShapeError, match=f"^channel entry must be a number, "
+                                             f"got {json.dumps(flag)}$"):
+            jsonio.channel_from_dict({"input": labels, "output": ["0", "1", "2", "3"],
+                                      "rows": rows})
+
+    def test_memo_only_for_long_files_of_few_slow_texts(self, tmp_path):
+        """The rule decides from the file: the 23 distinct 16-17 digit texts
+        of a BSC pair channel are parsed once each; dense texts, texts of 15
+        or fewer digits and small files are parsed as ``json`` does."""
+        rng = np.random.default_rng(5)
+        sharp = np.full((128, 128), 0.05 / 128)
+        sharp[np.arange(128), rng.permutation(128)] += 0.95
+        few = rng.integers(4, size=(128, 128))
+        for rows, memo in (
+                (bsc_id.restricted_pair_channel(gen_codebook(5, 0.5, 3), 0.03).rows, True),
+                (bsc_id.restricted_pair_channel(gen_codebook(3, 0.5, 3), 0.03).rows, False),
+                (rng.dirichlet(np.ones(128), size=128), False),
+                (sharp, False),
+                (np.array([0.1 + 0.2, 1 / 3, 2 / 3, 0.7 / 3])[few], True),
+                (np.array([0.123456789012345, 0.5, 0.25, 2e-05])[few], False)):
+            path = tmp_path / "rows.json"
+            jsonio.write_json(path, {"rows": rows})
+            assert (jsonio._parse_float(path.read_text()) is not None) == memo
