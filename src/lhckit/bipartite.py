@@ -13,7 +13,8 @@ their sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,18 +43,26 @@ from .verify import edge_vector, exceeds, infer_edge_map, lambda_profile, requir
 
 @dataclass(frozen=True, eq=False)
 class BipartiteInstance:
-    """Self-contained branch-swap instance: four alphabets, four hypergraphs,
-    the per-branch channel, and the error vector under test. The second
-    factors a2 and x2 are phi's input and output alphabets."""
+    """Self-contained branch-swap instance: four hypergraphs, the per-branch
+    channel, and the error vector under test. Its alphabets are derived: a2
+    and x2 are phi's input and output, and a1 and x1 are the first factors
+    of hyper_h's and hyper_i's vertex alphabets (ShapeError if either is no
+    product with a2)."""
 
-    a1: Alphabet
-    x1: Alphabet
     hyper_h: Hypergraph  # on a1 x a2
     hyper_g: Hypergraph  # on a1 x x2
     hyper_i: Hypergraph  # on x1 x a2
     hyper_f: Hypergraph  # on x1 x x2
     phi: Channel  # a2 -> x2
     lam: np.ndarray
+
+    @property
+    def a1(self) -> Alphabet:
+        return split_product_alphabet(self.hyper_h.vertices, self.a2)
+
+    @property
+    def x1(self) -> Alphabet:
+        return split_product_alphabet(self.hyper_i.vertices, self.a2)
 
     @property
     def a2(self) -> Alphabet:
@@ -66,15 +75,22 @@ class BipartiteInstance:
 
 @dataclass(frozen=True, eq=False)
 class BranchSwapReport:
-    """Direct verification of hypothesis and conclusion of the branch swap."""
+    """Direct verification of hypothesis and conclusion of the branch swap;
+    each side holds when its profile stays within the instance's lam."""
 
-    hypothesis_holds: bool
-    conclusion_holds: bool
     hypothesis_map: EdgeMap
     conclusion_map: EdgeMap
     hypothesis_profile: np.ndarray
     conclusion_profile: np.ndarray
     instance: BipartiteInstance
+
+    @cached_property
+    def hypothesis_holds(self) -> bool:
+        return not exceeds(self.hypothesis_profile, self.instance.lam).any()
+
+    @cached_property
+    def conclusion_holds(self) -> bool:
+        return not exceeds(self.conclusion_profile, self.instance.lam).any()
 
     @property
     def is_counterexample(self) -> bool:
@@ -140,35 +156,19 @@ def check_branch_swap(
     count; only hyper_h against hyper_i is compared here, since lam is
     indexed by the edges of both.
     """
-    a2 = phi.input
-    a1 = split_product_alphabet(hyper_h.vertices, a2)
-    x1 = split_product_alphabet(hyper_i.vertices, a2)
     if hyper_i.edge_count != hyper_h.edge_count:
         raise EdgeCountMismatch(
             f"{hyper_h.edge_count} hyper_h edges vs {hyper_i.edge_count} hyper_i edges"
         )
-    lam = edge_vector(lam, hyper_h.edge_count, "lam")
-
+    instance = BipartiteInstance(hyper_h, hyper_g, hyper_i, hyper_f, phi,
+                                 edge_vector(lam, hyper_h.edge_count, "lam"))
     hyp_map, hyp_profile = infer_edge_map(
-        tensor(identity_channel(a1), phi), hyper_h, hyper_g
+        tensor(identity_channel(instance.a1), phi), hyper_h, hyper_g
     )
     conc_map, conc_profile = infer_edge_map(
-        tensor(identity_channel(x1), phi), hyper_i, hyper_f
+        tensor(identity_channel(instance.x1), phi), hyper_i, hyper_f
     )
-    instance = BipartiteInstance(
-        a1=a1, x1=x1,
-        hyper_h=hyper_h, hyper_g=hyper_g, hyper_i=hyper_i, hyper_f=hyper_f,
-        phi=phi, lam=lam,
-    )
-    return BranchSwapReport(
-        hypothesis_holds=not exceeds(hyp_profile, lam).any(),
-        conclusion_holds=not exceeds(conc_profile, lam).any(),
-        hypothesis_map=hyp_map,
-        conclusion_map=conc_map,
-        hypothesis_profile=hyp_profile,
-        conclusion_profile=conc_profile,
-        instance=instance,
-    )
+    return BranchSwapReport(hyp_map, conc_map, hyp_profile, conc_profile, instance)
 
 
 def assemble_id_code(
@@ -280,8 +280,7 @@ class HarnessSummary:
     trials: int
     hypothesis_held: int
     conclusion_held: int
-    counterexamples: tuple[BranchSwapReport, ...] = field(default=())
-    seed: int = 0
+    counterexamples: tuple[BranchSwapReport, ...]
 
 
 def random_partition(rng: np.random.Generator, alphabet: Alphabet,
@@ -305,7 +304,7 @@ def random_channel(rng: np.random.Generator, inp: Alphabet, out: Alphabet,
     else:
         rows = rng.dirichlet(np.ones(out.size), size=inp.size)
     rows = rows / rows.sum(axis=1, keepdims=True)
-    return Channel(inp, out, rows)
+    return Channel(inp, out, channel._frozen(rows))
 
 
 def random_branch_swap_instance(
@@ -363,10 +362,4 @@ def run_branch_swap_harness(
         conclusion_held += report.conclusion_holds
         if report.is_counterexample:
             counterexamples.append(report)
-    return HarnessSummary(
-        trials=trials,
-        hypothesis_held=hypothesis_held,
-        conclusion_held=conclusion_held,
-        counterexamples=tuple(counterexamples),
-        seed=seed,
-    )
+    return HarnessSummary(trials, hypothesis_held, conclusion_held, tuple(counterexamples))

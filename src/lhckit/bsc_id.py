@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel
-from .channel import Channel, _check_entries, named_rng
+from .channel import Channel, _check_entries, _frozen, named_rng
 from .errors import (
     CapacityError,
     EmptyBlock,
@@ -298,6 +298,12 @@ def gilbert_varshamov_bound(n: int, dmin: int) -> int:
     return (1 << n) // ball
 
 
+def _require_count(value, what: str) -> None:
+    """Raise RangeError unless value is an integer >= 1; a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise RangeError(f"{what} {value!r} is not an integer >= 1")
+
+
 def gen_codebook(
     n: int,
     delta: float,
@@ -312,6 +318,7 @@ def gen_codebook(
     """
     if m < 1:
         raise RangeError(f"codebook size {m} must be at least 1")
+    _require_count(m, "codebook size")
     dmin = math.ceil(n * delta)
     if dmin < 1:
         raise RangeError("minimum distance must be at least 1 bit")
@@ -443,7 +450,7 @@ def restricted_pair_channel(codebook: Codebook, gamma: float) -> Channel:
     rows = (single[:, None, :, None] * single[None, :, None, :]).reshape(m * m, -1)
     full = word_alphabet(n)
     cw = Alphabet(codebook.words)
-    return Channel(cw.product(cw), full.product(full), rows)
+    return Channel(cw.product(cw), full.product(full), _frozen(rows))
 
 
 def pair_distance_table(n: int) -> np.ndarray:
@@ -595,8 +602,8 @@ def monte_carlo_id(
     """
     if trials < 1:
         raise RangeError("need at least one trial")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise RangeError(f"worker count {workers!r} is not an integer >= 1")
+    _require_count(trials, "trial count")
+    _require_count(workers, "worker count")
     if codebook.size < 2:
         raise ShapeError("distinct-message trials need at least two codewords")
     n = codebook.n

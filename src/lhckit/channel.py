@@ -27,7 +27,11 @@ DEFAULT_PRODUCT_CAP = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """Stochastic map between finite alphabets; rows[x, y] = Pr(output y | input x)."""
+    """Stochastic map between finite alphabets; rows[x, y] = Pr(output y | input x).
+
+    The channel's rows are read-only. It copies a float64 array, or a view,
+    that its caller can still write, and keeps a read-only one as is.
+    """
 
     input: Alphabet
     output: Alphabet
@@ -35,6 +39,9 @@ class Channel:
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
+        # a writable array that is not new here may still be written by the caller
+        if rows.flags.writeable and (rows is self.rows or rows.base is not None):
+            rows = rows.copy()
         if rows.shape != (self.input.size, self.output.size):
             raise ShapeError(
                 f"rows shape {rows.shape} does not match alphabets "
@@ -61,15 +68,21 @@ class Channel:
         return bool(np.all(self.rows.max(axis=1) >= 1.0 - ROW_SUM_TOL))
 
 
+def _frozen(rows: np.ndarray) -> np.ndarray:
+    """rows made read-only, which a channel keeps without a copy."""
+    rows.setflags(write=False)
+    return rows
+
+
 def deterministic_channel(f: FunctionTable) -> Channel:
     """Channel placing all mass on f(a) for each input a."""
     rows = np.zeros((f.domain.size, f.codomain.size))
     rows[np.arange(f.domain.size), list(f.mapping)] = 1.0
-    return Channel(f.domain, f.codomain, rows)
+    return Channel(f.domain, f.codomain, _frozen(rows))
 
 
 def identity_channel(alphabet: Alphabet) -> Channel:
-    return Channel(alphabet, alphabet, np.eye(alphabet.size))
+    return Channel(alphabet, alphabet, _frozen(np.eye(alphabet.size)))
 
 
 def bsc(gamma: float) -> Channel:
@@ -84,7 +97,8 @@ def compose(first: Channel, second: Channel) -> Channel:
     if first.output.labels != second.input.labels:
         raise ShapeError("output alphabet of first must equal input alphabet of second")
     rows = first.rows @ second.rows
-    return Channel(first.input, second.output, np.clip(rows, 0.0, 1.0))
+    np.clip(rows, 0.0, 1.0, out=rows)
+    return Channel(first.input, second.output, _frozen(rows))
 
 
 def _check_entries(in_size: int, out_size: int) -> None:
@@ -103,7 +117,7 @@ def tensor(phi1: Channel, phi2: Channel) -> Channel:
     return Channel(
         phi1.input.product(phi2.input),
         phi1.output.product(phi2.output),
-        np.kron(phi1.rows, phi2.rows),
+        _frozen(np.kron(phi1.rows, phi2.rows)),
     )
 
 

@@ -327,7 +327,7 @@ def _run_falsify(p: dict, inp: dict, out: dict) -> int:
     dumps = [jsonio.counterexample_to_dict(r) for r in summary.counterexamples]
     jsonio.write_json(out["dumps"], {
         "trials": summary.trials,
-        "seed": summary.seed,
+        "seed": p["seed"],
         "hypothesis_held": summary.hypothesis_held,
         "conclusion_held": summary.conclusion_held,
         "counterexamples": dumps,

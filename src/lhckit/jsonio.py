@@ -18,7 +18,7 @@ import numpy as np
 
 from .bipartite import BipartiteInstance, BranchSwapReport
 from .bsc_id import Codebook
-from .channel import Channel
+from .channel import Channel, _frozen
 from .codes import FunctionCode
 from .errors import ShapeError
 from .hypergraph import Alphabet, EdgeMap, FunctionTable, Hypergraph
@@ -350,7 +350,7 @@ def channel_from_dict(d: dict) -> Channel:
     return Channel(
         _alphabet(d["input"], "input"),
         _alphabet(d["output"], "output"),
-        _numbers(d["rows"], "channel entry"),
+        _frozen(_numbers(d["rows"], "channel entry")),
     )
 
 
@@ -484,25 +484,27 @@ def instance_to_dict(inst: BipartiteInstance) -> dict:
 
 
 def instance_from_dict(d: dict) -> BipartiteInstance:
-    """The instance a file describes; its a2 and x2 are phi's input and
-    output alphabets, so both must agree with phi."""
+    """The instance a file describes. Its a1, a2, x1 and x2 restate the
+    alphabets the instance derives from hyper_h, phi and hyper_i, so each
+    must agree with them, and hyper_h and hyper_i must be products with
+    phi's input."""
     _require(d, "branch-swap instance", "a1", "a2", "x1", "x2", "hyper_h",
              "hyper_g", "hyper_i", "hyper_f", "phi", "lambda")
-    phi = channel_from_dict(d["phi"])
-    for key, side, alphabet in (("a2", "input", phi.input), ("x2", "output", phi.output)):
+    inst = BipartiteInstance(
+        *(hypergraph_from_dict(d[f"hyper_{side}"]) for side in "hgif"),
+        channel_from_dict(d["phi"]), _numbers(d["lambda"], "lambda entry"))
+    for key, source, part in (("a1", "hyper_h", "first factor"), ("a2", "phi", "input"),
+                              ("x1", "hyper_i", "first factor"), ("x2", "phi", "output")):
+        try:
+            alphabet = getattr(inst, key)
+        except ShapeError:  # split_product_alphabet, for a1 or x1
+            labels = getattr(inst, source).vertices.labels
+            raise ShapeError(f"{source} vertices {_text(list(labels))} are no product "
+                             f"with phi input {_text(list(inst.a2.labels))}") from None
         if _alphabet(d[key], key) != alphabet:
-            raise ShapeError(f"{key} {_text(d[key])} disagrees with phi {side} "
+            raise ShapeError(f"{key} {_text(d[key])} disagrees with {source} {part} "
                              f"{_text(list(alphabet.labels))}")
-    return BipartiteInstance(
-        a1=_alphabet(d["a1"], "a1"),
-        x1=_alphabet(d["x1"], "x1"),
-        hyper_h=hypergraph_from_dict(d["hyper_h"]),
-        hyper_g=hypergraph_from_dict(d["hyper_g"]),
-        hyper_i=hypergraph_from_dict(d["hyper_i"]),
-        hyper_f=hypergraph_from_dict(d["hyper_f"]),
-        phi=phi,
-        lam=_numbers(d["lambda"], "lambda entry"),
-    )
+    return inst
 
 
 def counterexample_to_dict(report: BranchSwapReport) -> dict:

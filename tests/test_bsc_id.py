@@ -596,12 +596,24 @@ class TestMonteCarlo:
                              workers=workers)
         assert (est.false_rejects, est.false_accepts) == tallies
 
-    @pytest.mark.parametrize("workers", [0, -2, 2.5, "2"])
+    @pytest.mark.parametrize("workers", [0, -2, 2.5, "2", True])
     def test_worker_count_must_be_an_integer_of_at_least_one(self, workers):
         book = gen_codebook(16, 0.5, 4)
         with pytest.raises(RangeError) as info:
             monte_carlo_id(book, 0.05, 0.3, 100, workers=workers)
         assert str(info.value) == f"worker count {workers!r} is not an integer >= 1"
+
+    # 2.5 words gave a 128-word codebook, 100.0 trials a bare TypeError from
+    # range, and True ran one trial
+    @pytest.mark.parametrize("run, text", [
+        (lambda book: gen_codebook(8, 0.25, 2.5), "codebook size 2.5"),
+        (lambda book: monte_carlo_id(book, 0.03, 0.3, 100.0), "trial count 100.0"),
+        (lambda book: monte_carlo_id(book, 0.03, 0.3, True), "trial count True"),
+    ], ids=["codebook-size", "float-trials", "bool-trials"])
+    def test_count_must_be_an_integer(self, run, text):
+        book = gen_codebook(16, 0.5, 4)
+        with pytest.raises(RangeError, match=f"^{text} is not an integer >= 1$"):
+            run(book)
 
     def test_interval_guard_at_zero(self):
         book = gen_codebook(16, 0.5, 2)

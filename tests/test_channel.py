@@ -66,6 +66,21 @@ class TestConstructors:
             Channel(BITS, BITS, np.array([[0.5, 0.5 + 1e-6], [0.5, 0.5]]))
 
 
+    def test_caller_array_stays_writable(self):
+        """Channel used to freeze the float64 array it was handed."""
+        from lhckit import Channel
+
+        rows = np.eye(2)
+        # the array itself, or a buffer that numpy reads as a view of it
+        for handed in (rows, memoryview(rows)):
+            ch = Channel(BITS, BITS, handed)
+            rows[0, 0] = 0.5
+            assert rows.flags.writeable and not ch.rows.flags.writeable
+            assert np.array_equal(ch.rows, np.eye(2))
+            rows[0, 0] = 1.0
+        # a read-only array is kept without a copy
+        assert Channel(BITS, BITS, ch.rows).rows is ch.rows
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_names_its_row(self, value):
         from lhckit import Channel

@@ -59,6 +59,36 @@ class TestDecompose:
         assert jsonio.edge_map_from_dict(d["edge_map"]) == ID2
         assert d["lambda"] == [0.095]
 
+    def test_overlapping_blocks_raise_with_the_instance(self, tmp_path):
+        """At kappa 0.9, outside decompose's hypotheses, gamma's one row
+        [0.5, 0.5] hits both singleton target edges above 1 - kappa, so both
+        blocks hold its symbol; the error's instance is written to a file
+        and reads back as it was given."""
+        from lhckit import Alphabet, Channel, jsonio
+        from lhckit.decomposition import _split
+        from lhckit.errors import DecompositionFailure
+
+        source = complete_1_uniform(Alphabet(("s0", "s1")))
+        phi = Channel(source.vertices, Alphabet(("m",)), np.ones((2, 1)))
+        gamma = Channel(phi.output, BITS, np.array([[0.5, 0.5]]))
+        swap = EdgeMap(2, 2, (1, 0))
+        with pytest.raises(DecompositionFailure,
+                           match="^blocks 0 and 1 overlap at symbol 0 despite") as info:
+            _split(phi, gamma, source, BITS1, swap, np.full(2, 0.9),
+                   np.array([0.4, 0.3]), np.array([0.2, 0.1]))
+        path = tmp_path / "instance.json"
+        jsonio.write_json(path, info.value.instance)
+        back = jsonio.read_json(path)
+        for key, given_channel in (("phi", phi), ("gamma", gamma)):
+            read = jsonio.channel_from_dict(back[key])
+            assert (read.input, read.output) == (given_channel.input, given_channel.output)
+            assert np.array_equal(read.rows, given_channel.rows)
+        assert jsonio.hypergraph_from_dict(back["source"]) == source
+        assert jsonio.hypergraph_from_dict(back["target"]) == BITS1
+        assert jsonio.edge_map_from_dict(back["edge_map"]) == swap
+        assert (back["kappa"], back["mu"], back["lambda"]) == ([0.9, 0.9], [0.4, 0.3],
+                                                               [0.2, 0.1])
+
     def test_two_noisy_stages(self):
         result = decompose(bsc(0.05), bsc(0.05), BITS1, BITS1, ID2,
                            kappa=0.25, mu=0.38, lam=0.095)

@@ -254,6 +254,20 @@ EDGE_MAP = {"source_edges": 2, "target_edges": 2, "map": [1, 0]}
      "^channel entry: expected rows of equal length, got lengths 1 and 2$"),
     (jsonio.channel_from_dict, lambda: CHANNEL, "rows", [[0.75, 0.25, 0.0], [0, 1]],
      "^channel entry: expected rows of equal length, got lengths 2 and 3$"),
+    # a1 and x1 are the first factors of hyper_h's and hyper_i's vertices,
+    # which must be products with phi's input; each of these used to load
+    (jsonio.instance_from_dict, branch_swap_instance_dict, "a1", ["zz0", "zz1", "zz2"],
+     r'^a1 \["zz0", "zz1", "zz2"\] disagrees with hyper_h first factor '
+     r'\["a0", "a1", "a2"\]$'),
+    (jsonio.instance_from_dict, branch_swap_instance_dict, "x1", ["u1"],
+     r'^x1 \["u1"\] disagrees with hyper_i first factor \["u0"\]$'),
+    (jsonio.instance_from_dict, branch_swap_instance_dict, "hyper_h",
+     {"vertices": ["a0|c0", "a1|c0", "a2|c0"], "edges": [[0, 1, 2]]},
+     r'^hyper_h vertices \["a0\|c0", "a1\|c0", "a2\|c0"\] are no product '
+     r'with phi input \["b0"\]$'),
+    (jsonio.instance_from_dict, branch_swap_instance_dict, "hyper_i",
+     {"vertices": ["u0", "u1"], "edges": [[0, 1]]},
+     r'^hyper_i vertices \["u0", "u1"\] are no product with phi input \["b0"\]$'),
 ])
 def test_loaders_accept_only_numbers(load, base, key, value, text):
     """np.array(..., dtype=float) would read true as 1.0 and "0.25" as 0.25."""
