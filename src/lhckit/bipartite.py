@@ -27,6 +27,7 @@ from .errors import (
     DecompositionFailure,
     EdgeCountMismatch,
     ShapeError,
+    _require_count,
 )
 from .hypergraph import (
     Alphabet,
@@ -287,11 +288,12 @@ def random_partition(rng: np.random.Generator, alphabet: Alphabet,
                      edge_count: int) -> Hypergraph:
     """Uniformly shuffled split of the vertices into edge_count blocks."""
     n = alphabet.size
-    order = rng.permutation(n)
-    cuts = np.sort(rng.choice(np.arange(1, n), size=edge_count - 1, replace=False)) \
-        if edge_count > 1 else np.array([], dtype=int)
-    blocks = np.split(order, cuts)
-    return Hypergraph(alphabet, tuple(tuple(sorted(int(v) for v in b)) for b in blocks))
+    order = rng.permutation(n).tolist()
+    cuts = sorted(rng.choice(np.arange(1, n), size=edge_count - 1, replace=False).tolist()) \
+        if edge_count > 1 else []
+    bounds = [0, *cuts, n]
+    return Hypergraph(alphabet, tuple(tuple(sorted(order[lo:hi]))
+                                      for lo, hi in zip(bounds, bounds[1:])))
 
 
 def random_channel(rng: np.random.Generator, inp: Alphabet, out: Alphabet,
@@ -304,7 +306,7 @@ def random_channel(rng: np.random.Generator, inp: Alphabet, out: Alphabet,
     else:
         rows = rng.dirichlet(np.ones(out.size), size=inp.size)
     rows = rows / rows.sum(axis=1, keepdims=True)
-    return Channel(inp, out, channel._frozen(rows))
+    return channel._adopt(inp, out, rows)
 
 
 def random_branch_swap_instance(
@@ -347,7 +349,13 @@ def check_harness_symbols(max_symbols) -> None:
 def run_branch_swap_harness(
     trials: int, seed: int, max_edges: int = 3, max_symbols: int = 3
 ) -> HarnessSummary:
-    """Sample instances, verify both sides, and collect counterexamples."""
+    """Sample instances, verify both sides, and collect counterexamples.
+
+    Each count must be an integer >= 1 (RangeError naming it otherwise).
+    """
+    for value, what in ((trials, "trials"), (max_edges, "max_edges"),
+                        (max_symbols, "max_symbols")):
+        _require_count(value, what)
     check_harness_symbols(max_symbols)
     rng = named_rng(seed, 0x51AB)
     hypothesis_held = 0

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel
-from .channel import Channel, _check_entries, _frozen, named_rng
+from .channel import Channel, _adopt, _check_entries, named_rng
 from .errors import (
     CapacityError,
     EmptyBlock,
@@ -36,6 +36,7 @@ from .errors import (
     Infeasible,
     RangeError,
     ShapeError,
+    _require_count,
 )
 from .hypergraph import (Alphabet, Hypergraph, characteristic_hypergraph,
                          identification_table)
@@ -298,12 +299,6 @@ def gilbert_varshamov_bound(n: int, dmin: int) -> int:
     return (1 << n) // ball
 
 
-def _require_count(value, what: str) -> None:
-    """Raise RangeError unless value is an integer >= 1; a bool is no count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise RangeError(f"{what} {value!r} is not an integer >= 1")
-
-
 def gen_codebook(
     n: int,
     delta: float,
@@ -450,7 +445,7 @@ def restricted_pair_channel(codebook: Codebook, gamma: float) -> Channel:
     rows = (single[:, None, :, None] * single[None, :, None, :]).reshape(m * m, -1)
     full = word_alphabet(n)
     cw = Alphabet(codebook.words)
-    return Channel(cw.product(cw), full.product(full), _frozen(rows))
+    return _adopt(cw.product(cw), full.product(full), rows)
 
 
 def pair_distance_table(n: int) -> np.ndarray:

@@ -29,8 +29,8 @@ DEFAULT_PRODUCT_CAP = 1 << 20
 class Channel:
     """Stochastic map between finite alphabets; rows[x, y] = Pr(output y | input x).
 
-    The channel's rows are read-only. It copies a float64 array, or a view,
-    that its caller can still write, and keeps a read-only one as is.
+    The channel's rows are read-only, and only the channel holds them: the
+    constructor keeps a checked copy of the array it is handed.
     """
 
     input: Alphabet
@@ -38,10 +38,10 @@ class Channel:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
-        # a writable array that is not new here may still be written by the caller
-        if rows.flags.writeable and (rows is self.rows or rows.base is not None):
-            rows = rows.copy()
+        self._keep(np.array(self.rows, dtype=np.float64))
+
+    def _keep(self, rows: np.ndarray) -> None:
+        """Check rows against the alphabets, then store them read-only."""
         if rows.shape != (self.input.size, self.output.size):
             raise ShapeError(
                 f"rows shape {rows.shape} does not match alphabets "
@@ -68,28 +68,35 @@ class Channel:
         return bool(np.all(self.rows.max(axis=1) >= 1.0 - ROW_SUM_TOL))
 
 
-def _frozen(rows: np.ndarray) -> np.ndarray:
-    """rows made read-only, which a channel keeps without a copy."""
-    rows.setflags(write=False)
-    return rows
+def _adopt(inp: Alphabet, out: Alphabet, rows: np.ndarray) -> Channel:
+    """Channel on a new float64 array that no caller holds.
+
+    The package's builders hand their arrays over here: the constructor's
+    checks run, and the array is frozen and kept without a copy.
+    """
+    ch = object.__new__(Channel)
+    object.__setattr__(ch, "input", inp)
+    object.__setattr__(ch, "output", out)
+    ch._keep(rows)
+    return ch
 
 
 def deterministic_channel(f: FunctionTable) -> Channel:
     """Channel placing all mass on f(a) for each input a."""
     rows = np.zeros((f.domain.size, f.codomain.size))
     rows[np.arange(f.domain.size), list(f.mapping)] = 1.0
-    return Channel(f.domain, f.codomain, _frozen(rows))
+    return _adopt(f.domain, f.codomain, rows)
 
 
 def identity_channel(alphabet: Alphabet) -> Channel:
-    return Channel(alphabet, alphabet, _frozen(np.eye(alphabet.size)))
+    return _adopt(alphabet, alphabet, np.eye(alphabet.size))
 
 
 def bsc(gamma: float) -> Channel:
     """Binary symmetric channel with crossover probability gamma."""
     if not 0.0 <= gamma <= 1.0:
         raise RangeError(f"crossover probability {gamma} outside [0, 1]")
-    return Channel(BITS, BITS, np.array([[1.0 - gamma, gamma], [gamma, 1.0 - gamma]]))
+    return _adopt(BITS, BITS, np.array([[1.0 - gamma, gamma], [gamma, 1.0 - gamma]]))
 
 
 def compose(first: Channel, second: Channel) -> Channel:
@@ -98,7 +105,7 @@ def compose(first: Channel, second: Channel) -> Channel:
         raise ShapeError("output alphabet of first must equal input alphabet of second")
     rows = first.rows @ second.rows
     np.clip(rows, 0.0, 1.0, out=rows)
-    return Channel(first.input, second.output, _frozen(rows))
+    return _adopt(first.input, second.output, rows)
 
 
 def _check_entries(in_size: int, out_size: int) -> None:
@@ -114,11 +121,10 @@ def tensor(phi1: Channel, phi2: Channel) -> Channel:
     """Independent parallel use of two channels on the product alphabets."""
     _check_entries(phi1.input.size * phi2.input.size,
                    phi1.output.size * phi2.output.size)
-    return Channel(
-        phi1.input.product(phi2.input),
-        phi1.output.product(phi2.output),
-        _frozen(np.kron(phi1.rows, phi2.rows)),
-    )
+    (m, n), (p, q) = phi1.rows.shape, phi2.rows.shape
+    # np.kron's entries, each one product, without its general-rank set-up
+    rows = (phi1.rows[:, None, :, None] * phi2.rows[None, :, None, :]).reshape(m * p, n * q)
+    return _adopt(phi1.input.product(phi2.input), phi1.output.product(phi2.output), rows)
 
 
 def power(phi: Channel, n: int) -> Channel:

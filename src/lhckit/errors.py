@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one count check."""
+
+import numpy as np
 
 
 class LhcKitError(Exception):
@@ -59,3 +61,9 @@ class DecompositionFailure(LhcKitError):
     def __init__(self, message: str, instance: dict | None = None):
         super().__init__(message)
         self.instance = instance or {}
+
+
+def _require_count(value, what: str) -> None:
+    """Raise RangeError unless value is an integer >= 1; a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise RangeError(f"{what} {value!r} is not an integer >= 1")

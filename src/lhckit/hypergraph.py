@@ -29,7 +29,7 @@ class Alphabet:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
+        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
         if len(self.labels) == 0:
             raise ShapeError("alphabet must not be empty")
         if len(set(self.labels)) != len(self.labels):
@@ -48,14 +48,12 @@ class Alphabet:
     def product(self, other: "Alphabet") -> "Alphabet":
         """Cartesian product in row-major order, labels joined by '|'."""
         return Alphabet(
-            tuple(
-                f"{a}{PRODUCT_SEP}{b}" for a in self.labels for b in other.labels
-            )
+            tuple([f"{a}{PRODUCT_SEP}{b}" for a in self.labels for b in other.labels])
         )
 
     @staticmethod
     def of_size(n: int, prefix: str = "") -> "Alphabet":
-        return Alphabet(tuple(f"{prefix}{i}" for i in range(n)))
+        return Alphabet(tuple([f"{prefix}{i}" for i in range(n)]))
 
 
 BITS = Alphabet(("0", "1"))
@@ -72,17 +70,15 @@ def split_product_alphabet(product: Alphabet, second: Alphabet) -> Alphabet:
         raise ShapeError(
             f"alphabet of size {product.size} is no product with a factor of {n2}"
         )
-    firsts = []
     suffix = PRODUCT_SEP + second.labels[0]
-    for i in range(product.size // n2):
-        label = product.labels[i * n2]
-        if not label.endswith(suffix):
-            raise ShapeError(f"label {label!r} does not end in {suffix!r}")
-        firsts.append(label[: -len(suffix)])
-    first = Alphabet(tuple(firsts))
-    if first.product(second).labels != product.labels:
+    heads = product.labels[::n2]
+    bad = next((label for label in heads if not label.endswith(suffix)), None)
+    if bad is not None:
+        raise ShapeError(f"label {bad!r} does not end in {suffix!r}")
+    firsts = [label[: -len(suffix)] for label in heads]
+    if [f"{a}{PRODUCT_SEP}{b}" for a in firsts for b in second.labels] != list(product.labels):
         raise ShapeError("labels are not in row-major product order")
-    return first
+    return Alphabet(tuple(firsts))
 
 
 @dataclass(frozen=True)
@@ -141,18 +137,17 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        canon = []
-        seen = set()
+        size = self.vertices.size
+        canon: dict[tuple[int, ...], None] = {}  # in edge order
         for e in self.edges:
-            s = frozenset(int(v) for v in e)
+            s = tuple(sorted(set(map(int, e))))
             if not s:
                 raise ShapeError("edges must be nonempty")
-            if min(s) < 0 or max(s) >= self.vertices.size:
+            if s[0] < 0 or s[-1] >= size:
                 raise ShapeError("edge contains vertex index outside alphabet")
-            if s in seen:
+            if s in canon:
                 raise ShapeError("edges must be pairwise distinct as sets")
-            seen.add(s)
-            canon.append(tuple(sorted(s)))
+            canon[s] = None
         object.__setattr__(self, "edges", tuple(canon))
 
     @property

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bipartite import BipartiteInstance, BranchSwapReport
 from .bsc_id import Codebook
-from .channel import Channel, _frozen
+from .channel import Channel, _adopt
 from .codes import FunctionCode
 from .errors import ShapeError
 from .hypergraph import Alphabet, EdgeMap, FunctionTable, Hypergraph
@@ -347,10 +347,10 @@ def write_channel(path, c: Channel) -> None:
 
 def channel_from_dict(d: dict) -> Channel:
     _require(d, "channel", "input", "output", "rows")
-    return Channel(
+    return _adopt(
         _alphabet(d["input"], "input"),
         _alphabet(d["output"], "output"),
-        _frozen(_numbers(d["rows"], "channel entry")),
+        _numbers(d["rows"], "channel entry"),
     )
 
 

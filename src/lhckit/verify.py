@@ -209,57 +209,78 @@ def edge_cost_matrix(
     return worst_failure(edge_mass(phi.rows, target), source.incidence)
 
 
-def _has_perfect_matching(allowed: list, rows: list, cols: list) -> bool:
-    """Whether rows match one-to-one onto the equally many cols within allowed.
+def _augment(adj: list, owner: list, r: int, seen: set, vacant: int) -> bool:
+    """Kuhn's augmenting path from row r to a column that row ``vacant`` holds.
 
-    allowed is a nested list of booleans indexed [row][col]. Kuhn's
-    augmenting paths: exact, and at the edge counts of a partition cheaper
-    than building an array for a compiled solver.
+    adj[r] lists row r's allowed columns in ascending order, and owner[c] is
+    the row holding column c, or -1. Columns in seen, and those held by rows
+    below ``vacant``, are passed over; with ``vacant`` -1 the path ends at a
+    column no row holds. On success every column on the path passes to the
+    row that reached it; on failure owner is unchanged.
     """
-    owner: dict = {}  # col -> the row it is matched to
+    for c in adj[r]:
+        if owner[c] == vacant and c not in seen:  # an end one step away
+            owner[c] = r
+            return True
+    for c in adj[r]:
+        holder = owner[c]
+        if holder > vacant and c not in seen:
+            seen.add(c)
+            if _augment(adj, owner, holder, seen, vacant):
+                owner[c] = r
+                return True
+    return False
 
-    def augment(r: int, seen: set) -> bool:
-        row = allowed[r]
-        for c in cols:
-            if row[c] and c not in seen:
-                seen.add(c)
-                if c not in owner or augment(owner[c], seen):
-                    owner[c] = r
-                    return True
-        return False
 
-    return all(augment(r, set()) for r in rows)
+def _perfect_matching(adj: list) -> list | None:
+    """owner[c] of some perfect matching of rows onto columns within adj, or
+    None if there is none. Exact, and at the edge counts of a partition
+    cheaper than building an array for a compiled solver."""
+    owner = [-1] * len(adj)
+    if all(_augment(adj, owner, r, set(), -1) for r in range(len(adj))):
+        return owner
+    return None
 
 
 def _bottleneck_assignment(cost: np.ndarray) -> tuple[int, ...]:
-    """Bijection minimizing the max cost; lexicographically smallest on ties."""
-    k = cost.shape[0]
-    if k == 0:
-        return ()  # the empty map; np.unique below would find no threshold
-    every = list(range(k))
-    thresholds = np.unique(cost)
-    lo, hi = 0, thresholds.size - 1
+    """Bijection minimizing the max cost; lexicographically smallest on ties.
+
+    A binary search over the distinct costs finds the least threshold at
+    which the pairs costing no more hold a perfect matching. The
+    lexicographic pass keeps one such matching: row i takes the first
+    allowed column j left for which the rows after i still match onto the
+    columns left. Where row r holds j, that is an augmenting path from r,
+    not through j, to the column row i holds (Berge), so each candidate
+    costs one path search.
+    """
+    flat = cost.tolist()
+    k = len(flat)
+    if not k:
+        return ()  # the empty map; there is no threshold to search
+
+    def within(t: float) -> list:
+        return [[j for j, c in enumerate(row) if c <= t] for row in flat]
+
+    thresholds = sorted({c for row in flat for c in row})
+    lo, hi = 0, len(thresholds) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _has_perfect_matching((cost <= thresholds[mid]).tolist(), every, every):
-            hi = mid
-        else:
+        if _perfect_matching(within(thresholds[mid])) is None:
             lo = mid + 1
-    allowed = (cost <= thresholds[lo]).tolist()
-
-    mapping: list[int] = []
-    free = every
-    for i in range(k):
-        for j in free:
-            if not allowed[i][j]:
-                continue
-            rest_cols = [c for c in free if c != j]
-            if _has_perfect_matching(allowed, every[i + 1:], rest_cols):
-                mapping.append(j)
-                free = rest_cols
-                break
         else:
-            raise AssertionError("bottleneck matching lost feasibility")
+            hi = mid
+    adj = within(thresholds[lo])
+    owner = _perfect_matching(adj)
+    for i in range(k):
+        # rows below i hold their columns for good
+        for j in adj[i]:
+            r = owner[j]
+            if r == i or r > i and _augment(adj, owner, r, {j}, i):
+                owner[j] = i
+                break
+    mapping = [0] * k
+    for j, i in enumerate(owner):
+        mapping[i] = j
     return tuple(mapping)
 
 

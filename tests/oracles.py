@@ -79,6 +79,53 @@ def some_permutation_fits(allowed, rows, cols) -> bool:
         for perm in itertools.permutations(cols))
 
 
+def has_perfect_matching(allowed, rows, cols) -> bool:
+    """Whether rows match one-to-one onto the equally many cols within
+    allowed (a nested list of booleans indexed [row][col]), by Kuhn's
+    augmenting paths from an empty matching."""
+    owner: dict = {}  # col -> the row it is matched to
+
+    def augment(r: int, seen: set) -> bool:
+        row = allowed[r]
+        for c in cols:
+            if row[c] and c not in seen:
+                seen.add(c)
+                if c not in owner or augment(owner[c], seen):
+                    owner[c] = r
+                    return True
+        return False
+
+    return all(augment(r, set()) for r in rows)
+
+
+def rebuilt_bottleneck(cost) -> tuple[int, ...]:
+    """Lex-first bottleneck bijection that tests every candidate pair with a
+    matching built from nothing: the binary search over the distinct costs,
+    then for each row the first allowed free column after which the later
+    rows still match onto the columns left."""
+    k = cost.shape[0]
+    if k == 0:
+        return ()
+    every = list(range(k))
+    thresholds = np.unique(cost)
+    lo, hi = 0, thresholds.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if has_perfect_matching((cost <= thresholds[mid]).tolist(), every, every):
+            hi = mid
+        else:
+            lo = mid + 1
+    allowed = (cost <= thresholds[lo]).tolist()
+    mapping: list[int] = []
+    free = every
+    for i in range(k):
+        j = next(j for j in free if allowed[i][j] and has_perfect_matching(
+            allowed, every[i + 1:], [c for c in free if c != j]))
+        mapping.append(j)
+        free = [c for c in free if c != j]
+    return tuple(mapping)
+
+
 def enumerate_best_edge_map(phi, source, target):
     """Brute force over every bijective edge map: least worst cost, first in
     lex order."""

@@ -1,4 +1,6 @@
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,12 +34,16 @@ from lhckit.errors import (
     CapacityError,
     EdgeCountMismatch,
     HypothesisViolated,
+    RangeError,
     RequiresPartition,
     ShapeError,
 )
 from lhckit.hypergraph import Hypergraph
 
 from conftest import rand_partition, sharp_channel
+
+HARNESS_300 = json.loads(
+    (Path(__file__).parent / "data" / "falsify" / "harness_300.json").read_text())
 
 
 def pair_hypergraph(alpha: Alphabet, match_pairs, mismatch_pairs) -> Hypergraph:
@@ -226,6 +232,36 @@ class TestBranchSwap:
             again = check_branch_swap(inst.phi, inst.hyper_h, inst.hyper_g,
                                       inst.hyper_i, inst.hyper_f, inst.lam)
             assert again.hypothesis_holds and not again.conclusion_holds
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_harness_keeps_its_tallies_and_profiles(self, seed):
+        """300 trials per seed: the tallies, and the edge maps and float.hex
+        of both profiles of every counterexample, as first recorded."""
+        summary = run_branch_swap_harness(300, seed)
+        got = {
+            "hypothesis_held": summary.hypothesis_held,
+            "conclusion_held": summary.conclusion_held,
+            "counterexamples": [
+                {"hypothesis_map": list(c.hypothesis_map.mapping),
+                 "conclusion_map": list(c.conclusion_map.mapping),
+                 "hypothesis_profile": [x.hex() for x in c.hypothesis_profile.tolist()],
+                 "conclusion_profile": [x.hex() for x in c.conclusion_profile.tolist()]}
+                for c in summary.counterexamples],
+        }
+        assert got == HARNESS_300[str(seed)]
+
+    @pytest.mark.parametrize("kwargs, shown", [
+        ({"trials": 2.5}, "trials 2.5"),
+        ({"trials": True}, "trials True"),
+        ({"trials": 0}, "trials 0"),
+        ({"max_edges": 0}, "max_edges 0"),
+        ({"max_edges": 2.5}, "max_edges 2.5"),
+        ({"max_symbols": 0}, "max_symbols 0"),
+    ])
+    def test_harness_refuses_bad_counts_by_name(self, kwargs, shown):
+        args = {"trials": 5, "seed": 1, **kwargs}
+        with pytest.raises(RangeError, match=rf"^{re.escape(shown)} is not an integer >= 1$"):
+            run_branch_swap_harness(**args)
 
     def test_harness_refuses_symbols_over_cap_before_drawing(self, monkeypatch):
         # max_symbols 3 gives a 9 x 9 channel: 81 entries

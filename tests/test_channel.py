@@ -78,8 +78,29 @@ class TestConstructors:
             assert rows.flags.writeable and not ch.rows.flags.writeable
             assert np.array_equal(ch.rows, np.eye(2))
             rows[0, 0] = 1.0
-        # a read-only array is kept without a copy
-        assert Channel(BITS, BITS, ch.rows).rows is ch.rows
+        # a read-only array is copied too: its owner may turn writing back on
+        assert Channel(BITS, BITS, ch.rows).rows is not ch.rows
+
+    def test_rows_cannot_change_after_the_checks(self):
+        from lhckit import Channel
+
+        r = np.eye(2)
+        r.setflags(write=False)
+        ch = Channel(BITS, BITS, r)
+        r.setflags(write=True)
+        r[0] = [0.5, 0.5]
+        assert np.array_equal(ch.rows, np.eye(2)) and not ch.rows.flags.writeable
+
+    def test_builders_keep_their_new_arrays(self):
+        """The package's own builders freeze the array they made, uncopied,
+        after the constructor's checks."""
+        from lhckit.channel import _adopt
+
+        rows = np.eye(2)
+        ch = _adopt(BITS, BITS, rows)
+        assert ch.rows is rows and not rows.flags.writeable
+        with pytest.raises(ShapeError, match=r"^row 0 sums to 1\.5, not 1"):
+            _adopt(BITS, BITS, np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_names_its_row(self, value):
@@ -132,7 +153,35 @@ class TestCompose:
         assert np.allclose(out.rows.sum(axis=1), 1.0, atol=1e-12)
 
 
+def factor_rows(kind: str, m: int, n: int, seed: int) -> np.ndarray:
+    """m x n rows: Dirichlet, sharp (a noisy deterministic map), or a 1.0
+    per row among entries of 0 and 5e-324, the least subnormal."""
+    rng = np.random.default_rng(seed)
+    if kind == "dirichlet":
+        return rng.dirichlet(np.ones(n), size=m)
+    target = rng.integers(n, size=m)
+    if kind == "sharp":
+        rows = np.full((m, n), 0.2 / n)
+        rows[np.arange(m), target] += 0.8
+        return rows
+    rows = np.where(rng.random((m, n)) < 0.5, 0.0, 5e-324)
+    rows[np.arange(m), target] = 1.0
+    return rows
+
+
+factors = st.builds(factor_rows, st.sampled_from(["dirichlet", "sharp", "tiny"]),
+                    st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+
+
 class TestTensor:
+    @given(factors, factors)
+    @settings(max_examples=200, deadline=None)
+    def test_rows_are_kron_byte_for_byte(self, r1, r2):
+        c1, c2 = (channel.Channel(Alphabet.of_size(r.shape[0], "x"),
+                                  Alphabet.of_size(r.shape[1], "y"), r) for r in (r1, r2))
+        rows, want = tensor(c1, c2).rows, np.kron(r1, r2)
+        assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+
     def test_identity_tensor(self):
         out = tensor(identity_channel(BITS), identity_channel(BITS))
         assert np.array_equal(out.rows, np.eye(4))

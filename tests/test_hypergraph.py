@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,52 @@ class TestAlphabet:
     def test_split_product_rejects_non_product(self):
         with pytest.raises(ShapeError):
             split_product_alphabet(Alphabet(("a", "b", "c")), Alphabet(("0", "1")))
+
+
+class TestRefusals:
+    """Each constructor refusal keeps its message; where an edge list has two
+    defects, the first failing edge decides, and within an edge emptiness,
+    then range, then a repeat."""
+
+    @pytest.mark.parametrize("labels, message", [
+        ((), "alphabet must not be empty"),
+        (("a", "b", "a"), "alphabet labels must be pairwise distinct"),
+        ((1, "1"), "alphabet labels must be pairwise distinct"),  # equal as text
+    ])
+    def test_alphabet(self, labels, message):
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            Alphabet(labels)
+
+    @pytest.mark.parametrize("edges, message", [
+        (((0,), ()), "edges must be nonempty"),
+        (((0, 3),), "edge contains vertex index outside alphabet"),
+        (((-1, 0),), "edge contains vertex index outside alphabet"),
+        (((0, 1), (1, 0, 1)), "edges must be pairwise distinct as sets"),
+        # two defects: the earlier edge's refusal wins
+        (((), (7,)), "edges must be nonempty"),
+        (((7,), ()), "edge contains vertex index outside alphabet"),
+        (((0,), (0,), (7,)), "edges must be pairwise distinct as sets"),
+        (((0,), (7,), (0,)), "edge contains vertex index outside alphabet"),
+    ])
+    def test_hypergraph(self, edges, message):
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            Hypergraph(Alphabet.of_size(3, "v"), edges)
+
+    @pytest.mark.parametrize("labels, message", [
+        (("a|0", "a|1", "b|0"), "alphabet of size 3 is no product with a factor of 2"),
+        (("a|1", "a|0"), "label 'a|1' does not end in '|0'"),
+        (("a|0", "b|1"), "labels are not in row-major product order"),
+        (("a|0", "a|1", "b|1", "b|0"), "label 'b|1' does not end in '|0'"),
+        (("a|0", "x", "b|0", "b|1"), "labels are not in row-major product order"),
+    ])
+    def test_split_product_alphabet(self, labels, message):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            split_product_alphabet(Alphabet(labels), Alphabet(("0", "1")))
+
+    def test_edges_canonical_in_their_order(self):
+        h = Hypergraph(Alphabet.of_size(4, "v"), ((3, 1, 3), [np.int64(2)], (0,)))
+        assert h.edges == ((1, 3), (2,), (0,))
+        assert all(type(v) is int for e in h.edges for v in e)
 
 
 class TestPartition:

@@ -1,0 +1,33 @@
+"""The trial timing tool in tools/ prints a row per stage."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "trial_timing.py"
+spec = importlib.util.spec_from_file_location("trial_timing", TOOL)
+trial_timing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(trial_timing)
+
+
+def test_prints_a_row_per_stage_at_tiny_sizes(capsys):
+    assert trial_timing.main(["--trials", "3", "--seed", "2", "--repeats", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["stage", "us_per_trial"]
+    assert [line.split()[0] for line in lines[1:]] == ["trial", "draw", "hypothesis",
+                                                       "conclusion"]
+    assert all(float(line.split()[1]) > 0 for line in lines[1:])
+
+
+def test_stages_see_the_harness_instances():
+    """Each drawn instance's two sides give the harness's verdict inputs."""
+    from lhckit import bipartite, check_branch_swap, named_rng
+
+    rng = named_rng(2, 0x51AB)
+    for _ in range(5):
+        phi, h, g, i, f, lam = bipartite.random_branch_swap_instance(rng)
+        report = check_branch_swap(phi, h, g, i, f, lam)
+        hyp_map, hyp_profile = trial_timing.side(phi, h, g)
+        conc_map, conc_profile = trial_timing.side(phi, i, f)
+        assert hyp_map == report.hypothesis_map and conc_map == report.conclusion_map
+        assert hyp_profile.tobytes() == report.hypothesis_profile.tobytes()
+        assert conc_profile.tobytes() == report.conclusion_profile.tobytes()

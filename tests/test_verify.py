@@ -272,38 +272,45 @@ class TestInferEdgeMap:
         assert got_map.mapping == want_map.mapping
 
 
+def check_matcher(allowed) -> None:
+    """The library's matching, and the oracle's rebuilt test, against every
+    permutation; a matching found must use allowed pairs only."""
+    every = list(range(len(allowed)))
+    fits = oracles.some_permutation_fits(allowed, every, every)
+    assert oracles.has_perfect_matching(allowed, every, every) == fits, allowed
+    owner = verify._perfect_matching([[c for c in every if row[c]] for row in allowed])
+    assert (owner is not None) == fits, allowed
+    if owner is not None:
+        assert sorted(owner) == every and all(allowed[r][c] for c, r in enumerate(owner))
+
+
 class TestMatcherAgainstBruteForce:
     """The matching test and the bottleneck assignment on tie-heavy inputs,
     where random channels almost never tie."""
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_every_boolean_matrix(self, k):
-        every = list(range(k))
         for bits in itertools.product([False, True], repeat=k * k):
-            allowed = [list(bits[r * k:(r + 1) * k]) for r in every]
-            assert verify._has_perfect_matching(allowed, every, every) == \
-                oracles.some_permutation_fits(allowed, every, every), allowed
+            check_matcher([list(bits[r * k:(r + 1) * k]) for r in range(k)])
 
     @pytest.mark.parametrize("k", [4, 5, 6])
     def test_random_boolean_matrices(self, k):
         rng = np.random.default_rng(k)
-        every = list(range(k))
         for density in (0.3, 0.5, 0.7, 0.9):
             for _ in range(40):
-                allowed = (rng.random((k, k)) < density).tolist()
-                assert verify._has_perfect_matching(allowed, every, every) == \
-                    oracles.some_permutation_fits(allowed, every, every), allowed
+                check_matcher((rng.random((k, k)) < density).tolist())
 
     def test_row_and_column_subsets(self):
-        """The index lists the lexicographic pass hands over: any equally
-        many rows and columns of a larger matrix, in any order."""
+        """The index lists the rebuilt lexicographic pass hands its matching
+        test: any equally many rows and columns of a larger matrix, in any
+        order."""
         rng = np.random.default_rng(7)
         for _ in range(300):
             allowed = (rng.random((6, 6)) < 0.5).tolist()
             size = int(rng.integers(0, 6))
             rows = [int(r) for r in rng.choice(6, size, replace=False)]
             cols = [int(c) for c in rng.choice(6, size, replace=False)]
-            assert verify._has_perfect_matching(allowed, rows, cols) == \
+            assert oracles.has_perfect_matching(allowed, rows, cols) == \
                 oracles.some_permutation_fits(allowed, rows, cols)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
@@ -311,8 +318,21 @@ class TestMatcherAgainstBruteForce:
         rng = np.random.default_rng(100 + k)
         for _ in range(60):
             cost = rng.integers(0, 5, size=(k, k)) / 4.0
+            want = oracles.lex_first_bottleneck(cost)
+            assert verify._bottleneck_assignment(cost) == want, cost
+            assert oracles.rebuilt_bottleneck(cost) == want, cost
+
+    @pytest.mark.parametrize("k", [8, 16, 32, 64])
+    @pytest.mark.parametrize("kind", ["random", "quarter"])
+    def test_bottleneck_matches_rebuilt_pass(self, k, kind):
+        """The kept matching gives the mapping of the pass that rebuilds a
+        matching for every candidate pair, past the brute force's reach."""
+        rng = np.random.default_rng(k)
+        for _ in range(max(1, 64 // k)):
+            cost = (rng.random((k, k)) if kind == "random"
+                    else rng.integers(0, 5, size=(k, k)) / 4.0)
             assert verify._bottleneck_assignment(cost) == \
-                oracles.lex_first_bottleneck(cost), cost
+                oracles.rebuilt_bottleneck(cost), cost
 
 
 def rand_hypergraph(rng, alphabet: Alphabet, max_edges: int) -> Hypergraph:
