@@ -127,9 +127,9 @@ def semi_det_split(
                          source, target, e_edge, kappa=0.5, mu=mu, lam=lam)
     # the kappa and mu vectors decompose checked, as its certificates hold them
     kappa, mu = split_g1.cert_gamma.lam, split_g1.cert_phi.lam
-    split_g2 = _split(tensor(phi1, identity_channel(phi2.input)),
-                      tensor(identity_channel(phi1.output), phi2),
-                      source, target, e_edge, kappa, mu, lam)
+    split_g2, _ = _split(tensor(phi1, identity_channel(phi2.input)),
+                         tensor(identity_channel(phi1.output), phi2),
+                         source, target, e_edge, kappa, mu, lam)
     return split_g1, split_g2
 
 

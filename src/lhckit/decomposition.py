@@ -89,11 +89,12 @@ def decompose(
     if np.any(kappa > 0.5):
         raise HypothesisViolated("every kappa entry must be at most 1/2")
     require_within(lam, mu * kappa, "lam <= mu * kappa")
-    return _split(phi, gamma, source, target, e_edge, kappa, mu, lam)
+    return _split(phi, gamma, source, target, e_edge, kappa, mu, lam)[0]
 
 
-def _split(phi, gamma, source, target, e_edge, kappa, mu, lam) -> DecompositionResult:
-    """Blocks and stage certificates of a split whose hypotheses hold.
+def _split(phi, gamma, source, target, e_edge, kappa, mu, lam) -> tuple:
+    """Blocks and stage certificates of a split whose hypotheses hold, with
+    the ``edge_mass`` of gamma on the target edges that the blocks threshold.
 
     Blocks of the intermediate alphabet collect the symbols from which gamma
     hits each target edge with probability above 1 - kappa (strict, no
@@ -114,7 +115,7 @@ def _split(phi, gamma, source, target, e_edge, kappa, mu, lam) -> DecompositionR
                 f"no intermediate symbol hits target edge {e_edge(ai)} "
                 f"with probability above {1.0 - kappa[ai]}"
             )
-        blocks.append(tuple(int(b) for b in members))
+        blocks.append(tuple(members.tolist()))
 
     seen: dict[int, int] = {}
     for ai, block in enumerate(blocks):
@@ -139,7 +140,7 @@ def _split(phi, gamma, source, target, e_edge, kappa, mu, lam) -> DecompositionR
             instance=_instance_dump(phi, gamma, source, target, e_edge,
                                     kappa, mu, lam),
         )
-    return DecompositionResult(intermediate, cert_phi, cert_gamma)
+    return DecompositionResult(intermediate, cert_phi, cert_gamma), hit
 
 
 def _instance_dump(phi, gamma, source, target, e_edge, kappa, mu, lam) -> dict:
@@ -178,6 +179,12 @@ def channel_is_lhc(
     first stage, certified at 2 * lam, and 4 * lam <= kappa <= 1/2 implies
     the rest (lam <= 1/8, and 2 * lam <= kappa / 2 within VERIFY_SLACK).
     """
+    return _channel_split(code, kappa)[:3]
+
+
+def _channel_split(code: FunctionCode, kappa) -> tuple:
+    """``channel_is_lhc``'s hypergraphs and certificate, with the second
+    split's ``edge_mass`` of the channel on the output blocks."""
     lam = code_error_profile(code)
     n_vals = lam.size
     kappa = edge_vector(kappa, n_vals, "kappa")
@@ -191,15 +198,15 @@ def channel_is_lhc(
 
     # First split: (channel after encoder) vs decoder, threshold 1/2.
     encoded = compose(code.encoder, code.channel)
-    first = _split(encoded, code.decoder, h_f, value_hypergraph(code), identity,
-                   half, 2.0 * lam, lam)
+    first, _ = _split(encoded, code.decoder, h_f, value_hypergraph(code), identity,
+                      half, 2.0 * lam, lam)
     hyper_out = first.intermediate  # blocks on the channel output alphabet
 
     # Second split: encoder vs channel, aimed at the first split's blocks;
     # its intermediate holds the blocks on the channel input alphabet.
-    second = _split(code.encoder, code.channel, h_f, hyper_out, identity,
-                    kappa, half, 2.0 * lam)
-    return second.intermediate, hyper_out, second.cert_gamma
+    second, hit = _split(code.encoder, code.channel, h_f, hyper_out, identity,
+                         kappa, half, 2.0 * lam)
+    return second.intermediate, hyper_out, second.cert_gamma, hit
 
 
 def derandomize(code: FunctionCode) -> tuple[Channel, Channel]:
@@ -218,10 +225,8 @@ def derandomize(code: FunctionCode) -> tuple[Channel, Channel]:
             f"error profile max {lam.max()} is not below 1/8; "
             "the factor-4 construction needs kappa = 4 * lam <= 1/2"
         )
-    hyper_in, hyper_out, _ = channel_is_lhc(code, 4.0 * lam)
-
-    # Hitting probability of each output block from each channel input.
-    hit = edge_mass(code.channel.rows, hyper_out)
+    # hit: probability of each output block from each channel input
+    hyper_in, hyper_out, _, hit = _channel_split(code, 4.0 * lam)
 
     attained = code.f.attained
     enc_choice = {

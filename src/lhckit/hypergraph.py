@@ -172,32 +172,29 @@ class Hypergraph:
         return d
 
     @cached_property
-    def _edges_of(self) -> tuple[tuple[int, ...], ...]:
-        # row-major nonzeros list each vertex's edges in ascending order
-        flat = np.nonzero(self.incidence)[1].tolist()
-        ends = np.cumsum(self.degrees).tolist()
-        return tuple(tuple(flat[end - d:end])
-                     for end, d in zip(ends, self.degrees.tolist()))
-
-    @cached_property
     def vertex_groups(self) -> tuple[np.ndarray, ...]:
         """Read-only ascending vertex arrays, one per distinct edge signature.
 
         Vertices in one group lie in exactly the same edges (isolated
         vertices form the group of the empty signature); groups come in
-        order of their lowest vertex.
+        order of their lowest vertex. One stable sort of the incidence rows,
+        packed into bytes, brings equal rows together in ascending vertex
+        order; the runs are cut where a row changes.
         """
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for v, sig in enumerate(self._edges_of):
-            groups.setdefault(sig, []).append(v)
-        out = tuple(np.array(members, dtype=np.intp) for members in groups.values())
+        key = np.packbits(self.incidence, axis=1)
+        order = np.lexsort(key.T[::-1]) if key.shape[1] else np.arange(len(key))
+        ranked = key[order]
+        cuts = (np.flatnonzero((ranked[1:] != ranked[:-1]).any(axis=1)) + 1).tolist()
+        starts = [0, *cuts]
+        runs = [order[a:b] for a, b in zip(starts, cuts + [len(order)])]
+        out = tuple([runs[i] for i in np.argsort(order[starts]).tolist()])
         for members in out:
             members.setflags(write=False)
         return out
 
     def edges_containing(self, v: int) -> tuple[int, ...]:
-        edges_of = self._edges_of
-        return edges_of[v] if 0 <= v < len(edges_of) else ()
+        inc = self.incidence
+        return tuple(inc[v].nonzero()[0].tolist()) if 0 <= v < len(inc) else ()
 
     @cached_property
     def edges_disjoint(self) -> bool:
@@ -290,10 +287,10 @@ def complete_1_uniform(vertices: Alphabet) -> Hypergraph:
 
 def characteristic_hypergraph(f: FunctionTable) -> Hypergraph:
     """Partition of the domain into preimages, one edge per attained value."""
-    edges = []
-    for b in f.attained:
-        edges.append(tuple(a for a in range(f.domain.size) if f.mapping[a] == b))
-    return Hypergraph(f.domain, tuple(edges))
+    preimages: dict[int, list[int]] = {}
+    for a, b in enumerate(f.mapping):
+        preimages.setdefault(b, []).append(a)
+    return Hypergraph(f.domain, tuple([tuple(preimages[b]) for b in sorted(preimages)]))
 
 
 def check_homomorphism(
@@ -330,9 +327,7 @@ def hom_from_edge_map(
     if not target.is_partition:
         raise RequiresPartition("target must be a partition hypergraph")
     edge_map.check_fit(source, target)
-    vm = []
-    for v in range(source.vertices.size):
-        image_edge = target.edges[edge_map(source.unique_edge_of(v))]
-        vm.append(image_edge[0])
-    return tuple(vm)
+    image_first = [target.edges[j][0] for j in edge_map.mapping]
+    # each incidence row of a partition holds one edge
+    return tuple([image_first[e] for e in source.incidence.argmax(axis=1).tolist()])
 

@@ -10,6 +10,7 @@ exact summation over materialized channel rows; there is no sampling.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,7 +130,8 @@ def _alphabet_mismatch(side: str, got: tuple, role: str, want: tuple) -> ShapeEr
 def _allowed(target: Hypergraph, f_e: EdgeMap, hits) -> np.ndarray:
     """Ascending target vertices lying in the image of every edge in hits."""
     images = [f_e(ei) for ei in hits]
-    return np.flatnonzero(target.incidence[:, images].all(axis=1))
+    return (np.array(target.edges[images[0]]) if len(images) == 1  # sorted, unique
+            else np.flatnonzero(target.incidence[:, images].all(axis=1)))
 
 
 def per_vertex_success(
@@ -140,7 +142,8 @@ def per_vertex_success(
     Vertices with the same edge signature share their allowed target set,
     so it is intersected once per group of ``source.vertex_groups``, which
     the hypergraph caches. Each vertex's success is its row's mass on that
-    set, summed over the ascending allowed columns.
+    set: the group's rows and allowed columns are gathered into a row-major
+    block, whose rows numpy sums pairwise (``edge_mass`` rounds otherwise).
     """
     _check_alphabets(phi, source, target)
     f_e.check_fit(source, target)
@@ -149,7 +152,7 @@ def per_vertex_success(
         hits = source.edges_containing(members[0])
         if hits:
             allowed = _allowed(target, f_e, hits)
-            out[members] = phi.rows[np.ix_(members, allowed)].sum(axis=1)
+            out[members] = phi.rows.take(members, 0).take(allowed, 1).sum(axis=1)
     return out
 
 
@@ -191,9 +194,12 @@ def edge_mass(rows: np.ndarray, hyper: Hypergraph) -> np.ndarray:
 
     Each edge's columns are gathered and summed in ascending order, so edge
     costs, decomposition blocks and derandomization see one rounding.
-    ``per_vertex_success`` sums the same columns but rounds differently (up
-    to 7.8e-16 apart on 198 entries of a V = 224 code, enough to change 6
-    of its 8 encoder picks), so derandomization must rank by this mass.
+    ``rows[:, list(edge)]`` comes out column-major, so numpy adds its row
+    sums one column at a time, left to right; a faster version must keep
+    that order. ``per_vertex_success`` gathers a row-major block, whose rows
+    numpy sums pairwise: the same columns, rounded differently (up to
+    7.8e-16 apart on 198 entries of a V = 224 code, enough to change 6 of
+    its 8 encoder picks), so derandomization must rank by this mass.
     """
     mass = np.zeros((rows.shape[0], hyper.edge_count))
     for e, edge in enumerate(hyper.edges):
@@ -212,9 +218,9 @@ def edge_cost_matrix(
 def _augment(adj: list, owner: list, r: int, seen: set, vacant: int) -> bool:
     """Kuhn's augmenting path from row r to a column that row ``vacant`` holds.
 
-    adj[r] lists row r's allowed columns in ascending order, and owner[c] is
-    the row holding column c, or -1. Columns in seen, and those held by rows
-    below ``vacant``, are passed over; with ``vacant`` -1 the path ends at a
+    adj[r] lists row r's allowed columns, and owner[c] is the row holding
+    column c, or -1. Columns in seen, and those held by rows below
+    ``vacant``, are passed over; with ``vacant`` -1 the path ends at a
     column no row holds. On success every column on the path passes to the
     row that reached it; on failure owner is unchanged.
     """
@@ -245,31 +251,35 @@ def _perfect_matching(adj: list) -> list | None:
 def _bottleneck_assignment(cost: np.ndarray) -> tuple[int, ...]:
     """Bijection minimizing the max cost; lexicographically smallest on ties.
 
-    A binary search over the distinct costs finds the least threshold at
-    which the pairs costing no more hold a perfect matching. The
-    lexicographic pass keeps one such matching: row i takes the first
-    allowed column j left for which the rows after i still match onto the
-    columns left. Where row r holds j, that is an augmenting path from r,
-    not through j, to the column row i holds (Berge), so each candidate
-    costs one path search.
+    A binary search over the distinct costs, from the largest row minimum
+    up, finds the least threshold at which the pairs costing no more hold a
+    perfect matching; each row's columns are sorted by cost once, so a
+    probe bisects each row for its allowed prefix instead of comparing all
+    k^2 costs. The lexicographic pass keeps one such matching: row i takes
+    the first allowed column j left for which the rows after i still match
+    onto the columns left. Where row r holds j, that is an augmenting path
+    from r, not through j, to the column row i holds (Berge), so each
+    candidate costs one path search.
     """
     flat = cost.tolist()
     k = len(flat)
-    if not k:
-        return ()  # the empty map; there is no threshold to search
-
-    def within(t: float) -> list:
-        return [[j for j, c in enumerate(row) if c <= t] for row in flat]
-
+    if k < 2:
+        return tuple(range(k))  # the one bijection; there is no threshold to search
     thresholds = sorted({c for row in flat for c in row})
-    lo, hi = 0, len(thresholds) - 1
+    # below the largest row minimum some row has no column left
+    lo, hi = bisect_left(thresholds, max(map(min, flat))), len(thresholds) - 1
+    # each row's columns by ascending cost, so a probe takes a prefix
+    by_cost = [(sorted(range(k), key=row.__getitem__), row.__getitem__) for row in flat]
     while lo < hi:
         mid = (lo + hi) // 2
-        if _perfect_matching(within(thresholds[mid])) is None:
+        t = thresholds[mid]
+        allowed = [cols[:bisect_right(cols, t, key=at)] for cols, at in by_cost]
+        if _perfect_matching(allowed) is None:
             lo = mid + 1
         else:
             hi = mid
-    adj = within(thresholds[lo])
+    t = thresholds[lo]
+    adj = [[j for j, c in enumerate(row) if c <= t] for row in flat]
     owner = _perfect_matching(adj)
     for i in range(k):
         # rows below i hold their columns for good
@@ -278,10 +288,7 @@ def _bottleneck_assignment(cost: np.ndarray) -> tuple[int, ...]:
             if r == i or r > i and _augment(adj, owner, r, {j}, i):
                 owner[j] = i
                 break
-    mapping = [0] * k
-    for j, i in enumerate(owner):
-        mapping[i] = j
-    return tuple(mapping)
+    return tuple(sorted(range(k), key=owner.__getitem__))  # owner inverted
 
 
 def infer_edge_map(

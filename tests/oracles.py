@@ -24,6 +24,29 @@ def edges_of(hyper, v: int) -> list[int]:
     return [ei for ei, e in enumerate(hyper.edges) if v in e]
 
 
+def vertex_groups(hyper) -> list[list[int]]:
+    """Vertices grouped by the tuple of edges holding them, groups in order
+    of their lowest vertex: one dict entry per signature, vertex by vertex."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for v in range(hyper.vertices.size):
+        groups.setdefault(tuple(edges_of(hyper, v)), []).append(v)
+    return list(groups.values())
+
+
+def gathered_per_vertex(phi, source, target, f_e) -> np.ndarray:
+    """Success per source vertex by one ``np.ix_`` block per signature group,
+    summed along its rows; NaN where the vertex lies in no edge."""
+    out = np.full(source.vertices.size, np.nan)
+    for members in vertex_groups(source):
+        hits = edges_of(source, members[0])
+        if hits:
+            allowed = frozenset.intersection(
+                *(frozenset(target.edges[f_e(ei)]) for ei in hits))
+            cols = np.array(sorted(allowed), dtype=np.intp)
+            out[members] = phi.rows[np.ix_(members, cols)].sum(axis=1)
+    return out
+
+
 def success(phi, source, target, f_e, a: int) -> float:
     """Probability that phi(a) lands in the image of every edge holding a."""
     allowed = frozenset.intersection(

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lhckit import (
@@ -20,6 +20,7 @@ from lhckit import (
 )
 from lhckit.errors import RequiresBijective, RequiresPartition, ShapeError
 
+import oracles
 from conftest import rand_partition
 
 
@@ -183,6 +184,25 @@ class TestVertexGroups:
         assert [int(m[0]) for m in groups] == sorted(int(m[0]) for m in groups)
         assert h.vertex_groups is groups
 
+    @given(st.integers(1, 64).flatmap(lambda size: st.tuples(
+        st.just(size),
+        st.lists(st.frozensets(st.integers(0, size - 1), min_size=1,
+                               max_size=max(1, size // 2)),
+                 max_size=10, unique=True))))
+    @example((1, []))
+    @example((1, [frozenset({0})]))
+    @example((64, []))
+    @example((7, [frozenset({0, 1, 2}), frozenset({2, 3}), frozenset({5})]))
+    @settings(max_examples=300, deadline=None)
+    def test_groups_and_edges_equal_the_dict_oracle(self, drawn):
+        """Overlapping edges, isolated vertices and no edges, V = 1..64."""
+        size, edges = drawn
+        h = Hypergraph(Alphabet.of_size(size, "v"), tuple(map(tuple, edges)))
+        assert [m.tolist() for m in h.vertex_groups] == oracles.vertex_groups(h)
+        assert all(m.dtype == np.intp for m in h.vertex_groups)
+        assert [h.edges_containing(v) for v in range(-1, size + 1)] == \
+            [(), *(tuple(oracles.edges_of(h, v)) for v in range(size)), ()]
+
     def test_shared_signature_and_isolated_vertices(self):
         h = Hypergraph(Alphabet.of_size(6, "v"), ((3, 1), (1, 2), (0, 4)))
         assert [m.tolist() for m in h.vertex_groups] == [[0, 4], [1], [2], [3], [5]]
@@ -194,6 +214,18 @@ class TestCharacteristic:
         # domain order: (0,0), (0,1), (1,0), (1,1)
         assert set(h.edges) == {(0, 3), (1, 2)}
         assert h.is_partition
+
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.integers(0, n - 1), min_size=1, max_size=30)
+        .map(lambda mapping: (n, mapping))))
+    @settings(max_examples=100, deadline=None)
+    def test_one_preimage_per_attained_value_in_codomain_order(self, drawn):
+        n, mapping = drawn
+        f = FunctionTable(Alphabet.of_size(len(mapping), "a"), Alphabet.of_size(n, "b"),
+                          tuple(mapping))
+        want = tuple(tuple(a for a, x in enumerate(mapping) if x == b)
+                     for b in range(n) if b in mapping)
+        assert characteristic_hypergraph(f).edges == want
 
     def test_constant_function(self):
         f = FunctionTable(Alphabet(("a", "b")), Alphabet(("0",)), (0, 0))
@@ -285,6 +317,9 @@ class TestHomFromEdgeMap:
         e_map = EdgeMap(src.edge_count, tgt.edge_count, mapping)
         vm = hom_from_edge_map(e_map, src, tgt)
         assert check_homomorphism(vm, e_map, src, tgt).is_hom
+        # each vertex goes to the lowest vertex of its edge's image
+        assert vm == tuple(tgt.edges[mapping[oracles.edges_of(src, v)[0]]][0]
+                           for v in range(n_src))
 
 
 class TestRelabelHom:

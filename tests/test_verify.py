@@ -26,7 +26,7 @@ from lhckit.errors import (EdgeCountMismatch, HypothesisViolated, RangeError,
 from lhckit.verify import edge_cost_matrix, edge_vector, per_vertex_success
 
 import oracles
-from conftest import rand_channel, rand_partition
+from conftest import rand_channel, rand_partition, sharp_channel
 
 BITS1 = complete_1_uniform(BITS)
 ID2 = EdgeMap.identity(2)
@@ -385,6 +385,43 @@ class TestAgainstPerVertexOracle:
         # vertex 1 needs both disjoint singletons; vertex 3 is isolated
         assert got[1] == 0.0 and np.isnan(got[3])
         assert got[0] == phi.rows[0, 0] and got[2] == phi.rows[2, 1]
+
+
+class TestGatheredBlockRounding:
+    """per_vertex_success keeps the bits of one ``np.ix_`` block per group."""
+
+    @staticmethod
+    def channel(rng, src, tgt, kind):
+        if kind == "dirichlet":
+            return rand_channel(rng, src.vertices, tgt.vertices)
+        targets = rng.integers(tgt.vertices.size, size=src.vertices.size)
+        return sharp_channel(rng, src.vertices, tgt.vertices, targets, 0.05)
+
+    @given(st.integers(0, 100_000), st.sampled_from(["dirichlet", "sharp"]))
+    @settings(max_examples=100, deadline=None)
+    def test_random_hypergraphs(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        src = rand_hypergraph(rng, Alphabet.of_size(int(rng.integers(1, 65)), "s"), 8)
+        tgt = rand_hypergraph(rng, Alphabet.of_size(int(rng.integers(1, 65)), "t"), 8)
+        if not tgt.edge_count:
+            tgt = complete_1_uniform(tgt.vertices)
+        f_e = EdgeMap(src.edge_count, tgt.edge_count,
+                      tuple(int(j) for j in rng.integers(tgt.edge_count,
+                                                         size=src.edge_count)))
+        phi = self.channel(rng, src, tgt, kind)
+        got = per_vertex_success(phi, src, tgt, f_e)
+        assert got.tobytes() == oracles.gathered_per_vertex(phi, src, tgt, f_e).tobytes()
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "sharp"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_partitions_at_224(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        src = rand_partition(rng, Alphabet.of_size(224, "s"), 8)
+        tgt = rand_partition(rng, Alphabet.of_size(224, "t"), 8)
+        f_e = EdgeMap(8, 8, tuple(int(j) for j in rng.permutation(8)))
+        phi = self.channel(rng, src, tgt, kind)
+        got = per_vertex_success(phi, src, tgt, f_e)
+        assert got.tobytes() == oracles.gathered_per_vertex(phi, src, tgt, f_e).tobytes()
 
 
 def test_verify_computes_success_once_and_one_lookup_per_signature(monkeypatch):
