@@ -69,8 +69,29 @@ def epsilon_max(delta: float, gamma: float) -> float:
     t0 = theta(0.0, gamma)
     td = theta(delta, gamma)
     if t0 + td == 0.0:
-        raise RangeError("windows undefined: both expected distances are zero")
+        raise RangeError(f"windows undefined at delta {delta}, gamma {gamma}: "
+                         "both expected distances are zero")
     return (td - t0) / (td + t0)
+
+
+def require_windows(delta: float, gamma: float, epsilon: float) -> None:
+    """The one window-width check: raise unless 0 < epsilon < epsilon_max.
+
+    RangeError for a width that is not positive, EpsilonTooLarge when the
+    equal and far windows of relative distance delta and crossover gamma
+    collide.
+    """
+    _require_positive(epsilon)
+    e_max = epsilon_max(delta, gamma)
+    if not epsilon < e_max:
+        raise EpsilonTooLarge(f"epsilon {epsilon} must be below (theta_delta - theta_0)"
+                              f"/(theta_delta + theta_0) = {e_max} for delta {delta}, "
+                              f"gamma {gamma}")
+
+
+def _require_positive(epsilon: float) -> None:
+    if not epsilon > 0.0:
+        raise RangeError(f"epsilon {epsilon} must be positive")
 
 
 def binary_entropy(p: float) -> float:
@@ -86,8 +107,7 @@ def chernoff_bound(n: int, epsilon: float, delta: float, gamma: float) -> float:
     """Concentration bound for the output distance window at nominal delta."""
     if n <= 0:
         raise RangeError(f"block length n must be positive, got {n}")
-    if epsilon <= 0.0:
-        raise RangeError("epsilon must be positive")
+    _require_positive(epsilon)
     return min(1.0, 2.0 * math.exp(-n * epsilon**2 * theta(delta, gamma) / 2.0))
 
 
@@ -299,6 +319,24 @@ def gilbert_varshamov_bound(n: int, dmin: int) -> int:
     return (1 << n) // ball
 
 
+def min_distance(n: int, delta: float) -> int:
+    """ceil(n * delta), the minimum distance of a codebook at relative
+    distance delta: the one check that n is an integer >= 1 and that this
+    distance lies in [1, n]."""
+    _require_count(n, "block length n")
+    dmin = math.ceil(n * delta)
+    if not 1 <= dmin <= n:
+        raise RangeError(f"minimum distance ceil(n * delta) = {dmin} at n {n}, "
+                         f"delta {delta} is outside [1, {n}]")
+    return dmin
+
+
+def require_pairs(size: int) -> None:
+    """The one check that a codebook of size words has distinct-message pairs."""
+    if size < 2:
+        raise ShapeError(f"distinct-message pairs need at least two codewords, got {size}")
+
+
 def gen_codebook(
     n: int,
     delta: float,
@@ -314,11 +352,7 @@ def gen_codebook(
     if m < 1:
         raise RangeError(f"codebook size {m} must be at least 1")
     _require_count(m, "codebook size")
-    dmin = math.ceil(n * delta)
-    if dmin < 1:
-        raise RangeError("minimum distance must be at least 1 bit")
-    if dmin > n:
-        raise RangeError(f"minimum distance {dmin} exceeds block length {n}")
+    dmin = min_distance(n, delta)
 
     if strategy == "lexicographic-greedy":
         if n > 24:
@@ -384,16 +418,8 @@ def build_example_hypergraphs(
     The decision windows of crossover gamma must be disjoint at epsilon for
     the codebook's guaranteed relative distance ``codebook.delta``.
     """
-    if codebook.size < 2:
-        raise ShapeError("need at least two codewords for mismatch edges")
-    if epsilon <= 0.0:
-        raise RangeError("epsilon must be positive")
-    e_max = epsilon_max(codebook.delta, gamma)
-    if not epsilon < e_max:
-        raise EpsilonTooLarge(
-            f"epsilon {epsilon} must be below {e_max} "
-            f"for delta {codebook.delta}, gamma {gamma}"
-        )
+    require_pairs(codebook.size)
+    require_windows(codebook.delta, gamma, epsilon)
     hyper_h = characteristic_hypergraph(identification_table(codebook.size))
     msgs = Alphabet.of_size(codebook.size)
     cw = Alphabet(codebook.words)
@@ -484,12 +510,10 @@ def window_split_hypergraph(
     """Word pairs split into the two concentration windows.
 
     Pairs outside both windows are isolated vertices. Fails with EmptyBlock
-    when a window contains no integer distance (unavoidable at small n) and
-    with EpsilonTooLarge when the windows collide.
+    when a window contains no integer distance (unavoidable at small n), and
+    through require_windows for an epsilon outside (0, epsilon_max).
     """
-    e_max = epsilon_max(delta, gamma)
-    if not epsilon < e_max:
-        raise EpsilonTooLarge(f"epsilon {epsilon} is not below {e_max}")
+    require_windows(delta, gamma, epsilon)
 
     def windows(dist):
         for name, delta_nominal in (("far", delta), ("equal", 0.0)):
@@ -599,8 +623,7 @@ def monte_carlo_id(
         raise RangeError("need at least one trial")
     _require_count(trials, "trial count")
     _require_count(workers, "worker count")
-    if codebook.size < 2:
-        raise ShapeError("distinct-message trials need at least two codewords")
+    require_pairs(codebook.size)
     n = codebook.n
     m = codebook.size
     n_equal = (trials + 1) // 2
@@ -656,8 +679,7 @@ def exact_error_rates(
     uniformly. Acceptance depends on a pair only through its distance, so
     each distinct distance gets one convolution law, weighted by its count.
     """
-    if codebook.size < 2:
-        raise ShapeError("distinct-message trials need at least two codewords")
+    require_pairs(codebook.size)
     n = codebook.n
     accepted = accepts(np.arange(n + 1), n, gamma, epsilon, mode)
     off = codebook.pair_distances()[~np.eye(codebook.size, dtype=bool)]

@@ -24,7 +24,7 @@ from . import bsc_id, channel, jsonio
 from .bipartite import assemble_id_code, check_harness_symbols, run_branch_swap_harness
 from .codes import code_error_profile, FunctionCode
 from .decomposition import decompose, derandomize
-from .errors import CapacityError, LhcKitError, RangeError
+from .errors import LhcKitError, RangeError, _require_count
 from .verify import edge_vector, exceeds, verify_lhc
 
 DEFAULT_SEED = 20240
@@ -68,6 +68,25 @@ _LOADERS = {
 _NUMBERS = ("gamma", "delta", "epsilon", "trials", "max_edges", "max_symbols", "m")
 # Per-edge error vectors: a number or a list of numbers.
 _VECTORS = ("lambda", "mu", "kappa", "alpha", "beta")
+
+
+# Param keys -> the library's own check of their range, in the order
+# validate runs them. A check runs once its params are set and none of them
+# was refused by an earlier one, so each fault gives one note.
+_RANGES = [
+    *(((key,), functools.partial(_require_count, what=key))
+      for key in ("trials", "max_edges", "max_symbols", "m")),
+    (("max_symbols",), check_harness_symbols),
+    (("gamma",), bsc_id.beta),
+    (("delta",), lambda delta: bsc_id.theta(delta, 0.0)),
+    (("n", "delta"), bsc_id.min_distance),
+    (("delta", "gamma", "epsilon"), bsc_id.require_windows),
+]
+# The ranges that one task adds: rates needs gamma <= 1/2, id-sim two words.
+_TASK_RANGES = {
+    "rates": [(("gamma",), lambda gamma: bsc_id.rate_table(gamma, ()))],
+    "id-sim": [(("m",), bsc_id.require_pairs)],
+}
 
 
 def _is_number(value) -> bool:
@@ -129,36 +148,15 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
             notes.append(f"error: {key} must be a number, got {value!r}")
         else:
             p[key] = value
-    gamma = p.get("gamma")
-    if gamma is not None and not 0.0 <= gamma <= 1.0:
-        notes.append(f"error: gamma {gamma} outside [0, 1]")
-    if config.task == "rates" and gamma is not None and not 0.0 <= gamma <= 0.5:
-        notes.append(f"error: transmission rate needs gamma in [0, 1/2], got {gamma}")
-    delta = p.get("delta")
-    if delta is not None and not 0.0 <= delta <= 1.0:
-        notes.append(f"error: delta {delta} outside [0, 1]")
-    eps = p.get("epsilon")
-    if eps is not None and eps <= 0.0:
-        notes.append(f"error: epsilon {eps} must be positive")
-    if None not in (gamma, delta, eps) and 0 < gamma < 1 and 0 < delta <= 1:
-        e_max = bsc_id.epsilon_max(delta, gamma)
-        if eps >= e_max:
-            notes.append(
-                "error: epsilon must be below "
-                "(theta_delta - theta_0)/(theta_delta + theta_0) "
-                f"= {e_max}; got {eps}"
-            )
-    for key in ("trials", "max_edges", "max_symbols"):
-        if p.get(key) is not None and p[key] < 1:
-            notes.append(f"error: {key} {p[key]} must be at least 1")
-    if (p.get("max_symbols") or 0) >= 1:
+    refused: set = set()
+    for keys, check in _RANGES + _TASK_RANGES.get(config.task, []):
+        if any(p.get(key) is None or key in refused for key in keys):
+            continue
         try:
-            check_harness_symbols(p["max_symbols"])
-        except CapacityError as exc:
+            check(*(p[key] for key in keys))
+        except LhcKitError as exc:
             notes.append(f"error: {exc}")
-    m = p.get("m")
-    if m is not None and m < 2:
-        notes.append(f"error: message count {m} must be at least 2")
+            refused.update(keys)
     if p.get("grid") is not None:
         try:
             _grid_points(p["grid"])

@@ -51,9 +51,14 @@ class FunctionCode:
                 )
 
     @cached_property
+    def encoded(self) -> Channel:
+        """The channel after the encoder, channel(encoder(.)), built once."""
+        return compose(self.encoder, self.channel)
+
+    @cached_property
     def composite(self) -> Channel:
         """The end-to-end channel decoder(channel(encoder(.))), built once."""
-        return compose(compose(self.encoder, self.channel), self.decoder)
+        return compose(self.encoded, self.decoder)
 
     def value_column(self, b: int) -> int:
         """Decoder output index carrying codomain value b."""

@@ -197,8 +197,7 @@ def _channel_split(code: FunctionCode, kappa) -> tuple:
     half = np.full(n_vals, 0.5)
 
     # First split: (channel after encoder) vs decoder, threshold 1/2.
-    encoded = compose(code.encoder, code.channel)
-    first, _ = _split(encoded, code.decoder, h_f, value_hypergraph(code), identity,
+    first, _ = _split(code.encoded, code.decoder, h_f, value_hypergraph(code), identity,
                       half, 2.0 * lam, lam)
     hyper_out = first.intermediate  # blocks on the channel output alphabet
 

@@ -644,3 +644,45 @@ class TestRates:
     def test_entropy_endpoints(self):
         assert binary_entropy(0.0) == 0.0 and binary_entropy(1.0) == 0.0
         assert binary_entropy(0.5) == pytest.approx(1.0)
+
+
+class TestOneCheckPerRange:
+    """Each range rule raises from one place, and its message names the values."""
+
+    def test_refusals_name_their_values(self):
+        with pytest.raises(RangeError, match=r"^epsilon 0\.0 must be positive$"):
+            chernoff_bound(100, 0.0, 0.1, 0.03)
+        with pytest.raises(RangeError, match=r"^windows undefined at delta 0\.0, "
+                                             r"gamma 1\.0: both expected"):
+            epsilon_max(0.0, 1.0)
+        with pytest.raises(RangeError, match=r"^minimum distance ceil\(n \* delta\) = 9 "
+                                             r"at n 8, delta 1\.1 is outside \[1, 8\]$"):
+            gen_codebook(8, 1.1, 2)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, True])
+    def test_block_length_is_a_count(self, n):
+        with pytest.raises(RangeError, match=rf"^block length n {n!r} is not an integer"):
+            bsc_id.min_distance(n, 0.5)
+
+    def test_window_sites_share_one_message(self):
+        book = gen_codebook(8, 1.0, 2)
+        texts = set()
+        for build in (lambda: build_example_hypergraphs(book, 0.5, gamma=0.25),
+                      lambda: window_split_hypergraph(8, 0.25, 1.0, 0.5),
+                      lambda: bsc_id.require_windows(1.0, 0.25, 0.5)):
+            with pytest.raises(EpsilonTooLarge) as info:
+                build()
+            texts.add(str(info.value))
+        assert texts == {"epsilon 0.5 must be below (theta_delta - theta_0)"
+                         "/(theta_delta + theta_0) = 0.25 for delta 1.0, gamma 0.25"}
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, float("nan")])
+    def test_window_split_refuses_a_width_that_is_not_positive(self, epsilon):
+        with pytest.raises(RangeError, match="must be positive"):
+            window_split_hypergraph(8, 0.25, 1.0, epsilon)
+
+    def test_one_word_has_no_pairs(self):
+        book = gen_codebook(8, 0.5, 1)
+        with pytest.raises(ShapeError, match="^distinct-message pairs need at least "
+                                             "two codewords, got 1$"):
+            build_example_hypergraphs(book, 0.3, gamma=0.03)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lhckit import BITS, EdgeMap, bsc, cli, complete_1_uniform, jsonio
 from lhckit.cli import main
@@ -824,3 +826,74 @@ class TestParserOncePerProcess:
         assert cached == run(cli.build_parser)
         assert cached[0][1][0].inputs == {"codebook": str(tmp_path / "book.txt")}
         assert cached[1][1][0].inputs == {}
+
+
+# Each range is the library's own check: the run refuses these with exit 2
+# and one note, and validate on the same params prints that note.
+LIBRARY_RANGES = [
+    (["codebook", "--n", "0", "--delta", "0.25", "--M", "4"],
+     "error: block length n 0 is not an integer >= 1"),
+    (["codebook", "--n", "-3", "--delta", "0.25", "--M", "4"],
+     "error: block length n -3 is not an integer >= 1"),
+    (["codebook", "--n", "8", "--delta", "0", "--M", "4"],
+     "error: minimum distance ceil(n * delta) = 0 at n 8, delta 0.0 is outside [1, 8]"),
+    (["id-sim", "--n", "0", "--gamma", "0.03", "--delta", "0.25", "--eps", "0.3",
+      "--M", "4", "--trials", "100"],
+     "error: block length n 0 is not an integer >= 1"),
+    (["id-sim", "--n", "16", "--gamma", "0.03", "--delta", "0.25", "--eps", "0.3",
+      "--M", "1", "--trials", "100"],
+     "error: distinct-message pairs need at least two codewords, got 1"),
+]
+
+
+class TestRangesAreTheLibrarys:
+    @pytest.mark.parametrize("argv, note", LIBRARY_RANGES,
+                             ids=["codebook-n0", "codebook-n-3", "codebook-delta0",
+                                  "id-sim-n0", "id-sim-M1"])
+    def test_run_and_validate_refuse_with_one_note(self, tmp_path, capsys, argv, note):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == note + "\n"
+        assert not out.exists()
+        params = cli.config_from_args(cli.build_parser().parse_args(argv)).params
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": argv[0], "params": params}))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == note + "\n"
+
+    def test_codebook_of_one_word(self, tmp_path):
+        out = tmp_path / "book.txt"
+        assert main(["codebook", "--n", "8", "--delta", "0.25", "--M", "1",
+                     "--out", str(out)]) == 0
+        assert jsonio.read_codebook(out).words == ("00000000",)
+
+    @pytest.mark.parametrize("task, key", [("falsify", "trials"),
+                                           ("falsify", "max_edges"),
+                                           ("codebook", "m"), ("codebook", "n")])
+    def test_count_that_is_not_an_integer_is_one_note(self, tmp_path, capsys, task,
+                                                      key):
+        params = {"falsify": {"trials": 5, "max_edges": 3, "max_symbols": 3},
+                  "codebook": {"n": 8, "delta": 0.25, "m": 4}}[task]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": task, "params": {**params, key: 2.5}}))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        what = "block length n" if key == "n" else key
+        assert capsys.readouterr().out == f"error: {what} 2.5 is not an integer >= 1\n"
+
+    @given(st.integers(-3, 10), st.floats(0.0, 1.0), st.integers(-2, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_validate_refuses_what_gen_codebook_refuses(self, n, delta, m):
+        from lhckit.bsc_id import gen_codebook
+        from lhckit.errors import Infeasible, RangeError
+
+        notes, _ = cli.validate(cli.ExperimentConfig(
+            "codebook", params={"n": n, "delta": delta, "m": m,
+                                "strategy": "lexicographic-greedy"}))
+        refused = False
+        try:
+            gen_codebook(n, delta, m, strategy="lexicographic-greedy")
+        except Infeasible:
+            pass
+        except RangeError:
+            refused = True
+        assert (notes != ["ok: configuration is well formed"]) == refused
