@@ -38,6 +38,7 @@ from .hypergraph import (
     characteristic_hypergraph,
     identification_table,
     split_product_alphabet,
+    _require_same_alphabet,
 )
 from .verify import edge_vector, exceeds, infer_edge_map, lambda_profile, require_within
 
@@ -210,8 +211,8 @@ def assemble_id_code(
     msgs = enc1.input
     f_id = FunctionTable(msgs.product(msgs), BITS,
                          identification_table(msgs.size).mapping)
-    if hyper_h.vertices.labels != f_id.domain.labels:
-        raise ShapeError("hyper_h must live on the message-pair alphabet")
+    _require_same_alphabet(hyper_h.vertices, f_id.domain,
+                           "hyper_h must live on the message-pair alphabet")
     h_ref = characteristic_hypergraph(f_id)
     if set(hyper_h.edges) != set(h_ref.edges):
         raise ShapeError("hyper_h must be the equality-test partition")

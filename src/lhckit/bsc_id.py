@@ -37,6 +37,7 @@ from .errors import (
     RangeError,
     ShapeError,
     _require_count,
+    _require_unit,
 )
 from .hypergraph import (Alphabet, Hypergraph, characteristic_hypergraph,
                          identification_table)
@@ -51,15 +52,13 @@ MC_CHUNK = 2048
 
 def beta(gamma: float) -> float:
     """Probability that exactly one of two independent copies flips a letter."""
-    if not 0.0 <= gamma <= 1.0:
-        raise RangeError(f"gamma {gamma} outside [0, 1]")
+    _require_unit(gamma, "gamma")
     return 2.0 * gamma * (1.0 - gamma)
 
 
 def theta(delta: float, gamma: float) -> float:
     """Expected relative output distance of a pair at relative distance delta."""
-    if not 0.0 <= delta <= 1.0:
-        raise RangeError(f"delta {delta} outside [0, 1]")
+    _require_unit(delta, "delta")
     b = beta(gamma)
     return b + delta * (1.0 - 2.0 * b)
 
@@ -96,8 +95,7 @@ def _require_positive(epsilon: float) -> None:
 
 def binary_entropy(p: float) -> float:
     """Base-2 entropy of a coin, with h(0) = h(1) = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise RangeError(f"probability {p} outside [0, 1]")
+    _require_unit(p, "probability")
     if p in (0.0, 1.0):
         return 0.0
     return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
@@ -105,8 +103,7 @@ def binary_entropy(p: float) -> float:
 
 def chernoff_bound(n: int, epsilon: float, delta: float, gamma: float) -> float:
     """Concentration bound for the output distance window at nominal delta."""
-    if n <= 0:
-        raise RangeError(f"block length n must be positive, got {n}")
+    _require_count(n, "block length n")
     _require_positive(epsilon)
     return min(1.0, 2.0 * math.exp(-n * epsilon**2 * theta(delta, gamma) / 2.0))
 
@@ -189,6 +186,7 @@ def _binom_grid(j, trials, p: float) -> np.ndarray:
 def window_interval(n: int, gamma: float, epsilon: float,
                     delta_nominal: float) -> tuple[float, float]:
     """Open interval of accepted distances around the nominal expectation."""
+    _require_positive(epsilon)
     center = n * theta(delta_nominal, gamma)
     return center - epsilon * center, center + epsilon * center
 
@@ -203,6 +201,7 @@ def in_window(d, n: int, gamma: float, epsilon: float,
 
 def acceptance_threshold(n: int, gamma: float, epsilon: float) -> float:
     """One-sided accept boundary: the upper edge of the equal window."""
+    _require_positive(epsilon)
     return n * (1.0 + epsilon) * theta(0.0, gamma)
 
 
@@ -322,9 +321,13 @@ def gilbert_varshamov_bound(n: int, dmin: int) -> int:
 def min_distance(n: int, delta: float) -> int:
     """ceil(n * delta), the minimum distance of a codebook at relative
     distance delta: the one check that n is an integer >= 1 and that this
-    distance lies in [1, n]."""
+    distance is finite and lies in [1, n]."""
     _require_count(n, "block length n")
-    dmin = math.ceil(n * delta)
+    try:
+        dmin = math.ceil(n * delta)
+    except (OverflowError, ValueError):  # n * delta past the float range, or NaN
+        raise RangeError(f"minimum distance ceil(n * delta) at n {n}, delta {delta} "
+                         "is not finite") from None
     if not 1 <= dmin <= n:
         raise RangeError(f"minimum distance ceil(n * delta) = {dmin} at n {n}, "
                          f"delta {delta} is outside [1, {n}]")
@@ -349,8 +352,6 @@ def gen_codebook(
     The lexicographic strategy scans words in numeric order and is fully
     deterministic; the random strategy draws candidate words from the seed.
     """
-    if m < 1:
-        raise RangeError(f"codebook size {m} must be at least 1")
     _require_count(m, "codebook size")
     dmin = min_distance(n, delta)
 
@@ -566,7 +567,7 @@ def _bits(y, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ErrorEstimate:
-    """Monte Carlo tallies with normal-approximation 95% intervals."""
+    """Monte Carlo tallies of false rejects and false accepts, with their rates."""
 
     equal_trials: int
     distinct_trials: int
@@ -585,23 +586,6 @@ class ErrorEstimate:
     def false_accept_rate(self) -> float:
         return self.false_accepts / self.distinct_trials if self.distinct_trials else 0.0
 
-    @property
-    def false_reject_halfwidth(self) -> float:
-        return _halfwidth(self.false_rejects, self.equal_trials)
-
-    @property
-    def false_accept_halfwidth(self) -> float:
-        return _halfwidth(self.false_accepts, self.distinct_trials)
-
-
-def _halfwidth(count: int, n: int) -> float:
-    if n == 0:
-        return 0.0
-    if count == 0:
-        return 3.0 / n  # rule-of-three guard where the normal width collapses
-    p = count / n
-    return 1.96 * math.sqrt(p * (1.0 - p) / n)
-
 
 def monte_carlo_id(
     codebook: Codebook,
@@ -619,8 +603,6 @@ def monte_carlo_id(
     indices from (seed, chunk), so results are bit-identical for any worker
     count.
     """
-    if trials < 1:
-        raise RangeError("need at least one trial")
     _require_count(trials, "trial count")
     _require_count(workers, "worker count")
     require_pairs(codebook.size)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, RangeError, ShapeError
-from .hypergraph import BITS, Alphabet, FunctionTable
+from .errors import CapacityError, ShapeError, _require_count, _require_unit
+from .hypergraph import BITS, Alphabet, FunctionTable, _require_same_alphabet
 
 ROW_SUM_TOL = 1e-12
 # Most entries of any dense product matrix or word-pair set; every builder
@@ -94,15 +94,14 @@ def identity_channel(alphabet: Alphabet) -> Channel:
 
 def bsc(gamma: float) -> Channel:
     """Binary symmetric channel with crossover probability gamma."""
-    if not 0.0 <= gamma <= 1.0:
-        raise RangeError(f"crossover probability {gamma} outside [0, 1]")
+    _require_unit(gamma, "crossover probability")
     return _adopt(BITS, BITS, np.array([[1.0 - gamma, gamma], [gamma, 1.0 - gamma]]))
 
 
 def compose(first: Channel, second: Channel) -> Channel:
     """Feed the output of `first` into `second`."""
-    if first.output.labels != second.input.labels:
-        raise ShapeError("output alphabet of first must equal input alphabet of second")
+    _require_same_alphabet(first.output, second.input,
+                           "output alphabet of first must equal input alphabet of second")
     rows = first.rows @ second.rows
     np.clip(rows, 0.0, 1.0, out=rows)
     return _adopt(first.input, second.output, rows)
@@ -129,8 +128,7 @@ def tensor(phi1: Channel, phi2: Channel) -> Channel:
 
 def power(phi: Channel, n: int) -> Channel:
     """n independent letter-wise uses of phi."""
-    if n < 1:
-        raise RangeError("block length must be at least 1")
+    _require_count(n, "block length n")
     _check_entries(phi.input.size**n, phi.output.size**n)
     out = phi
     for _ in range(n - 1):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from . import bsc_id, channel, jsonio
 from .bipartite import assemble_id_code, check_harness_symbols, run_branch_swap_harness
 from .codes import code_error_profile, FunctionCode
 from .decomposition import decompose, derandomize
-from .errors import LhcKitError, RangeError, _require_count
+from .errors import LhcKitError, RangeError, _require_count, _require_unit
 from .verify import edge_vector, exceeds, verify_lhc
 
 DEFAULT_SEED = 20240
@@ -113,8 +112,9 @@ def _grid_points(grid) -> np.ndarray:
         raise RangeError(f"grid {text} has more than "
                          f"{channel.DEFAULT_PRODUCT_CAP} points")
     points = np.arange(start, stop + step / 2, step)
-    if outside := [d for d in points.tolist() if not 0 <= d <= 1]:
-        raise RangeError(f"grid {text} reaches delta {outside[0]!r} outside [0, 1]")
+    what = f"grid {text} reaches delta"
+    for d in points.tolist():
+        _require_unit(d, what)
     return points
 
 
@@ -178,26 +178,29 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
                 notes.append(f"error: {key} must be a number or a list of "
                              f"numbers, got {value!r}")
     if config.task == "id-sim":
-        notes += _codebook_misfit(objects.get("codebook"), p)
+        notes += _codebook_misfit(objects.get("codebook"), p, refused)
         raw = os.environ.get("LHC_KIT_WORKERS", "1")
         try:
-            objects["workers"] = int(raw)
+            workers = int(raw)
         except ValueError:
-            objects["workers"] = 0
-        if objects["workers"] < 1:
-            notes.append(f"error: LHC_KIT_WORKERS={raw!r} must be an integer "
-                         "of at least 1")
+            workers = raw  # refused below, by its text
+        try:
+            _require_count(workers, "LHC_KIT_WORKERS")
+            objects["workers"] = workers
+        except RangeError as exc:
+            notes.append(f"error: {exc}")
     if not notes:
         notes.append("ok: configuration is well formed")
     return notes, objects
 
 
-def _codebook_misfit(book, p: dict) -> list[str]:
+def _codebook_misfit(book, p: dict, refused: set) -> list[str]:
     """One note if an id-sim codebook file is not the code its flags describe.
 
     The run simulates the file's words and states the bound at the flags'
     n and delta, so the file must have length n, M words and a minimum
-    distance of at least ceil(n * delta).
+    distance of at least ``bsc_id.min_distance(n, delta)``. A delta already
+    refused gets no second note here.
     """
     if book is None:
         return []
@@ -207,8 +210,9 @@ def _codebook_misfit(book, p: dict) -> list[str]:
         misfits.append(f"word length {book.n}, not n = {n}")
     if _is_number(m) and m != book.size:
         misfits.append(f"{book.size} words, not M = {m}")
-    if _is_number(delta) and 0.0 <= delta <= 1.0:
-        need = math.ceil(book.n * delta)
+    # delta is unset, 0 (no distance to miss) or in (0, 1] unless refused
+    if delta and not refused & {"n", "delta"}:
+        need = bsc_id.min_distance(book.n, delta)
         if book.dmin < need:
             misfits.append(f"minimum distance {book.dmin}, "
                            f"below ceil(n * delta) = {need}")

@@ -23,6 +23,7 @@ from .hypergraph import (
     Hypergraph,
     characteristic_hypergraph,
     check_homomorphism,
+    _require_same_alphabet,
 )
 from .verify import LhcCertificate, edge_vector, verify_lhc, worst_failure
 
@@ -37,12 +38,12 @@ class FunctionCode:
     channel: Channel
 
     def __post_init__(self):
-        if self.encoder.input.labels != self.f.domain.labels:
-            raise ShapeError("encoder input must be the domain of f")
-        if self.encoder.output.labels != self.channel.input.labels:
-            raise ShapeError("encoder output must feed the channel input")
-        if self.channel.output.labels != self.decoder.input.labels:
-            raise ShapeError("channel output must feed the decoder input")
+        _require_same_alphabet(self.encoder.input, self.f.domain,
+                               "encoder input must be the domain of f")
+        _require_same_alphabet(self.encoder.output, self.channel.input,
+                               "encoder output must feed the channel input")
+        _require_same_alphabet(self.channel.output, self.decoder.input,
+                               "channel output must feed the decoder input")
         for b in self.f.attained:
             if self.f.codomain.labels[b] not in self.decoder.output.labels:
                 raise ShapeError(

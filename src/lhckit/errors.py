@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and the one count check."""
+"""Exception types shared across the toolkit, and the one count and
+unit-interval checks."""
 
 import numpy as np
 
@@ -67,3 +68,9 @@ def _require_count(value, what: str) -> None:
     """Raise RangeError unless value is an integer >= 1; a bool is no count."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise RangeError(f"{what} {value!r} is not an integer >= 1")
+
+
+def _require_unit(value, what: str) -> None:
+    """Raise RangeError unless 0 <= value <= 1; NaN lies outside."""
+    if not 0.0 <= value <= 1.0:
+        raise RangeError(f"{what} {value} outside [0, 1]")

@@ -7,6 +7,8 @@ main case: for those the unique edge containing a vertex is well defined,
 which is what makes edge maps induce vertex maps. Each hypergraph caches a
 read-only vertex-by-edge incidence matrix, which the per-vertex membership
 queries read, and the grouping of its vertices by the edges containing them.
+Every check that two alphabets agree, in channels, codes, certificates and
+code assembly, is `_require_same_alphabet`.
 """
 
 from __future__ import annotations
@@ -57,6 +59,17 @@ class Alphabet:
 
 
 BITS = Alphabet(("0", "1"))
+
+
+def _require_same_alphabet(got: Alphabet, want: Alphabet, what: str) -> None:
+    """The one alphabet-agreement check: raise ShapeError unless got's labels
+    are want's, naming both sizes and the first differing label after what."""
+    a, b = got.labels, want.labels
+    if a != b:
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        at = [repr(labels[i]) if i < len(labels) else "none" for labels in (a, b)]
+        raise ShapeError(f"{what}: {len(a)} labels against {len(b)}, first differing "
+                         f"at position {i}: {at[0]} against {at[1]}")
 
 
 def split_product_alphabet(product: Alphabet, second: Alphabet) -> Alphabet:
@@ -165,13 +178,6 @@ class Hypergraph:
         return s
 
     @cached_property
-    def degrees(self) -> np.ndarray:
-        """Read-only number of edges containing each vertex."""
-        d = self.incidence.sum(axis=1)
-        d.setflags(write=False)
-        return d
-
-    @cached_property
     def vertex_groups(self) -> tuple[np.ndarray, ...]:
         """Read-only ascending vertex arrays, one per distinct edge signature.
 
@@ -204,16 +210,8 @@ class Hypergraph:
 
     @cached_property
     def is_partition(self) -> bool:
-        return bool(np.all(self.degrees == 1))
-
-    def unique_edge_of(self, v: int) -> int:
-        """Index of the single edge containing v; needs disjoint covering edges."""
-        hits = self.edges_containing(v)
-        if len(hits) != 1:
-            raise RequiresPartition(
-                f"vertex {v} lies in {len(hits)} edges; unique edge undefined"
-            )
-        return hits[0]
+        """Whether every vertex lies in exactly one edge."""
+        return bool(np.all(self.incidence.sum(axis=1) == 1))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from .channel import Channel
 from .errors import (EdgeCountMismatch, HypothesisViolated, RangeError,
                      RequiresPartition, ShapeError)
-from .hypergraph import EdgeMap, Hypergraph
+from .hypergraph import EdgeMap, Hypergraph, _require_same_alphabet
 
 VERIFY_SLACK = 1e-12
 
@@ -107,24 +107,10 @@ class LhcCertificate:
 
 
 def _check_alphabets(phi: Channel, source: Hypergraph, target: Hypergraph):
-    if phi.input.labels != source.vertices.labels:
-        raise _alphabet_mismatch("input", phi.input.labels, "source",
-                                 source.vertices.labels)
-    if phi.output.labels != target.vertices.labels:
-        raise _alphabet_mismatch("output", phi.output.labels, "target",
-                                 target.vertices.labels)
-
-
-def _alphabet_mismatch(side: str, got: tuple, role: str, want: tuple) -> ShapeError:
-    """The refusal naming both alphabet sizes and the first differing label."""
-    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
-             min(len(got), len(want)))
-    at = [repr(labels[i]) if i < len(labels) else "none" for labels in (got, want)]
-    return ShapeError(
-        f"channel {side} alphabet must equal the {role} vertex set: "
-        f"{len(got)} labels against {len(want)}, first differing at "
-        f"position {i}: {at[0]} against {at[1]}"
-    )
+    _require_same_alphabet(phi.input, source.vertices,
+                           "channel input alphabet must equal the source vertex set")
+    _require_same_alphabet(phi.output, target.vertices,
+                           "channel output alphabet must equal the target vertex set")
 
 
 def _allowed(target: Hypergraph, f_e: EdgeMap, hits) -> np.ndarray:

@@ -10,6 +10,8 @@ import numpy as np
 
 from lhckit import Alphabet, Channel, Hypergraph
 
+import oracles
+
 
 def rand_partition(rng: np.random.Generator, alphabet: Alphabet,
                    blocks: int) -> Hypergraph:
@@ -140,11 +142,11 @@ def two_stage_instance(rng: np.random.Generator, max_symbols: int = 5) -> dict:
         noise1, noise2 = rng.uniform(0.0, 0.15, size=2)
         phi_targets = []
         for v in range(n_a):
-            block = mid_blocks.edges[source.unique_edge_of(v)]
+            block = mid_blocks.edges[oracles.unique_edge_of(source, v)]
             phi_targets.append(block[int(rng.integers(len(block)))])
         gamma_targets = []
         for w in range(n_b):
-            edge = target.edges[e_edge(mid_blocks.unique_edge_of(w))]
+            edge = target.edges[e_edge(oracles.unique_edge_of(mid_blocks, w))]
             gamma_targets.append(edge[int(rng.integers(len(edge)))])
         phi = sharp_channel(rng, a, b, phi_targets, noise1)
         gamma = sharp_channel(rng, b, c, gamma_targets, noise2)

@@ -24,6 +24,12 @@ def edges_of(hyper, v: int) -> list[int]:
     return [ei for ei, e in enumerate(hyper.edges) if v in e]
 
 
+def unique_edge_of(hyper, v: int) -> int:
+    """Index of the one edge holding v; ValueError unless there is exactly one."""
+    (edge,) = edges_of(hyper, v)
+    return edge
+
+
 def vertex_groups(hyper) -> list[list[int]]:
     """Vertices grouped by the tuple of edges holding them, groups in order
     of their lowest vertex: one dict entry per signature, vertex by vertex."""

@@ -560,7 +560,8 @@ REFUSED_WHERE_USED = [
     (semi_det_split_args, "target", relabeled, ShapeError,
      _alphabet_message("output", "target", "0|0", "z0")),
     (decompose_args, "gamma", input_relabeled, ShapeError,
-     "output alphabet of first must equal input alphabet of second"),
+     "output alphabet of first must equal input alphabet of second: 2 labels "
+     "against 2, first differing at position 0: '0' against 'z0'"),
     (sandwich_args, "e_edge",
      lambda e: EdgeMap(3, e.target_count, (*e.mapping, 0)), ShapeError,
      "edge maps do not compose: counts mismatch"),

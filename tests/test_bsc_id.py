@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from lhckit.bsc_id import (
     window_split_hypergraph,
     word_channel_rows,
 )
-from lhckit import bsc_id, channel
+from lhckit import bsc_id, channel, run_branch_swap_harness
 from lhckit.errors import (
     CapacityError,
     EmptyBlock,
@@ -115,7 +116,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_chernoff_rejects_nonpositive_block_length(self, n):
-        with pytest.raises(RangeError, match=f"n must be positive, got {n}"):
+        with pytest.raises(RangeError, match=f"^block length n {n} is not an integer >= 1$"):
             chernoff_bound(n, 0.3, 0.1, 0.03)
 
     def test_chernoff_log_linear_in_n(self):
@@ -157,7 +158,7 @@ class TestCodebooks:
     @pytest.mark.parametrize("strategy", ["lexicographic-greedy", "random-greedy"])
     @pytest.mark.parametrize("m", [0, -3])
     def test_nonpositive_size_rejected(self, strategy, m):
-        with pytest.raises(RangeError, match=f"codebook size {m} must be at least 1"):
+        with pytest.raises(RangeError, match=f"^codebook size {m} is not an integer >= 1$"):
             gen_codebook(10, 0.3, m, strategy=strategy)
 
     def test_random_greedy_respects_distance(self):
@@ -615,11 +616,6 @@ class TestMonteCarlo:
         with pytest.raises(RangeError, match=f"^{text} is not an integer >= 1$"):
             run(book)
 
-    def test_interval_guard_at_zero(self):
-        book = gen_codebook(16, 0.5, 2)
-        est = monte_carlo_id(book, 0.0, 0.3, 100, seed=1)
-        assert est.false_reject_halfwidth == pytest.approx(3.0 / est.equal_trials)
-
 
 class TestRates:
     def test_running_example_rate(self):
@@ -680,6 +676,51 @@ class TestOneCheckPerRange:
     def test_window_split_refuses_a_width_that_is_not_positive(self, epsilon):
         with pytest.raises(RangeError, match="must be positive"):
             window_split_hypergraph(8, 0.25, 1.0, epsilon)
+
+    # Each count entry point refuses through the one count check. 2.5 and "3"
+    # ended in a bare TypeError, in a 1.0 bound from chernoff_bound or in a
+    # run, True ran as 1, and 0 and -3 had messages of their own.
+    @pytest.mark.parametrize("value", [0, -3, 2.5, True, "3"])
+    @pytest.mark.parametrize("what, run", [
+        ("codebook size", lambda v: gen_codebook(8, 0.25, v)),
+        ("trial count", lambda v: monte_carlo_id(gen_codebook(16, 0.5, 4), 0.03, 0.3, v)),
+        ("worker count",
+         lambda v: monte_carlo_id(gen_codebook(16, 0.5, 4), 0.03, 0.3, 100, workers=v)),
+        ("block length n", lambda v: chernoff_bound(v, 0.3, 0.1, 0.03)),
+        ("block length n", lambda v: channel.power(channel.bsc(0.1), v)),
+        ("trials", lambda v: run_branch_swap_harness(v, 0)),
+        ("max_edges", lambda v: run_branch_swap_harness(1, 0, max_edges=v)),
+        ("max_symbols", lambda v: run_branch_swap_harness(1, 0, max_symbols=v)),
+    ], ids=["gen_codebook", "mc-trials", "mc-workers", "chernoff", "power",
+            "harness-trials", "harness-max_edges", "harness-max_symbols"])
+    def test_counts_are_refused_alike(self, what, run, value):
+        with pytest.raises(RangeError,
+                           match=f"^{re.escape(f'{what} {value!r}')} is not an integer >= 1$"):
+            run(value)
+
+    # NaN ended in a bare ValueError from math.ceil, and infinity and an n
+    # whose product with delta leaves the float range in an OverflowError
+    @pytest.mark.parametrize("n, delta", [(8, float("nan")), (8, float("inf")),
+                                          (8, float("-inf")), (10**400, 0.5)],
+                             ids=["nan", "inf", "-inf", "huge-n"])
+    def test_minimum_distance_must_be_finite(self, n, delta):
+        text = f"minimum distance ceil(n * delta) at n {n}, delta {delta} is not finite"
+        for run in (bsc_id.min_distance, lambda n, delta: gen_codebook(n, delta, 2)):
+            with pytest.raises(RangeError, match=f"^{re.escape(text)}$"):
+                run(n, delta)
+
+    # A width that is not positive made every pair a reject or every
+    # distance a miss: exact_error_rates(book, 0.03, nan) gave (1.0, 0.0).
+    @pytest.mark.parametrize("epsilon", [float("nan"), 0.0, -0.1])
+    @pytest.mark.parametrize("run", [
+        lambda eps: exact_error_rates(gen_codebook(16, 0.5, 4), 0.03, eps),
+        lambda eps: exact_window_miss(10, 3, 0.03, eps, 0.1),
+        lambda eps: monte_carlo_id(gen_codebook(16, 0.5, 4), 0.03, eps, 100),
+        lambda eps: id_decoder("0000", "0001", 4, 0.03, eps, mode="paper-windows"),
+    ], ids=["exact_error_rates", "exact_window_miss", "monte_carlo_id", "id_decoder"])
+    def test_decision_rule_refuses_a_width_that_is_not_positive(self, run, epsilon):
+        with pytest.raises(RangeError, match=f"^epsilon {epsilon} must be positive$"):
+            run(epsilon)
 
     def test_one_word_has_no_pairs(self):
         book = gen_codebook(8, 0.5, 1)

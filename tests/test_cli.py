@@ -837,6 +837,9 @@ LIBRARY_RANGES = [
      "error: block length n -3 is not an integer >= 1"),
     (["codebook", "--n", "8", "--delta", "0", "--M", "4"],
      "error: minimum distance ceil(n * delta) = 0 at n 8, delta 0.0 is outside [1, 8]"),
+    # n * delta past the float range ended in an OverflowError traceback
+    (["codebook", "--n", "1" + "0" * 400, "--delta", "0.5", "--M", "2"],
+     f"error: minimum distance ceil(n * delta) at n {10**400}, delta 0.5 is not finite"),
     (["id-sim", "--n", "0", "--gamma", "0.03", "--delta", "0.25", "--eps", "0.3",
       "--M", "4", "--trials", "100"],
      "error: block length n 0 is not an integer >= 1"),
@@ -849,7 +852,7 @@ LIBRARY_RANGES = [
 class TestRangesAreTheLibrarys:
     @pytest.mark.parametrize("argv, note", LIBRARY_RANGES,
                              ids=["codebook-n0", "codebook-n-3", "codebook-delta0",
-                                  "id-sim-n0", "id-sim-M1"])
+                                  "codebook-n-huge", "id-sim-n0", "id-sim-M1"])
     def test_run_and_validate_refuse_with_one_note(self, tmp_path, capsys, argv, note):
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
@@ -860,6 +863,15 @@ class TestRangesAreTheLibrarys:
         cfg.write_text(json.dumps({"task": argv[0], "params": params}))
         assert main(["validate", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out == note + "\n"
+
+    # the parsed integer, or the text where it does not parse
+    @pytest.mark.parametrize("raw, shown", [("0", "0"), ("1.5", "'1.5'")])
+    def test_worker_count_is_the_count_check(self, tmp_path, capsys, monkeypatch,
+                                             raw, shown):
+        monkeypatch.setenv("LHC_KIT_WORKERS", raw)
+        assert main([*ID_SIM, "--out", str(tmp_path / "sim.csv")]) == 2
+        assert capsys.readouterr().err == (f"error: LHC_KIT_WORKERS {shown} "
+                                           "is not an integer >= 1\n")
 
     def test_codebook_of_one_word(self, tmp_path):
         out = tmp_path / "book.txt"

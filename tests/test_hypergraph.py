@@ -6,17 +6,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lhckit import (
+    BITS,
     Alphabet,
     EdgeMap,
+    FunctionCode,
     FunctionTable,
     Hypergraph,
+    assemble_id_code,
     characteristic_hypergraph,
     check_homomorphism,
     complete_1_uniform,
+    compose,
     hom_from_edge_map,
     identification_table,
+    identity_channel,
     k_identification_table,
     split_product_alphabet,
+    verify_lhc,
 )
 from lhckit.errors import RequiresBijective, RequiresPartition, ShapeError
 
@@ -110,7 +116,8 @@ class TestPartition:
 
     def test_unique_edge_of(self):
         h = Hypergraph(Alphabet(("a", "b", "c")), ((0, 1), (2,)))
-        assert h.unique_edge_of(1) == 0 and h.unique_edge_of(2) == 1
+        assert oracles.unique_edge_of(h, 1) == 0 and oracles.unique_edge_of(h, 2) == 1
+        assert h.incidence[[1, 2]].nonzero()[1].tolist() == [0, 1]
 
 
 class TestIncidence:
@@ -121,7 +128,7 @@ class TestIncidence:
         assert h.incidence.tolist() == [
             [False, False, True], [True, True, False], [False, True, False],
             [True, False, False], [False, False, False]]
-        assert h.degrees.tolist() == [1, 2, 1, 1, 0]
+        assert h.incidence.sum(axis=1).tolist() == [1, 2, 1, 1, 0]
         assert [h.edges_containing(v) for v in range(5)] == [(2,), (0, 1), (1,), (0,), ()]
         assert h.edges_containing(5) == () and h.edges_containing(-1) == ()
         assert not h.edges_disjoint and not h.is_partition
@@ -130,7 +137,7 @@ class TestIncidence:
     def test_no_edges(self):
         h = Hypergraph(Alphabet.of_size(2, "v"), ())
         assert h.incidence.shape == (2, 0) and h.edges_containing(0) == ()
-        assert h.edges_disjoint and not h.is_partition and not h.degrees.any()
+        assert h.edges_disjoint and not h.is_partition and not h.incidence.sum(axis=1).any()
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_edge_vertex_outside_alphabet(self, bad):
@@ -139,9 +146,9 @@ class TestIncidence:
 
     def test_cached_and_read_only(self):
         h = Hypergraph(self.H.vertices, self.H.edges)
-        assert h.incidence is h.incidence and h.degrees is h.degrees
+        assert h.incidence is h.incidence
         assert h.vertex_groups is h.vertex_groups
-        for arr in (h.incidence, h.degrees, *h.vertex_groups):
+        for arr in (h.incidence, *h.vertex_groups):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1
@@ -378,3 +385,54 @@ class TestRelabelInvariance:
         # and so is the first edge whose image misses a vertex
         assert before.is_hom == after.is_hom
         assert (before.witness or (None,))[0] == (after.witness or (None,))[0]
+
+
+def _identity(*labels):
+    return identity_channel(Alphabet(labels))
+
+
+def _code(encoder, channel, decoder):
+    return FunctionCode(encoder, decoder, FunctionTable(BITS, BITS, (0, 1)), channel)
+
+
+def _assemble(hyper_h):
+    enc = _identity("0", "1")
+    return assemble_id_code(enc, enc, None, hyper_h, None, None, None, None,
+                            alpha=0.0, beta=0.0, mu=0.0)
+
+
+class TestOneAlphabetCheck:
+    """Every alphabet-agreement site refuses through one check, whose message
+    names both sizes and the first differing label after the site's words."""
+
+    @pytest.mark.parametrize("run, text", [
+        (lambda: compose(_identity("0", "1"), _identity("a", "b")),
+         "output alphabet of first must equal input alphabet of second: "
+         "2 labels against 2, first differing at position 0: '0' against 'a'"),
+        (lambda: verify_lhc(_identity("0", "1"),
+                            Hypergraph(Alphabet(("0", "1", "2")), ((0,),)),
+                            Hypergraph(BITS, ((0,),)), EdgeMap.identity(1), 0.1),
+         "channel input alphabet must equal the source vertex set: "
+         "2 labels against 3, first differing at position 2: none against '2'"),
+        (lambda: verify_lhc(_identity("0", "1"), Hypergraph(BITS, ((0,),)),
+                            Hypergraph(Alphabet(("0", "x")), ((0,),)),
+                            EdgeMap.identity(1), 0.1),
+         "channel output alphabet must equal the target vertex set: "
+         "2 labels against 2, first differing at position 1: '1' against 'x'"),
+        (lambda: _code(_identity("a", "b"), _identity("a", "b"), _identity("a", "b")),
+         "encoder input must be the domain of f: "
+         "2 labels against 2, first differing at position 0: 'a' against '0'"),
+        (lambda: _code(_identity("0", "1"), _identity("0", "1", "2"), _identity("0", "1")),
+         "encoder output must feed the channel input: "
+         "2 labels against 3, first differing at position 2: none against '2'"),
+        (lambda: _code(_identity("0", "1"), _identity("0", "1"), _identity("0")),
+         "channel output must feed the decoder input: "
+         "2 labels against 1, first differing at position 1: '1' against none"),
+        (lambda: _assemble(Hypergraph(Alphabet(("0|0", "0|1", "1|0", "x")), ((0, 3),))),
+         "hyper_h must live on the message-pair alphabet: "
+         "4 labels against 4, first differing at position 3: 'x' against '1|1'"),
+    ], ids=["compose", "verify-input", "verify-output", "code-encoder-input",
+            "code-encoder-output", "code-channel-output", "assemble-hyper_h"])
+    def test_refusal_names_sizes_and_first_difference(self, run, text):
+        with pytest.raises(ShapeError, match=f"^{re.escape(text)}$"):
+            run()

@@ -139,7 +139,7 @@ class TestVerify:
         f_e = EdgeMap(2, 2, (1, 0))
         success = per_vertex_success(phi, src, tgt, f_e)
         for a in range(4):
-            edge = src.unique_edge_of(a)
+            edge = oracles.unique_edge_of(src, a)
             direct = phi.rows[a, list(tgt.edges[f_e(edge)])].sum()
             assert success[a] == pytest.approx(direct)
 
