@@ -12,11 +12,12 @@ rule (with `in_window` the one open-window test) and the single-shot
 decoder, the Monte Carlo simulator and the exact oracle all call it;
 Hamming distances of bit matrices come from one integer routine. Because
 acceptance depends on a codeword pair only through its distance, the exact
-oracle weighs one convolution law per distinct pair distance, all built
-from one batched binomial grid. Distance laws are exact binomial
-convolutions and never materialize a 4^n matrix. Monte Carlo simulation
-draws raw channel flips so it stays independent of the convolution oracle,
-and counts output distances as the XOR parity of flips and codeword letters.
+oracle weighs one convolution law per distinct pair distance. Its binomial
+rows come from one recurrence in numpy, with a stated error bound, and its
+error rates sum the failing mass rather than subtract the rest from 1. The
+laws never materialize a 4^n matrix. Monte Carlo simulation draws raw
+channel flips so it stays independent of the convolution oracle, and counts
+output distances as the XOR parity of flips and codeword letters.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
     RangeError,
     ShapeError,
     _require_count,
+    _require_real,
     _require_unit,
 )
 from .hypergraph import (Alphabet, Hypergraph, characteristic_hypergraph,
@@ -89,6 +91,7 @@ def require_windows(delta: float, gamma: float, epsilon: float) -> None:
 
 
 def _require_positive(epsilon: float) -> None:
+    _require_real(epsilon, "epsilon")
     if not epsilon > 0.0:
         raise RangeError(f"epsilon {epsilon} must be positive")
 
@@ -145,42 +148,40 @@ def pair_distance_distribution(n: int, k: int, gamma: float) -> PairDistanceLaw:
 def _distance_laws(n: int, ks, gamma: float) -> list[PairDistanceLaw]:
     """pair_distance_distribution for each input distance in ks.
 
-    One ``_binom_grid`` call fills a (len(ks), n + 1) grid for the matching
-    letters and one for the differing letters; row i of each holds the
-    binomial of n - ks[i] (or ks[i]) trials, zero past its support. The pmf
-    is elementwise, so each sliced row has the bits of a single-k call.
+    One ``_binom_rows`` call at p = beta gives the rows of n - k trials, for
+    the matching letters, and of k trials: the differing letters stay apart
+    with Bin(k, 1 - beta)(j) = Bin(k, beta)(k - j), that row read backwards,
+    so 1 - beta is never rounded on its own. A law is the convolution of its
+    two rows, sums of nonnegative products of at most min(k, n - k) + 1
+    terms, so to first order every entry is within (4n + min(k, n - k) + 1)
+    ulp, at most 5n ulp, of the exact law at the float beta. The pmf is
+    elementwise, so each law has the bits of a single-k call.
     """
     ks = np.asarray(ks)
     bad = ks[(ks < 0) | (ks > n) | (ks % 1 != 0)]
     if bad.size:
         raise RangeError(f"input distance {bad[0]} is not an integer in [0, {n}]")
     ks = ks.astype(np.int64)
-    b = beta(gamma)
-    j = np.arange(n + 1)
-    same = _binom_grid(j, n - ks, b)
-    diff = _binom_grid(j, ks, 1.0 - b)
-    return [PairDistanceLaw(n, int(k), np.convolve(same[i, :n - k + 1], diff[i, :k + 1]))
-            for i, k in enumerate(ks)]
+    rows = _binom_rows(np.concatenate((n - ks, ks)), beta(gamma), n)
+    return [PairDistanceLaw(n, int(k), np.convolve(same[:n - k + 1], diff[k::-1]))
+            for k, same, diff in zip(ks, rows, rows[ks.size:])]
 
 
-def _binom_grid(j, trials, p: float) -> np.ndarray:
-    """binom.pmf(j, t, p) in one row per t in trials, from one pmf call.
+def _binom_rows(trials, p: float, n: int) -> np.ndarray:
+    """Bin(t, p) over 0..n, zero past t, in one row per t in trials.
 
-    scipy's pmf raises OverflowError for some p near the smallest normal
-    float (between about 5.6e-309 and 2.3e-308 on scipy 1.17.1). Then each
-    row is filled alone, by exp(binom.logpmf) if its own pmf overflows, so
-    every row keeps the bits of a call for its t alone. scipy.stats is
-    imported here, its one user, so that importing lhckit loads no scipy.
+    Row t + 1 is row t convolved with (1 - p, p), so every entry is a sum of
+    nonnegative products: nothing cancels, nothing exceeds 1 and nothing
+    overflows. To first order an entry of row t is within 4t ulp of the
+    binomial at the float p: one rounding of 1 - p, and each step rounds two
+    products and their sum.
     """
-    from scipy.stats import binom
-
-    try:
-        return binom.pmf(j, trials[:, None], p)
-    except OverflowError:
-        if trials.size == 1:
-            return np.exp(binom.logpmf(j, trials[:, None], p))
-        return np.vstack([_binom_grid(j, trials[i:i + 1], p)
-                          for i in range(trials.size)])
+    rows = np.zeros((len(trials), n + 1))
+    row, step = np.ones(1), np.array([1.0 - p, p])
+    for t in range(trials.max(initial=0) + 1):
+        rows[trials == t, :t + 1] = row
+        row = np.convolve(row, step)
+    return rows
 
 
 def window_interval(n: int, gamma: float, epsilon: float,
@@ -222,10 +223,10 @@ def accepts(d, n: int, gamma: float, epsilon: float, mode: str) -> np.ndarray:
 def exact_window_miss(n: int, k: int, gamma: float, epsilon: float,
                       delta_nominal: float) -> float:
     """Exact probability that a pair at distance k falls outside the window
-    centered at the nominal-delta expectation."""
+    centered at the nominal-delta expectation: the law summed outside it."""
     law = pair_distance_distribution(n, k, gamma)
     inside = in_window(np.arange(n + 1), n, gamma, epsilon, delta_nominal)
-    return float(1.0 - law.pmf[inside].sum())
+    return float(law.pmf[~inside].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +364,9 @@ def gen_codebook(
             )
         candidates = range(1 << n)
     elif strategy == "random-greedy":
+        cap = channel.DEFAULT_PRODUCT_CAP
+        if n > cap:
+            raise CapacityError(f"word length n {n} exceeds the cap {cap}")
         rng = named_rng(seed, 0xC0DE)
         # drawn lazily: the scan stops drawing once it has m words
         candidates = (int.from_bytes(np.packbits(rng.integers(0, 2, size=n)), "big")
@@ -660,6 +664,8 @@ def exact_error_rates(
     Averages over the ordered distinct pairs that the simulation samples
     uniformly. Acceptance depends on a pair only through its distance, so
     each distinct distance gets one convolution law, weighted by its count.
+    The false reject sums the equal pair's law over the rejected distances,
+    so no rate is 1 minus a sum near 1.
     """
     require_pairs(codebook.size)
     n = codebook.n
@@ -668,9 +674,9 @@ def exact_error_rates(
     counts = np.bincount(off)
     ks = np.flatnonzero(counts)  # distinct codewords: never distance 0
     laws = _distance_laws(n, np.concatenate(([0], ks)), gamma)
-    equal, *far = [float(law.pmf[accepted].sum()) for law in laws]
-    false_accept = float(counts[ks] @ np.array(far) / off.size)
-    return 1.0 - equal, false_accept
+    false_reject = float(laws[0].pmf[~accepted].sum())
+    far = [law.pmf[accepted].sum() for law in laws[1:]]
+    return false_reject, float(counts[ks] @ np.array(far) / off.size)
 
 
 def rate_table(gamma: float, delta_grid) -> list[tuple[float, float, float]]:

@@ -86,10 +86,17 @@ def decompose(
                    "composite profile <= lam")
     if np.any(lam >= 0.5):
         raise HypothesisViolated("every lam entry must be below 1/2")
-    if np.any(kappa > 0.5):
-        raise HypothesisViolated("every kappa entry must be at most 1/2")
+    _require_half(kappa)
     require_within(lam, mu * kappa, "lam <= mu * kappa")
     return _split(phi, gamma, source, target, e_edge, kappa, mu, lam)[0]
+
+
+def _require_half(kappa) -> None:
+    """The one check that every kappa entry is at most 1/2: strict, with no
+    VERIFY_SLACK, since thresholds 1 - kappa of at least 1/2 keep the blocks
+    of disjoint edges disjoint."""
+    if np.any(kappa > 0.5):
+        raise HypothesisViolated("every kappa entry must be at most 1/2")
 
 
 def _split(phi, gamma, source, target, e_edge, kappa, mu, lam) -> tuple:
@@ -189,8 +196,7 @@ def _channel_split(code: FunctionCode, kappa) -> tuple:
     n_vals = lam.size
     kappa = edge_vector(kappa, n_vals, "kappa")
     require_within(4.0 * lam, kappa, "4 * lam <= kappa")
-    if np.any(kappa > 0.5):
-        raise HypothesisViolated("kappa must be at most 1/2")
+    _require_half(kappa)
 
     h_f = characteristic_hypergraph(code.f)
     identity = EdgeMap.identity(n_vals)

@@ -1,5 +1,7 @@
-"""Exception types shared across the toolkit, and the one count and
-unit-interval checks."""
+"""Exception types shared across the toolkit, and the one count, real
+number and unit-interval checks."""
+
+from numbers import Real
 
 import numpy as np
 
@@ -70,7 +72,15 @@ def _require_count(value, what: str) -> None:
         raise RangeError(f"{what} {value!r} is not an integer >= 1")
 
 
+def _require_real(value, what: str) -> None:
+    """Raise RangeError unless value is a real number; a bool is no number."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise RangeError(f"{what} {value!r} is not a real number")
+
+
 def _require_unit(value, what: str) -> None:
-    """Raise RangeError unless 0 <= value <= 1; NaN lies outside."""
+    """Raise RangeError unless value is a real number with 0 <= value <= 1;
+    NaN lies outside."""
+    _require_real(value, what)
     if not 0.0 <= value <= 1.0:
         raise RangeError(f"{what} {value} outside [0, 1]")

@@ -1,4 +1,5 @@
-"""Definitional oracles for certificate verification and code error.
+"""Definitional oracles for certificate verification, code error and the
+binomial laws of the BSC example.
 
 Each certificate quantity is recomputed from the edge tuples alone, vertex
 by vertex, with frozensets, as the defining inequality states it; a code's
@@ -6,12 +7,15 @@ error is the explicit triple sum over encoder, channel and decoder. Nothing
 here reads the library's incidence matrix or calls its verification
 routines, so the tests never grade the library against itself. Every
 probability is the same gathered-row sum the definition names, so results
-can be compared bitwise.
+can be compared bitwise. The binomial laws are exact rationals instead, so
+the library's float laws are graded in ulp.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -182,3 +186,39 @@ def brute_force_profile(code) -> np.ndarray:
             worst = max(worst, 1.0 - p)
         lam.append(worst)
     return np.array(lam)
+
+
+def _binomial_numerators(t: int, a: int, d: int) -> list[int]:
+    """d**t * Bin(t, a/d) at 0..t, integers."""
+    return [math.comb(t, j) * a**j * (d - a) ** (t - j) for j in range(t + 1)]
+
+
+def exact_binomial_row(t: int, p: float) -> list[Fraction]:
+    """Bin(t, p) at 0..t in exact rationals, p read exactly from its float."""
+    a, d = Fraction(p).as_integer_ratio()
+    return [Fraction(c, d**t) for c in _binomial_numerators(t, a, d)]
+
+
+def exact_distance_law(n: int, k: int, p: float, at=None) -> list[Fraction]:
+    """Law of Bin(n - k, p) + Bin(k, 1 - p) in exact rationals, at the
+    distances in at (default 0..n): the output distance of a pair at input
+    distance k when each letter is flipped by exactly one copy with
+    probability p. Each entry is the convolution sum of the two rows'
+    integer numerators over their common denominator."""
+    a, d = Fraction(p).as_integer_ratio()
+    same, diff = _binomial_numerators(n - k, a, d), _binomial_numerators(k, d - a, d)
+    return [Fraction(sum(same[i] * diff[j - i]
+                         for i in range(max(0, j - k), min(j, n - k) + 1)), d**n)
+            for j in (range(n + 1) if at is None else at)]
+
+
+def ulps(x: float, exact: Fraction) -> Fraction:
+    """|x - exact| in units in the last place of exact: 2**(e - 52) where
+    exact lies in [2**e, 2**(e + 1)), as for a normal float. exact is a
+    positive rational over a power of two, as every law at a float p is."""
+    num, den = exact.numerator, exact.denominator
+    e = num.bit_length() - den.bit_length()
+    x_num, x_den = x.as_integer_ratio()
+    common = max(den, x_den)  # both powers of two
+    diff = abs(x_num * (common // x_den) - num * (common // den))
+    return Fraction(diff << max(0, 52 - e), common << max(0, e - 52))

@@ -10,6 +10,7 @@ from scipy.stats import binom
 from lhckit.bsc_id import (
     Codebook,
     acceptance_threshold,
+    accepts,
     beta,
     binary_entropy,
     build_example_hypergraphs,
@@ -39,8 +40,10 @@ from lhckit.errors import (
     RangeError,
     ShapeError,
 )
+import oracles
 
 MODES = ("one-sided-threshold", "paper-windows")
+TINY = np.finfo(np.float64).tiny
 
 
 def bsc_pair_distances(n: int) -> np.ndarray:
@@ -54,37 +57,47 @@ def zip_distance(w1: str, w2: str) -> int:
 
 
 def per_k_law(n: int, k: int, gamma: float) -> np.ndarray:
-    """Reference law: one convolution of two binomials of their own lengths."""
+    """Reference law: one convolution of two binomial rows of their own
+    lengths, the differing letters' row read backwards."""
     b = beta(gamma)
-    return np.convolve(binomial(n - k, b), binomial(k, 1.0 - b))
+    return np.convolve(binomial(n - k, b), binomial(k, b)[::-1])
 
 
 def binomial(t: int, p: float) -> np.ndarray:
-    """binom.pmf over 0..t; exp(logpmf) where scipy's pmf overflows, which
-    it does for some p near the smallest normal float."""
-    try:
-        return binom.pmf(np.arange(t + 1), t, p)
-    except OverflowError:
-        return np.exp(binom.logpmf(np.arange(t + 1), t, p))
+    """Bin(t, p) over 0..t from the package's row routine, built alone."""
+    return bsc_id._binom_rows(np.array([t]), p, t)[0]
+
+
+def assert_within_stated_bound(law, gamma: float) -> None:
+    """Every entry whose exact value is a normal float lies within the stated
+    5n ulp of the exact law at the float beta. The exact law is slow at a
+    tiny beta, so it is computed only where the float law is at least
+    TINY / 1024: an entry below that is normal only if it is off by a
+    factor over 1000, which this check does not grade."""
+    at = np.flatnonzero(law.pmf >= TINY / 1024).tolist()
+    exact = oracles.exact_distance_law(law.n, law.k, beta(gamma), at)
+    for j, v in zip(at, exact):
+        if v >= TINY:
+            assert oracles.ulps(float(law.pmf[j]), v) <= 5 * law.n, (law.n, law.k, j)
 
 
 def pairwise_error_rates(codebook, gamma, epsilon, mode):
     """Reference oracle: one convolution law per ordered distinct codeword pair,
-    averaged in pair order."""
+    averaged in pair order; the false reject is the rejected mass of the
+    equal pair's law."""
     n = codebook.n
     thresh = acceptance_threshold(n, gamma, epsilon)
     lo0, hi0 = window_interval(n, gamma, epsilon, 0.0)
+    d = np.arange(n + 1)
+    accepted = d <= thresh if mode == "one-sided-threshold" else (d > lo0) & (d < hi0)
 
     def accept_prob(k: int) -> float:
-        law = pair_distance_distribution(n, k, gamma)
-        if mode == "one-sided-threshold":
-            return float(law.pmf[:math.floor(thresh) + 1].sum())
-        d = np.arange(n + 1)
-        return float(law.pmf[(d > lo0) & (d < hi0)].sum())
+        return float(pair_distance_distribution(n, k, gamma).pmf[accepted].sum())
 
     off = [zip_distance(u, v) for u in codebook.words for v in codebook.words
            if u != v]
-    return 1.0 - accept_prob(0), float(np.mean([accept_prob(k) for k in off]))
+    false_reject = float(pair_distance_distribution(n, 0, gamma).pmf[~accepted].sum())
+    return false_reject, float(np.mean([accept_prob(k) for k in off]))
 
 
 class TestClosedForms:
@@ -249,6 +262,8 @@ class TestDistanceLaw:
                 for k in range(n + 1)] == want
         batch = bsc_id._distance_laws(n, np.arange(n + 1), gamma)
         assert [(law.k, law.pmf.tobytes()) for law in batch] == list(enumerate(want))
+        for law in batch:
+            assert_within_stated_bound(law, gamma)
 
     @given(st.integers(1, 80), st.data(), st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -258,15 +273,36 @@ class TestDistanceLaw:
         assert [law.k for law in laws] == ks
         for law in laws:
             assert law.pmf.tobytes() == per_k_law(n, law.k, gamma).tobytes()
+            assert_within_stated_bound(law, gamma)
 
-    # beta(gamma) is the smallest normal float, where scipy's pmf overflows
+    # beta(gamma) is the smallest normal float, where scipy's binomial pmf
+    # overflowed
     @pytest.mark.parametrize("n, k", [(4, 0), (7, 2), (7, 7)])
     def test_law_at_the_smallest_normal_beta(self, n, k):
         gamma = 1.1125369292536007e-308
-        assert beta(gamma) == np.finfo(np.float64).tiny
+        assert beta(gamma) == TINY
         law = pair_distance_distribution(n, k, gamma)
         assert law.pmf[k] == 1.0  # both copies keep every letter
         assert law.pmf.tobytes() == per_k_law(n, k, gamma).tobytes()
+        assert_within_stated_bound(law, gamma)
+
+    # 0.001 is where evaluating scipy's pmf at the rounded 1 - beta put a
+    # law 15,100 ulp off (n 64, k 61, distance 0)
+    @pytest.mark.parametrize("gamma", [0.001, 0.3, 0.5])
+    def test_laws_meet_the_stated_bound(self, gamma):
+        for n in (1, 7, 16, 33, 64):
+            for law in bsc_id._distance_laws(n, np.arange(n + 1), gamma):
+                assert_within_stated_bound(law, gamma)
+
+    def test_rows_meet_their_stated_bound(self):
+        for p in (beta(0.001), beta(0.03), 0.3, 0.5):
+            rows = bsc_id._binom_rows(np.array([0, 1, 64, 200]), p, 200)
+            for t, row in zip((0, 1, 64, 200), rows):
+                assert not row[t + 1:].any()
+                exact = oracles.exact_binomial_row(t, p)
+                worst = max(oracles.ulps(x, v) for x, v in zip(row.tolist(), exact)
+                            if v >= TINY)
+                assert worst <= 4 * t, (p, t)
 
     def test_rates_at_the_smallest_normal_beta(self):
         gamma = 1.1125369292536007e-308
@@ -345,21 +381,21 @@ class TestExactErrorRates:
             assert math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0)
 
 
-    # float.hex of (false reject, false accept), written by the per-distance
-    # oracle before its laws were batched
+    # float.hex of (false reject, false accept) from the binomial recurrence,
+    # each within 45 ulp of the exact rational rates (scipy's pmf: 169 ulp)
     PINNED = {
         ("antipodal-halves", "one-sided-threshold"):
-            ("0x1.49eb8af1275c0p-5", "0x1.497847c806a4ap-190"),
+            ("0x1.49eb8af1275bep-5", "0x1.497847c806aecp-190"),
         ("antipodal-halves", "paper-windows"):
-            ("0x1.19ecb0e0d1f48p-4", "0x1.497847c806a4ap-190"),
+            ("0x1.19ecb0e0d1f53p-4", "0x1.497847c806aecp-190"),
         ("lexicode-12", "one-sided-threshold"):
-            ("0x1.3dbf8ff703ad8p-3", "0x1.137e3dbc05899p-2"),
+            ("0x1.3dbf8ff703ad9p-3", "0x1.137e3dbc05895p-2"),
         ("lexicode-12", "paper-windows"):
-            ("0x1.fb0649f06aef0p-3", "0x1.12d3b2c22f956p-2"),
+            ("0x1.fb0649f06aeeep-3", "0x1.12d3b2c22f952p-2"),
         ("random-200", "one-sided-threshold"):
-            ("0x1.e080639e595c0p-7", "0x1.58a5bde6d2171p-144"),
+            ("0x1.e080639e59544p-7", "0x1.58a5bde6d2205p-144"),
         ("random-200", "paper-windows"):
-            ("0x1.5cecf32fc4c80p-6", "0x1.58a5bde6d2171p-144"),
+            ("0x1.5cecf32fc4c34p-6", "0x1.58a5bde6d2205p-144"),
     }
 
     @staticmethod
@@ -377,6 +413,20 @@ class TestExactErrorRates:
         book, gamma, eps = self.pinned_code(name)
         got = exact_error_rates(book, gamma, eps, mode=mode)
         assert tuple(x.hex() for x in got) == self.PINNED[name, mode]
+
+    # 1 minus the accepted mass was 4.8163685576474435e-06 and 1.2323e-14
+    # here, 49,180 ulp and 4e14 ulp off; a sum of the 5n-ulp law entries over
+    # at most n + 1 distances is within 6n ulp
+    def test_tails_are_summed(self):
+        book = Codebook(n=64, words=("0" * 64, "1" * 64), dmin=64)
+        rejected = ~accepts(np.arange(65), 64, 0.01, 6.0, "one-sided-threshold")
+        law = oracles.exact_distance_law(64, 0, beta(0.01))
+        want = sum(v for v, out in zip(law, rejected) if out)
+        assert oracles.ulps(exact_error_rates(book, 0.01, 6.0)[0], want) <= 6 * 64
+        outside = ~in_window(np.arange(51), 50, 0.1, 1.5, 0.2)
+        law = oracles.exact_distance_law(50, 10, beta(0.1))
+        want = sum(v for v, out in zip(law, outside) if out)
+        assert oracles.ulps(exact_window_miss(50, 10, 0.1, 1.5, 0.2), want) <= 6 * 50
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_word_codebook_has_no_distinct_pairs(self, mode):
@@ -721,6 +771,33 @@ class TestOneCheckPerRange:
     def test_decision_rule_refuses_a_width_that_is_not_positive(self, run, epsilon):
         with pytest.raises(RangeError, match=f"^epsilon {epsilon} must be positive$"):
             run(epsilon)
+
+    # a string ended in a bare TypeError from the comparison, and True ran as 1
+    @pytest.mark.parametrize("value", ["0.1", True, None])
+    @pytest.mark.parametrize("what, run", [
+        ("gamma", beta),
+        ("delta", lambda v: theta(v, 0.1)),
+        ("probability", binary_entropy),
+        ("crossover probability", channel.bsc),
+        ("epsilon", lambda v: chernoff_bound(100, v, 0.1, 0.03)),
+        ("epsilon", lambda v: exact_window_miss(10, 3, 0.03, v, 0.1)),
+    ], ids=["beta", "theta", "binary_entropy", "bsc", "chernoff", "window_miss"])
+    def test_probabilities_and_widths_must_be_real_numbers(self, what, run, value):
+        with pytest.raises(RangeError,
+                           match=f"^{re.escape(f'{what} {value!r}')} is not a real number$"):
+            run(value)
+
+    def test_random_word_length_is_capped_before_any_draw(self, monkeypatch):
+        cap = channel.DEFAULT_PRODUCT_CAP
+
+        def refuse(*args):
+            raise AssertionError("drew before checking the word length")
+
+        monkeypatch.setattr(bsc_id, "named_rng", refuse)
+        for n in (cap + 1, 10**300):
+            with pytest.raises(CapacityError,
+                               match=f"^word length n {n} exceeds the cap {cap}$"):
+                gen_codebook(n, 0.5, 2, strategy="random-greedy")
 
     def test_one_word_has_no_pairs(self):
         book = gen_codebook(8, 0.5, 1)

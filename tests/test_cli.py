@@ -782,6 +782,17 @@ def test_decompose_stage_mismatch_exits_one(tmp_path, capsys):
     assert err.startswith("fail:") and err.count("\n") == 1
 
 
+# a random-greedy word past the cap ended in numpy's "Maximum allowed
+# dimension exceeded" traceback
+def test_random_word_length_past_the_cap_exits_one(tmp_path, capsys):
+    out = tmp_path / "book.txt"
+    assert main(["codebook", "--n", str(10**300), "--delta", "0.5", "--M", "2",
+                 "--strategy", "random-greedy", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"fail: word length n {10**300} exceeds the cap 1048576\n"
+    assert not out.exists()
+
+
 class TestParserOncePerProcess:
     def test_build_parser_is_fresh_and_main_reuses_one(self):
         assert cli.build_parser() is not cli.build_parser()

@@ -194,7 +194,8 @@ class TestChannelIsLhc:
             channel_is_lhc(code, kappa=0.5)
 
     def test_half_is_strict_inside_verify_slack(self):
-        with pytest.raises(HypothesisViolated, match="^kappa must be at most 1/2$"):
+        with pytest.raises(HypothesisViolated,
+                           match="^every kappa entry must be at most 1/2$"):
             channel_is_lhc(bit_code(0.01), kappa=0.5 + 1e-13)
 
     @given(st.integers(0, 100_000))
