@@ -23,7 +23,6 @@ from .channel import Channel, deterministic_channel, identity_channel, named_rng
 from .decomposition import DecompositionResult, _split, decompose
 from .codes import FunctionCode, code_error_profile
 from .errors import (
-    CapacityError,
     DecompositionFailure,
     EdgeCountMismatch,
     ShapeError,
@@ -249,7 +248,7 @@ def assemble_id_code(
     off_edge, diag_edge = map(hyper_h.edges.index, h_ref.edges)
     accept_edge = m3.after(m2)(diag_edge)
     decoder = deterministic_channel(
-        FunctionTable(hyper_d.vertices, BITS, hyper_d.incidence[:, accept_edge])
+        FunctionTable(hyper_d.vertices, BITS, hyper_d.incidence[:, accept_edge].astype(int))
     )
 
     code = FunctionCode(tensor(enc1, enc2), decoder, f_id, phi)
@@ -293,8 +292,8 @@ def random_partition(rng: np.random.Generator, alphabet: Alphabet,
     cuts = sorted(rng.choice(np.arange(1, n), size=edge_count - 1, replace=False).tolist()) \
         if edge_count > 1 else []
     bounds = [0, *cuts, n]
-    return Hypergraph(alphabet, tuple(tuple(sorted(order[lo:hi]))
-                                      for lo, hi in zip(bounds, bounds[1:])))
+    # the constructor sorts each block
+    return Hypergraph(alphabet, tuple([order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]))
 
 
 def random_channel(rng: np.random.Generator, inp: Alphabet, out: Alphabet,
@@ -340,11 +339,8 @@ def check_harness_symbols(max_symbols) -> None:
     entries at s = max_symbols; this runs before any alphabet is built.
     """
     side = max_symbols * max_symbols
-    if side * side > channel.DEFAULT_PRODUCT_CAP:
-        raise CapacityError(
-            f"max_symbols {max_symbols} allows a {side} x {side} channel, "
-            f"more than the cap of {channel.DEFAULT_PRODUCT_CAP} entries"
-        )
+    channel._check_entries(side * side,
+                           f"max_symbols {max_symbols} allows a {side} x {side} channel")
 
 
 def run_branch_swap_harness(

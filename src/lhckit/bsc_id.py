@@ -322,7 +322,13 @@ def gilbert_varshamov_bound(n: int, dmin: int) -> int:
 def min_distance(n: int, delta: float) -> int:
     """ceil(n * delta), the minimum distance of a codebook at relative
     distance delta: the one check that n is an integer >= 1 and that this
-    distance is finite and lies in [1, n]."""
+    distance is finite and lies in [1, n].
+
+    The rule is the ceiling of the float product, as Python computes
+    ``n * delta``: min_distance(100, 0.07) is 8, as 100 * 0.07 rounds to
+    7.000000000000001, and min_distance(200, 0.1) is 20, although float 0.1
+    lies above 1/10. Every seeded codebook follows this rule.
+    """
     _require_count(n, "block length n")
     try:
         dmin = math.ceil(n * delta)
@@ -364,9 +370,7 @@ def gen_codebook(
             )
         candidates = range(1 << n)
     elif strategy == "random-greedy":
-        cap = channel.DEFAULT_PRODUCT_CAP
-        if n > cap:
-            raise CapacityError(f"word length n {n} exceeds the cap {cap}")
+        _check_entries(n, "random-greedy word")
         rng = named_rng(seed, 0xC0DE)
         # drawn lazily: the scan stops drawing once it has m words
         candidates = (int.from_bytes(np.packbits(rng.integers(0, 2, size=n)), "big")
@@ -445,9 +449,7 @@ def build_example_hypergraphs(
 
 def word_alphabet(n: int) -> Alphabet:
     """All n-bit words as labels, in numeric order."""
-    cap = channel.DEFAULT_PRODUCT_CAP
-    if (1 << n) > cap:
-        raise CapacityError(f"2**{n} words exceed the cap {cap}")
+    _check_entries(1 << n, f"alphabet of all {n}-bit words")
     return Alphabet(tuple(format(w, f"0{n}b") for w in range(1 << n)))
 
 
@@ -470,7 +472,7 @@ def restricted_pair_channel(codebook: Codebook, gamma: float) -> Channel:
     M^2 x 4^n dense entries are checked against the cap before any allocation.
     """
     n, m = codebook.n, codebook.size
-    _check_entries(m * m, 1 << (2 * n))
+    _check_entries(m * m << 2 * n, f"channel of {m * m} x {1 << 2 * n}")
     single = _flip_rows(codebook.bits, n, gamma)
     # row i*m + j is the Kronecker product of word rows i and j
     rows = (single[:, None, :, None] * single[None, :, None, :]).reshape(m * m, -1)
@@ -491,9 +493,7 @@ def _word_pair_split(n: int, split) -> Hypergraph:
 
     The 4**n pairs are checked against the cap before the table is built.
     """
-    cap = channel.DEFAULT_PRODUCT_CAP
-    if (1 << (2 * n)) > cap:
-        raise CapacityError(f"4**{n} pairs exceed the cap {cap}")
+    _check_entries(1 << 2 * n, f"alphabet of all {n}-bit word pairs")
     full = word_alphabet(n)
     masks = split(pair_distance_table(n).reshape(-1))
     return Hypergraph(full.product(full),
@@ -681,7 +681,8 @@ def exact_error_rates(
 
 def rate_table(gamma: float, delta_grid) -> list[tuple[float, float, float]]:
     """Rows (delta, greedy codebook rate 1-h(delta), transmission rate 1-h(gamma))."""
-    if not 0.0 <= gamma <= 0.5:
+    _require_unit(gamma, "gamma")
+    if gamma > 0.5:
         raise RangeError(f"gamma {gamma} outside [0, 1/2]")
     tx = 1.0 - binary_entropy(gamma)
     rows = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ShapeError, _require_count, _require_unit
+from .errors import CapacityError, ShapeError, _indices, _require_count, _require_unit
 from .hypergraph import BITS, Alphabet, FunctionTable, _require_same_alphabet
 
 ROW_SUM_TOL = 1e-12
@@ -107,20 +107,18 @@ def compose(first: Channel, second: Channel) -> Channel:
     return _adopt(first.input, second.output, rows)
 
 
-def _check_entries(in_size: int, out_size: int) -> None:
-    """Refuse a dense in x out channel with more entries than the cap."""
-    if in_size * out_size > DEFAULT_PRODUCT_CAP:
+def _check_entries(entries: int, what: str) -> None:
+    """The one cap refusal: CapacityError naming what when its dense array
+    would hold more entries than the cap."""
+    if entries > DEFAULT_PRODUCT_CAP:
         raise CapacityError(
-            f"channel of {in_size} x {out_size} = {in_size * out_size} "
-            f"entries exceeds cap {DEFAULT_PRODUCT_CAP}"
-        )
+            f"{what}: {entries} entries exceed the cap {DEFAULT_PRODUCT_CAP}")
 
 
 def tensor(phi1: Channel, phi2: Channel) -> Channel:
     """Independent parallel use of two channels on the product alphabets."""
-    _check_entries(phi1.input.size * phi2.input.size,
-                   phi1.output.size * phi2.output.size)
     (m, n), (p, q) = phi1.rows.shape, phi2.rows.shape
+    _check_entries(m * p * n * q, f"channel of {m * p} x {n * q}")
     # np.kron's entries, each one product, without its general-rank set-up
     rows = (phi1.rows[:, None, :, None] * phi2.rows[None, :, None, :]).reshape(m * p, n * q)
     return _adopt(phi1.input.product(phi2.input), phi1.output.product(phi2.output), rows)
@@ -129,7 +127,8 @@ def tensor(phi1: Channel, phi2: Channel) -> Channel:
 def power(phi: Channel, n: int) -> Channel:
     """n independent letter-wise uses of phi."""
     _require_count(n, "block length n")
-    _check_entries(phi.input.size**n, phi.output.size**n)
+    rows, cols = phi.input.size**n, phi.output.size**n
+    _check_entries(rows * cols, f"channel of {rows} x {cols}")
     out = phi
     for _ in range(n - 1):
         out = tensor(out, phi)
@@ -150,6 +149,7 @@ def named_rng(seed: int, *stream: object) -> np.random.Generator:
 
 def sample(phi: Channel, x: int, rng: np.random.Generator) -> int:
     """Draw one output index from row x."""
+    (x,) = _indices((x,), "input index")
     if not 0 <= x < phi.input.size:
         raise ShapeError(f"input index {x} outside alphabet")
     return int(rng.choice(phi.output.size, p=phi.rows[x]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -63,8 +64,6 @@ _LOADERS = {
 }
 
 
-# Params whose range validate checks.
-_NUMBERS = ("gamma", "delta", "epsilon", "trials", "max_edges", "max_symbols", "m")
 # Per-edge error vectors: a number or a list of numbers.
 _VECTORS = ("lambda", "mu", "kappa", "alpha", "beta")
 
@@ -79,6 +78,7 @@ _RANGES = [
     (("gamma",), bsc_id.beta),
     (("delta",), lambda delta: bsc_id.theta(delta, 0.0)),
     (("n", "delta"), bsc_id.min_distance),
+    (("epsilon",), bsc_id._require_positive),
     (("delta", "gamma", "epsilon"), bsc_id.require_windows),
 ]
 # The ranges that one task adds: rates needs gamma <= 1/2, id-sim two words.
@@ -95,9 +95,9 @@ def _is_number(value) -> bool:
 def _grid_points(grid) -> np.ndarray:
     """The deltas of a start:stop:step grid, stop included.
 
-    Raises RangeError for a malformed grid, a non-finite bound or more
-    points than ``channel.DEFAULT_PRODUCT_CAP``, all before any array is
-    built, and for a grid reaching outside [0, 1].
+    Raises RangeError for a malformed grid or a non-finite bound and
+    CapacityError for more points than the cap, all before any array is
+    built, and RangeError for a grid reaching outside [0, 1].
     """
     text = ":".join(map(str, grid)) if isinstance(grid, (list, tuple)) else repr(grid)
     if not (isinstance(grid, (list, tuple)) and len(grid) == 3
@@ -108,9 +108,9 @@ def _grid_points(grid) -> np.ndarray:
         raise RangeError(f"grid {text} needs finite start, stop and step")
     start, stop, step = grid
     # np.arange makes ceil of this many points; inf when the quotient overflows
-    if not (stop + step / 2 - start) / step <= channel.DEFAULT_PRODUCT_CAP:
-        raise RangeError(f"grid {text} has more than "
-                         f"{channel.DEFAULT_PRODUCT_CAP} points")
+    count = (stop + step / 2 - start) / step
+    channel._check_entries(math.ceil(count) if count < math.inf else count,
+                           f"grid {text}")
     points = np.arange(start, stop + step / 2, step)
     what = f"grid {text} reaches delta"
     for d in points.tolist():
@@ -122,8 +122,9 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
     """Schema and range diagnostics without running the task.
 
     Returns the notes and the parsed inputs: every well-formed file input by
-    role and, for id-sim, the worker count under "workers". A run uses these
-    objects, so each input is parsed once.
+    role, the points of a well-formed grid under "grid" and, for id-sim, the
+    worker count under "workers". A run uses these objects, so each input is
+    parsed once.
     """
     notes: list[str] = []
     objects: dict = {}
@@ -141,13 +142,7 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
             except Exception as exc:  # malformed input must not crash
                 notes.append(f"error: input {role}: {exc}")
 
-    # a wrongly typed number gets a note instead of a range check
-    p: dict = {}
-    for key, value in config.params.items():
-        if key in _NUMBERS and value is not None and not _is_number(value):
-            notes.append(f"error: {key} must be a number, got {value!r}")
-        else:
-            p[key] = value
+    p = config.params
     refused: set = set()
     for keys, check in _RANGES + _TASK_RANGES.get(config.task, []):
         if any(p.get(key) is None or key in refused for key in keys):
@@ -159,24 +154,20 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
             refused.update(keys)
     if p.get("grid") is not None:
         try:
-            _grid_points(p["grid"])
-        except RangeError as exc:
+            objects["grid"] = _grid_points(p["grid"])
+        except LhcKitError as exc:
             notes.append(f"error: {exc}")
-    # the hypergraph whose edges the error vectors are indexed by
+    # the hypergraph whose edges the error vectors are indexed by; without
+    # it, a vector's entries are checked at its own length
     hyper = objects.get("hyper_h" if config.task == "assemble-id" else "source")
     for key in _VECTORS:
         value = p.get(key)
-        if any(_is_number(x) and x != x  # NaN; np.isnan refuses huge ints
-               for x in (value if isinstance(value, list) else [value])):
-            notes.append(f"error: {key} must not be NaN, got {value}")
-        elif value is not None and hyper is not None:
+        if value is not None:
+            count = hyper.edge_count if hyper else len(value) if isinstance(value, list) else 1
             try:
-                edge_vector(value, hyper.edge_count, key)
+                edge_vector(value, count, key)
             except LhcKitError as exc:
                 notes.append(f"error: {exc}")
-            except (TypeError, ValueError, OverflowError):
-                notes.append(f"error: {key} must be a number or a list of "
-                             f"numbers, got {value!r}")
     if config.task == "id-sim":
         notes += _codebook_misfit(objects.get("codebook"), p, refused)
         raw = os.environ.get("LHC_KIT_WORKERS", "1")
@@ -307,7 +298,7 @@ def _run_id_sim(p: dict, inp: dict, out: dict) -> int:
 
 
 def _run_rates(p: dict, inp: dict, out: dict) -> int:
-    rows = bsc_id.rate_table(p["gamma"], _grid_points(p["grid"]))
+    rows = bsc_id.rate_table(p["gamma"], inp["grid"])
     jsonio.write_csv(out["csv"], ["delta", "gv_rate", "tx_rate"], rows)
     print(f"{len(rows)} rows written to {out['csv']}")
     return 0

@@ -1,6 +1,7 @@
-"""Exception types shared across the toolkit, and the one count, real
-number and unit-interval checks."""
+"""Exception types shared across the toolkit, and the one index, count,
+real number and unit-interval checks."""
 
+import operator
 from numbers import Real
 
 import numpy as np
@@ -66,6 +67,26 @@ class DecompositionFailure(LhcKitError):
         self.instance = instance or {}
 
 
+def _indices(values, what: str) -> tuple[int, ...]:
+    """The one index check: the values as a tuple of Python ints, values
+    itself when it is a tuple of them.
+
+    A Python or numpy integer passes; anything else, a bool or numpy bool
+    included, raises ShapeError naming the first such value after what, as
+    ``int`` would truncate 0.7 to 0 and read True as 1. Only each distinct
+    type is looked at in Python, and ``operator.index`` converts.
+    """
+    values = tuple(values)
+    if {int}.issuperset(map(type, values)):
+        return values
+    bad = [t for t in set(map(type, values))
+           if t is bool or not issubclass(t, (int, np.integer))]
+    if bad:
+        value = next(x for x in values if type(x) in bad)
+        raise ShapeError(f"{what} {value!r} is not an integer")
+    return tuple(map(operator.index, values))
+
+
 def _require_count(value, what: str) -> None:
     """Raise RangeError unless value is an integer >= 1; a bool is no count."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
@@ -74,7 +95,8 @@ def _require_count(value, what: str) -> None:
 
 def _require_real(value, what: str) -> None:
     """Raise RangeError unless value is a real number; a bool is no number."""
-    if isinstance(value, bool) or not isinstance(value, Real):
+    # a float passes without the slower abstract-class check
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
         raise RangeError(f"{what} {value!r} is not a real number")
 
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
 
-from .errors import RequiresBijective, RequiresPartition, ShapeError
+from .errors import RequiresBijective, RequiresPartition, ShapeError, _indices
 
 PRODUCT_SEP = "|"
 
@@ -103,7 +104,7 @@ class FunctionTable:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(int(i) for i in self.mapping))
+        object.__setattr__(self, "mapping", _indices(self.mapping, "image index"))
         if len(self.mapping) != self.domain.size:
             raise ShapeError("function table must be total on its domain")
         for i in self.mapping:
@@ -151,9 +152,14 @@ class Hypergraph:
 
     def __post_init__(self):
         size = self.vertices.size
+        edges = tuple(map(tuple, self.edges))
+        flat = tuple(chain.from_iterable(edges))
+        ints = _indices(flat, "vertex index")  # every vertex index in one call
+        if ints is not flat:  # numpy integers, now Python ints: cut into edges
+            edges = [ints[end - len(e):end] for e, end in zip(edges, accumulate(map(len, edges)))]
         canon: dict[tuple[int, ...], None] = {}  # in edge order
-        for e in self.edges:
-            s = tuple(sorted(set(map(int, e))))
+        for e in edges:
+            s = tuple(sorted(set(e)))
             if not s:
                 raise ShapeError("edges must be nonempty")
             if s[0] < 0 or s[-1] >= size:
@@ -223,7 +229,10 @@ class EdgeMap:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(int(i) for i in self.mapping))
+        source, target = _indices((self.source_count, self.target_count), "edge count")
+        object.__setattr__(self, "source_count", source)
+        object.__setattr__(self, "target_count", target)
+        object.__setattr__(self, "mapping", _indices(self.mapping, "edge map entry"))
         if len(self.mapping) != self.source_count:
             raise ShapeError("edge map must be total on source edges")
         for j in self.mapping:
@@ -298,7 +307,7 @@ def check_homomorphism(
     target: Hypergraph,
 ) -> HomReport:
     """Check that every source edge maps inside its assigned target edge."""
-    vm = tuple(int(v) for v in vertex_map)
+    vm = _indices(vertex_map, "vertex image")
     if len(vm) != source.vertices.size:
         raise ShapeError("vertex map must be total on the source vertices")
     for w in vm:

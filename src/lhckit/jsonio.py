@@ -20,7 +20,7 @@ from .bipartite import BipartiteInstance, BranchSwapReport
 from .bsc_id import Codebook
 from .channel import Channel, _adopt
 from .codes import FunctionCode
-from .errors import ShapeError
+from .errors import ShapeError, _indices
 from .hypergraph import Alphabet, EdgeMap, FunctionTable, Hypergraph
 from .verify import LhcCertificate
 
@@ -210,17 +210,6 @@ def _text(value) -> str:
     return json.dumps(value, default=repr)
 
 
-def _index(value, what: str) -> int:
-    """An index read from JSON; anything but an integer raises ShapeError.
-
-    ``int`` would truncate 2.7 to 2 and turn true into 1, so a malformed
-    file could pass for a well-formed one.
-    """
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ShapeError(f"{what} must be an integer, got {_text(value)}")
-    return value
-
-
 def _require(d, what: str, *keys: str) -> None:
     """Raise ShapeError unless d is a JSON object holding every key."""
     if not isinstance(d, dict):
@@ -302,8 +291,7 @@ def hypergraph_from_dict(d: dict) -> Hypergraph:
     _require(d, "hypergraph", "vertices", "edges")
     return Hypergraph(
         _alphabet(d["vertices"], "vertices"),
-        tuple(tuple(_index(v, "vertex index") for v in _list(e, "edge"))
-              for e in _list(d["edges"], "edges")),
+        tuple(_list(e, "edge") for e in _list(d["edges"], "edges")),
     )
 
 
@@ -323,7 +311,7 @@ def function_table_from_dict(d: dict) -> FunctionTable:
     return FunctionTable(
         _alphabet(d["domain"], "domain"),
         _alphabet(d["codomain"], "codomain"),
-        tuple(_index(i, "function value index") for i in _list(d["map"], "map")),
+        _list(d["map"], "map"),
     )
 
 
@@ -367,11 +355,7 @@ def edge_map_to_dict(m: EdgeMap) -> dict:
 
 def edge_map_from_dict(d: dict) -> EdgeMap:
     _require(d, "edge map", "source_edges", "target_edges", "map")
-    return EdgeMap(
-        _index(d["source_edges"], "source edge count"),
-        _index(d["target_edges"], "target edge count"),
-        tuple(_index(i, "edge map entry") for i in _list(d["map"], "map")),
-    )
+    return EdgeMap(d["source_edges"], d["target_edges"], _list(d["map"], "map"))
 
 
 # -- certificates -------------------------------------------------------------
@@ -401,8 +385,7 @@ def certificate_from_dict(d: dict) -> LhcCertificate:
     verdict = d["verdict"]
     if verdict not in ("pass", "fail"):
         raise ShapeError(f'verdict must be "pass" or "fail", got {_text(verdict)}')
-    failing = tuple(_index(e, "failing edge")
-                    for e in _list(d["failing_edges"], "failing_edges"))
+    failing = _indices(_list(d["failing_edges"], "failing_edges"), "failing edge")
     if (verdict == "pass") == bool(failing):  # verify_lhc passes exactly when none fail
         raise ShapeError(f"verdict {_text(verdict)} disagrees with failing edges "
                          f"{_text(list(failing))}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import Channel
 from .errors import (EdgeCountMismatch, HypothesisViolated, RangeError,
-                     RequiresPartition, ShapeError)
+                     RequiresPartition, ShapeError, _require_real)
 from .hypergraph import EdgeMap, Hypergraph, _require_same_alphabet
 
 VERIFY_SLACK = 1e-12
@@ -71,10 +71,18 @@ def require_disjoint_edges(source: Hypergraph, target: Hypergraph) -> None:
 def edge_vector(value, count: int, name: str) -> np.ndarray:
     """Per-edge float vector: a scalar is broadcast to all count edges.
 
-    NaN compares false against every bound, so it is refused here rather
-    than let a certificate pass or a hypothesis check hold vacuously.
+    The one per-edge number check: every entry must be a real number that
+    float64 holds, not a bool, and not NaN, or RangeError names the
+    parameter. NaN compares false against every bound, so unrefused it
+    would let a certificate pass or a hypothesis check hold vacuously.
     """
-    v = np.asarray(value, dtype=np.float64)
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
+        for x in value if isinstance(value, (list, tuple)) else [value]:
+            _require_real(x, name)
+    try:
+        v = np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise RangeError(f"{name} holds a number past the float64 range") from None
     if v.ndim == 0:
         v = np.full(count, float(v))
     if v.shape != (count,):

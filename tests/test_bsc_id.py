@@ -520,7 +520,8 @@ class TestExampleHypergraphs:
         monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 4 ** 8 - 1)
         for split in (lambda: window_split_hypergraph(8, 0.25, 1.0, 0.2),
                       lambda: threshold_split_hypergraph(8, 1)):
-            with pytest.raises(CapacityError, match=r"^4\*\*8 pairs exceed the cap 65535$"):
+            with pytest.raises(CapacityError, match=r"^alphabet of all 8-bit word pairs: "
+                               r"65536 entries exceed the cap 65535$"):
                 split()
 
 
@@ -535,7 +536,7 @@ class TestRestrictedPairChannel:
 
         monkeypatch.setattr(bsc_id, "_flip_rows", refuse)
         monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 1 << 12)
-        with pytest.raises(CapacityError, match=r"25 x 256 = 6400 entries exceeds cap 4096"):
+        with pytest.raises(CapacityError, match=r"25 x 256: 6400 entries exceed the cap 4096"):
             restricted_pair_channel(book, 0.1)
 
     def test_rows_come_from_the_codebook_bits(self, monkeypatch):
@@ -687,6 +688,11 @@ class TestRates:
         with pytest.raises(RangeError):
             rate_table(0.6, [0.1])
 
+    def test_gamma_must_be_a_real_number(self):
+        # a bare TypeError from the comparison, before the unit check
+        with pytest.raises(RangeError, match="^gamma '0.1' is not a real number$"):
+            rate_table("0.1", [])
+
     def test_entropy_endpoints(self):
         assert binary_entropy(0.0) == 0.0 and binary_entropy(1.0) == 0.0
         assert binary_entropy(0.5) == pytest.approx(1.0)
@@ -704,6 +710,13 @@ class TestOneCheckPerRange:
         with pytest.raises(RangeError, match=r"^minimum distance ceil\(n \* delta\) = 9 "
                                              r"at n 8, delta 1\.1 is outside \[1, 8\]$"):
             gen_codebook(8, 1.1, 2)
+
+    # The rule is the ceiling of the float product n * delta: 100 * 0.07 is
+    # 7.000000000000001, so 8, and 200 * 0.1 is 20.0 although float 0.1
+    # lies above 1/10. Every seeded codebook and golden follows it.
+    @pytest.mark.parametrize("n, delta, dmin", [(100, 0.07, 8), (200, 0.1, 20)])
+    def test_minimum_distance_is_the_ceiling_of_the_float_product(self, n, delta, dmin):
+        assert bsc_id.min_distance(n, delta) == dmin
 
     @pytest.mark.parametrize("n", [0, -3, 2.5, True])
     def test_block_length_is_a_count(self, n):
@@ -796,7 +809,7 @@ class TestOneCheckPerRange:
         monkeypatch.setattr(bsc_id, "named_rng", refuse)
         for n in (cap + 1, 10**300):
             with pytest.raises(CapacityError,
-                               match=f"^word length n {n} exceeds the cap {cap}$"):
+                               match=f"^random-greedy word: {n} entries exceed the cap {cap}$"):
                 gen_codebook(n, 0.5, 2, strategy="random-greedy")
 
     def test_one_word_has_no_pairs(self):

@@ -208,7 +208,7 @@ class TestTensor:
         with pytest.raises(CapacityError):
             tensor(bsc(0.1), bsc(0.1))
         monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 15)
-        with pytest.raises(CapacityError, match=r"4 x 4 = 16 entries exceeds cap 15"):
+        with pytest.raises(CapacityError, match=r"4 x 4: 16 entries exceed the cap 15"):
             tensor(bsc(0.1), bsc(0.1))
         monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 16)
         assert tensor(bsc(0.1), bsc(0.1)).rows.shape == (4, 4)
@@ -251,7 +251,7 @@ class TestPower:
     def test_cap_counts_entries_not_alphabet_sides(self, monkeypatch):
         # 16 x 16 = 256 entries, although each side (16) is within the cap
         monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 100)
-        with pytest.raises(CapacityError, match=r"16 x 16 = 256 entries exceeds cap 100"):
+        with pytest.raises(CapacityError, match=r"16 x 16: 256 entries exceed the cap 100"):
             power(bsc(0.1), 4)
         monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 256)
         assert power(bsc(0.1), 4).rows.shape == (16, 16)
@@ -263,7 +263,7 @@ class TestPower:
         monkeypatch.setattr(channel.np, "kron", no_kron)
         monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 1 << 12)
         # each side (1024) is within the cap; the 2**20 entries are not
-        with pytest.raises(CapacityError, match=r"1024 x 1024 = 1048576 entries"):
+        with pytest.raises(CapacityError, match=r"1024 x 1024: 1048576 entries"):
             power(bsc(0.1), 10)
 
 

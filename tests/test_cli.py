@@ -296,9 +296,9 @@ class TestValidateCommand:
 
 
 WRONG_TYPES = [
-    ("rates", "gamma", "x", "error: gamma must be a number, got 'x'"),
-    ("falsify", "trials", "5", "error: trials must be a number, got '5'"),
-    ("falsify", "max_edges", True, "error: max_edges must be a number, got True"),
+    ("rates", "gamma", "x", "error: gamma 'x' is not a real number"),
+    ("falsify", "trials", "5", "error: trials '5' is not an integer >= 1"),
+    ("falsify", "max_edges", True, "error: max_edges True is not an integer >= 1"),
     ("rates", "grid", ["a", 0.5, 0.1],
      "error: grid a:0.5:0.1 needs start:stop:step with step > 0 and stop >= start"),
 ]
@@ -396,9 +396,9 @@ class TestMalformedInputExitsTwo:
 
     @pytest.mark.parametrize("role, edit, text", [
         ("edge-map", lambda d: d.update(map=[i + 0.4 for i in d["map"]]),
-         "error: input edge_map: edge map entry must be an integer, got 0.4"),
+         "error: input edge_map: edge map entry 0.4 is not an integer"),
         ("source", lambda d: d["edges"][0].__setitem__(0, True),
-         "error: input source: vertex index must be an integer, got true"),
+         "error: input source: vertex index True is not an integer"),
     ])
     def test_non_integer_index(self, tmp_path, capsys, role, edit, text):
         # int() would read 0.4 as 0 and true as 1, and the certificate pass
@@ -602,7 +602,7 @@ def test_nan_error_vector_exits_two(tmp_path, capsys, write_inputs, flag):
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        f"error: {flag[2:]} must not be NaN, got [0.1, nan]\n")
+        f"error: {flag[2:]} is NaN at edge 1\n")
     assert set(tmp_path.iterdir()) == before
 
 
@@ -630,7 +630,7 @@ def test_validate_notes_malformed_error_vector(tmp_path, capsys):
                                "params": {"lambda": "abc"}}))
     assert main(["validate", "--config", str(cfg)]) == 0
     assert capsys.readouterr().out == (
-        "error: lambda must be a number or a list of numbers, got 'abc'\n")
+        "error: lambda 'abc' is not a real number\n")
 
 
 def test_validate_notes_ints_beyond_float_range(tmp_path, capsys):
@@ -649,7 +649,7 @@ def test_validate_notes_nan_error_vector(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"task": "verify", "params": {"lambda": float("nan")}}))
     assert main(["validate", "--config", str(cfg)]) == 0
-    assert capsys.readouterr().out == "error: lambda must not be NaN, got nan\n"
+    assert capsys.readouterr().out == "error: lambda is NaN at edge 0\n"
 
 
 CERTIFY = Path(__file__).parent / "data" / "certify"
@@ -789,7 +789,7 @@ def test_random_word_length_past_the_cap_exits_one(tmp_path, capsys):
     assert main(["codebook", "--n", str(10**300), "--delta", "0.5", "--M", "2",
                  "--strategy", "random-greedy", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == f"fail: word length n {10**300} exceeds the cap 1048576\n"
+    assert err == f"fail: random-greedy word: {10**300} entries exceed the cap 1048576\n"
     assert not out.exists()
 
 
@@ -920,3 +920,25 @@ class TestRangesAreTheLibrarys:
         except RangeError:
             refused = True
         assert (notes != ["ok: configuration is well formed"]) == refused
+
+
+def test_rates_parses_its_grid_once(tmp_path, monkeypatch):
+    calls = []
+    parse = cli._grid_points
+    monkeypatch.setattr(cli, "_grid_points", lambda grid: calls.append(grid) or parse(grid))
+    out = tmp_path / "rates.csv"
+    assert main(["rates", "--gamma", "0.03", "--grid", "0:0.5:0.1", "--out", str(out)]) == 0
+    assert calls == [(0.0, 0.5, 0.1)]
+    assert len(out.read_text().splitlines()) == 7
+
+
+# a lone epsilon was checked for its type only, by a list of the CLI's own
+@pytest.mark.parametrize("value, note", [
+    ("x", "error: epsilon 'x' is not a real number"),
+    (-0.1, "error: epsilon -0.1 must be positive"),
+])
+def test_validate_checks_a_lone_epsilon(tmp_path, capsys, value, note):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"task": "id-sim", "params": {"epsilon": value}}))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == note + "\n"

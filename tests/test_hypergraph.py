@@ -24,6 +24,7 @@ from lhckit import (
     split_product_alphabet,
     verify_lhc,
 )
+from lhckit.channel import bsc, sample
 from lhckit.errors import RequiresBijective, RequiresPartition, ShapeError
 
 import oracles
@@ -289,6 +290,48 @@ class TestHomomorphism:
         g = complete_1_uniform(Alphabet(("a",)))
         with pytest.raises(ShapeError):
             check_homomorphism((0, 0), EdgeMap.identity(1), g, g)
+
+
+TWO = Hypergraph(BITS, ((0,), (1,)))
+
+
+class TestIndices:
+    """Every index goes through one check: an integer passes, and a float,
+    a string or a bool is refused with ShapeError naming it, where ``int``
+    truncated it, read True as 1 or left a bare IndexError."""
+
+    @pytest.mark.parametrize("build, text", [
+        (lambda: EdgeMap(2, 2, (0.7, 1)), "edge map entry 0.7"),
+        (lambda: EdgeMap(2.0, 2, (0, 1)), "edge count 2.0"),
+        (lambda: EdgeMap(2, 2, (0, np.True_)), f"edge map entry {np.True_!r}"),
+        (lambda: FunctionTable(BITS, BITS, (1.9, False)), "image index 1.9"),
+        (lambda: FunctionTable(BITS, BITS, (1, False)), "image index False"),
+        (lambda: Hypergraph(BITS, ((0.5, 1.2),)), "vertex index 0.5"),
+        (lambda: Hypergraph(BITS, ((0, "1"),)), "vertex index '1'"),
+        (lambda: check_homomorphism((0.9, 1.2), EdgeMap.identity(2), TWO, TWO),
+         "vertex image 0.9"),
+        (lambda: sample(bsc(0.1), 0.5, np.random.default_rng(0)), "input index 0.5"),
+        (lambda: sample(bsc(0.1), True, np.random.default_rng(0)), "input index True"),
+    ])
+    def test_non_integer_is_refused_by_name(self, build, text):
+        with pytest.raises(ShapeError, match=f"^{re.escape(text)} is not an integer$"):
+            build()
+
+    def test_numpy_integers_give_equal_objects_of_python_ints(self):
+        built = [
+            (EdgeMap(np.int64(2), np.int32(2), np.array([1, 0])), EdgeMap(2, 2, (1, 0))),
+            (FunctionTable(BITS, BITS, np.array([1, 0], dtype=np.uint8)),
+             FunctionTable(BITS, BITS, (1, 0))),
+            (Hypergraph(BITS, (np.array([1, 0]),)), Hypergraph(BITS, ((0, 1),))),
+        ]
+        for got, want in built:
+            assert got == want
+        edge_map, table, hyper = (got for got, _ in built)
+        ints = [edge_map.source_count, edge_map.target_count, *edge_map.mapping,
+                *table.mapping, *hyper.edges[0]]
+        assert {type(i) for i in ints} == {int}
+        assert check_homomorphism(np.array([1, 0]), EdgeMap(2, 2, (1, 0)), TWO, TWO).is_hom
+        assert sample(bsc(0.0), np.int64(1), np.random.default_rng(0)) == 1
 
 
 class TestHomFromEdgeMap:

@@ -185,6 +185,20 @@ class TestEdgeVector:
         with pytest.raises(ShapeError, match=r"kappa must have one entry per edge \(3\)"):
             edge_vector([0.1, 0.2], 3, "kappa")
 
+    # a string or a mixed list ended in a bare ValueError, a huge int in an
+    # OverflowError, and True was read as 1.0
+    @pytest.mark.parametrize("value, text", [
+        ("abc", "mu 'abc' is not a real number"),
+        (True, "mu True is not a real number"),
+        (np.array([True, False, True]), "mu array([ True, False,  True]) is not a real number"),
+        ([0.1, "a", 0.2], "mu 'a' is not a real number"),
+        (10**400, "mu holds a number past the float64 range"),
+        ([0.1, 0.2, -10**400], "mu holds a number past the float64 range"),
+    ])
+    def test_non_number_names_parameter(self, value, text):
+        with pytest.raises(RangeError, match=f"^{re.escape(text)}$"):
+            edge_vector(value, 3, "mu")
+
     @pytest.mark.parametrize("value, edge", [(np.nan, 0), ([0.1, np.nan, np.nan], 1)])
     def test_nan_names_parameter_and_first_edge(self, value, edge):
         with pytest.raises(RangeError, match=f"^mu is NaN at edge {edge}$"):
