@@ -339,8 +339,8 @@ def check_harness_symbols(max_symbols) -> None:
     entries at s = max_symbols; this runs before any alphabet is built.
     """
     side = max_symbols * max_symbols
-    channel._check_entries(side * side,
-                           f"max_symbols {max_symbols} allows a {side} x {side} channel")
+    channel._check_entries(side * side, "max_symbols {} allows a {} x {} channel",
+                           max_symbols, side, side)
 
 
 def run_branch_swap_harness(

@@ -45,6 +45,10 @@ from .hypergraph import (Alphabet, Hypergraph, characteristic_hypergraph,
                          identification_table)
 
 MC_CHUNK = 2048
+# The decoder's decision rules and the codebook searches by name, each
+# tuple's default first.
+MODES = ("one-sided-threshold", "paper-windows")
+STRATEGIES = ("lexicographic-greedy", "random-greedy")
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +217,23 @@ def accepts(d, n: int, gamma: float, epsilon: float, mode: str) -> np.ndarray:
     "one-sided-threshold" accepts up to the acceptance threshold, boundary
     inclusive; "paper-windows" accepts inside the open equal window.
     """
-    if mode == "one-sided-threshold":
-        return np.asarray(d) <= acceptance_threshold(n, gamma, epsilon)
+    require_mode(mode)
     if mode == "paper-windows":
         return in_window(d, n, gamma, epsilon, 0.0)
-    raise RangeError(f"unknown decoder mode {mode!r}")
+    return np.asarray(d) <= acceptance_threshold(n, gamma, epsilon)
+
+
+def require_mode(mode: str) -> None:
+    """The one decoder-mode check: raise RangeError unless mode is in MODES."""
+    if mode not in MODES:
+        raise RangeError(f"unknown decoder mode {mode!r}")
+
+
+def require_strategy(strategy: str) -> None:
+    """The one codebook-strategy check: raise RangeError unless strategy is
+    in STRATEGIES."""
+    if strategy not in STRATEGIES:
+        raise RangeError(f"unknown strategy {strategy!r}")
 
 
 def exact_window_miss(n: int, k: int, gamma: float, epsilon: float,
@@ -361,6 +377,7 @@ def gen_codebook(
     """
     _require_count(m, "codebook size")
     dmin = min_distance(n, delta)
+    require_strategy(strategy)
 
     if strategy == "lexicographic-greedy":
         if n > 24:
@@ -369,15 +386,13 @@ def gen_codebook(
                 "use the random-greedy strategy"
             )
         candidates = range(1 << n)
-    elif strategy == "random-greedy":
+    else:
         _check_entries(n, "random-greedy word")
         rng = named_rng(seed, 0xC0DE)
         # drawn lazily: the scan stops drawing once it has m words
         candidates = (int.from_bytes(np.packbits(rng.integers(0, 2, size=n)), "big")
                       >> (-n % 8)  # first bit highest
                       for _ in range(max(10_000, 500 * m)))
-    else:
-        raise RangeError(f"unknown strategy {strategy!r}")
 
     kept: list[int] = []
     for cand in candidates:
@@ -449,7 +464,7 @@ def build_example_hypergraphs(
 
 def word_alphabet(n: int) -> Alphabet:
     """All n-bit words as labels, in numeric order."""
-    _check_entries(1 << n, f"alphabet of all {n}-bit words")
+    _check_entries(1 << n, "alphabet of all {}-bit words", n)
     return Alphabet(tuple(format(w, f"0{n}b") for w in range(1 << n)))
 
 
@@ -472,7 +487,7 @@ def restricted_pair_channel(codebook: Codebook, gamma: float) -> Channel:
     M^2 x 4^n dense entries are checked against the cap before any allocation.
     """
     n, m = codebook.n, codebook.size
-    _check_entries(m * m << 2 * n, f"channel of {m * m} x {1 << 2 * n}")
+    _check_entries(m * m << 2 * n, "channel of {} x {}", m * m, 1 << 2 * n)
     single = _flip_rows(codebook.bits, n, gamma)
     # row i*m + j is the Kronecker product of word rows i and j
     rows = (single[:, None, :, None] * single[None, :, None, :]).reshape(m * m, -1)
@@ -493,7 +508,7 @@ def _word_pair_split(n: int, split) -> Hypergraph:
 
     The 4**n pairs are checked against the cap before the table is built.
     """
-    _check_entries(1 << 2 * n, f"alphabet of all {n}-bit word pairs")
+    _check_entries(1 << 2 * n, "alphabet of all {}-bit word pairs", n)
     full = word_alphabet(n)
     masks = split(pair_distance_table(n).reshape(-1))
     return Hypergraph(full.product(full),

@@ -12,6 +12,7 @@ analytic distance laws for those).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,18 +108,28 @@ def compose(first: Channel, second: Channel) -> Channel:
     return _adopt(first.input, second.output, rows)
 
 
-def _check_entries(entries: int, what: str) -> None:
-    """The one cap refusal: CapacityError naming what when its dense array
-    would hold more entries than the cap."""
+def _check_entries(entries: int, what: str, *sizes) -> None:
+    """The one cap refusal: CapacityError naming what, its ``{}`` fields
+    filled with sizes, when its dense array would hold more entries than
+    the cap. The message is formatted only then, and an integer too long
+    for ``str`` is written as about a power of two."""
     if entries > DEFAULT_PRODUCT_CAP:
-        raise CapacityError(
-            f"{what}: {entries} entries exceed the cap {DEFAULT_PRODUCT_CAP}")
+        raise CapacityError(f"{what.format(*map(_int_text, sizes))}: {_int_text(entries)} "
+                            f"entries exceed the cap {DEFAULT_PRODUCT_CAP}")
+
+
+def _int_text(value) -> str:
+    """str(value), or ~2**L for an integer past the digit limit of ``str``."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"~2**{math.log2(value):.1f}"
 
 
 def tensor(phi1: Channel, phi2: Channel) -> Channel:
     """Independent parallel use of two channels on the product alphabets."""
     (m, n), (p, q) = phi1.rows.shape, phi2.rows.shape
-    _check_entries(m * p * n * q, f"channel of {m * p} x {n * q}")
+    _check_entries(m * p * n * q, "channel of {} x {}", m * p, n * q)
     # np.kron's entries, each one product, without its general-rank set-up
     rows = (phi1.rows[:, None, :, None] * phi2.rows[None, :, None, :]).reshape(m * p, n * q)
     return _adopt(phi1.input.product(phi2.input), phi1.output.product(phi2.output), rows)
@@ -128,7 +139,7 @@ def power(phi: Channel, n: int) -> Channel:
     """n independent letter-wise uses of phi."""
     _require_count(n, "block length n")
     rows, cols = phi.input.size**n, phi.output.size**n
-    _check_entries(rows * cols, f"channel of {rows} x {cols}")
+    _check_entries(rows * cols, "channel of {} x {}", rows, cols)
     out = phi
     for _ in range(n - 1):
         out = tensor(out, phi)
@@ -136,7 +147,11 @@ def power(phi: Channel, n: int) -> Channel:
 
 
 def named_rng(seed: int, *stream: object) -> np.random.Generator:
-    """Generator for a named stream, stable in (seed, stream) across runs."""
+    """Generator for a named stream, stable in (seed, stream) across runs.
+
+    The one place a seed enters, and the one seed check: an integer >= 0,
+    never a bool, float or string (RangeError naming it otherwise)."""
+    _require_count(seed, "seed", 0)
     entropy: list[int] = [int(seed)]
     for part in stream:
         if isinstance(part, (int, np.integer)):
@@ -149,7 +164,5 @@ def named_rng(seed: int, *stream: object) -> np.random.Generator:
 
 def sample(phi: Channel, x: int, rng: np.random.Generator) -> int:
     """Draw one output index from row x."""
-    (x,) = _indices((x,), "input index")
-    if not 0 <= x < phi.input.size:
-        raise ShapeError(f"input index {x} outside alphabet")
+    (x,) = _indices((x,), "input index", phi.input.size)
     return int(rng.choice(phi.output.size, p=phi.rows[x]))

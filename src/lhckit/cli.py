@@ -40,25 +40,19 @@ class ExperimentConfig:
     outputs: dict[str, str] = field(default_factory=dict)
 
 
-def _channel(path):
-    return jsonio.channel_from_dict(jsonio.read_json(path))
-
-
-def _hypergraph(path):
-    return jsonio.hypergraph_from_dict(jsonio.read_json(path))
-
-
-def _edge_map(path):
-    return jsonio.edge_map_from_dict(jsonio.read_json(path))
+def _json_loader(from_dict):
+    """Loader of the object that from_dict reads from a JSON file's value."""
+    return lambda path: from_dict(jsonio.read_json(path))
 
 
 # Input role -> loader from a path. A flag whose dest is a role here is a
 # file input.
 _LOADERS = {
-    **dict.fromkeys(("channel", "phi", "gamma_channel", "enc1", "enc2"), _channel),
+    **dict.fromkeys(("channel", "phi", "gamma_channel", "enc1", "enc2"),
+                    _json_loader(jsonio.channel_from_dict)),
     **dict.fromkeys(("source", "target", "hyper_h", "hyper_g1", "hyper_g2",
-                     "hyper_f", "hyper_d"), _hypergraph),
-    "edge_map": _edge_map,
+                     "hyper_f", "hyper_d"), _json_loader(jsonio.hypergraph_from_dict)),
+    "edge_map": _json_loader(jsonio.edge_map_from_dict),
     "code": jsonio.read_code_bundle,
     "codebook": jsonio.read_codebook,
 }
@@ -80,6 +74,9 @@ _RANGES = [
     (("n", "delta"), bsc_id.min_distance),
     (("epsilon",), bsc_id._require_positive),
     (("delta", "gamma", "epsilon"), bsc_id.require_windows),
+    (("seed",), channel.named_rng),
+    (("mode",), bsc_id.require_mode),
+    (("strategy",), bsc_id.require_strategy),
 ]
 # The ranges that one task adds: rates needs gamma <= 1/2, id-sim two words.
 _TASK_RANGES = {
@@ -110,7 +107,7 @@ def _grid_points(grid) -> np.ndarray:
     # np.arange makes ceil of this many points; inf when the quotient overflows
     count = (stop + step / 2 - start) / step
     channel._check_entries(math.ceil(count) if count < math.inf else count,
-                           f"grid {text}")
+                           "grid {}", text)
     points = np.arange(start, stop + step / 2, step)
     what = f"grid {text} reaches delta"
     for d in points.tolist():
@@ -407,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, dest="m", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--mode", default="one-sided-threshold",
-                   choices=["one-sided-threshold", "paper-windows"])
+    p.add_argument("--mode", default=bsc_id.MODES[0], help=", ".join(bsc_id.MODES))
     p.add_argument("--codebook")
     _output(p, "--out", "csv", "id-sim.csv")
 
@@ -422,8 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--M", type=int, dest="m", required=True)
-    p.add_argument("--strategy", default="lexicographic-greedy",
-                   choices=["lexicographic-greedy", "random-greedy"])
+    p.add_argument("--strategy", default=bsc_id.STRATEGIES[0], help=", ".join(bsc_id.STRATEGIES))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _output(p, "--out", "file", "codebook.txt")
 
@@ -462,12 +457,8 @@ def main(argv=None) -> int:
     if args.command == "validate":
         try:
             raw = jsonio.read_json(args.config)
-            config = ExperimentConfig(
-                task=raw.get("task", ""),
-                inputs=dict(raw.get("inputs", {})),
-                params=dict(raw.get("params", {})),
-                outputs=dict(raw.get("outputs", {})),
-            )
+            config = ExperimentConfig(raw.get("task", ""), *(
+                dict(raw.get(key, {})) for key in ("inputs", "params", "outputs")))
         except Exception as exc:
             print(f"error: cannot read config: {exc}")
             return 0

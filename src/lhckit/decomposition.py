@@ -186,18 +186,18 @@ def channel_is_lhc(
     first stage, certified at 2 * lam, and 4 * lam <= kappa <= 1/2 implies
     the rest (lam <= 1/8, and 2 * lam <= kappa / 2 within VERIFY_SLACK).
     """
-    return _channel_split(code, kappa)[:3]
-
-
-def _channel_split(code: FunctionCode, kappa) -> tuple:
-    """``channel_is_lhc``'s hypergraphs and certificate, with the second
-    split's ``edge_mass`` of the channel on the output blocks."""
     lam = code_error_profile(code)
-    n_vals = lam.size
-    kappa = edge_vector(kappa, n_vals, "kappa")
+    kappa = edge_vector(kappa, lam.size, "kappa")
     require_within(4.0 * lam, kappa, "4 * lam <= kappa")
     _require_half(kappa)
+    return _channel_split(code, lam, kappa)[:3]
 
+
+def _channel_split(code: FunctionCode, lam: np.ndarray, kappa: np.ndarray) -> tuple:
+    """``channel_is_lhc``'s hypergraphs and certificate at the code's error
+    profile lam and a kappa vector that the caller has checked, with the
+    second split's ``edge_mass`` of the channel on the output blocks."""
+    n_vals = lam.size
     h_f = characteristic_hypergraph(code.f)
     identity = EdgeMap.identity(n_vals)
     half = np.full(n_vals, 0.5)
@@ -230,8 +230,9 @@ def derandomize(code: FunctionCode) -> tuple[Channel, Channel]:
             f"error profile max {lam.max()} is not below 1/8; "
             "the factor-4 construction needs kappa = 4 * lam <= 1/2"
         )
+    # kappa = 4 * lam <= 1/2 holds by the check above.
     # hit: probability of each output block from each channel input
-    hyper_in, hyper_out, _, hit = _channel_split(code, 4.0 * lam)
+    hyper_in, hyper_out, _, hit = _channel_split(code, lam, 4.0 * lam)
 
     attained = code.f.attained
     enc_choice = {

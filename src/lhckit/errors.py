@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the one index, count,
+"""Exception types shared across the toolkit, and the one index, integer,
 real number and unit-interval checks."""
 
 import operator
@@ -67,30 +67,37 @@ class DecompositionFailure(LhcKitError):
         self.instance = instance or {}
 
 
-def _indices(values, what: str) -> tuple[int, ...]:
-    """The one index check: the values as a tuple of Python ints, values
-    itself when it is a tuple of them.
+def _indices(values, what: str, size: int | float = float("inf")) -> tuple[int, ...]:
+    """The one index check: the values as a tuple of Python ints in
+    [0, size), any int >= 0 where no size is given; values itself when it
+    is a tuple of them.
 
     A Python or numpy integer passes; anything else, a bool or numpy bool
     included, raises ShapeError naming the first such value after what, as
     ``int`` would truncate 0.7 to 0 and read True as 1. Only each distinct
-    type is looked at in Python, and ``operator.index`` converts.
+    type is looked at in Python, and ``operator.index`` converts. The range
+    is read from the builtin ``min`` and ``max``; a value outside it raises
+    ShapeError naming the first such value.
     """
     values = tuple(values)
-    if {int}.issuperset(map(type, values)):
-        return values
-    bad = [t for t in set(map(type, values))
-           if t is bool or not issubclass(t, (int, np.integer))]
-    if bad:
-        value = next(x for x in values if type(x) in bad)
-        raise ShapeError(f"{what} {value!r} is not an integer")
-    return tuple(map(operator.index, values))
+    if not {int}.issuperset(map(type, values)):
+        bad = [t for t in set(map(type, values))
+               if t is bool or not issubclass(t, (int, np.integer))]
+        if bad:
+            value = next(x for x in values if type(x) in bad)
+            raise ShapeError(f"{what} {value!r} is not an integer")
+        values = tuple(map(operator.index, values))
+    if values and not 0 <= min(values) <= max(values) < size:
+        value = next(x for x in values if not 0 <= x < size)
+        raise ShapeError(f"{what} {value} is outside [0, {size})")
+    return values
 
 
-def _require_count(value, what: str) -> None:
-    """Raise RangeError unless value is an integer >= 1; a bool is no count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise RangeError(f"{what} {value!r} is not an integer >= 1")
+def _require_count(value, what: str, least: int = 1) -> None:
+    """Raise RangeError unless value is an integer >= least; a bool is no
+    integer. A count is at least 1, a seed (``channel.named_rng``) at least 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise RangeError(f"{what} {value!r} is not an integer >= {least}")
 
 
 def _require_real(value, what: str) -> None:

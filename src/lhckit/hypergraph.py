@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, combinations
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +32,11 @@ class Alphabet:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
+        object.__setattr__(self, "labels", tuple(self.labels))
+        if not {str}.issuperset(map(type, self.labels)):  # a str subclass passes
+            bad = next((x for x in self.labels if not isinstance(x, str)), None)
+            if bad is not None:
+                raise ShapeError(f"label {bad!r} is not a string")
         if len(self.labels) == 0:
             raise ShapeError("alphabet must not be empty")
         if len(set(self.labels)) != len(self.labels):
@@ -44,7 +48,7 @@ class Alphabet:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(str(label))
+            return self.labels.index(label)
         except ValueError:
             raise ShapeError(f"label {label!r} not in alphabet") from None
 
@@ -104,12 +108,10 @@ class FunctionTable:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", _indices(self.mapping, "image index"))
+        mapping = _indices(self.mapping, "image index", self.codomain.size)
+        object.__setattr__(self, "mapping", mapping)
         if len(self.mapping) != self.domain.size:
             raise ShapeError("function table must be total on its domain")
-        for i in self.mapping:
-            if not 0 <= i < self.codomain.size:
-                raise ShapeError(f"image index {i} outside codomain")
 
     def __call__(self, a: int) -> int:
         return self.mapping[a]
@@ -131,8 +133,6 @@ def identification_table(m: int) -> FunctionTable:
 
 def k_identification_table(m: int, k: int) -> FunctionTable:
     """Membership test (i, S) -> 1{i in S} over all k-element subsets of the messages."""
-    from itertools import combinations
-
     if not 1 <= k <= m:
         raise ShapeError("subset size must satisfy 1 <= k <= m")
     msgs = Alphabet.of_size(m)
@@ -151,10 +151,9 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        size = self.vertices.size
         edges = tuple(map(tuple, self.edges))
         flat = tuple(chain.from_iterable(edges))
-        ints = _indices(flat, "vertex index")  # every vertex index in one call
+        ints = _indices(flat, "vertex index", self.vertices.size)  # every vertex index in one call
         if ints is not flat:  # numpy integers, now Python ints: cut into edges
             edges = [ints[end - len(e):end] for e, end in zip(edges, accumulate(map(len, edges)))]
         canon: dict[tuple[int, ...], None] = {}  # in edge order
@@ -162,8 +161,6 @@ class Hypergraph:
             s = tuple(sorted(set(e)))
             if not s:
                 raise ShapeError("edges must be nonempty")
-            if s[0] < 0 or s[-1] >= size:
-                raise ShapeError("edge contains vertex index outside alphabet")
             if s in canon:
                 raise ShapeError("edges must be pairwise distinct as sets")
             canon[s] = None
@@ -205,8 +202,8 @@ class Hypergraph:
         return out
 
     def edges_containing(self, v: int) -> tuple[int, ...]:
-        inc = self.incidence
-        return tuple(inc[v].nonzero()[0].tolist()) if 0 <= v < len(inc) else ()
+        (v,) = _indices((v,), "vertex index", self.vertices.size)
+        return tuple(self.incidence[v].nonzero()[0].tolist())
 
     @cached_property
     def edges_disjoint(self) -> bool:
@@ -232,12 +229,9 @@ class EdgeMap:
         source, target = _indices((self.source_count, self.target_count), "edge count")
         object.__setattr__(self, "source_count", source)
         object.__setattr__(self, "target_count", target)
-        object.__setattr__(self, "mapping", _indices(self.mapping, "edge map entry"))
+        object.__setattr__(self, "mapping", _indices(self.mapping, "edge map entry", target))
         if len(self.mapping) != self.source_count:
             raise ShapeError("edge map must be total on source edges")
-        for j in self.mapping:
-            if not 0 <= j < self.target_count:
-                raise ShapeError(f"edge image {j} outside target range")
 
     def __call__(self, i: int) -> int:
         return self.mapping[i]
@@ -307,12 +301,9 @@ def check_homomorphism(
     target: Hypergraph,
 ) -> HomReport:
     """Check that every source edge maps inside its assigned target edge."""
-    vm = _indices(vertex_map, "vertex image")
+    vm = _indices(vertex_map, "vertex image", target.vertices.size)
     if len(vm) != source.vertices.size:
         raise ShapeError("vertex map must be total on the source vertices")
-    for w in vm:
-        if not 0 <= w < target.vertices.size:
-            raise ShapeError(f"vertex image {w} outside target alphabet")
     edge_map.check_fit(source, target)
 
     inside = target.incidence

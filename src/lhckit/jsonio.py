@@ -220,17 +220,14 @@ def _require(d, what: str, *keys: str) -> None:
 
 
 def _alphabet(labels, what: str) -> Alphabet:
-    """An alphabet read from a JSON list of strings.
+    """An alphabet read from a JSON list of strings; ``Alphabet`` refuses a
+    label that is no string.
 
-    ``Alphabet`` takes the ``str`` of each label, so the string "ab" would
-    read as the labels "a" and "b", and the label ["a"] as "['a']"; anything
-    but a list of strings raises ShapeError naming the first offending entry.
+    The string "ab" would read as the labels "a" and "b", so anything but a
+    list raises ShapeError.
     """
     if not isinstance(labels, list):
         raise ShapeError(f"{what} must be a list of strings, got {_text(labels)}")
-    if set(map(type, labels)) - {str}:
-        bad = next(x for x in labels if type(x) is not str)
-        raise ShapeError(f"{what} entry must be a string, got {_text(bad)}")
     return Alphabet(tuple(labels))
 
 
@@ -385,11 +382,12 @@ def certificate_from_dict(d: dict) -> LhcCertificate:
     verdict = d["verdict"]
     if verdict not in ("pass", "fail"):
         raise ShapeError(f'verdict must be "pass" or "fail", got {_text(verdict)}')
-    failing = _indices(_list(d["failing_edges"], "failing_edges"), "failing edge")
+    edge_map = edge_map_from_dict(d["edge_map"])
+    failing = _indices(_list(d["failing_edges"], "failing_edges"), "failing edge",
+                       edge_map.source_count)
     if (verdict == "pass") == bool(failing):  # verify_lhc passes exactly when none fail
         raise ShapeError(f"verdict {_text(verdict)} disagrees with failing edges "
                          f"{_text(list(failing))}")
-    edge_map = edge_map_from_dict(d["edge_map"])
     if bijective != edge_map.bijective:
         raise ShapeError(f"edge_bijective {_text(bijective)} disagrees with edge map "
                          f"{_text(list(edge_map.mapping))}")

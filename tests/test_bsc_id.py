@@ -453,6 +453,10 @@ class TestUnknownMode:
         with pytest.raises(RangeError, match="unknown decoder mode 'bogus'"):
             exact_error_rates(book, 0.05, 0.3, mode="bogus")
 
+    def test_codebook_strategy(self):
+        with pytest.raises(RangeError, match="^unknown strategy 'bogus'$"):
+            gen_codebook(16, 0.5, 4, strategy="bogus")
+
 
 class TestLargeBlockWindowCertificate:
     def test_antipodal_pairs_certify_at_one_percent(self):

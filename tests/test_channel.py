@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from lhckit import (
     tensor,
 )
 from lhckit import channel
+from lhckit.bipartite import check_harness_symbols
+from lhckit.bsc_id import Codebook, restricted_pair_channel
 from lhckit.errors import CapacityError, RangeError, ShapeError
 
 from conftest import rand_channel
@@ -267,6 +271,31 @@ class TestPower:
             power(bsc(0.1), 10)
 
 
+class TestCapMessages:
+    """A size past the digit limit of ``str`` is written as about a power of
+    two, so the refusal is still CapacityError with a one-line message."""
+
+    def test_power_of_a_huge_block_length(self):
+        with pytest.raises(CapacityError) as info:
+            power(bsc(0.1), 20000)
+        assert str(info.value) == ("channel of ~2**20000.0 x ~2**20000.0: ~2**40000.0 entries "
+                                   f"exceed the cap {channel.DEFAULT_PRODUCT_CAP}")
+
+    def test_restricted_pair_channel_of_long_words(self):
+        book = Codebook(8000, ("0" * 8000, "1" * 8000), 1)
+        with pytest.raises(CapacityError) as info:
+            restricted_pair_channel(book, 0.1)
+        assert str(info.value) == ("channel of 4 x ~2**16000.0: ~2**16002.0 entries "
+                                   f"exceed the cap {channel.DEFAULT_PRODUCT_CAP}")
+
+    def test_size_not_a_power_of_two(self):
+        with pytest.raises(CapacityError) as info:
+            check_harness_symbols(3**7000)
+        assert str(info.value) == (f"max_symbols {3**7000} allows a ~2**22189.5 x "
+                                   "~2**22189.5 channel: ~2**44379.0 entries exceed "
+                                   f"the cap {channel.DEFAULT_PRODUCT_CAP}")
+
+
 class TestSample:
     def test_deterministic_channel_sampling(self):
         f = FunctionTable(Alphabet(("a", "b")), BITS, (1, 0))
@@ -283,6 +312,19 @@ class TestSample:
         rng = named_rng(42, "flips")
         flips = sum(sample(ch, 0, rng) for _ in range(100_000))
         assert abs(flips / 100_000 - 0.03) < 0.002
+
+    @pytest.mark.parametrize("seed", [1.7, "7", True, np.True_, -1, None])
+    def test_seed_is_an_integer_at_least_zero(self, seed):
+        with pytest.raises(RangeError, match=f"^{re.escape(f'seed {seed!r}')} "
+                                             "is not an integer >= 0$"):
+            named_rng(seed)
+
+    def test_numpy_integer_seed_keeps_the_stream(self):
+        assert named_rng(np.int64(7), "demo").random() == named_rng(7, "demo").random()
+
+    def test_input_index_outside_alphabet(self):
+        with pytest.raises(ShapeError, match=r"^input index 2 is outside \[0, 2\)$"):
+            sample(bsc(0.1), 2, named_rng(0))
 
     def test_named_stream_reproducible(self):
         a = named_rng(7, "x", 3).integers(1 << 30)

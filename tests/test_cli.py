@@ -301,6 +301,9 @@ WRONG_TYPES = [
     ("falsify", "max_edges", True, "error: max_edges True is not an integer >= 1"),
     ("rates", "grid", ["a", 0.5, 0.1],
      "error: grid a:0.5:0.1 needs start:stop:step with step > 0 and stop >= start"),
+    ("falsify", "seed", "x", "error: seed 'x' is not an integer >= 0"),
+    ("falsify", "seed", 1.5, "error: seed 1.5 is not an integer >= 0"),
+    ("falsify", "seed", True, "error: seed True is not an integer >= 0"),
 ]
 
 
@@ -487,7 +490,7 @@ class TestLoaderPaths:
         ("source", '{"vertices": "01", "edges": [[0], [1]]}',
          'error: input source: vertices must be a list of strings, got "01"'),
         ("source", '{"vertices": ["0", ["1"]], "edges": [[0], [1]]}',
-         'error: input source: vertices entry must be a string, got ["1"]'),
+         "error: input source: label ['1'] is not a string"),
         ("channel", '{"input": ["0", "1"], "output": ["0", "1"]}',
          "error: input channel: channel misses component 'rows'"),
         ("channel", "[[0.97, 0.03], [0.03, 0.97]]",
@@ -857,13 +860,31 @@ LIBRARY_RANGES = [
     (["id-sim", "--n", "16", "--gamma", "0.03", "--delta", "0.25", "--eps", "0.3",
       "--M", "1", "--trials", "100"],
      "error: distinct-message pairs need at least two codewords, got 1"),
+    # a negative seed ended in numpy's "expected non-negative integer"
+    # traceback; the lexicographic search ignores the seed and refuses it too
+    (["codebook", "--n", "16", "--delta", "0.25", "--M", "4", "--strategy",
+      "random-greedy", "--seed", "-1"], "error: seed -1 is not an integer >= 0"),
+    (["codebook", "--n", "16", "--delta", "0.25", "--M", "4", "--seed", "-1"],
+     "error: seed -1 is not an integer >= 0"),
+    (["id-sim", "--n", "16", "--gamma", "0.03", "--delta", "0.25", "--eps", "0.3",
+      "--M", "4", "--trials", "100", "--seed", "-1"],
+     "error: seed -1 is not an integer >= 0"),
+    (["falsify", "--trials", "3", "--seed", "-1"], "error: seed -1 is not an integer >= 0"),
+    (["id-sim", "--n", "16", "--gamma", "0.03", "--delta", "0.25", "--eps", "0.3",
+      "--M", "4", "--trials", "100", "--mode", "bogus"],
+     "error: unknown decoder mode 'bogus'"),
+    (["codebook", "--n", "16", "--delta", "0.25", "--M", "4", "--strategy", "bogus"],
+     "error: unknown strategy 'bogus'"),
 ]
 
 
 class TestRangesAreTheLibrarys:
     @pytest.mark.parametrize("argv, note", LIBRARY_RANGES,
                              ids=["codebook-n0", "codebook-n-3", "codebook-delta0",
-                                  "codebook-n-huge", "id-sim-n0", "id-sim-M1"])
+                                  "codebook-n-huge", "id-sim-n0", "id-sim-M1",
+                                  "codebook-random-seed-1", "codebook-seed-1",
+                                  "id-sim-seed-1", "falsify-seed-1", "id-sim-mode",
+                                  "codebook-strategy"])
     def test_run_and_validate_refuse_with_one_note(self, tmp_path, capsys, argv, note):
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2

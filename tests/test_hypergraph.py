@@ -55,32 +55,48 @@ class TestAlphabet:
 
 
 class TestRefusals:
-    """Each constructor refusal keeps its message; where an edge list has two
-    defects, the first failing edge decides, and within an edge emptiness,
-    then range, then a repeat."""
+    """Each constructor refusal keeps its message. The vertex indices of all
+    edges are checked first, type then range, in one call; after that, where
+    an edge list has two defects, the first failing edge decides, and within
+    an edge emptiness comes before a repeat."""
 
     @pytest.mark.parametrize("labels, message", [
         ((), "alphabet must not be empty"),
         (("a", "b", "a"), "alphabet labels must be pairwise distinct"),
-        ((1, "1"), "alphabet labels must be pairwise distinct"),  # equal as text
+        ((1, "1"), "label 1 is not a string"),  # not read as the text "1"
     ])
     def test_alphabet(self, labels, message):
         with pytest.raises(ShapeError, match=f"^{message}$"):
             Alphabet(labels)
 
+    def test_labels_are_strings(self):
+        class Label(str):
+            pass
+
+        alphabet = Alphabet((Label("a"), np.str_("b")))  # a str subclass passes
+        assert alphabet.labels == ("a", "b")
+        with pytest.raises(ShapeError, match=r"^label \['a'\] is not a string$"):
+            Alphabet(("b", ["a"]))
+        assert alphabet.index("b") == 1
+        with pytest.raises(ShapeError, match="^label 1 not in alphabet$"):
+            Alphabet(("0", "1")).index(1)
+
     @pytest.mark.parametrize("edges, message", [
         (((0,), ()), "edges must be nonempty"),
-        (((0, 3),), "edge contains vertex index outside alphabet"),
-        (((-1, 0),), "edge contains vertex index outside alphabet"),
+        (((0, 3),), "vertex index 3 is outside [0, 3)"),
+        (((-1, 0),), "vertex index -1 is outside [0, 3)"),
         (((0, 1), (1, 0, 1)), "edges must be pairwise distinct as sets"),
-        # two defects: the earlier edge's refusal wins
-        (((), (7,)), "edges must be nonempty"),
-        (((7,), ()), "edge contains vertex index outside alphabet"),
-        (((0,), (0,), (7,)), "edges must be pairwise distinct as sets"),
-        (((0,), (7,), (0,)), "edge contains vertex index outside alphabet"),
+        # two defects: an index out of range wins wherever it stands
+        (((), (7,)), "vertex index 7 is outside [0, 3)"),
+        (((7,), ()), "vertex index 7 is outside [0, 3)"),
+        (((0,), (0,), (7,)), "vertex index 7 is outside [0, 3)"),
+        (((0,), (7,), (0,)), "vertex index 7 is outside [0, 3)"),
+        # otherwise the earlier edge's refusal wins
+        (((), (0,), (0,)), "edges must be nonempty"),
+        (((0,), (0,), ()), "edges must be pairwise distinct as sets"),
     ])
     def test_hypergraph(self, edges, message):
-        with pytest.raises(ShapeError, match=f"^{message}$"):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
             Hypergraph(Alphabet.of_size(3, "v"), edges)
 
     @pytest.mark.parametrize("labels, message", [
@@ -131,7 +147,9 @@ class TestIncidence:
             [True, False, False], [False, False, False]]
         assert h.incidence.sum(axis=1).tolist() == [1, 2, 1, 1, 0]
         assert [h.edges_containing(v) for v in range(5)] == [(2,), (0, 1), (1,), (0,), ()]
-        assert h.edges_containing(5) == () and h.edges_containing(-1) == ()
+        for v in (5, -1):  # a vertex outside the alphabet is refused, not answered ()
+            with pytest.raises(ShapeError, match=rf"^vertex index {v} is outside \[0, 5\)$"):
+                h.edges_containing(v)
         assert not h.edges_disjoint and not h.is_partition
         assert h.edges == ((1, 3), (1, 2), (0,))
 
@@ -142,7 +160,7 @@ class TestIncidence:
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_edge_vertex_outside_alphabet(self, bad):
-        with pytest.raises(ShapeError, match="outside alphabet"):
+        with pytest.raises(ShapeError, match=rf"^vertex index {bad} is outside \[0, 3\)$"):
             Hypergraph(Alphabet.of_size(3, "v"), ((0, bad),))
 
     def test_cached_and_read_only(self):
@@ -208,8 +226,8 @@ class TestVertexGroups:
         h = Hypergraph(Alphabet.of_size(size, "v"), tuple(map(tuple, edges)))
         assert [m.tolist() for m in h.vertex_groups] == oracles.vertex_groups(h)
         assert all(m.dtype == np.intp for m in h.vertex_groups)
-        assert [h.edges_containing(v) for v in range(-1, size + 1)] == \
-            [(), *(tuple(oracles.edges_of(h, v)) for v in range(size)), ()]
+        assert [h.edges_containing(v) for v in range(size)] == \
+            [tuple(oracles.edges_of(h, v)) for v in range(size)]
 
     def test_shared_signature_and_isolated_vertices(self):
         h = Hypergraph(Alphabet.of_size(6, "v"), ((3, 1), (1, 2), (0, 4)))
@@ -315,6 +333,22 @@ class TestIndices:
     ])
     def test_non_integer_is_refused_by_name(self, build, text):
         with pytest.raises(ShapeError, match=f"^{re.escape(text)} is not an integer$"):
+            build()
+
+    @pytest.mark.parametrize("build, text", [
+        (lambda: EdgeMap(0, -1, ()), "edge count -1 is outside [0, inf)"),
+        (lambda: EdgeMap(2, 2, (0, 2)), "edge map entry 2 is outside [0, 2)"),
+        (lambda: EdgeMap(2, 0, (0, 0)), "edge map entry 0 is outside [0, 0)"),
+        (lambda: Hypergraph(BITS, ((0, 5),)), "vertex index 5 is outside [0, 2)"),
+        (lambda: FunctionTable(BITS, BITS, (0, 2)), "image index 2 is outside [0, 2)"),
+        (lambda: FunctionTable(BITS, BITS, (-1, 3)), "image index -1 is outside [0, 2)"),
+        (lambda: check_homomorphism((0, 9), EdgeMap.identity(2), TWO, TWO),
+         "vertex image 9 is outside [0, 2)"),
+        (lambda: sample(bsc(0.1), 2, np.random.default_rng(0)),
+         "input index 2 is outside [0, 2)"),
+    ])
+    def test_out_of_range_is_refused_by_name(self, build, text):
+        with pytest.raises(ShapeError, match=f"^{re.escape(text)}$"):
             build()
 
     def test_numpy_integers_give_equal_objects_of_python_ints(self):

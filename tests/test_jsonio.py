@@ -300,6 +300,14 @@ def test_certificate_verdict_must_match_failing_edges(verdict, failing, text):
             {**CERTIFICATE, "verdict": verdict, "failing_edges": failing})
 
 
+def test_failing_edges_must_be_source_edges():
+    # read against the edge map's 2 source edges; -3 and 7 loaded before
+    two = {"source_edges": 2, "target_edges": 2, "map": [0, 1]}
+    with pytest.raises(ShapeError, match=r"^failing edge -3 is outside \[0, 2\)$"):
+        jsonio.certificate_from_dict({**CERTIFICATE, "edge_map": two, "verdict": "fail",
+                                      "lambda": [0.1, 0.1], "failing_edges": [-3, 7]})
+
+
 def test_failing_certificate_reads_back():
     cert = jsonio.certificate_from_dict(
         {**CERTIFICATE, "verdict": "fail", "failing_edges": [0]})

@@ -1,12 +1,17 @@
-"""Malformed input files through ``cli.main``: an exit code, never a traceback.
+"""Malformed input through ``cli.main``: an exit code, never a traceback.
 
-Each case copies a golden input set from ``tests/data/`` and changes one
-JSON node of one of its files: the node is replaced by another scalar,
+Files: each case copies a golden input set from ``tests/data/`` and changes
+one JSON node of one of its files: the node is replaced by another scalar,
 list or object, or, inside an object, its key is dropped. The subcommand
 must return 0, 1 or 2, and on 2 write nothing to stderr but ``error:``
 lines. The index checks live in the library's constructors, not in the
 loaders, so this is where a loader that lets a malformed node through to
 a bare Python error would show.
+
+Flags and config params: one flag of a small run takes a value from a
+fixed pool of tokens. argparse may refuse it (exit 2); otherwise the run
+ends as above, and ``validate --config`` with the same value in its params
+notes an error exactly when the run refused it.
 """
 
 import contextlib
@@ -20,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lhckit import cli
 from lhckit.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -111,3 +117,91 @@ def test_one_changed_node_ends_in_an_exit_code(command, data):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert lines and all(line.startswith("error:") for line in lines), lines
+
+
+# One flag's value at a time comes from this pool; no count in it exceeds
+# 50, so each run stays short.
+TOKENS = ["-7", "-1", "0", "3", "2.5", "nan", "inf", "1e-300", "bogus", ""]
+
+
+def base_argv(command: str) -> list[str]:
+    """A small well-formed run of the subcommand, without its output flag."""
+    if command in CASES:
+        folder, flags, rest = CASES[command]
+        files = [x for flag, name in flags.items()
+                 for x in (flag, str(DATA / folder / name))]
+        return [command, *files, *rest[:-2]]  # rest ends in the output flag
+    return {
+        "id-sim": ["id-sim", "--n", "16", "--gamma", "0.03", "--delta", "0.25",
+                   "--eps", "0.3", "--M", "4", "--trials", "50", "--seed", "7",
+                   "--mode", "paper-windows"],
+        "rates": ["rates", "--gamma", "0.03", "--grid", "0:0.5:0.1"],
+        "codebook": ["codebook", "--n", "16", "--delta", "0.25", "--M", "4",
+                     "--strategy", "random-greedy", "--seed", "7"],
+        "falsify": ["falsify", "--trials", "3", "--seed", "1", "--max-edges", "2",
+                    "--max-symbols", "2"],
+    }[command]
+
+
+# the subcommands whose runs take no input file
+FLAG_ONLY = ("id-sim", "rates", "codebook", "falsify")
+FLAGS = [(command, flag) for command in [*CASES, *FLAG_ONLY]
+         for flag in base_argv(command)[1::2]]
+
+
+def json_value(token: str):
+    """The token as a JSON scalar: a number where it reads as one."""
+    for parse in (int, float):
+        try:
+            return parse(token)
+        except ValueError:
+            pass
+    return token
+
+
+def run(argv) -> tuple[int | None, str, str]:
+    """main's exit code, stdout and stderr; the code is None where argparse
+    exits, which it must do with 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, exc.code
+            code = None
+    return code, out.getvalue(), err.getvalue()
+
+
+def dest(command: str, flag: str) -> str:
+    """The config key of a subcommand's flag."""
+    (sub,) = [action for action in cli._parser()._actions if action.dest == "command"]
+    return sub.choices[command]._option_string_actions[flag].dest
+
+
+@pytest.mark.parametrize("command, flag", FLAGS)
+@pytest.mark.parametrize("token", TOKENS)
+def test_one_changed_flag_or_param_ends_in_an_exit_code(tmp_path, monkeypatch, command,
+                                                        flag, token):
+    monkeypatch.chdir(tmp_path)  # a token read as a path names nothing here
+    argv = base_argv(command)
+    argv[argv.index(flag) + 1] = token
+    out = CASES[command][2][-2] if command in CASES else "--out"
+    code, _, err = run([*argv, out, str(tmp_path / "out")])
+    assert code in (None, 0, 1, 2)  # None: argparse refused the token
+    if code == 2:
+        lines = err.splitlines()
+        assert lines and all(line.startswith("error:") for line in lines), lines
+
+    config = cli.config_from_args(cli._parser().parse_args(base_argv(command)))
+    key = dest(command, flag)
+    if key in config.params:
+        config.params[key] = json_value(token)
+    else:
+        config.inputs[key] = token
+    (tmp_path / "cfg.json").write_text(json.dumps(vars(config)))
+    code_validate, stdout, _ = run(["validate", "--config", str(tmp_path / "cfg.json")])
+    notes = stdout.splitlines()
+    assert code_validate == 0
+    assert notes and all(note.startswith(("error:", "ok:")) for note in notes), notes
+    if code is not None:  # argparse took the token: both routes refuse it or neither
+        assert (code == 2) == notes[0].startswith("error:"), (code, notes)
