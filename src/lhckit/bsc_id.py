@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -223,17 +224,15 @@ def accepts(d, n: int, gamma: float, epsilon: float, mode: str) -> np.ndarray:
     return np.asarray(d) <= acceptance_threshold(n, gamma, epsilon)
 
 
-def require_mode(mode: str) -> None:
-    """The one decoder-mode check: raise RangeError unless mode is in MODES."""
-    if mode not in MODES:
-        raise RangeError(f"unknown decoder mode {mode!r}")
+def _require_name(name: str, names: tuple[str, ...], what: str) -> None:
+    """The one known-name check: raise RangeError "unknown WHAT NAME" unless
+    name is one of names."""
+    if name not in names:
+        raise RangeError(f"unknown {what} {name!r}")
 
 
-def require_strategy(strategy: str) -> None:
-    """The one codebook-strategy check: raise RangeError unless strategy is
-    in STRATEGIES."""
-    if strategy not in STRATEGIES:
-        raise RangeError(f"unknown strategy {strategy!r}")
+require_mode = partial(_require_name, names=MODES, what="decoder mode")
+require_strategy = partial(_require_name, names=STRATEGIES, what="strategy")
 
 
 def exact_window_miss(n: int, k: int, gamma: float, epsilon: float,
@@ -629,7 +628,8 @@ def monte_carlo_id(
     m = codebook.size
     n_equal = (trials + 1) // 2
     tally = np.min_scalar_type(n)  # narrowest unsigned type holding a distance
-    accepts(np.zeros(0), n, gamma, epsilon, mode)  # reject a bad mode before any chunk
+    require_mode(mode)  # refuse a bad mode, gamma or epsilon before any chunk
+    acceptance_threshold(n, gamma, epsilon)
 
     def run_chunk(ci: int) -> tuple[int, int]:
         start = ci * MC_CHUNK

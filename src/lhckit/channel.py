@@ -111,19 +111,20 @@ def compose(first: Channel, second: Channel) -> Channel:
 def _check_entries(entries: int, what: str, *sizes) -> None:
     """The one cap refusal: CapacityError naming what, its ``{}`` fields
     filled with sizes, when its dense array would hold more entries than
-    the cap. The message is formatted only then, and an integer too long
-    for ``str`` is written as about a power of two."""
+    the cap. The message is formatted only then, and an integer near or
+    past the digit limit of ``str`` is written as about a power of two."""
     if entries > DEFAULT_PRODUCT_CAP:
         raise CapacityError(f"{what.format(*map(_int_text, sizes))}: {_int_text(entries)} "
                             f"entries exceed the cap {DEFAULT_PRODUCT_CAP}")
 
 
 def _int_text(value) -> str:
-    """str(value), or ~2**L for an integer past the digit limit of ``str``."""
-    try:
-        return str(value)
-    except ValueError:
+    """str(value), or ~2**L for an integer of more than 14000 bits (4215
+    digits, under the default 4300-digit limit of ``str``). The form is
+    chosen from the value alone, so every interpreter writes the same text."""
+    if isinstance(value, int) and value.bit_length() > 14000:
         return f"~2**{math.log2(value):.1f}"
+    return str(value)
 
 
 def tensor(phi1: Channel, phi2: Channel) -> Channel:

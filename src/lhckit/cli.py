@@ -40,19 +40,25 @@ class ExperimentConfig:
     outputs: dict[str, str] = field(default_factory=dict)
 
 
-def _json_loader(from_dict):
-    """Loader of the object that from_dict reads from a JSON file's value."""
-    return lambda path: from_dict(jsonio.read_json(path))
+def _channel(path):
+    return jsonio.channel_from_dict(jsonio.read_json(path))
+
+
+def _hypergraph(path):
+    return jsonio.hypergraph_from_dict(jsonio.read_json(path))
+
+
+def _edge_map(path):
+    return jsonio.edge_map_from_dict(jsonio.read_json(path))
 
 
 # Input role -> loader from a path. A flag whose dest is a role here is a
 # file input.
 _LOADERS = {
-    **dict.fromkeys(("channel", "phi", "gamma_channel", "enc1", "enc2"),
-                    _json_loader(jsonio.channel_from_dict)),
+    **dict.fromkeys(("channel", "phi", "gamma_channel", "enc1", "enc2"), _channel),
     **dict.fromkeys(("source", "target", "hyper_h", "hyper_g1", "hyper_g2",
-                     "hyper_f", "hyper_d"), _json_loader(jsonio.hypergraph_from_dict)),
-    "edge_map": _json_loader(jsonio.edge_map_from_dict),
+                     "hyper_f", "hyper_d"), _hypergraph),
+    "edge_map": _edge_map,
     "code": jsonio.read_code_bundle,
     "codebook": jsonio.read_codebook,
 }
@@ -457,8 +463,12 @@ def main(argv=None) -> int:
     if args.command == "validate":
         try:
             raw = jsonio.read_json(args.config)
-            config = ExperimentConfig(raw.get("task", ""), *(
-                dict(raw.get(key, {})) for key in ("inputs", "params", "outputs")))
+            config = ExperimentConfig(
+                task=raw.get("task", ""),
+                inputs=dict(raw.get("inputs", {})),
+                params=dict(raw.get("params", {})),
+                outputs=dict(raw.get("outputs", {})),
+            )
         except Exception as exc:
             print(f"error: cannot read config: {exc}")
             return 0

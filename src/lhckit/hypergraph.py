@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -34,9 +34,9 @@ class Alphabet:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
         if not {str}.issuperset(map(type, self.labels)):  # a str subclass passes
-            bad = next((x for x in self.labels if not isinstance(x, str)), None)
-            if bad is not None:
-                raise ShapeError(f"label {bad!r} is not a string")
+            for x in self.labels:
+                if not isinstance(x, str):
+                    raise ShapeError(f"label {x!r} is not a string")
         if len(self.labels) == 0:
             raise ShapeError("alphabet must not be empty")
         if len(set(self.labels)) != len(self.labels):
@@ -133,6 +133,8 @@ def identification_table(m: int) -> FunctionTable:
 
 def k_identification_table(m: int, k: int) -> FunctionTable:
     """Membership test (i, S) -> 1{i in S} over all k-element subsets of the messages."""
+    from itertools import combinations
+
     if not 1 <= k <= m:
         raise ShapeError("subset size must satisfy 1 <= k <= m")
     msgs = Alphabet.of_size(m)

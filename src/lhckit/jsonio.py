@@ -221,14 +221,17 @@ def _require(d, what: str, *keys: str) -> None:
 
 def _alphabet(labels, what: str) -> Alphabet:
     """An alphabet read from a JSON list of strings; ``Alphabet`` refuses a
-    label that is no string.
+    label that is no string, and its refusal here is prefixed with what.
 
     The string "ab" would read as the labels "a" and "b", so anything but a
     list raises ShapeError.
     """
     if not isinstance(labels, list):
         raise ShapeError(f"{what} must be a list of strings, got {_text(labels)}")
-    return Alphabet(tuple(labels))
+    try:
+        return Alphabet(tuple(labels))
+    except ShapeError as exc:
+        raise ShapeError(f"{what}: {exc}") from None
 
 
 def _list(value, what: str) -> list:

@@ -1,4 +1,6 @@
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -272,8 +274,9 @@ class TestPower:
 
 
 class TestCapMessages:
-    """A size past the digit limit of ``str`` is written as about a power of
-    two, so the refusal is still CapacityError with a one-line message."""
+    """A size of more than 14000 bits, near or past the digit limit of
+    ``str``, is written as about a power of two, so the refusal is still
+    CapacityError with a one-line message, the same on every interpreter."""
 
     def test_power_of_a_huge_block_length(self):
         with pytest.raises(CapacityError) as info:
@@ -290,10 +293,29 @@ class TestCapMessages:
 
     def test_size_not_a_power_of_two(self):
         with pytest.raises(CapacityError) as info:
-            check_harness_symbols(3**7000)
-        assert str(info.value) == (f"max_symbols {3**7000} allows a ~2**22189.5 x "
-                                   "~2**22189.5 channel: ~2**44379.0 entries exceed "
+            check_harness_symbols(3**9000)
+        assert str(info.value) == ("max_symbols ~2**14264.7 allows a ~2**28529.3 x "
+                                   "~2**28529.3 channel: ~2**57058.7 entries exceed "
                                    f"the cap {channel.DEFAULT_PRODUCT_CAP}")
+
+    def test_the_form_follows_the_value_not_the_digit_limit(self):
+        assert channel._int_text(2**14000 - 1) == str(2**14000 - 1)
+        assert channel._int_text(2**14000) == "~2**14000.0"
+        assert channel._int_text(math.inf) == "inf"
+
+    @pytest.mark.parametrize("limit", [0, 640])  # unlimited, and the least allowed
+    def test_text_does_not_move_with_the_digit_limit(self, limit):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no digit limit to set")
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            with pytest.raises(CapacityError) as info:
+                power(bsc(0.1), 20000)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert str(info.value) == ("channel of ~2**20000.0 x ~2**20000.0: ~2**40000.0 entries "
+                                   f"exceed the cap {channel.DEFAULT_PRODUCT_CAP}")
 
 
 class TestSample:

@@ -490,7 +490,12 @@ class TestLoaderPaths:
         ("source", '{"vertices": "01", "edges": [[0], [1]]}',
          'error: input source: vertices must be a list of strings, got "01"'),
         ("source", '{"vertices": ["0", ["1"]], "edges": [[0], [1]]}',
-         "error: input source: label ['1'] is not a string"),
+         "error: input source: vertices: label ['1'] is not a string"),
+        ("source", '{"vertices": [null, "1"], "edges": [[0], [1]]}',
+         "error: input source: vertices: label None is not a string"),
+        ("channel", '{"input": ["0", "1"], "output": ["0", 1], '
+         '"rows": [[0.97, 0.03], [0.03, 0.97]]}',
+         "error: input channel: output: label 1 is not a string"),
         ("channel", '{"input": ["0", "1"], "output": ["0", "1"]}',
          "error: input channel: channel misses component 'rows'"),
         ("channel", "[[0.97, 0.03], [0.03, 0.97]]",

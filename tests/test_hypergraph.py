@@ -64,6 +64,8 @@ class TestRefusals:
         ((), "alphabet must not be empty"),
         (("a", "b", "a"), "alphabet labels must be pairwise distinct"),
         ((1, "1"), "label 1 is not a string"),  # not read as the text "1"
+        ((None, "a"), "label None is not a string"),
+        (("a", None), "label None is not a string"),
     ])
     def test_alphabet(self, labels, message):
         with pytest.raises(ShapeError, match=f"^{message}$"):
