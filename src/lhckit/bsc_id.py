@@ -10,7 +10,7 @@ near n*theta_delta, so a distance test at the output identifies equality.
 The receiver decides by output distance alone. `accepts` is the one decision
 rule (with `in_window` the one open-window test) and the single-shot
 decoder, the Monte Carlo simulator and the exact oracle all call it;
-Hamming distances of bit matrices come from one integer routine. Because
+Hamming distances of bit matrices come from one exact matrix product. Because
 acceptance depends on a codeword pair only through its distance, the exact
 oracle weighs one convolution law per distinct pair distance. Its binomial
 rows come from one recurrence in numpy, with a stated error bound, and its
@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from . import channel
-from .channel import Channel, _adopt, _check_entries, named_rng
+from .channel import Channel, _adopt, _check_entries, named_rng, tensor
 from .errors import (
     CapacityError,
     EmptyBlock,
@@ -271,15 +271,15 @@ def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer Hamming distances between the rows of two bit matrices:
     the len(a) x len(b) matrix, letters on the last axis.
 
-    Rows of a are compared in blocks of at most channel.DEFAULT_PRODUCT_CAP
-    letter pairs (one row when a single row exceeds it), so no temporary
-    grows with len(a) * len(b) * n.
+    |a| + |b|^T - 2 a b^T over 0/1 values in float64: every term is a sum of
+    at most n ones, exact for any n below 2**53 in any summation order.
     """
-    out = np.empty((len(a), len(b)), dtype=np.int_)
-    step = max(1, channel.DEFAULT_PRODUCT_CAP // max(1, b.size))
-    for i in range(0, len(a), step):
-        out[i:i + step] = (a[i:i + step, None] != b).sum(axis=-1)
-    return out
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    dist = a @ b.T
+    dist *= -2.0
+    dist += a.sum(axis=1)[:, None]
+    dist += b.sum(axis=1)
+    return dist.astype(np.int_)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +468,11 @@ def word_alphabet(n: int) -> Alphabet:
 
 
 def word_channel_rows(words: tuple[str, ...], n: int, gamma: float) -> np.ndarray:
-    """Row per word: exact flip probabilities onto every n-bit word."""
-    return _flip_rows(_word_bits(words, n), n, gamma)
+    """Row per word: exact flip probabilities onto every n-bit word. The
+    M x 2^n entries are checked against the cap before any allocation."""
+    bits = _word_bits(words, n)
+    _check_entries(len(bits) << n, "channel of {} x {}", len(bits), 1 << n)
+    return _flip_rows(bits, n, gamma)
 
 
 def _flip_rows(bits: np.ndarray, n: int, gamma: float) -> np.ndarray:
@@ -483,33 +486,29 @@ def restricted_pair_channel(codebook: Codebook, gamma: float) -> Channel:
 
     Input alphabet: ordered codeword pairs. Output alphabet: all ordered
     n-bit word pairs (4^n of them, so only small n materialize). The
-    M^2 x 4^n dense entries are checked against the cap before any allocation.
+    M^2 x 4^n dense entries are checked against the cap before any
+    allocation; the rows are the ``tensor`` of one word channel with itself.
     """
     n, m = codebook.n, codebook.size
     _check_entries(m * m << 2 * n, "channel of {} x {}", m * m, 1 << 2 * n)
-    single = _flip_rows(codebook.bits, n, gamma)
-    # row i*m + j is the Kronecker product of word rows i and j
-    rows = (single[:, None, :, None] * single[None, :, None, :]).reshape(m * m, -1)
-    full = word_alphabet(n)
-    cw = Alphabet(codebook.words)
-    return _adopt(cw.product(cw), full.product(full), rows)
+    word = _adopt(Alphabet(codebook.words), word_alphabet(n),
+                  _flip_rows(codebook.bits, n, gamma))
+    return tensor(word, word)
 
 
 def pair_distance_table(n: int) -> np.ndarray:
-    """Hamming distance of every ordered pair of n-bit words, row-major."""
+    """Hamming distance of every ordered pair of n-bit words, row-major.
+    The 4^n pairs are checked against the cap before the table is built."""
+    _check_entries(1 << 2 * n, "alphabet of all {}-bit word pairs", n)
     bits = _all_word_bits(n)
     return _hamming(bits, bits)
 
 
 def _word_pair_split(n: int, split) -> Hypergraph:
     """Hypergraph on all ordered pairs of n-bit words, one edge per boolean
-    mask that split returns for the flat row-major pair_distance_table.
-
-    The 4**n pairs are checked against the cap before the table is built.
-    """
-    _check_entries(1 << 2 * n, "alphabet of all {}-bit word pairs", n)
-    full = word_alphabet(n)
+    mask that split returns for the flat row-major pair_distance_table."""
     masks = split(pair_distance_table(n).reshape(-1))
+    full = word_alphabet(n)
     return Hypergraph(full.product(full),
                       tuple(tuple(np.flatnonzero(mask).tolist()) for mask in masks))
 
@@ -560,7 +559,8 @@ def id_decoder(
     epsilon: float,
     mode: str = "one-sided-threshold",
 ) -> int:
-    """Decide equality of the originating messages from two noisy words.
+    """Decide equality of the originating messages from two noisy words,
+    each an n-letter '0'/'1' string.
 
     The default accepts exactly when the output distance is at most the
     upper edge of the equal window (boundary inclusive); this is monotone in
@@ -568,19 +568,9 @@ def id_decoder(
     safer. The window mode reproduces the two-sided membership test and
     returns 0 both in the far window and outside both windows.
     """
-    d = _hamming(_bits(y1, n), _bits(y2, n))[0, 0]
+    bits = _word_bits([y1, y2], n)
+    d = _hamming(bits[:1], bits[1:])[0, 0]
     return int(accepts(d, n, gamma, epsilon, mode))
-
-
-def _bits(y, n: int) -> np.ndarray:
-    """1 x n bit row of a word given as an n-bit string or n entries 0 or 1."""
-    if not isinstance(y, str):
-        arr = np.asarray(y)
-        if arr.shape != (n,):
-            raise ShapeError(f"word shape {arr.shape} is not ({n},)")
-        if np.isin(arr, (0, 1)).all():
-            return arr.astype(np.uint8)[None]
-    return _word_bits([y], n)  # refuses a non-string with the string message
 
 
 @dataclass(frozen=True, eq=False)
@@ -655,7 +645,7 @@ def monte_carlo_id(
         return fr, fa
 
     chunk_ids = range((trials + MC_CHUNK - 1) // MC_CHUNK)
-    if workers > 1:
+    if min(workers, len(chunk_ids)) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_chunk, chunk_ids))
     else:

@@ -151,11 +151,13 @@ def named_rng(seed: int, *stream: object) -> np.random.Generator:
     """Generator for a named stream, stable in (seed, stream) across runs.
 
     The one place a seed enters, and the one seed check: an integer >= 0,
-    never a bool, float or string (RangeError naming it otherwise)."""
+    never a bool, float or string (RangeError naming it otherwise). An
+    integer stream part must be >= 0 too; any other part is hashed."""
     _require_count(seed, "seed", 0)
     entropy: list[int] = [int(seed)]
     for part in stream:
         if isinstance(part, (int, np.integer)):
+            _require_count(part, "stream part", 0)
             entropy.append(int(part))
         else:
             digest = hashlib.sha256(str(part).encode("utf-8")).digest()

@@ -3,9 +3,8 @@
 Exit codes: 0 on success or a passing certificate, 1 when a verification or
 construction fails on well-formed inputs, 2 on usage or parse errors. All
 randomness flows from the --seed flag (a fixed printed constant by
-default); the worker count for simulation comes from the LHC_KIT_WORKERS
-environment variable only. Each input is parsed once, by ``validate``, and
-the task runs on the parsed objects.
+default). Each input is parsed once, by ``validate``, and the task runs on
+the parsed objects; every output path is checked before the run.
 """
 
 from __future__ import annotations
@@ -125,9 +124,9 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
     """Schema and range diagnostics without running the task.
 
     Returns the notes and the parsed inputs: every well-formed file input by
-    role, the points of a well-formed grid under "grid" and, for id-sim, the
-    worker count under "workers". A run uses these objects, so each input is
-    parsed once.
+    role and the points of a well-formed grid under "grid". A run uses these
+    objects, so each input is parsed once. An output must be a path, not a
+    directory, in a directory that exists.
     """
     notes: list[str] = []
     objects: dict = {}
@@ -144,6 +143,16 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
                 objects[role] = _LOADERS[role](path)
             except Exception as exc:  # malformed input must not crash
                 notes.append(f"error: input {role}: {exc}")
+    for role, path in config.outputs.items():
+        if not isinstance(path, (str, os.PathLike)):
+            notes.append(f"error: output {role}: path must be a string, got {path!r}")
+            continue
+        path = os.fspath(path)
+        folder = os.path.dirname(path)  # "nodir" of "nodir/", which Path drops
+        if Path(path).is_dir():  # "" too: Path("") is "."
+            notes.append(f"error: output {role}: {path!r} is a directory")
+        elif not Path(folder or ".").is_dir():
+            notes.append(f"error: output {role}: no directory {folder!r} for {path!r}")
 
     p = config.params
     refused: set = set()
@@ -173,16 +182,6 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
                 notes.append(f"error: {exc}")
     if config.task == "id-sim":
         notes += _codebook_misfit(objects.get("codebook"), p, refused)
-        raw = os.environ.get("LHC_KIT_WORKERS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            workers = raw  # refused below, by its text
-        try:
-            _require_count(workers, "LHC_KIT_WORKERS")
-            objects["workers"] = workers
-        except RangeError as exc:
-            notes.append(f"error: {exc}")
     if not notes:
         notes.append("ok: configuration is well formed")
     return notes, objects
@@ -282,9 +281,12 @@ def _run_id_sim(p: dict, inp: dict, out: dict) -> int:
     else:
         book = bsc_id.gen_codebook(p["n"], p["delta"], p["m"], seed=p["seed"],
                                    strategy="random-greedy")
+    # one thread per CPU the process may run on; the tallies do not depend on it
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     estimate = bsc_id.monte_carlo_id(
         book, p["gamma"], p["epsilon"], p["trials"],
-        seed=p["seed"], mode=p["mode"], workers=inp["workers"],
+        seed=p["seed"], mode=p["mode"], workers=cpus,
     )
     bound = bsc_id.chernoff_bound(book.n, p["epsilon"], p["delta"], p["gamma"])
     jsonio.write_csv(

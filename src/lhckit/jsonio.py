@@ -22,7 +22,7 @@ from .channel import Channel, _adopt
 from .codes import FunctionCode
 from .errors import ShapeError, _indices
 from .hypergraph import Alphabet, EdgeMap, FunctionTable, Hypergraph
-from .verify import LhcCertificate
+from .verify import LhcCertificate, edge_vector
 
 
 def write_json(path, payload: dict) -> None:
@@ -396,7 +396,7 @@ def certificate_from_dict(d: dict) -> LhcCertificate:
                          f"{_text(list(edge_map.mapping))}")
     return LhcCertificate(
         edge_map=edge_map,
-        lam=_numbers(d["lambda"], "lambda entry"),
+        lam=edge_vector(d["lambda"], edge_map.source_count, "lambda"),
         per_vertex_success=_numbers(d["per_vertex_success"], "per-vertex success",
                                     null=True),
         failing_edges=failing,
@@ -474,9 +474,9 @@ def instance_from_dict(d: dict) -> BipartiteInstance:
     phi's input."""
     _require(d, "branch-swap instance", "a1", "a2", "x1", "x2", "hyper_h",
              "hyper_g", "hyper_i", "hyper_f", "phi", "lambda")
-    inst = BipartiteInstance(
-        *(hypergraph_from_dict(d[f"hyper_{side}"]) for side in "hgif"),
-        channel_from_dict(d["phi"]), _numbers(d["lambda"], "lambda entry"))
+    hypers = [hypergraph_from_dict(d[f"hyper_{side}"]) for side in "hgif"]
+    inst = BipartiteInstance(*hypers, channel_from_dict(d["phi"]),
+                             edge_vector(d["lambda"], hypers[0].edge_count, "lambda"))
     for key, source, part in (("a1", "hyper_h", "first factor"), ("a2", "phi", "input"),
                               ("x1", "hyper_i", "first factor"), ("x2", "phi", "output")):
         try:

@@ -159,6 +159,16 @@ def rebuilt_bottleneck(cost) -> tuple[int, ...]:
     return tuple(mapping)
 
 
+def blocked_hamming(a, b, cap: int = 1 << 20) -> np.ndarray:
+    """Hamming distances between the rows of two bit matrices, letter by
+    letter: rows of a compared in blocks of at most cap letter pairs."""
+    out = np.empty((len(a), len(b)), dtype=np.int_)
+    step = max(1, cap // max(1, b.size))
+    for i in range(0, len(a), step):
+        out[i:i + step] = (a[i:i + step, None] != b).sum(axis=-1)
+    return out
+
+
 def enumerate_best_edge_map(phi, source, target):
     """Brute force over every bijective edge map: least worst cost, first in
     lex order."""

@@ -23,6 +23,7 @@ from lhckit.bsc_id import (
     in_window,
     monte_carlo_id,
     pair_distance_distribution,
+    pair_distance_table,
     rate_table,
     restricted_pair_channel,
     theta,
@@ -193,21 +194,28 @@ class TestCodebooks:
             Codebook(n=4, words=words, dmin=2)
         assert str(info.value) == "words '0000' and '1000' at distance 1 < 2"
 
-    @given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1),
-           st.sampled_from([None, 1, 5]))
+    @given(st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_pair_distances_match_zip_count(self, n, m, seed, rows):
-        """rows, when set, is the block of codewords compared at once under a
-        lowered entry cap: one, or five, which need not divide the size."""
+    def test_pair_distances_match_zip_count(self, n, m, seed):
         rng = np.random.default_rng(seed)
         words = sorted({"".join(map(str, rng.integers(0, 2, size=n)))
                         for _ in range(m)})
-        with pytest.MonkeyPatch.context() as patch:
-            if rows:
-                patch.setattr(channel, "DEFAULT_PRODUCT_CAP", rows * len(words) * n)
-            book = Codebook(n=n, words=tuple(words), dmin=1)
+        book = Codebook(n=n, words=tuple(words), dmin=1)
         expected = [[zip_distance(u, v) for v in words] for u in words]
         assert book.pair_distances().tolist() == expected
+
+    def test_product_equals_the_letter_by_letter_count(self):
+        """|a| + |b|^T - 2 a b^T gives the integers, and the dtype, of the
+        blocked letter comparison: on all 10-bit word pairs and on a seeded
+        256-word codebook of length 1000."""
+        every = bsc_id._all_word_bits(10)
+        book = gen_codebook(1000, 0.4, 256, seed=25, strategy="random-greedy")
+        for bits in (every, book.bits):
+            got, want = bsc_id._hamming(bits, bits), oracles.blocked_hamming(bits, bits)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(book.pair_distances(), want)
+        assert np.array_equal(bsc_id._hamming(every[:3], every),
+                              oracles.blocked_hamming(every[:3], every))
 
     def test_stored_arrays_are_read_only(self):
         book = gen_codebook(16, 0.25, 6)
@@ -520,10 +528,11 @@ class TestExampleHypergraphs:
         def refuse(n):
             raise AssertionError("distance table built before the cap check")
 
-        monkeypatch.setattr(bsc_id, "pair_distance_table", refuse)
+        monkeypatch.setattr(bsc_id, "_all_word_bits", refuse)
         monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 4 ** 8 - 1)
         for split in (lambda: window_split_hypergraph(8, 0.25, 1.0, 0.2),
-                      lambda: threshold_split_hypergraph(8, 1)):
+                      lambda: threshold_split_hypergraph(8, 1),
+                      lambda: pair_distance_table(8)):
             with pytest.raises(CapacityError, match=r"^alphabet of all 8-bit word pairs: "
                                r"65536 entries exceed the cap 65535$"):
                 split()
@@ -554,6 +563,39 @@ class TestRestrictedPairChannel:
         rows = restricted_pair_channel(book, 0.1).rows
         assert rows.tobytes() == np.kron(single, single).tobytes()
 
+    def test_rows_are_the_tensor_of_one_word_channel(self, monkeypatch):
+        book = gen_codebook(4, 0.25, 5)
+        calls = []
+
+        def recording(first, second):
+            calls.append((first, second))
+            return channel.tensor(first, second)
+
+        monkeypatch.setattr(bsc_id, "tensor", recording)
+        pair = restricted_pair_channel(book, 0.1)
+        (word, again), = calls
+        assert word is again and word.input.labels == book.words
+        assert word.output == bsc_id.word_alphabet(4)
+        assert word.rows.tobytes() == word_channel_rows(book.words, 4, 0.1).tobytes()
+        assert pair.input == word.input.product(word.input)
+
+    def test_word_rows_and_pair_table_are_capped_before_allocating(self, monkeypatch):
+        # 3 words x 16 outputs and 8 x 8 word pairs built 48 and 64 entries
+        # under a cap of 16
+        monkeypatch.setattr(channel, "DEFAULT_PRODUCT_CAP", 16)
+
+        def refuse(*args):
+            raise AssertionError("built before the cap check")
+
+        monkeypatch.setattr(bsc_id, "_flip_rows", refuse)
+        monkeypatch.setattr(bsc_id, "_all_word_bits", refuse)
+        with pytest.raises(CapacityError,
+                           match=r"^channel of 3 x 16: 48 entries exceed the cap 16$"):
+            word_channel_rows(("0000", "0011", "1111"), 4, 0.1)
+        with pytest.raises(CapacityError, match=r"^alphabet of all 3-bit word pairs: "
+                                                r"64 entries exceed the cap 16$"):
+            pair_distance_table(3)
+
 
 class TestDecoder:
     def test_zero_distance_accepted(self):
@@ -579,6 +621,16 @@ class TestDecoder:
     def test_malformed_word_rejected(self, word):
         with pytest.raises(ShapeError, match="is not an 4-bit string"):
             id_decoder(word, "0000", 4, 0.03, 0.3)
+
+    @pytest.mark.parametrize("word", [[0, 1, 0, 0], np.array([0, 1, 0, 0])])
+    def test_array_word_gets_the_string_refusal(self, word):
+        # 0/1 arrays were read as words; only '0'/'1' strings are
+        with pytest.raises(ShapeError, match=r"^word .* is not an 4-bit string$"):
+            id_decoder(word, "0000", 4, 0.03, 0.3)
+        with pytest.raises(ShapeError) as info:
+            id_decoder("0000", word, 4, 0.03, 0.3)
+        assert str(info.value) == f"word {word!r} is not an 4-bit string"
+        assert not hasattr(bsc_id, "_bits")
 
     @pytest.mark.parametrize("word", ["000", "0a00", "0200", ("0", "1", "0", "0")])
     def test_codebook_and_decoder_refuse_a_word_alike(self, word):
@@ -635,6 +687,19 @@ class TestMonteCarlo:
                 for w in (1, 4, 16)]
         tallies = {(r.false_rejects, r.false_accepts) for r in runs}
         assert len(tallies) == 1
+
+    @pytest.mark.parametrize("workers, trials", [(1, 9999), (4, bsc_id.MC_CHUNK)])
+    def test_no_pool_for_one_worker_or_one_chunk(self, monkeypatch, workers, trials):
+        book = gen_codebook(32, 0.25, 4, seed=2, strategy="random-greedy")
+        want = monte_carlo_id(book, 0.05, 0.2, trials, seed=17)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("thread pool started")
+
+        monkeypatch.setattr(bsc_id, "ThreadPoolExecutor", refuse)
+        est = monte_carlo_id(book, 0.05, 0.2, trials, seed=17, workers=workers)
+        assert (est.false_rejects, est.false_accepts) == (want.false_rejects,
+                                                          want.false_accepts)
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("code, gamma, eps, trials, mode, tallies", [

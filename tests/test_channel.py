@@ -341,6 +341,13 @@ class TestSample:
                                              "is not an integer >= 0$"):
             named_rng(seed)
 
+    # -5 ended in numpy's bare ValueError from SeedSequence
+    @pytest.mark.parametrize("part", [-5, np.int64(-1), True])
+    def test_integer_stream_part_is_at_least_zero(self, part):
+        with pytest.raises(RangeError, match=f"^{re.escape(f'stream part {part!r}')} "
+                                             "is not an integer >= 0$"):
+            named_rng(1, "x", part)
+
     def test_numpy_integer_seed_keeps_the_stream(self):
         assert named_rng(np.int64(7), "demo").random() == named_rng(7, "demo").random()
 

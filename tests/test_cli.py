@@ -2,6 +2,7 @@ import builtins
 import collections
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhckit import BITS, EdgeMap, bsc, cli, complete_1_uniform, jsonio
+from lhckit import BITS, EdgeMap, bsc, bsc_id, cli, complete_1_uniform, jsonio
 from lhckit.cli import main
 
 
@@ -375,11 +376,6 @@ class TestMalformedInputExitsTwo:
         assert err.startswith("error:") and err.count("\n") == 1 and text in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["abc", "1.5", "", "0", "-1"])
-    def test_worker_count(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("LHC_KIT_WORKERS", value)
-        self.check(ID_SIM, tmp_path / "sim.csv", capsys, "LHC_KIT_WORKERS")
-
     @pytest.mark.parametrize("grid", ["0:0.5:0", "0:0.5:-0.01", "0.5:0:0.01",
                                       "0:2:0.5", "0.5:1.2:0.25", "0:inf:0.1",
                                       "0:1:1e-9"])
@@ -443,10 +439,68 @@ class TestMalformedInputExitsTwo:
                    f"'# n=<n> d=<dmin>' header with n >= 1, got {header!r}\n")
 
     def test_valid_worker_count_is_used(self, tmp_path, monkeypatch):
-        assert main([*ID_SIM, "--out", str(tmp_path / "one.csv")]) == 0
-        monkeypatch.setenv("LHC_KIT_WORKERS", "2")
-        assert main([*ID_SIM, "--out", str(tmp_path / "two.csv")]) == 0
-        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+        """The worker count is the number of CPUs the process may run on: one
+        CPU runs serially, four take the thread pool, and both write the same
+        CSV bytes."""
+        pools = []
+
+        class Recording(bsc_id.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(bsc_id, "ThreadPoolExecutor", Recording)
+        for name, cpus in (("one", {0}), ("four", {0, 1, 2, 3})):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                                raising=False)
+            assert main([*ID_SIM, "--out", str(tmp_path / f"{name}.csv")]) == 0
+            assert pools == ([] if name == "one" else [4])
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "four.csv").read_bytes()
+
+
+class TestOutputPaths:
+    """An output that is a directory, or whose directory does not exist, is
+    refused with one note before the run; each ended in IsADirectoryError or
+    FileNotFoundError after the whole run."""
+
+    @pytest.mark.parametrize("out, note", [
+        ("", "error: output dumps: '' is a directory"),
+        (".", "error: output dumps: '.' is a directory"),
+        ("nodir/x.json", "error: output dumps: no directory 'nodir' for 'nodir/x.json'"),
+        ("nodir/", "error: output dumps: no directory 'nodir' for 'nodir/'"),
+    ])
+    def test_falsify_refuses_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                            out, note):
+        monkeypatch.chdir(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the output was checked")
+
+        monkeypatch.setattr(cli, "run_branch_swap_harness", refuse)
+        assert main(["falsify", "--trials", "3", "--out", out]) == 2
+        assert capsys.readouterr().err == note + "\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_prefix_in_no_directory(self, tmp_path, capsys):
+        argv, names = derandomize_inputs(tmp_path)
+        argv[-1] = str(tmp_path / "nodir" / "det")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: output prefix: no directory "
+                                           f"{str(tmp_path / 'nodir')!r} for {argv[-1]!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
+    @pytest.mark.parametrize("out, note", [
+        ("nodir/o.csv", "error: output csv: no directory 'nodir' for 'nodir/o.csv'"),
+        ("", "error: output csv: '' is a directory"),
+        (3, "error: output csv: path must be a string, got 3"),
+    ])
+    def test_validate_gives_the_same_note(self, tmp_path, capsys, monkeypatch, out, note):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": "rates", "params": {"gamma": 0.03},
+                                   "outputs": {"csv": out}}))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == note + "\n"
 
 
 class TestLoaderPaths:
@@ -900,15 +954,6 @@ class TestRangesAreTheLibrarys:
         cfg.write_text(json.dumps({"task": argv[0], "params": params}))
         assert main(["validate", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out == note + "\n"
-
-    # the parsed integer, or the text where it does not parse
-    @pytest.mark.parametrize("raw, shown", [("0", "0"), ("1.5", "'1.5'")])
-    def test_worker_count_is_the_count_check(self, tmp_path, capsys, monkeypatch,
-                                             raw, shown):
-        monkeypatch.setenv("LHC_KIT_WORKERS", raw)
-        assert main([*ID_SIM, "--out", str(tmp_path / "sim.csv")]) == 2
-        assert capsys.readouterr().err == (f"error: LHC_KIT_WORKERS {shown} "
-                                           "is not an integer >= 1\n")
 
     def test_codebook_of_one_word(self, tmp_path):
         out = tmp_path / "book.txt"

@@ -21,7 +21,7 @@ from lhckit import (
 )
 from lhckit.bipartite import random_branch_swap_instance
 from lhckit.cli import main
-from lhckit.errors import ShapeError
+from lhckit.errors import RangeError, ShapeError
 
 from conftest import rand_channel, rand_partition
 
@@ -222,8 +222,9 @@ EDGE_MAP = {"source_edges": 2, "target_edges": 2, "map": [1, 0]}
      r"channel entry must be a number, got \[1, 0\]"),
     (jsonio.channel_from_dict, lambda: CHANNEL, "rows", "1",
      'channel entry: expected a list, got "1"'),
-    (jsonio.certificate_from_dict, lambda: CERTIFICATE, "lambda", ["0.1"],
-     'lambda entry must be a number, got "0.1"'),
+    # lambda is read at the edge count; a longer one loaded
+    (jsonio.certificate_from_dict, lambda: CERTIFICATE, "lambda", [0.1, 0.2],
+     r"^lambda must have one entry per edge \(1\)$"),
     (jsonio.certificate_from_dict, lambda: CERTIFICATE, "per_vertex_success", [True],
      "per-vertex success must be a number, got true"),
     (jsonio.certificate_from_dict, lambda: CERTIFICATE, "edge_bijective", "no",
@@ -234,8 +235,8 @@ EDGE_MAP = {"source_edges": 2, "target_edges": 2, "map": [1, 0]}
     (jsonio.certificate_from_dict, lambda: CERTIFICATE, "edge_map",
      {"source_edges": 2, "target_edges": 2, "map": [0, 0]},
      r"edge_bijective true disagrees with edge map \[0, 0\]"),
-    (jsonio.instance_from_dict, branch_swap_instance_dict, "lambda", ["0.3"],
-     'lambda entry must be a number, got "0.3"'),
+    (jsonio.instance_from_dict, branch_swap_instance_dict, "lambda", [0.1, 0.2, 0.3, 0.4],
+     r"^lambda must have one entry per edge \(1\)$"),
     # a2 and x2 are phi's alphabets, so a file may not name others
     (jsonio.instance_from_dict, branch_swap_instance_dict, "a2", ["zz0"],
      r'^a2 \["zz0"\] disagrees with phi input \["b0"\]$'),
@@ -276,6 +277,31 @@ def test_loaders_accept_only_numbers(load, base, key, value, text):
     assert load(base()) is not None
     with pytest.raises(ShapeError, match=text):
         load({**base(), key: value})
+
+
+TWO_EDGES = {**CERTIFICATE, "edge_map": {"source_edges": 2, "target_edges": 2,
+                                         "map": [0, 1]}, "lambda": [0.1, 0.2]}
+
+
+# each of these loaded: lambda went through the number reader alone, which
+# knew neither the edge count nor NaN
+@pytest.mark.parametrize("load, base, value, error, text", [
+    (jsonio.certificate_from_dict, lambda: TWO_EDGES, [0.1, 0.2, 0.3], ShapeError,
+     r"^lambda must have one entry per edge \(2\)$"),
+    (jsonio.certificate_from_dict, lambda: TWO_EDGES, [float("nan"), 0.1], RangeError,
+     "^lambda is NaN at edge 0$"),
+    # a string or a bool was a ShapeError of the number reader
+    (jsonio.certificate_from_dict, lambda: TWO_EDGES, ["0.1", 0.2], RangeError,
+     "^lambda '0.1' is not a real number$"),
+    (jsonio.certificate_from_dict, lambda: TWO_EDGES, [0.1, True], RangeError,
+     "^lambda True is not a real number$"),
+    (jsonio.instance_from_dict, branch_swap_instance_dict, ["0.3"], RangeError,
+     "^lambda '0.3' is not a real number$"),
+])
+def test_loaders_read_lambda_through_the_per_edge_rule(load, base, value, error, text):
+    assert load(base()) is not None
+    with pytest.raises(error, match=text):
+        load({**base(), "lambda": value})
 
 
 def test_number_reader_takes_ints_and_null():
