@@ -14,7 +14,6 @@ their sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,12 +33,14 @@ from .hypergraph import (
     EdgeMap,
     FunctionTable,
     Hypergraph,
+    cached,
     characteristic_hypergraph,
     identification_table,
     split_product_alphabet,
     _require_same_alphabet,
 )
-from .verify import edge_vector, exceeds, infer_edge_map, lambda_profile, require_within
+from .verify import (edge_vector, exceeds, infer_edge_map, infer_one_sided_edge_map,
+                     lambda_profile, require_within)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,11 +86,11 @@ class BranchSwapReport:
     conclusion_profile: np.ndarray
     instance: BipartiteInstance
 
-    @cached_property
+    @cached
     def hypothesis_holds(self) -> bool:
         return not exceeds(self.hypothesis_profile, self.instance.lam).any()
 
-    @cached_property
+    @cached
     def conclusion_holds(self) -> bool:
         return not exceeds(self.conclusion_profile, self.instance.lam).any()
 
@@ -153,8 +154,10 @@ def check_branch_swap(
     count. A report with a failed conclusion under a passing hypothesis is
     a counterexample candidate.
 
-    Each edge-map inference checks its own target's alphabet and edge
-    count; only hyper_h against hyper_i is compared here, since lam is
+    Neither side forms id x phi: ``infer_one_sided_edge_map`` reads its
+    edge costs from phi's rows, with the bits the product would give. Each
+    side checks its own alphabets and edge counts as ``infer_edge_map``
+    does; only hyper_h against hyper_i is compared here, since lam is
     indexed by the edges of both.
     """
     if hyper_i.edge_count != hyper_h.edge_count:
@@ -163,12 +166,8 @@ def check_branch_swap(
         )
     instance = BipartiteInstance(hyper_h, hyper_g, hyper_i, hyper_f, phi,
                                  edge_vector(lam, hyper_h.edge_count, "lam"))
-    hyp_map, hyp_profile = infer_edge_map(
-        tensor(identity_channel(instance.a1), phi), hyper_h, hyper_g
-    )
-    conc_map, conc_profile = infer_edge_map(
-        tensor(identity_channel(instance.x1), phi), hyper_i, hyper_f
-    )
+    hyp_map, hyp_profile = infer_one_sided_edge_map(phi, instance.a1, hyper_h, hyper_g)
+    conc_map, conc_profile = infer_one_sided_edge_map(phi, instance.x1, hyper_i, hyper_f)
     return BranchSwapReport(hyp_map, conc_map, hyp_profile, conc_profile, instance)
 
 
@@ -225,10 +224,8 @@ def assemble_id_code(
     beta = edge_vector(beta, k, "beta")
     mu = edge_vector(mu, k, "mu")
 
-    # Hop 1: first message encoded, second kept.
-    m1, prof1 = infer_edge_map(
-        tensor(enc1, identity_channel(msgs)), hyper_h, hyper_g1
-    )
+    # Hop 1: first message encoded, second kept; enc1 x id is never formed.
+    m1, prof1 = infer_one_sided_edge_map(enc1, msgs, hyper_h, hyper_g1, phi_first=True)
     require_within(prof1, alpha, "first encoder hop profile <= alpha")
     # Second encoder: stated with the first message raw, re-verified with it
     # already encoded rather than assumed.
@@ -333,10 +330,13 @@ def random_branch_swap_instance(
 
 
 def check_harness_symbols(max_symbols) -> None:
-    """Raise CapacityError if the harness's largest channel is over the cap.
+    """Raise CapacityError if max_symbols is over the harness's size bound.
 
-    That channel is id x phi from a1 x a2 to a1 x x2, with (s * s) x (s * s)
-    entries at s = max_symbols; this runs before any alphabet is built.
+    The bound is the cap on the largest one-sided hop, id x phi from a1 x a2
+    to a1 x x2, as a dense (s * s) x (s * s) channel at s = max_symbols. The
+    harness reads that hop's costs from phi without forming the channel, so
+    the bound is the harness's size limit, not a memory guard; it runs
+    before any alphabet is built.
     """
     side = max_symbols * max_symbols
     channel._check_entries(side * side, "max_symbols {} allows a {} x {} channel",

@@ -263,8 +263,10 @@ def _word_bits(words, n: int) -> np.ndarray:
 
 
 def _all_word_bits(n: int) -> np.ndarray:
-    """Bit matrix of every n-bit word, in the numeric order of word_alphabet."""
-    return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1) & 1).astype(np.uint8)
+    """Bit matrix of every n-bit word, in the numeric order of word_alphabet:
+    the last n of the 32 big-endian bits of each index, unpacked in uint8."""
+    index = np.arange(1 << n, dtype=">u4")
+    return np.unpackbits(index.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - n:]
 
 
 def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:

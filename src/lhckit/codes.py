@@ -11,7 +11,6 @@ moves a certificate through deterministic relabelings on both ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .hypergraph import (
     EdgeMap,
     FunctionTable,
     Hypergraph,
+    cached,
     characteristic_hypergraph,
     check_homomorphism,
     _require_same_alphabet,
@@ -51,12 +51,12 @@ class FunctionCode:
                     f"{self.f.codomain.labels[b]!r}"
                 )
 
-    @cached_property
+    @cached
     def encoded(self) -> Channel:
         """The channel after the encoder, channel(encoder(.)), built once."""
         return compose(self.encoder, self.channel)
 
-    @cached_property
+    @cached
     def composite(self) -> Channel:
         """The end-to-end channel decoder(channel(encoder(.))), built once."""
         return compose(self.encoded, self.decoder)

@@ -14,7 +14,6 @@ code assembly, is `_require_same_alphabet`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, chain
 from typing import Sequence
 
@@ -23,6 +22,30 @@ import numpy as np
 from .errors import RequiresBijective, RequiresPartition, ShapeError, _indices
 
 PRODUCT_SEP = "|"
+
+
+class cached:
+    """Attribute computed on first read and kept on the instance.
+
+    The first read stores the value in the instance's ``__dict__``, which
+    later reads find first, since this descriptor defines no ``__set__``;
+    a frozen dataclass's fields, equality and hash are untouched.
+    ``functools.cached_property`` does the same under a lock on Python 3.11,
+    which every first read pays for.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -54,9 +77,7 @@ class Alphabet:
 
     def product(self, other: "Alphabet") -> "Alphabet":
         """Cartesian product in row-major order, labels joined by '|'."""
-        return Alphabet(
-            tuple([f"{a}{PRODUCT_SEP}{b}" for a in self.labels for b in other.labels])
-        )
+        return Alphabet(_product_labels(self, other))
 
     @staticmethod
     def of_size(n: int, prefix: str = "") -> "Alphabet":
@@ -64,6 +85,10 @@ class Alphabet:
 
 
 BITS = Alphabet(("0", "1"))
+
+
+def _product_labels(first: Alphabet, second: Alphabet) -> tuple[str, ...]:
+    return tuple([f"{a}{PRODUCT_SEP}{b}" for a in first.labels for b in second.labels])
 
 
 def _require_same_alphabet(got: Alphabet, want: Alphabet, what: str) -> None:
@@ -75,6 +100,14 @@ def _require_same_alphabet(got: Alphabet, want: Alphabet, what: str) -> None:
         at = [repr(labels[i]) if i < len(labels) else "none" for labels in (a, b)]
         raise ShapeError(f"{what}: {len(a)} labels against {len(b)}, first differing "
                          f"at position {i}: {at[0]} against {at[1]}")
+
+
+def _require_product_alphabet(first: Alphabet, second: Alphabet, want: Alphabet,
+                              what: str) -> None:
+    """``_require_same_alphabet(first.product(second), want, what)``, with the
+    product alphabet built only to word the refusal."""
+    if want.labels != _product_labels(first, second):
+        _require_same_alphabet(first.product(second), want, what)
 
 
 def split_product_alphabet(product: Alphabet, second: Alphabet) -> Alphabet:
@@ -172,7 +205,7 @@ class Hypergraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @cached
     def incidence(self) -> np.ndarray:
         """Read-only boolean V x E matrix; [v, e] is set when edge e holds v."""
         k = len(self.edges)
@@ -182,7 +215,7 @@ class Hypergraph:
         s.setflags(write=False)
         return s
 
-    @cached_property
+    @cached
     def vertex_groups(self) -> tuple[np.ndarray, ...]:
         """Read-only ascending vertex arrays, one per distinct edge signature.
 
@@ -207,13 +240,13 @@ class Hypergraph:
         (v,) = _indices((v,), "vertex index", self.vertices.size)
         return tuple(self.incidence[v].nonzero()[0].tolist())
 
-    @cached_property
+    @cached
     def edges_disjoint(self) -> bool:
         # Read from the edge tuples: a set union is cheaper than building the
         # matrix for the many small hypergraphs that only ask this question.
         return sum(map(len, self.edges)) == len(frozenset().union(*self.edges))
 
-    @cached_property
+    @cached
     def is_partition(self) -> bool:
         """Whether every vertex lies in exactly one edge."""
         return bool(np.all(self.incidence.sum(axis=1) == 1))

@@ -18,9 +18,12 @@ import numpy as np
 from .channel import Channel
 from .errors import (EdgeCountMismatch, HypothesisViolated, RangeError,
                      RequiresPartition, ShapeError, _require_real)
-from .hypergraph import EdgeMap, Hypergraph, _require_same_alphabet
+from .hypergraph import (Alphabet, EdgeMap, Hypergraph, _require_product_alphabet,
+                         _require_same_alphabet)
 
 VERIFY_SLACK = 1e-12
+_INPUT_RULE = "channel input alphabet must equal the source vertex set"
+_OUTPUT_RULE = "channel output alphabet must equal the target vertex set"
 
 
 def exceeds(value, bound) -> np.ndarray:
@@ -115,10 +118,8 @@ class LhcCertificate:
 
 
 def _check_alphabets(phi: Channel, source: Hypergraph, target: Hypergraph):
-    _require_same_alphabet(phi.input, source.vertices,
-                           "channel input alphabet must equal the source vertex set")
-    _require_same_alphabet(phi.output, target.vertices,
-                           "channel output alphabet must equal the target vertex set")
+    _require_same_alphabet(phi.input, source.vertices, _INPUT_RULE)
+    _require_same_alphabet(phi.output, target.vertices, _OUTPUT_RULE)
 
 
 def _allowed(target: Hypergraph, f_e: EdgeMap, hits) -> np.ndarray:
@@ -207,6 +208,46 @@ def edge_cost_matrix(
     """cost[A, B] = worst failure probability of any vertex of A aimed at B."""
     _check_alphabets(phi, source, target)
     return worst_failure(edge_mass(phi.rows, target), source.incidence)
+
+
+def one_sided_cost_matrix(
+    phi: Channel,
+    other: Alphabet,
+    source: Hypergraph,
+    target: Hypergraph,
+    phi_first: bool = False,
+) -> np.ndarray:
+    """``edge_cost_matrix`` of id_other x phi (phi x id_other when phi_first),
+    read from phi's rows and target's incidence.
+
+    Row (a, b) of id x phi holds phi[b, x] in column (a, x) and 0.0
+    elsewhere, so its mass on a target edge is the sum of phi[b, x] over the
+    x with (a, x) in the edge. phi's columns are added one at a time in
+    ascending order, as ``edge_mass`` adds the product's gathered columns;
+    the product's zeros add nothing, so every mass keeps its bits. A
+    one-vertex source is the exception: the product's one row is phi's, and
+    numpy sums a single gathered row pairwise, so it goes through
+    ``edge_mass`` as it is. Work is |other| * phi's entries * target edges,
+    where the product has |other|^2 * phi's entries.
+    """
+    ins, outs = (phi.input, other), (phi.output, other)
+    if not phi_first:
+        ins, outs = ins[::-1], outs[::-1]
+    _require_product_alphabet(*ins, source.vertices, _INPUT_RULE)
+    _require_product_alphabet(*outs, target.vertices, _OUTPUT_RULE)
+    if source.vertices.size == 1:
+        return worst_failure(edge_mass(phi.rows, target), source.incidence)
+    k = target.edge_count
+    inside = target.incidence.reshape(*(s.size for s in outs), k)  # [a, x, e] for id x phi
+    if phi_first:
+        inside = inside.transpose(1, 0, 2)
+    terms = np.where(inside[:, None], phi.rows[None, :, :, None], 0.0)  # [a, b, x, e]
+    # accumulate adds along x one term at a time, left to right; a reduce
+    # may sum pairwise
+    mass = np.add.accumulate(terms, axis=2)[:, :, -1]
+    if phi_first:
+        mass = mass.transpose(1, 0, 2)
+    return worst_failure(mass.reshape(source.vertices.size, k), source.incidence)
 
 
 def _augment(adj: list, owner: list, r: int, seen: set, vacant: int) -> bool:
@@ -298,7 +339,30 @@ def infer_edge_map(
     mapping.
     """
     require_disjoint_edges(source, target)
-    cost = edge_cost_matrix(phi, source, target)
+    return _matched(edge_cost_matrix(phi, source, target), source, target)
+
+
+def infer_one_sided_edge_map(
+    phi: Channel,
+    other: Alphabet,
+    source: Hypergraph,
+    target: Hypergraph,
+    phi_first: bool = False,
+) -> tuple[EdgeMap, np.ndarray]:
+    """``infer_edge_map`` of id_other x phi, or of phi x id_other when
+    phi_first is set, without forming the product channel.
+
+    The same checks run in the same order with the same messages, and the
+    map and profile keep their bits (see ``one_sided_cost_matrix``).
+    """
+    require_disjoint_edges(source, target)
+    return _matched(one_sided_cost_matrix(phi, other, source, target, phi_first),
+                    source, target)
+
+
+def _matched(cost: np.ndarray, source: Hypergraph,
+             target: Hypergraph) -> tuple[EdgeMap, np.ndarray]:
+    """The bottleneck edge map of a cost matrix and the profile it picks."""
     if source.edge_count != target.edge_count:
         raise EdgeCountMismatch(
             f"{source.edge_count} source edges vs {target.edge_count} target edges"

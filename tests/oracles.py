@@ -3,7 +3,8 @@ binomial laws of the BSC example.
 
 Each certificate quantity is recomputed from the edge tuples alone, vertex
 by vertex, with frozensets, as the defining inequality states it; a code's
-error is the explicit triple sum over encoder, channel and decoder. Nothing
+error is the explicit triple sum over encoder, channel and decoder; a
+one-sided hop's costs come from its dense product channel. Nothing
 here reads the library's incidence matrix or calls its verification
 routines, so the tests never grade the library against itself. Every
 probability is the same gathered-row sum the definition names, so results
@@ -167,6 +168,23 @@ def blocked_hamming(a, b, cap: int = 1 << 20) -> np.ndarray:
     for i in range(0, len(a), step):
         out[i:i + step] = (a[i:i + step, None] != b).sum(axis=-1)
     return out
+
+
+def dense_one_sided(phi, other, source, target, phi_first=False):
+    """Cost matrix, edge map and profile of id_other x phi (phi x id_other
+    when phi_first) through the dense product: ``np.kron`` of the identity
+    and phi's rows, each target edge's columns gathered and summed as one
+    block (the gather and rounding ``edge_mass`` documents), the worst
+    failure over each source edge's vertices, and the least worst cost
+    first in lex order over every bijection."""
+    eye = np.eye(other.size)
+    rows = np.kron(phi.rows, eye) if phi_first else np.kron(eye, phi.rows)
+    mass = [rows[:, list(edge)].sum(axis=1) for edge in target.edges]
+    cost = np.array([[max(1.0 - float(m[v]) for v in a) for m in mass]
+                     for a in source.edges]).reshape(source.edge_count, target.edge_count)
+    mapping = lex_first_bottleneck(cost)
+    k = source.edge_count
+    return cost, EdgeMap(k, target.edge_count, mapping), cost[np.arange(k), list(mapping)]
 
 
 def enumerate_best_edge_map(phi, source, target):

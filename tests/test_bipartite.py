@@ -22,6 +22,7 @@ from lhckit import (
     decompose,
     deterministic_channel,
     identity_channel,
+    infer_edge_map,
     lambda_profile,
     run_branch_swap_harness,
     sandwich_transfer,
@@ -39,7 +40,9 @@ from lhckit.errors import (
     ShapeError,
 )
 from lhckit.hypergraph import Hypergraph
+from lhckit.verify import infer_one_sided_edge_map, one_sided_cost_matrix
 
+import oracles
 from conftest import rand_partition, sharp_channel
 
 HARNESS_300 = json.loads(
@@ -297,6 +300,137 @@ class TestBranchSwap:
         assert h.edge_count == 1
         with pytest.raises(ShapeError, match=r"lam must have one entry per edge \(1\)"):
             check_branch_swap(phi, h, g, i, f, [0.1, 0.2, 0.3])
+
+
+def one_sided_rows(rng: np.random.Generator, kind: str, inp: int, out: int) -> np.ndarray:
+    """Rows of a kind the harness and the codes meet: Dirichlet, a noisy
+    map, a map, or a map whose other entries are 0.0 and the least
+    subnormal."""
+    if kind == "dirichlet":
+        return rng.dirichlet(np.ones(out), size=inp)
+    targets = rng.integers(out, size=inp)
+    if kind == "sharp":
+        rows = np.full((inp, out), 0.2 / out)
+        rows[np.arange(inp), targets] += 0.8
+        return rows
+    rows = np.zeros((inp, out)) if kind == "one-hot" else \
+        rng.choice([0.0, 5e-324], size=(inp, out))
+    rows[np.arange(inp), targets] = 1.0
+    return rows
+
+
+def hop_alphabets(phi: Channel, other: Alphabet, phi_first: bool) -> tuple:
+    """Source and target alphabets of id_other x phi (phi x id_other)."""
+    if phi_first:
+        return phi.input.product(other), phi.output.product(other)
+    return other.product(phi.input), other.product(phi.output)
+
+
+def one_sided_hop(other_size: int, inp: int, out: int, edges: int, phi_first: bool,
+                  rng: np.random.Generator, kind: str = "dirichlet") -> tuple:
+    """phi, the other factor, and random partitions of the hop's source and
+    target product alphabets with equally many edges."""
+    other = Alphabet.of_size(other_size, "a")
+    phi = Channel(Alphabet.of_size(inp, "b"), Alphabet.of_size(out, "x"),
+                  one_sided_rows(rng, kind, inp, out))
+    source_alpha, target_alpha = hop_alphabets(phi, other, phi_first)
+    k = min(edges, source_alpha.size, target_alpha.size)
+    return (phi, other, rand_partition(rng, source_alpha, k),
+            rand_partition(rng, target_alpha, k))
+
+
+def dense_hop(phi, other, phi_first: bool) -> Channel:
+    """The product channel the one-sided hops no longer build."""
+    ident = identity_channel(other)
+    return tensor(phi, ident) if phi_first else tensor(ident, phi)
+
+
+class TestOneSidedHop:
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(1, 4),
+           st.booleans(), st.sampled_from(["dirichlet", "sharp", "one-hot", "subnormal"]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_costs_map_and_profile_equal_the_dense_product(
+            self, other_size, inp, out, edges, phi_first, kind, seed):
+        """Byte for byte: the full cost matrix against the dense oracle, and
+        the map and profile against the oracle and ``infer_edge_map`` of the
+        product channel."""
+        rng = np.random.default_rng(seed)
+        phi, other, source, target = one_sided_hop(other_size, inp, out, edges,
+                                                   phi_first, rng, kind)
+        cost, f_e, profile = oracles.dense_one_sided(phi, other, source, target, phi_first)
+        got_cost = one_sided_cost_matrix(phi, other, source, target, phi_first)
+        assert got_cost.tobytes() == cost.tobytes()
+        got_map, got_profile = infer_one_sided_edge_map(phi, other, source, target, phi_first)
+        dense_map, dense_profile = infer_edge_map(dense_hop(phi, other, phi_first),
+                                                  source, target)
+        assert got_map == f_e == dense_map
+        assert got_profile.tobytes() == profile.tobytes() == dense_profile.tobytes()
+
+    @pytest.mark.parametrize("phi_first", [False, True])
+    def test_one_vertex_source_keeps_the_pairwise_row_sum(self, phi_first):
+        """With one source vertex the product's one row is phi's, and numpy
+        sums a contiguous gathered row of 8 or more entries pairwise, not
+        left to right; the kernel keeps that sum's bits."""
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            phi, other, source, target = one_sided_hop(1, 1, 16, 1, phi_first, rng)
+            left_to_right = 0.0
+            for p in phi.rows[0].tolist():
+                left_to_right += p
+            if left_to_right != phi.rows[0].sum():
+                break
+        else:
+            pytest.fail("no row whose pairwise sum differs from the left-to-right one")
+        cost, _, _ = oracles.dense_one_sided(phi, other, source, target, phi_first)
+        got = one_sided_cost_matrix(phi, other, source, target, phi_first)
+        assert got.tobytes() == cost.tobytes()
+        assert got[0, 0] == 1.0 - phi.rows[0].sum() != 1.0 - left_to_right
+
+    @staticmethod
+    def refusal_instance(phi_first: bool) -> tuple:
+        """A 2 x 2 hop whose source and target are split into two edges."""
+        phi, other, _, _ = one_sided_hop(2, 2, 2, 2, phi_first, np.random.default_rng(0))
+        return (phi, other, *(square_split(2, alpha)
+                              for alpha in hop_alphabets(phi, other, phi_first)))
+
+    # (argument, change, error, message): each refusal of the dense route,
+    # which the one-sided hop raises with the same class and message
+    REFUSALS = [
+        ("source", lambda h: Hypergraph(h.vertices, ((0, 1), (1, 2))), RequiresPartition,
+         "source edges must be pairwise disjoint"),
+        ("target", lambda h: Hypergraph(h.vertices, ((0, 1), (1, 2))), RequiresPartition,
+         "target edges must be pairwise disjoint"),
+        ("source", lambda h: relabeled(h), ShapeError,
+         "channel input alphabet must equal the source vertex set: 4 labels against 4, "
+         "first differing at position 0: '{}' against 'z0'"),
+        ("target", lambda h: relabeled(h), ShapeError,
+         "channel output alphabet must equal the target vertex set: 4 labels against 4, "
+         "first differing at position 0: '{}' against 'z0'"),
+        ("target", lambda h: first_edge_split(h), EdgeCountMismatch,
+         "2 source edges vs 3 target edges"),
+        # two faults: the first check to meet one reports it
+        ("source", lambda h: relabeled(Hypergraph(h.vertices, ((0, 1), (1, 2)))),
+         RequiresPartition, "source edges must be pairwise disjoint"),
+        ("target", lambda h: first_edge_split(relabeled(h)), ShapeError,
+         "channel output alphabet must equal the target vertex set: 4 labels against 4, "
+         "first differing at position 0: '{}' against 'z0'"),
+    ]
+
+    @pytest.mark.parametrize("phi_first", [False, True])
+    @pytest.mark.parametrize("arg, change, error, message", REFUSALS)
+    def test_refusals_are_the_dense_routes(self, phi_first, arg, change, error, message):
+        phi, other, source, target = self.refusal_instance(phi_first)
+        hyper = {"source": source, "target": target}
+        # the channel side's first label is the unchanged hypergraph's
+        message = message.format(hyper[arg].vertices.labels[0])
+        hyper[arg] = change(hyper[arg])
+        dense = dense_hop(phi, other, phi_first)
+        for route in (lambda: infer_one_sided_edge_map(phi, other, hyper["source"],
+                                                       hyper["target"], phi_first),
+                      lambda: infer_edge_map(dense, hyper["source"], hyper["target"])):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                route()
 
 
 class TestAssembleIdCode:

@@ -217,6 +217,14 @@ class TestCodebooks:
         assert np.array_equal(bsc_id._hamming(every[:3], every),
                               oracles.blocked_hamming(every[:3], every))
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 16])
+    def test_all_word_bits_equal_the_shifted_indices(self, n):
+        """The unpacked big-endian bits are the bits of each index shifted
+        down letter by letter in int64, and are uint8."""
+        shifted = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1) & 1).astype(np.uint8)
+        got = bsc_id._all_word_bits(n)
+        assert got.dtype == np.uint8 and np.array_equal(got, shifted)
+
     def test_stored_arrays_are_read_only(self):
         book = gen_codebook(16, 0.25, 6)
         for stored in (book.bits, book.pair_distances()):

@@ -8,6 +8,11 @@ lines. The index checks live in the library's constructors, not in the
 loaders, so this is where a loader that lets a malformed node through to
 a bare Python error would show.
 
+Codebook text: each case copies the golden codebook of
+``tests/data/bsc/`` and changes one line of it, replaced by other text or
+dropped, and runs ``id-sim --codebook`` on it with the flags the golden
+file fits. The run must end as above.
+
 Flags and config params: one flag of a small run takes a value from a
 fixed pool of tokens. argparse may refuse it (exit 2); otherwise the run
 ends as above, and ``validate --config`` with the same value in its params
@@ -116,6 +121,46 @@ def test_one_changed_node_ends_in_an_exit_code(command, data):
     assert code in (0, 1, 2)
     if code == 2:
         lines = err.getvalue().splitlines()
+        assert lines and all(line.startswith("error:") for line in lines), lines
+
+
+CODEBOOK = (DATA / "bsc" / "golden.codebook.txt").read_text().splitlines()
+# the flags the golden codebook fits: n = 200, dmin 20 = ceil(n * delta), M = 20
+ID_SIM = ["id-sim", "--n", "200", "--gamma", "0.03", "--delta", "0.1", "--eps", "0.3",
+          "--M", "20", "--trials", "50", "--seed", "7"]
+
+
+def line_values(line: str):
+    """Replacements for one codebook line: free text, a header or a word
+    from a fixed pool, or the line with one character changed."""
+    pool = ["", " ", "#", "# n=200 d=20", "# n=200 d=21", "# n=0 d=20",
+            "# n=200 d=-1", "# n=200 d=201", "# n=1 d=0", f"# n={10**400} d=20",
+            "0" * 200, "1" * 200, "2" * 200, "0" * 199, "0" * 201, CODEBOOK[1],
+            line[::-1], line + " x"]
+    changed = st.tuples(st.integers(0, max(len(line) - 1, 0)),
+                        st.sampled_from("01 #=nd2x\t")).map(
+        lambda change: line[:change[0]] + change[1] + line[change[0] + 1:])
+    return st.sampled_from(pool) | st.text(max_size=6) | changed
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_changed_codebook_line_ends_in_an_exit_code(data):
+    index = data.draw(st.integers(0, len(CODEBOOK) - 1), label="line")
+    drop = data.draw(st.booleans(), label="drop")
+    lines = list(CODEBOOK)
+    if drop:
+        del lines[index]
+    else:
+        lines[index] = data.draw(line_values(lines[index]), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        book = Path(tmp) / "book.txt"
+        book.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run([*ID_SIM, "--codebook", str(book),
+                            "--out", str(Path(tmp) / "out.csv")])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.splitlines()
         assert lines and all(line.startswith("error:") for line in lines), lines
 
 

@@ -5,8 +5,8 @@ Prints the median over REPEATS of the microseconds per trial of
 same seeded instances:
 
 - draw: ``random_branch_swap_instance``, the seeded instance;
-- hypothesis: id x phi from hyper_h to hyper_g, built and matched by
-  ``infer_edge_map``;
+- hypothesis: id x phi from hyper_h to hyper_g, costed from phi's rows and
+  matched by ``infer_one_sided_edge_map``;
 - conclusion: id x phi from hyper_i to hyper_f, likewise.
 
 The rest of a trial (the error vector, the instance record and the
@@ -30,14 +30,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from lhckit import (bipartite, identity_channel, infer_edge_map, named_rng,  # noqa: E402
-                    split_product_alphabet, tensor)
+from lhckit import bipartite, named_rng, split_product_alphabet  # noqa: E402
+from lhckit.verify import infer_one_sided_edge_map  # noqa: E402
 
 
 def side(phi, source, target):
     """One side of the swap: id x phi from source to target, matched."""
     first = split_product_alphabet(source.vertices, phi.input)
-    return infer_edge_map(tensor(identity_channel(first), phi), source, target)
+    return infer_one_sided_edge_map(phi, first, source, target)
 
 
 def stage_us(trials: int, seed: int) -> dict[str, float]:
