@@ -14,6 +14,7 @@ their sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .hypergraph import (
     EdgeMap,
     FunctionTable,
     Hypergraph,
-    cached,
     characteristic_hypergraph,
     identification_table,
     split_product_alphabet,
@@ -86,11 +86,11 @@ class BranchSwapReport:
     conclusion_profile: np.ndarray
     instance: BipartiteInstance
 
-    @cached
+    @cached_property
     def hypothesis_holds(self) -> bool:
         return not exceeds(self.hypothesis_profile, self.instance.lam).any()
 
-    @cached
+    @cached_property
     def conclusion_holds(self) -> bool:
         return not exceeds(self.conclusion_profile, self.instance.lam).any()
 

@@ -11,6 +11,7 @@ moves a certificate through deterministic relabelings on both ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .hypergraph import (
     EdgeMap,
     FunctionTable,
     Hypergraph,
-    cached,
     characteristic_hypergraph,
     check_homomorphism,
     _require_same_alphabet,
@@ -51,12 +51,12 @@ class FunctionCode:
                     f"{self.f.codomain.labels[b]!r}"
                 )
 
-    @cached
+    @cached_property
     def encoded(self) -> Channel:
         """The channel after the encoder, channel(encoder(.)), built once."""
         return compose(self.encoder, self.channel)
 
-    @cached
+    @cached_property
     def composite(self) -> Channel:
         """The end-to-end channel decoder(channel(encoder(.))), built once."""
         return compose(self.encoded, self.decoder)

@@ -14,6 +14,7 @@ code assembly, is `_require_same_alphabet`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
 from typing import Sequence
 
@@ -22,30 +23,6 @@ import numpy as np
 from .errors import RequiresBijective, RequiresPartition, ShapeError, _indices
 
 PRODUCT_SEP = "|"
-
-
-class cached:
-    """Attribute computed on first read and kept on the instance.
-
-    The first read stores the value in the instance's ``__dict__``, which
-    later reads find first, since this descriptor defines no ``__set__``;
-    a frozen dataclass's fields, equality and hash are untouched.
-    ``functools.cached_property`` does the same under a lock on Python 3.11,
-    which every first read pays for.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -205,7 +182,7 @@ class Hypergraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @cached
+    @cached_property
     def incidence(self) -> np.ndarray:
         """Read-only boolean V x E matrix; [v, e] is set when edge e holds v."""
         k = len(self.edges)
@@ -215,7 +192,7 @@ class Hypergraph:
         s.setflags(write=False)
         return s
 
-    @cached
+    @cached_property
     def vertex_groups(self) -> tuple[np.ndarray, ...]:
         """Read-only ascending vertex arrays, one per distinct edge signature.
 
@@ -240,13 +217,13 @@ class Hypergraph:
         (v,) = _indices((v,), "vertex index", self.vertices.size)
         return tuple(self.incidence[v].nonzero()[0].tolist())
 
-    @cached
+    @cached_property
     def edges_disjoint(self) -> bool:
         # Read from the edge tuples: a set union is cheaper than building the
         # matrix for the many small hypergraphs that only ask this question.
         return sum(map(len, self.edges)) == len(frozenset().union(*self.edges))
 
-    @cached
+    @cached_property
     def is_partition(self) -> bool:
         """Whether every vertex lies in exactly one edge."""
         return bool(np.all(self.incidence.sum(axis=1) == 1))

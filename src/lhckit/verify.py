@@ -218,17 +218,21 @@ def one_sided_cost_matrix(
     phi_first: bool = False,
 ) -> np.ndarray:
     """``edge_cost_matrix`` of id_other x phi (phi x id_other when phi_first),
-    read from phi's rows and target's incidence.
+    read from phi's rows and target's edges.
 
     Row (a, b) of id x phi holds phi[b, x] in column (a, x) and 0.0
     elsewhere, so its mass on a target edge is the sum of phi[b, x] over the
-    x with (a, x) in the edge. phi's columns are added one at a time in
-    ascending order, as ``edge_mass`` adds the product's gathered columns;
-    the product's zeros add nothing, so every mass keeps its bits. A
-    one-vertex source is the exception: the product's one row is phi's, and
-    numpy sums a single gathered row pairwise, so it goes through
-    ``edge_mass`` as it is. Work is |other| * phi's entries * target edges,
-    where the product has |other|^2 * phi's entries.
+    x with (a, x) in the edge. Each term phi[b, x], taken in (a, b, x)
+    order, is added into the bin of row (a, b) and the edge holding (a, x),
+    or a spare bin when none does; ``np.bincount`` adds one term at a time
+    into 0.0, so each bin adds its x in ascending order, as ``edge_mass``
+    adds the product's gathered columns, and the product's zeros add
+    nothing: every mass keeps its bits. A one-vertex source is the
+    exception: the product's one row is phi's, and numpy sums a single
+    gathered row pairwise, so it goes through ``edge_mass`` as it is. Work
+    and memory are |other| times phi's entries, whatever the edge count,
+    beside the vertex-by-edge masses both routes form; the product has
+    |other|^2 times phi's entries.
     """
     ins, outs = (phi.input, other), (phi.output, other)
     if not phi_first:
@@ -238,13 +242,18 @@ def one_sided_cost_matrix(
     if source.vertices.size == 1:
         return worst_failure(edge_mass(phi.rows, target), source.incidence)
     k = target.edge_count
-    inside = target.incidence.reshape(*(s.size for s in outs), k)  # [a, x, e] for id x phi
+    edge_of = [k] * target.vertices.size  # edges are disjoint: at most one each
+    for e, edge in enumerate(target.edges):
+        for v in edge:
+            edge_of[v] = e
+    edge_of = np.array(edge_of).reshape(*(s.size for s in outs))  # [a, x] for id x phi
     if phi_first:
-        inside = inside.transpose(1, 0, 2)
-    terms = np.where(inside[:, None], phi.rows[None, :, :, None], 0.0)  # [a, b, x, e]
-    # accumulate adds along x one term at a time, left to right; a reduce
-    # may sum pairwise
-    mass = np.add.accumulate(terms, axis=2)[:, :, -1]
+        edge_of = edge_of.T
+    bins = other.size * phi.input.size * (k + 1)
+    first = np.arange(0, bins, k + 1).reshape(other.size, -1, 1)  # row (a, b)'s first bin
+    terms = np.concatenate([phi.rows.ravel()] * other.size)  # [a, b, x], x innermost
+    mass = np.bincount((first + edge_of[:, None, :]).ravel(), weights=terms, minlength=bins)
+    mass = mass.reshape(other.size, -1, k + 1)[:, :, :k]
     if phi_first:
         mass = mass.transpose(1, 0, 2)
     return worst_failure(mass.reshape(source.vertices.size, k), source.incidence)

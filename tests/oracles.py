@@ -170,18 +170,23 @@ def blocked_hamming(a, b, cap: int = 1 << 20) -> np.ndarray:
     return out
 
 
-def dense_one_sided(phi, other, source, target, phi_first=False):
-    """Cost matrix, edge map and profile of id_other x phi (phi x id_other
-    when phi_first) through the dense product: ``np.kron`` of the identity
-    and phi's rows, each target edge's columns gathered and summed as one
-    block (the gather and rounding ``edge_mass`` documents), the worst
-    failure over each source edge's vertices, and the least worst cost
-    first in lex order over every bijection."""
+def dense_one_sided_cost(phi, other, source, target, phi_first=False):
+    """Cost matrix of id_other x phi (phi x id_other when phi_first) through
+    the dense product: ``np.kron`` of the identity and phi's rows, each
+    target edge's columns gathered and summed as one block (the gather and
+    rounding ``edge_mass`` documents), and the worst failure over each
+    source edge's vertices."""
     eye = np.eye(other.size)
     rows = np.kron(phi.rows, eye) if phi_first else np.kron(eye, phi.rows)
     mass = [rows[:, list(edge)].sum(axis=1) for edge in target.edges]
-    cost = np.array([[max(1.0 - float(m[v]) for v in a) for m in mass]
+    return np.array([[max(1.0 - float(m[v]) for v in a) for m in mass]
                      for a in source.edges]).reshape(source.edge_count, target.edge_count)
+
+
+def dense_one_sided(phi, other, source, target, phi_first=False):
+    """``dense_one_sided_cost``, with the edge map of least worst cost, first
+    in lex order over every bijection, and the profile it picks."""
+    cost = dense_one_sided_cost(phi, other, source, target, phi_first)
     mapping = lex_first_bottleneck(cost)
     k = source.edge_count
     return cost, EdgeMap(k, target.edge_count, mapping), cost[np.arange(k), list(mapping)]

@@ -367,6 +367,32 @@ class TestOneSidedHop:
         assert got_map == f_e == dense_map
         assert got_profile.tobytes() == profile.tobytes() == dense_profile.tobytes()
 
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 4), st.booleans(),
+           st.sampled_from(["dirichlet", "sharp", "one-hot", "subnormal"]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_more_edges_than_the_other_factor_has_symbols(
+            self, other_size, inp, spread, phi_first, kind, seed):
+        """A singleton source partition, so the edge count is |other| times
+        phi's input count, and a target partition with as many edges over
+        up to four times as many outputs: the cost matrix against the dense
+        oracle, and the map and profile against ``infer_edge_map`` of the
+        product channel."""
+        rng = np.random.default_rng(seed)
+        phi, other, _, _ = one_sided_hop(other_size, inp, inp * spread, 1,
+                                         phi_first, rng, kind)
+        source_alpha, target_alpha = hop_alphabets(phi, other, phi_first)
+        source = Hypergraph(source_alpha, tuple((v,) for v in range(source_alpha.size)))
+        target = rand_partition(rng, target_alpha, source_alpha.size)
+        cost = oracles.dense_one_sided_cost(phi, other, source, target, phi_first)
+        got_cost = one_sided_cost_matrix(phi, other, source, target, phi_first)
+        assert got_cost.tobytes() == cost.tobytes()
+        got_map, got_profile = infer_one_sided_edge_map(phi, other, source, target, phi_first)
+        dense_map, dense_profile = infer_edge_map(dense_hop(phi, other, phi_first),
+                                                  source, target)
+        assert got_map == dense_map
+        assert got_profile.tobytes() == dense_profile.tobytes()
+
     @pytest.mark.parametrize("phi_first", [False, True])
     def test_one_vertex_source_keeps_the_pairwise_row_sum(self, phi_first):
         """With one source vertex the product's one row is phi's, and numpy
