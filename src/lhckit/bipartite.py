@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +40,9 @@ from .hypergraph import (
     split_product_alphabet,
     _require_same_alphabet,
 )
-from .verify import (edge_vector, exceeds, infer_edge_map, infer_one_sided_edge_map,
-                     lambda_profile, require_within)
+from .verify import (_bottleneck_assignment, edge_vector, exceeds,
+                     infer_edge_map, infer_one_sided_edge_map, lambda_profile,
+                     one_sided_costs, one_sided_side, require_within)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,21 +156,68 @@ def check_branch_swap(
     count. A report with a failed conclusion under a passing hypothesis is
     a counterexample candidate.
 
-    Neither side forms id x phi: ``infer_one_sided_edge_map`` reads its
-    edge costs from phi's rows, with the bits the product would give. Each
-    side checks its own alphabets and edge counts as ``infer_edge_map``
+    Neither side forms id x phi: ``one_sided_costs`` reads both sides' edge
+    costs from phi's rows in one call, with the bits the product would give.
+    Each side checks its own alphabets and edge counts as ``infer_edge_map``
     does; only hyper_h against hyper_i is compared here, since lam is
     indexed by the edges of both.
     """
+    lam, sides = _branch_swap_sides(phi, hyper_h, hyper_g, hyper_i, hyper_f, lam)
+    return _report((phi, hyper_h, hyper_g, hyper_i, hyper_f, lam),
+                   *_swap_verdicts(sides, [lam, lam]))
+
+
+def _branch_swap_sides(phi: Channel, hyper_h: Hypergraph, hyper_g: Hypergraph,
+                       hyper_i: Hypergraph, hyper_f: Hypergraph, lam) -> tuple:
+    """``check_branch_swap``'s refusals, in its order: lam as a per-edge
+    vector and the checked hypothesis and conclusion sides."""
     if hyper_i.edge_count != hyper_h.edge_count:
         raise EdgeCountMismatch(
             f"{hyper_h.edge_count} hyper_h edges vs {hyper_i.edge_count} hyper_i edges"
         )
-    instance = BipartiteInstance(hyper_h, hyper_g, hyper_i, hyper_f, phi,
-                                 edge_vector(lam, hyper_h.edge_count, "lam"))
-    hyp_map, hyp_profile = infer_one_sided_edge_map(phi, instance.a1, hyper_h, hyper_g)
-    conc_map, conc_profile = infer_one_sided_edge_map(phi, instance.x1, hyper_i, hyper_f)
-    return BranchSwapReport(hyp_map, conc_map, hyp_profile, conc_profile, instance)
+    lam = edge_vector(lam, hyper_h.edge_count, "lam")
+    a1 = split_product_alphabet(hyper_h.vertices, phi.input)
+    hypothesis = one_sided_side(phi, a1, hyper_h, hyper_g)
+    x1 = split_product_alphabet(hyper_i.vertices, phi.input)
+    return lam, [hypothesis, one_sided_side(phi, x1, hyper_i, hyper_f)]
+
+
+class _Verdict(NamedTuple):
+    mapping: tuple[int, ...]
+    profile: np.ndarray
+    holds: bool
+
+
+def _swap_verdicts(sides: list, lams: list) -> list[_Verdict]:
+    """The bottleneck mapping, its profile and the verdict of each checked
+    side at its lam.
+
+    All sides are costed by one ``one_sided_costs`` call and matched one by
+    one by ``_bottleneck_assignment``; one ``exceeds`` call then holds every
+    picked profile against its lam.
+    """
+    costs = one_sided_costs(sides)
+    mappings = [_bottleneck_assignment(cost) for cost in costs]
+    picked = np.array([row[j] for cost, mapping in zip(costs, mappings)
+                       for row, j in zip(cost.tolist(), mapping)])
+    bad = exceeds(picked, np.concatenate(lams)).tolist()
+    verdicts, start = [], 0
+    for mapping in mappings:
+        end = start + len(mapping)
+        verdicts.append(_Verdict(mapping, picked[start:end], not any(bad[start:end])))
+        start = end
+    return verdicts
+
+
+def _report(instance: tuple, hypothesis: _Verdict, conclusion: _Verdict) -> BranchSwapReport:
+    """The report of an instance (phi, hyper_h, hyper_g, hyper_i, hyper_f,
+    lam) from its two sides' verdicts."""
+    phi, h, g, i, f, lam = instance
+    k = lam.size
+    return BranchSwapReport(EdgeMap(k, k, hypothesis.mapping),
+                            EdgeMap(k, k, conclusion.mapping),
+                            hypothesis.profile, conclusion.profile,
+                            BipartiteInstance(h, g, i, f, phi, lam))
 
 
 def assemble_id_code(
@@ -343,28 +392,59 @@ def check_harness_symbols(max_symbols) -> None:
                            max_symbols, side, side)
 
 
+# A harness chunk holds at most this many terms and mass-table entries (see
+# _chunk_trials), so the kernel's memory does not grow with the trials.
+_CHUNK_TERMS = 1 << 16
+
+
+def _chunk_trials(max_edges: int, max_symbols: int) -> int:
+    """Trials per kernel call: as many as keep the largest possible chunk
+    within _CHUNK_TERMS terms and mass-table entries, and at least one.
+
+    A side has at most s^3 terms and s^2 source rows of at most
+    min(max_edges, s^2) + 1 entries, at s = max_symbols, and a trial has two.
+    """
+    s = max_symbols
+    per_trial = 2 * s * s * (s + min(max_edges, s * s) + 1)
+    return max(1, _CHUNK_TERMS // per_trial)
+
+
 def run_branch_swap_harness(
     trials: int, seed: int, max_edges: int = 3, max_symbols: int = 3
 ) -> HarnessSummary:
     """Sample instances, verify both sides, and collect counterexamples.
 
     Each count must be an integer >= 1 (RangeError naming it otherwise).
+    Each trial draws its instance and runs ``check_branch_swap``'s checks as
+    that call would, in trial order; both sides of a chunk of trials are
+    then costed by one ``one_sided_costs`` call and matched one by one, and
+    a report is built only for a counterexample. The tallies, maps and
+    profiles are ``check_branch_swap``'s.
     """
     for value, what in ((trials, "trials"), (max_edges, "max_edges"),
                         (max_symbols, "max_symbols")):
         _require_count(value, what)
     check_harness_symbols(max_symbols)
     rng = named_rng(seed, 0x51AB)
+    chunk = _chunk_trials(max_edges, max_symbols)
     hypothesis_held = 0
     conclusion_held = 0
     counterexamples: list[BranchSwapReport] = []
-    for _ in range(trials):
-        phi, h, g, i, f, lam = random_branch_swap_instance(
-            rng, max_edges=max_edges, max_symbols=max_symbols
-        )
-        report = check_branch_swap(phi, h, g, i, f, lam)
-        hypothesis_held += report.hypothesis_holds
-        conclusion_held += report.conclusion_holds
-        if report.is_counterexample:
-            counterexamples.append(report)
+    for done in range(0, trials, chunk):
+        drawn, sides, lams = [], [], []
+        for _ in range(min(chunk, trials - done)):
+            phi, h, g, i, f, lam = random_branch_swap_instance(
+                rng, max_edges=max_edges, max_symbols=max_symbols
+            )
+            lam, pair = _branch_swap_sides(phi, h, g, i, f, lam)
+            drawn.append((phi, h, g, i, f, lam))
+            sides += pair
+            lams += [lam, lam]
+        verdicts = iter(_swap_verdicts(sides, lams))
+        for instance in drawn:
+            hypothesis, conclusion = next(verdicts), next(verdicts)
+            hypothesis_held += hypothesis.holds
+            conclusion_held += conclusion.holds
+            if hypothesis.holds and not conclusion.holds:
+                counterexamples.append(_report(instance, hypothesis, conclusion))
     return HarnessSummary(trials, hypothesis_held, conclusion_held, tuple(counterexamples))

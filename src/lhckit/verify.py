@@ -59,8 +59,14 @@ def worst_failure(success, member) -> np.ndarray:
     the work is the number of memberships times L.
     """
     column, row = np.nonzero(member.T)  # grouped by column
-    starts = np.searchsorted(column, np.arange(member.shape[1]))
-    return np.maximum.reduceat(1.0 - success[row], starts, axis=0)
+    return _grouped_worst(success, row, np.searchsorted(column, np.arange(member.shape[1])))
+
+
+def _grouped_worst(success, rows, starts) -> np.ndarray:
+    """``worst_failure``'s grouped max: row g of the result is the worst
+    1 - success over success's rows rows[starts[g]:starts[g + 1]] (the
+    last group runs to the end), and no group is empty."""
+    return np.maximum.reduceat(1.0 - success[rows], starts, axis=0)
 
 
 def require_disjoint_edges(source: Hypergraph, target: Hypergraph) -> None:
@@ -189,12 +195,21 @@ def edge_mass(rows: np.ndarray, hyper: Hypergraph) -> np.ndarray:
 
     Each edge's columns are gathered and summed in ascending order, so edge
     costs, decomposition blocks and derandomization see one rounding.
-    ``rows[:, list(edge)]`` comes out column-major, so numpy adds its row
-    sums one column at a time, left to right; a faster version must keep
-    that order. ``per_vertex_success`` gathers a row-major block, whose rows
-    numpy sums pairwise: the same columns, rounded differently (up to
-    7.8e-16 apart on 198 entries of a V = 224 code, enough to change 6 of
-    its 8 encoder picks), so derandomization must rank by this mass.
+    ``rows[:, list(edge)]`` of two or more rows comes out column-major, so
+    numpy adds its row sums one column at a time, left to right; a faster
+    version must keep that order. ``per_vertex_success`` gathers a
+    row-major block, whose rows numpy sums pairwise: the same columns,
+    rounded differently (up to 7.8e-16 apart on 198 entries of a V = 224
+    code, enough to change 6 of its 8 encoder picks), so derandomization
+    must rank by this mass.
+
+    A one-row gather is contiguous, so numpy sums it pairwise once the edge
+    has 8 or more columns, and ``one_sided_costs`` keeps a one-vertex
+    branch to copy that rounding. The sum stays as it is: an
+    ``np.add.accumulate`` along the gathered columns adds left to right on
+    every shape, with the same bits on multi-row gathers, but at V = 224
+    with 8 edges it takes 367 us where this takes 179 us (one pinned CPU,
+    numpy 2.4), a cost every certify job would pay.
     """
     mass = np.zeros((rows.shape[0], hyper.edge_count))
     for e, edge in enumerate(hyper.edges):
@@ -210,6 +225,91 @@ def edge_cost_matrix(
     return worst_failure(edge_mass(phi.rows, target), source.incidence)
 
 
+def _require_hop_alphabets(phi: Channel, other: Alphabet, source: Hypergraph,
+                           target: Hypergraph, phi_first: bool) -> None:
+    """id_other x phi (phi x id_other when phi_first) runs from source's
+    vertices to target's, or ShapeError with ``infer_edge_map``'s message."""
+    ins, outs = (phi.input, other), (phi.output, other)
+    if not phi_first:
+        ins, outs = ins[::-1], outs[::-1]
+    _require_product_alphabet(*ins, source.vertices, _INPUT_RULE)
+    _require_product_alphabet(*outs, target.vertices, _OUTPUT_RULE)
+
+
+def one_sided_side(
+    phi: Channel,
+    other: Alphabet,
+    source: Hypergraph,
+    target: Hypergraph,
+    phi_first: bool = False,
+) -> tuple:
+    """The side (phi, other, source, target, phi_first) for
+    ``one_sided_costs``, after the refusals of ``infer_one_sided_edge_map``
+    in its order: disjoint edges, the two alphabets, the edge counts."""
+    require_disjoint_edges(source, target)
+    _require_hop_alphabets(phi, other, source, target, phi_first)
+    _require_edge_counts(source, target)
+    return phi, other, source, target, phi_first
+
+
+def one_sided_costs(sides) -> list[np.ndarray]:
+    """``edge_cost_matrix`` of id_other x phi (phi x id_other when
+    phi_first) for each checked side (phi, other, source, target,
+    phi_first), read from phi's rows and target's edges in one pass.
+
+    Row (a, b) of id x phi holds phi[b, x] in column (a, x) and 0.0
+    elsewhere, so its mass on a target edge is the sum of phi[b, x] over the
+    x with (a, x) in the edge. Every side's terms phi[b, x], each side's in
+    (a, b, x) order, go into one ``np.bincount``: a source row has a bin per
+    column of one (rows, w) mass table, w one more than the largest target
+    edge count, and a term goes into its row's column for the edge holding
+    (a, x), or the last one when none does. ``np.bincount`` adds one term
+    at a time into 0.0, so each bin adds its x in ascending order, as
+    ``edge_mass`` adds the product's gathered columns, and the product's
+    zeros add nothing: every mass keeps its bits, whatever else is in the
+    batch. A one-vertex source is the exception: the product's one row is
+    phi's, and numpy sums a single gathered row pairwise, so that row is
+    replaced by ``edge_mass`` of phi as it is. One ``_grouped_worst`` over
+    the table then gives every side's worst failure per source edge.
+
+    Work and memory are the sides' terms (|other| times phi's entries) plus
+    their rows times w; the product channel has |other|^2 times phi's
+    entries. A caller bounds them by the size of its batch.
+    """
+    width = max(target.edge_count for *_, target, _ in sides) + 1
+    bins, terms, members, starts, one_row = [], [], [], [], []
+    row = 0  # the side's first row in the mass table
+    for phi, other, source, target, phi_first in sides:
+        edge_of = [width - 1] * target.vertices.size  # edges are disjoint
+        for e, edge in enumerate(target.edges):
+            for v in edge:
+                edge_of[v] = e
+        (p, q), m, n = phi.rows.shape, other.size, source.vertices.size
+        first = np.arange(row * width, (row + n) * width, width)  # per source vertex
+        if phi_first:  # source (b, a), target (x, a)
+            first, edge_of = first.reshape(p, m).T, np.array(edge_of).reshape(q, m).T
+        else:  # source (a, b), target (a, x)
+            first, edge_of = first.reshape(m, p), np.array(edge_of).reshape(m, q)
+        bins.append((first[:, :, None] + edge_of[:, None, :]).ravel())  # [a, b, x]
+        terms += [phi.rows.ravel()] * m
+        if n == 1:
+            one_row.append((row, edge_mass(phi.rows, target)[0]))
+        for edge in source.edges:
+            starts.append(len(members))
+            members.extend([row + v for v in edge])
+        row += n
+    mass = np.bincount(np.concatenate(bins), np.concatenate(terms), minlength=row * width)
+    mass = mass.reshape(row, width)
+    for r, masses in one_row:
+        mass[r, :masses.size] = masses
+    worst = _grouped_worst(mass, members, starts)
+    costs, e = [], 0  # each side's first source edge in worst
+    for _, _, source, target, _ in sides:
+        costs.append(worst[e:e + source.edge_count, :target.edge_count])
+        e += source.edge_count
+    return costs
+
+
 def one_sided_cost_matrix(
     phi: Channel,
     other: Alphabet,
@@ -218,45 +318,10 @@ def one_sided_cost_matrix(
     phi_first: bool = False,
 ) -> np.ndarray:
     """``edge_cost_matrix`` of id_other x phi (phi x id_other when phi_first),
-    read from phi's rows and target's edges.
-
-    Row (a, b) of id x phi holds phi[b, x] in column (a, x) and 0.0
-    elsewhere, so its mass on a target edge is the sum of phi[b, x] over the
-    x with (a, x) in the edge. Each term phi[b, x], taken in (a, b, x)
-    order, is added into the bin of row (a, b) and the edge holding (a, x),
-    or a spare bin when none does; ``np.bincount`` adds one term at a time
-    into 0.0, so each bin adds its x in ascending order, as ``edge_mass``
-    adds the product's gathered columns, and the product's zeros add
-    nothing: every mass keeps its bits. A one-vertex source is the
-    exception: the product's one row is phi's, and numpy sums a single
-    gathered row pairwise, so it goes through ``edge_mass`` as it is. Work
-    and memory are |other| times phi's entries, whatever the edge count,
-    beside the vertex-by-edge masses both routes form; the product has
-    |other|^2 times phi's entries.
-    """
-    ins, outs = (phi.input, other), (phi.output, other)
-    if not phi_first:
-        ins, outs = ins[::-1], outs[::-1]
-    _require_product_alphabet(*ins, source.vertices, _INPUT_RULE)
-    _require_product_alphabet(*outs, target.vertices, _OUTPUT_RULE)
-    if source.vertices.size == 1:
-        return worst_failure(edge_mass(phi.rows, target), source.incidence)
-    k = target.edge_count
-    edge_of = [k] * target.vertices.size  # edges are disjoint: at most one each
-    for e, edge in enumerate(target.edges):
-        for v in edge:
-            edge_of[v] = e
-    edge_of = np.array(edge_of).reshape(*(s.size for s in outs))  # [a, x] for id x phi
-    if phi_first:
-        edge_of = edge_of.T
-    bins = other.size * phi.input.size * (k + 1)
-    first = np.arange(0, bins, k + 1).reshape(other.size, -1, 1)  # row (a, b)'s first bin
-    terms = np.concatenate([phi.rows.ravel()] * other.size)  # [a, b, x], x innermost
-    mass = np.bincount((first + edge_of[:, None, :]).ravel(), weights=terms, minlength=bins)
-    mass = mass.reshape(other.size, -1, k + 1)[:, :, :k]
-    if phi_first:
-        mass = mass.transpose(1, 0, 2)
-    return worst_failure(mass.reshape(source.vertices.size, k), source.incidence)
+    read from phi's rows and target's edges: ``one_sided_costs`` of one side,
+    after the same alphabet checks, with the same bits."""
+    _require_hop_alphabets(phi, other, source, target, phi_first)
+    return one_sided_costs([(phi, other, source, target, phi_first)])[0]
 
 
 def _augment(adj: list, owner: list, r: int, seen: set, vacant: int) -> bool:
@@ -362,20 +427,23 @@ def infer_one_sided_edge_map(
     phi_first is set, without forming the product channel.
 
     The same checks run in the same order with the same messages, and the
-    map and profile keep their bits (see ``one_sided_cost_matrix``).
+    map and profile keep their bits (see ``one_sided_costs``).
     """
-    require_disjoint_edges(source, target)
-    return _matched(one_sided_cost_matrix(phi, other, source, target, phi_first),
-                    source, target)
+    side = one_sided_side(phi, other, source, target, phi_first)
+    return _matched(one_sided_costs([side])[0], source, target)
+
+
+def _require_edge_counts(source: Hypergraph, target: Hypergraph) -> None:
+    if source.edge_count != target.edge_count:
+        raise EdgeCountMismatch(
+            f"{source.edge_count} source edges vs {target.edge_count} target edges"
+        )
 
 
 def _matched(cost: np.ndarray, source: Hypergraph,
              target: Hypergraph) -> tuple[EdgeMap, np.ndarray]:
     """The bottleneck edge map of a cost matrix and the profile it picks."""
-    if source.edge_count != target.edge_count:
-        raise EdgeCountMismatch(
-            f"{source.edge_count} source edges vs {target.edge_count} target edges"
-        )
+    _require_edge_counts(source, target)
     mapping = _bottleneck_assignment(cost)
     f_e = EdgeMap(source.edge_count, target.edge_count, mapping)
     lam = cost[np.arange(source.edge_count), list(mapping)]

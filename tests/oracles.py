@@ -6,7 +6,11 @@ by vertex, with frozensets, as the defining inequality states it; a code's
 error is the explicit triple sum over encoder, channel and decoder; a
 one-sided hop's costs come from its dense product channel. Nothing
 here reads the library's incidence matrix or calls its verification
-routines, so the tests never grade the library against itself. Every
+routines, so the tests never grade the library against itself; the one
+exception, ``looped_harness``, is the falsification harness run one
+``check_branch_swap`` call per trial, against which the chunked harness is
+graded (``check_branch_swap`` itself is graded against the dense oracles
+here). Every
 probability is the same gathered-row sum the definition names, so results
 can be compared bitwise. The binomial laws are exact rationals instead, so
 the library's float laws are graded in ulp.
@@ -190,6 +194,27 @@ def dense_one_sided(phi, other, source, target, phi_first=False):
     mapping = lex_first_bottleneck(cost)
     k = source.edge_count
     return cost, EdgeMap(k, target.edge_count, mapping), cost[np.arange(k), list(mapping)]
+
+
+def looped_harness(trials, seed, max_edges=3, max_symbols=3):
+    """The falsification harness one trial at a time: each trial draws its
+    instance with ``random_branch_swap_instance`` from the harness's stream
+    and runs ``check_branch_swap`` on it. Returns both tallies and the
+    counterexample reports in trial order."""
+    from lhckit import check_branch_swap, named_rng
+    from lhckit.bipartite import random_branch_swap_instance
+
+    rng = named_rng(seed, 0x51AB)
+    hypothesis_held = conclusion_held = 0
+    counterexamples = []
+    for _ in range(trials):
+        report = check_branch_swap(*random_branch_swap_instance(
+            rng, max_edges=max_edges, max_symbols=max_symbols))
+        hypothesis_held += report.hypothesis_holds
+        conclusion_held += report.conclusion_holds
+        if report.is_counterexample:
+            counterexamples.append(report)
+    return hypothesis_held, conclusion_held, counterexamples
 
 
 def enumerate_best_edge_map(phi, source, target):

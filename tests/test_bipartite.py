@@ -29,7 +29,7 @@ from lhckit import (
     semi_det_split,
     tensor,
 )
-from lhckit import bsc_id, channel, decomposition, jsonio
+from lhckit import bipartite, bsc_id, channel, decomposition, jsonio
 from lhckit.bipartite import random_branch_swap_instance
 from lhckit.errors import (
     CapacityError,
@@ -40,7 +40,8 @@ from lhckit.errors import (
     ShapeError,
 )
 from lhckit.hypergraph import Hypergraph
-from lhckit.verify import infer_one_sided_edge_map, one_sided_cost_matrix
+from lhckit.verify import (infer_one_sided_edge_map, one_sided_cost_matrix, one_sided_costs,
+                           one_sided_side)
 
 import oracles
 from conftest import rand_partition, sharp_channel
@@ -302,6 +303,92 @@ class TestBranchSwap:
             check_branch_swap(phi, h, g, i, f, [0.1, 0.2, 0.3])
 
 
+def assert_same_harness(summary, looped) -> None:
+    """A harness summary equals ``oracles.looped_harness``'s run: the tallies,
+    and each counterexample in order with its maps, profile bytes and dump."""
+    assert (summary.hypothesis_held, summary.conclusion_held) == looped[:2]
+    assert len(summary.counterexamples) == len(looped[2])
+    for got, want in zip(summary.counterexamples, looped[2]):
+        assert got.hypothesis_map == want.hypothesis_map
+        assert got.conclusion_map == want.conclusion_map
+        assert got.hypothesis_profile.tobytes() == want.hypothesis_profile.tobytes()
+        assert got.conclusion_profile.tobytes() == want.conclusion_profile.tobytes()
+        assert json.dumps(jsonio.counterexample_to_dict(got), sort_keys=True) == \
+            json.dumps(jsonio.counterexample_to_dict(want), sort_keys=True)
+
+
+class TestChunkedHarness:
+    """The harness costs a chunk of trials in one kernel call; it must give
+    what one ``check_branch_swap`` call per trial gives."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 12),
+           st.integers(1, 5), st.integers(1, 9), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_one_check_per_trial(self, seed, chunks, chunk, max_edges,
+                                        max_symbols, data):
+        """1 to 3 chunks of trials, the last one full or short."""
+        trials = (chunks - 1) * chunk + data.draw(st.integers(1, chunk))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bipartite, "_chunk_trials", lambda *_: chunk)
+            summary = run_branch_swap_harness(trials, seed, max_edges, max_symbols)
+        assert summary.trials == trials
+        assert_same_harness(summary, oracles.looped_harness(trials, seed, max_edges,
+                                                            max_symbols))
+
+    @pytest.mark.parametrize("seed, chunk", [(0, 1), (1, 7), (2, 64), (3, 299)])
+    def test_counterexamples_across_chunks(self, seed, chunk):
+        """The recorded 300-trial runs, each with counterexamples, cut into
+        chunks of several sizes."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bipartite, "_chunk_trials", lambda *_: chunk)
+            summary = run_branch_swap_harness(300, seed)
+        assert summary.counterexamples
+        assert_same_harness(summary, oracles.looped_harness(300, seed))
+
+    @staticmethod
+    def kernel_entries(sides) -> int:
+        """Terms plus mass-table entries of one ``one_sided_costs`` call."""
+        width = max(target.edge_count for *_, target, _ in sides) + 1
+        return sum(other.size * phi.rows.size + source.vertices.size * width
+                   for phi, other, source, _, _ in sides)
+
+    def test_kernel_batch_is_bounded_by_the_chunk_constant(self, monkeypatch):
+        """The largest kernel call holds as many sides, and no more terms and
+        mass-table entries than the constant allows, at either trial count."""
+        calls = []
+
+        def recording(sides):
+            calls.append((len(sides), self.kernel_entries(sides)))
+            return one_sided_costs(sides)
+
+        monkeypatch.setattr(bipartite, "one_sided_costs", recording)
+        chunk = bipartite._chunk_trials(5, 9)
+        largest = []
+        for trials in (2 * chunk + 1, 5 * chunk):
+            calls.clear()
+            run_branch_swap_harness(trials, 4, max_edges=5, max_symbols=9)
+            assert len(calls) == -(-trials // chunk)
+            assert max(entries for _, entries in calls) <= bipartite._CHUNK_TERMS
+            largest.append(max(sides for sides, _ in calls))
+        assert largest == [2 * chunk, 2 * chunk]
+
+    @pytest.mark.parametrize("max_edges, max_symbols", [(1, 1), (3, 3), (9, 4), (5, 9)])
+    def test_a_chunk_of_the_largest_draws_fits_the_constant(self, max_edges, max_symbols):
+        """A chunk of the largest instances the draw can give, every alphabet
+        of max_symbols symbols and as many edges as allowed, is within the
+        constant."""
+        rng = np.random.default_rng(0)
+        alpha = Alphabet.of_size(max_symbols, "a")
+        square = alpha.product(alpha)
+        edges = min(max_edges, square.size)
+        h, g, i, f = (bipartite.random_partition(rng, square, edges) for _ in range(4))
+        phi = bipartite.random_channel(rng, alpha, alpha)
+        _, sides = bipartite._branch_swap_sides(phi, h, g, i, f, 0.3)
+        chunk = bipartite._chunk_trials(max_edges, max_symbols)
+        assert self.kernel_entries(sides * chunk) <= bipartite._CHUNK_TERMS
+        assert self.kernel_entries(sides * (chunk + 1)) > bipartite._CHUNK_TERMS
+
+
 def one_sided_rows(rng: np.random.Generator, kind: str, inp: int, out: int) -> np.ndarray:
     """Rows of a kind the harness and the codes meet: Dirichlet, a noisy
     map, a map, or a map whose other entries are 0.0 and the least
@@ -337,6 +424,16 @@ def one_sided_hop(other_size: int, inp: int, out: int, edges: int, phi_first: bo
     k = min(edges, source_alpha.size, target_alpha.size)
     return (phi, other, rand_partition(rng, source_alpha, k),
             rand_partition(rng, target_alpha, k))
+
+
+def vertex_left_out(hyper: Hypergraph) -> Hypergraph:
+    """hyper with the last vertex of its largest edge in no edge, where that
+    edge has another vertex."""
+    edges = list(hyper.edges)
+    largest = max(range(len(edges)), key=lambda e: len(edges[e]))
+    if len(edges[largest]) > 1:
+        edges[largest] = edges[largest][:-1]
+    return Hypergraph(hyper.vertices, tuple(edges))
 
 
 def dense_hop(phi, other, phi_first: bool) -> Channel:
@@ -392,6 +489,45 @@ class TestOneSidedHop:
                                                   source, target)
         assert got_map == dense_map
         assert got_profile.tobytes() == dense_profile.tobytes()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4),
+           st.sampled_from(["dirichlet", "sharp", "one-hot", "subnormal"]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_batch_gives_each_side_the_dense_costs(self, seed, more, kind):
+        """Sides of both factor orders in one kernel call, in random order:
+        a one-vertex source whose one target edge has 8 to 16 vertices, a
+        singleton source partition with more edges than the other factor
+        has symbols, and up to 4 random hops, some of whose targets leave a
+        vertex in no edge. Each side's cost matrix is the dense oracle's,
+        byte for byte."""
+        rng = np.random.default_rng(seed)
+
+        def flip() -> bool:
+            return bool(rng.integers(2))
+
+        phi_first = flip()
+        sides = [(*one_sided_hop(1, 1, int(rng.integers(8, 17)), 1, phi_first, rng, kind),
+                  phi_first)]
+        phi_first, inp = flip(), int(rng.integers(2, 5))
+        phi, other, _, _ = one_sided_hop(int(rng.integers(1, inp)), inp,
+                                         inp * int(rng.integers(1, 4)), 1, phi_first, rng, kind)
+        source_alpha, target_alpha = hop_alphabets(phi, other, phi_first)
+        source = Hypergraph(source_alpha, tuple((v,) for v in range(source_alpha.size)))
+        sides.append((phi, other, source, rand_partition(rng, target_alpha, source_alpha.size),
+                      phi_first))
+        for _ in range(more):
+            phi_first = flip()
+            phi, other, source, target = one_sided_hop(
+                *(int(x) for x in rng.integers(1, 6, size=3)), int(rng.integers(1, 5)),
+                phi_first, rng, kind)
+            if flip():
+                target = vertex_left_out(target)
+            sides.append((phi, other, source, target, phi_first))
+        sides = [one_sided_side(*sides[j]) for j in rng.permutation(len(sides))]
+        costs = one_sided_costs(sides)
+        assert len(costs) == len(sides)
+        for cost, side in zip(costs, sides):
+            assert cost.tobytes() == oracles.dense_one_sided_cost(*side).tobytes()
 
     @pytest.mark.parametrize("phi_first", [False, True])
     def test_one_vertex_source_keeps_the_pairwise_row_sum(self, phi_first):

@@ -776,6 +776,27 @@ def test_falsify_dumps_match_golden_file(tmp_path):
     assert out.read_bytes() == (FALSIFY / "golden.json").read_bytes()
 
 
+def test_falsify_across_chunks_matches_golden_file(tmp_path):
+    """600 trials at seed 3 with up to 9 symbols and 5 edges, recorded when
+    the harness checked one trial at a time: the run spans several kernel
+    chunks, and it draws one-vertex sources whose target edge has 8 or more
+    vertices, the rows numpy sums pairwise."""
+    from lhckit import bipartite, named_rng
+
+    assert bipartite._chunk_trials(5, 9) * 2 <= 600
+    rng = named_rng(3, 0x51AB)
+    one_vertex = 0
+    for _ in range(600):
+        phi, h, g, i, f, _ = bipartite.random_branch_swap_instance(rng, 5, 9)
+        one_vertex += sum(source.vertices.size == 1 and max(map(len, target.edges)) >= 8
+                          for source, target in ((h, g), (i, f)))
+    assert one_vertex >= 1
+    out = tmp_path / "golden_s9_e5.json"
+    assert main(["falsify", "--trials", "600", "--seed", "3", "--max-symbols", "9",
+                 "--max-edges", "5", "--out", str(out)]) == 0
+    assert out.read_bytes() == (FALSIFY / "golden_s9_e5.json").read_bytes()
+
+
 BSC = Path(__file__).parent / "data" / "bsc"
 
 

@@ -1,16 +1,20 @@
 """Time one branch-swap harness trial, whole and by stage.
 
 Prints the median over REPEATS of the microseconds per trial of
-``run_branch_swap_harness(TRIALS, SEED)``, and of its three stages on the
-same seeded instances:
+``run_branch_swap_harness(TRIALS, SEED)``, and of these stages on the same
+seeded instances:
 
 - draw: ``random_branch_swap_instance``, the seeded instance;
-- hypothesis: id x phi from hyper_h to hyper_g, costed from phi's rows and
-  matched by ``infer_one_sided_edge_map``;
-- conclusion: id x phi from hyper_i to hyper_f, likewise.
+- hypothesis: id x phi from hyper_h to hyper_g, checked, costed from phi's
+  rows and matched by ``infer_one_sided_edge_map``, one side at a time;
+- conclusion: id x phi from hyper_i to hyper_f, likewise;
+- batch: ``one_sided_costs`` over both checked sides of every drawn
+  instance, 2 x TRIALS sides in one call, as the harness costs a chunk.
 
-The rest of a trial (the error vector, the instance record and the
-verdicts) is the trial's time less the three stages.
+hypothesis and conclusion each cost their sides one kernel call apiece, so
+with batch they show what one call per side costs against one per chunk.
+The harness does not pay them: a trial is the draw, the checks, its share
+of the batch, the matching and the verdicts.
 
     python tools/trial_timing.py [--trials TRIALS] [--seed SEED]
                                  [--repeats REPEATS]
@@ -31,13 +35,18 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lhckit import bipartite, named_rng, split_product_alphabet  # noqa: E402
-from lhckit.verify import infer_one_sided_edge_map  # noqa: E402
+from lhckit.verify import infer_one_sided_edge_map, one_sided_costs  # noqa: E402
 
 
 def side(phi, source, target):
     """One side of the swap: id x phi from source to target, matched."""
     first = split_product_alphabet(source.vertices, phi.input)
     return infer_one_sided_edge_map(phi, first, source, target)
+
+
+def checked_sides(drawn) -> list:
+    """Both checked sides of each drawn instance, as the harness checks them."""
+    return [side for instance in drawn for side in bipartite._branch_swap_sides(*instance)[1]]
 
 
 def stage_us(trials: int, seed: int) -> dict[str, float]:
@@ -58,8 +67,12 @@ def stage_us(trials: int, seed: int) -> dict[str, float]:
     for phi, _, _, i, f, _ in drawn:
         side(phi, i, f)
     conclusion = time.perf_counter() - start
+    sides = checked_sides(drawn)
+    start = time.perf_counter()
+    one_sided_costs(sides)
+    batch = time.perf_counter() - start
     seconds = {"trial": trial, "draw": draw, "hypothesis": hypothesis,
-               "conclusion": conclusion}
+               "conclusion": conclusion, "batch": batch}
     return {name: 1e6 * s / trials for name, s in seconds.items()}
 
 
