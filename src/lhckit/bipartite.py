@@ -335,9 +335,11 @@ def random_partition(rng: np.random.Generator, alphabet: Alphabet,
     """Uniformly shuffled split of the vertices into edge_count blocks."""
     n = alphabet.size
     order = rng.permutation(n).tolist()
-    cuts = sorted(rng.choice(np.arange(1, n), size=edge_count - 1, replace=False).tolist()) \
+    # the indices numpy draws from range(n - 1) are those it draws from
+    # arange(1, n), so each cut is one more than its index
+    cuts = sorted(rng.choice(n - 1, size=edge_count - 1, replace=False).tolist()) \
         if edge_count > 1 else []
-    bounds = [0, *cuts, n]
+    bounds = [0, *[c + 1 for c in cuts], n]
     # the constructor sorts each block
     return Hypergraph(alphabet, tuple([order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]))
 

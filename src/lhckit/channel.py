@@ -2,11 +2,11 @@
 
 Composition is matrix product, independent parallel use is the Kronecker
 product, and memoryless block use is the repeated Kronecker power. Product
-alphabets are materialized in row-major order with labels joined by '|',
-which is part of the file format contract; a hard cap on the entries of a
-dense product matrix, checked before it is allocated, keeps large block
-lengths out of dense matrices (the binary-symmetric example has
-analytic distance laws for those).
+alphabets are in row-major order with labels joined by '|' (built when a
+file or a message reads them), which is part of the file format contract;
+a hard cap on the entries of a dense product matrix, checked before it is
+allocated, keeps large block lengths out of dense matrices (the
+binary-symmetric example has analytic distance laws for those).
 """
 
 from __future__ import annotations

@@ -143,6 +143,12 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
                 objects[role] = _LOADERS[role](path)
             except Exception as exc:  # malformed input must not crash
                 notes.append(f"error: input {role}: {exc}")
+    if config.task == "assemble-id" and "enc1" in objects:
+        msgs = objects["enc1"].input  # hyper_h lives on the message pairs
+        try:
+            msgs.product(msgs)
+        except LhcKitError as exc:
+            notes.append(f"error: input enc1: message pairs: {exc}")
     for role, path in config.outputs.items():
         if not isinstance(path, (str, os.PathLike)):
             notes.append(f"error: output {role}: path must be a string, got {path!r}")

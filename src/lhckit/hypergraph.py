@@ -13,7 +13,7 @@ code assembly, is `_require_same_alphabet`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from typing import Sequence
@@ -25,26 +25,49 @@ from .errors import RequiresBijective, RequiresPartition, ShapeError, _indices
 PRODUCT_SEP = "|"
 
 
-@dataclass(frozen=True)
 class Alphabet:
-    """Ordered finite set of distinct symbol labels; index is identity."""
+    """Ordered finite set of distinct symbol labels; index is identity.
 
-    labels: tuple[str, ...]
+    An alphabet is its size plus one rule that names its labels: an explicit
+    tuple, ``Alphabet(labels)``; ``of_size(n, prefix)``, the prefix followed
+    by each index in decimal; or ``a.product(b)``, row-major with labels
+    joined by '|'. ``labels`` is built on its first read (a file, a
+    refusal's message, ``index``, ``hash``, an equality of unlike rules) and
+    kept. Two alphabets are equal when they are one object, when they have
+    the same size and equal rules (the same prefix, or equal factors), and
+    otherwise when their labels are equal.
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if not {str}.issuperset(map(type, self.labels)):  # a str subclass passes
-            for x in self.labels:
+    The rule forms are distinct by construction where their labels split
+    back into their parts: always for ``of_size``, and for a product when
+    either factor holds no '|' in its labels (split a label at its first
+    '|' if the first factor holds none, else at its last). Any other
+    product builds its labels and is checked as an explicit tuple is.
+    """
+
+    __slots__ = ("size", "_rule", "_labels", "_plain")
+
+    def __init__(self, labels: Sequence[str]):
+        labels = tuple(labels)
+        if not {str}.issuperset(map(type, labels)):  # a str subclass passes
+            for x in labels:
                 if not isinstance(x, str):
                     raise ShapeError(f"label {x!r} is not a string")
-        if len(self.labels) == 0:
+        if len(labels) == 0:
             raise ShapeError("alphabet must not be empty")
-        if len(set(self.labels)) != len(self.labels):
-            raise ShapeError("alphabet labels must be pairwise distinct")
+        _require_distinct(labels)
+        _init(self, len(labels), None, labels, None)
 
     @property
-    def size(self) -> int:
-        return len(self.labels)
+    def labels(self) -> tuple[str, ...]:
+        labels = self._labels
+        if labels is None:
+            rule = self._rule
+            if isinstance(rule, str):
+                labels = tuple([f"{rule}{i}" for i in range(self.size)])
+            else:
+                labels = _product_labels(*rule)
+            object.__setattr__(self, "_labels", labels)
+        return labels
 
     def index(self, label: str) -> int:
         try:
@@ -54,11 +77,67 @@ class Alphabet:
 
     def product(self, other: "Alphabet") -> "Alphabet":
         """Cartesian product in row-major order, labels joined by '|'."""
-        return Alphabet(_product_labels(self, other))
+        out = _init(object.__new__(Alphabet), self.size * other.size, (self, other), None, False)
+        if not (self._sep_free() or other._sep_free()):
+            _require_distinct(out.labels)
+        return out
 
     @staticmethod
     def of_size(n: int, prefix: str = "") -> "Alphabet":
-        return Alphabet(tuple([f"{prefix}{i}" for i in range(n)]))
+        size = len(range(n))
+        if size == 0:
+            raise ShapeError("alphabet must not be empty")
+        prefix = f"{prefix}"
+        return _init(object.__new__(Alphabet), size, prefix, None, PRODUCT_SEP not in prefix)
+
+    def _sep_free(self) -> bool:
+        """Whether no label holds '|'; an explicit alphabet scans its labels
+        on the first call."""
+        if self._plain is None:
+            object.__setattr__(self, "_plain", PRODUCT_SEP not in "".join(self._labels))
+        return self._plain
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Alphabet):
+            return NotImplemented
+        if self.size != other.size:
+            return False
+        rule = self._rule
+        return rule is not None and rule == other._rule or self.labels == other.labels
+
+    def __hash__(self):
+        return hash(self.labels)
+
+    def __repr__(self):
+        return f"Alphabet(labels={self.labels!r})"
+
+    def __reduce__(self):
+        return Alphabet, (self.labels,)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _init(alphabet: Alphabet, size: int, rule, labels, plain) -> Alphabet:
+    """Fill an alphabet's slots: rule is None for explicit labels, the
+    prefix of ``of_size`` or a product's two factors; plain is whether no
+    label holds '|', or None until an explicit alphabet is asked."""
+    put = object.__setattr__
+    put(alphabet, "size", size)
+    put(alphabet, "_rule", rule)
+    put(alphabet, "_labels", labels)
+    put(alphabet, "_plain", plain)
+    return alphabet
+
+
+def _require_distinct(labels: tuple[str, ...]) -> None:
+    if len(set(labels)) != len(labels):
+        raise ShapeError("alphabet labels must be pairwise distinct")
 
 
 BITS = Alphabet(("0", "1"))
@@ -69,30 +148,27 @@ def _product_labels(first: Alphabet, second: Alphabet) -> tuple[str, ...]:
 
 
 def _require_same_alphabet(got: Alphabet, want: Alphabet, what: str) -> None:
-    """The one alphabet-agreement check: raise ShapeError unless got's labels
-    are want's, naming both sizes and the first differing label after what."""
-    a, b = got.labels, want.labels
-    if a != b:
+    """The one alphabet-agreement check: raise ShapeError unless got equals
+    want, naming both sizes and the first differing label after what. Labels
+    are built only where the rules alone do not decide."""
+    if got != want:
+        a, b = got.labels, want.labels
         i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
         at = [repr(labels[i]) if i < len(labels) else "none" for labels in (a, b)]
         raise ShapeError(f"{what}: {len(a)} labels against {len(b)}, first differing "
                          f"at position {i}: {at[0]} against {at[1]}")
 
 
-def _require_product_alphabet(first: Alphabet, second: Alphabet, want: Alphabet,
-                              what: str) -> None:
-    """``_require_same_alphabet(first.product(second), want, what)``, with the
-    product alphabet built only to word the refusal."""
-    if want.labels != _product_labels(first, second):
-        _require_same_alphabet(first.product(second), want, what)
-
-
 def split_product_alphabet(product: Alphabet, second: Alphabet) -> Alphabet:
     """Recover the first factor of a row-major product alphabet.
 
-    Validates that `product` is exactly first x second with '|'-joined
-    labels; raises ShapeError otherwise.
+    A product built as first x second gives its first factor at once.
+    Otherwise the labels must be exactly first x second, '|'-joined;
+    raises ShapeError if they are not.
     """
+    rule = product._rule
+    if isinstance(rule, tuple) and rule[1] == second:
+        return rule[0]
     n2 = second.size
     if product.size % n2:
         raise ShapeError(

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
 from .channel import Channel
 from .errors import (EdgeCountMismatch, HypothesisViolated, RangeError,
                      RequiresPartition, ShapeError, _require_real)
-from .hypergraph import (Alphabet, EdgeMap, Hypergraph, _require_product_alphabet,
-                         _require_same_alphabet)
+from .hypergraph import Alphabet, EdgeMap, Hypergraph, _require_same_alphabet
 
 VERIFY_SLACK = 1e-12
 _INPUT_RULE = "channel input alphabet must equal the source vertex set"
@@ -135,6 +135,12 @@ def _allowed(target: Hypergraph, f_e: EdgeMap, hits) -> np.ndarray:
             else np.flatnonzero(target.incidence[:, images].all(axis=1)))
 
 
+# The rows' copy, in entries, from which per_vertex_success gathers a block
+# with np.ix_: about where that gather overtakes take-then-take (float64
+# matrices of V = 256-2048, a quarter to a sixteenth of the rows, one CPU).
+_TAKE_ENTRIES = 1 << 17
+
+
 def per_vertex_success(
     phi: Channel, source: Hypergraph, target: Hypergraph, f_e: EdgeMap
 ) -> np.ndarray:
@@ -145,15 +151,22 @@ def per_vertex_success(
     the hypergraph caches. Each vertex's success is its row's mass on that
     set: the group's rows and allowed columns are gathered into a row-major
     block, whose rows numpy sums pairwise (``edge_mass`` rounds otherwise).
+    Taking the rows and then the columns is the faster gather until the
+    rows' copy reaches _TAKE_ENTRIES; past it ``np.ix_`` gathers the block
+    alone. Both blocks are row-major, with the same bits.
     """
     _check_alphabets(phi, source, target)
     f_e.check_fit(source, target)
+    rows = phi.rows
     out = np.full(source.vertices.size, np.nan)
     for members in source.vertex_groups:
         hits = source.edges_containing(members[0])
         if hits:
             allowed = _allowed(target, f_e, hits)
-            out[members] = phi.rows.take(members, 0).take(allowed, 1).sum(axis=1)
+            block = (rows.take(members, 0).take(allowed, 1)
+                     if members.size * rows.shape[1] < _TAKE_ENTRIES
+                     else rows[np.ix_(members, allowed)])
+            out[members] = block.sum(axis=1)
     return out
 
 
@@ -232,8 +245,8 @@ def _require_hop_alphabets(phi: Channel, other: Alphabet, source: Hypergraph,
     ins, outs = (phi.input, other), (phi.output, other)
     if not phi_first:
         ins, outs = ins[::-1], outs[::-1]
-    _require_product_alphabet(*ins, source.vertices, _INPUT_RULE)
-    _require_product_alphabet(*outs, target.vertices, _OUTPUT_RULE)
+    _require_same_alphabet(ins[0].product(ins[1]), source.vertices, _INPUT_RULE)
+    _require_same_alphabet(outs[0].product(outs[1]), target.vertices, _OUTPUT_RULE)
 
 
 def one_sided_side(
@@ -360,6 +373,21 @@ def _perfect_matching(adj: list) -> list | None:
 def _bottleneck_assignment(cost: np.ndarray) -> tuple[int, ...]:
     """Bijection minimizing the max cost; lexicographically smallest on ties.
 
+    Up to k = 3 rows the at most 6 bijections are compared directly: the
+    first in ``permutations`` order whose largest cost is least is, by
+    definition, that bijection. Larger matrices take
+    ``_threshold_bottleneck``.
+    """
+    flat = cost.tolist()
+    if len(flat) < 4:
+        return min(permutations(range(len(flat))),
+                   key=lambda p: max([row[j] for row, j in zip(flat, p)], default=0.0))
+    return _threshold_bottleneck(flat)
+
+
+def _threshold_bottleneck(flat: list) -> tuple[int, ...]:
+    """``_bottleneck_assignment`` of the k x k cost lists flat, k >= 2.
+
     A binary search over the distinct costs, from the largest row minimum
     up, finds the least threshold at which the pairs costing no more hold a
     perfect matching; each row's columns are sorted by cost once, so a
@@ -370,10 +398,7 @@ def _bottleneck_assignment(cost: np.ndarray) -> tuple[int, ...]:
     from r, not through j, to the column row i holds (Berge), so each
     candidate costs one path search.
     """
-    flat = cost.tolist()
     k = len(flat)
-    if k < 2:
-        return tuple(range(k))  # the one bijection; there is no threshold to search
     thresholds = sorted({c for row in flat for c in row})
     # below the largest row minimum some row has no column left
     lo, hi = bisect_left(thresholds, max(map(min, flat))), len(thresholds) - 1

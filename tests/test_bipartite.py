@@ -317,6 +317,19 @@ def assert_same_harness(summary, looped) -> None:
             json.dumps(jsonio.counterexample_to_dict(want), sort_keys=True)
 
 
+def test_harness_reads_no_labels(monkeypatch):
+    """Alphabets of the draws and their checks are decided by their rules:
+    no label is built, counterexamples included, until a file is written."""
+    read = []
+    labels = Alphabet.labels
+    monkeypatch.setattr(Alphabet, "labels",
+                        property(lambda a: read.append(a) or labels.fget(a)))
+    summary = run_branch_swap_harness(300, 0)
+    assert summary.counterexamples and not read
+    jsonio.counterexample_to_dict(summary.counterexamples[0])
+    assert read
+
+
 class TestChunkedHarness:
     """The harness costs a chunk of trials in one kernel call; it must give
     what one ``check_branch_swap`` call per trial gives."""
@@ -711,6 +724,15 @@ class TestAssembleIdCode:
         assert np.array_equal(code_error_profile(code), code_error_profile(ref))
         for part in ("encoder", "decoder", "channel"):
             assert np.array_equal(getattr(code, part).rows, getattr(ref, part).rows)
+
+    def test_message_separator_collision_refused(self):
+        """The message pairs are the first thing formed, so messages whose
+        squared labels collide are refused before any other check."""
+        msgs = Alphabet(("x", "x|x"))
+        kwargs = self.labelled_instance(Alphabet(("a", "b")))
+        kwargs["enc1"] = Channel(msgs, kwargs["enc1"].output, kwargs["enc1"].rows)
+        with pytest.raises(ShapeError, match="^alphabet labels must be pairwise distinct$"):
+            assemble_id_code(**kwargs)
 
     def test_hyper_h_on_other_pairs_refused(self):
         kwargs = self.labelled_instance(Alphabet(("a", "b")))

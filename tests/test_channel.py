@@ -188,6 +188,12 @@ class TestTensor:
         rows, want = tensor(c1, c2).rows, np.kron(r1, r2)
         assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
 
+    def test_separator_collision_refused(self):
+        """("x", "x|x") squared has "x|x|x" twice: refused by the product."""
+        odd = identity_channel(Alphabet(("x", "x|x")))
+        with pytest.raises(ShapeError, match="^alphabet labels must be pairwise distinct$"):
+            tensor(odd, odd)
+
     def test_identity_tensor(self):
         out = tensor(identity_channel(BITS), identity_channel(BITS))
         assert np.array_equal(out.rows, np.eye(4))

@@ -851,6 +851,23 @@ def test_assemble_alphabet_mismatch_exits_one(tmp_path, capsys, flag, edit):
     assert not list(tmp_path.glob("id.*"))
 
 
+def test_assemble_message_separator_collision_exits_two(tmp_path, capsys):
+    """enc1's messages ("x", "x|x") have no pair alphabet: x|x|x is both
+    x|(x|x) and (x|x)|x. Refused before the run, with no file written."""
+    payload = json.loads((ASSEMBLE / "enc1.json").read_text())
+    payload["input"] = ["x", "x|x"]
+    (tmp_path / "enc1.json").write_text(json.dumps(payload))
+    argv = ["assemble-id", "--enc1", str(tmp_path / "enc1.json")]
+    for name in ("enc2", "phi", "hyper-h", "hyper-g1", "hyper-g2", "hyper-f", "hyper-d"):
+        argv += [f"--{name}", str(ASSEMBLE / f"{name}.json")]
+    capsys.readouterr()
+    assert main([*argv, "--alpha", "0.1,0.2", "--beta", "0.1,0.15",
+                 "--mu", "0.024,0.007", "--out-prefix", str(tmp_path / "id")]) == 2
+    assert capsys.readouterr().err == ("error: input enc1: message pairs: "
+                                       "alphabet labels must be pairwise distinct\n")
+    assert not list(tmp_path.glob("id.*"))
+
+
 def test_decompose_stage_mismatch_exits_one(tmp_path, capsys):
     payload = json.loads((CERTIFY / "decompose.gamma-channel.json").read_text())
     _relabel_input(payload)

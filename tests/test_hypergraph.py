@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lhckit import hypergraph
 from lhckit import (
     BITS,
     Alphabet,
@@ -52,6 +56,142 @@ class TestAlphabet:
     def test_split_product_rejects_non_product(self):
         with pytest.raises(ShapeError):
             split_product_alphabet(Alphabet(("a", "b", "c")), Alphabet(("0", "1")))
+
+
+# Labels over a small character set that holds the separator, so products
+# can collide and split_product_alphabet can meet a '|' in either factor.
+label_text = st.text("ab|0", max_size=3)
+
+
+@st.composite
+def alphabet_specs(draw, depth: int = 2):
+    """A rule for an alphabet: ("labels", tuple), ("of_size", n, prefix) or
+    ("product", spec, spec), products nested up to depth."""
+    kinds = ["labels", "of_size"] + (["product"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "labels":
+        return kind, tuple(draw(st.lists(label_text, min_size=1, max_size=4, unique=True)))
+    if kind == "of_size":
+        return kind, draw(st.integers(1, 12)), draw(label_text)
+    return kind, draw(alphabet_specs(depth - 1)), draw(alphabet_specs(depth - 1))
+
+
+def build(spec):
+    """(the alphabet by its rule, its labels written out by hand), or (None,
+    None) where a product's labels collide, after checking its refusal."""
+    if spec[0] == "labels":
+        return Alphabet(spec[1]), spec[1]
+    if spec[0] == "of_size":
+        _, n, prefix = spec
+        return Alphabet.of_size(n, prefix), tuple(f"{prefix}{i}" for i in range(n))
+    (a, a_labels), (b, b_labels) = build(spec[1]), build(spec[2])
+    if a is None or b is None:
+        return None, None
+    labels = tuple(f"{x}|{y}" for x in a_labels for y in b_labels)
+    if len(set(labels)) < len(labels):
+        with pytest.raises(ShapeError, match="^alphabet labels must be pairwise distinct$"):
+            a.product(b)
+        return None, None
+    return a.product(b), labels
+
+
+def outcome(call, *args):
+    """call's result, or the message of the ShapeError it raises."""
+    try:
+        return call(*args)
+    except ShapeError as exc:
+        return f"ShapeError: {exc}"
+
+
+class TestAlphabetRules:
+    """An alphabet built by a rule behaves as the alphabet of its labels."""
+
+    @given(alphabet_specs(), alphabet_specs(), st.lists(label_text, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_rule_matches_its_label_twin(self, spec, other_spec, probes):
+        rule, labels = build(spec)
+        other, other_labels = build(other_spec)
+        if rule is None or other is None:
+            return
+        twin, other_twin = Alphabet(labels), Alphabet(other_labels)
+        assert rule.labels == labels and rule.size == twin.size == len(labels)
+        for label in (*labels[:3], *probes):
+            assert outcome(rule.index, label) == outcome(twin.index, label)
+        assert rule == twin and twin == rule and hash(rule) == hash(twin)
+        assert rule != other_twin or labels == other_labels
+        assert (rule == other) == (other == rule) == (labels == other_labels)
+        for first, second in ((rule, other), (twin, other_twin), (other, rule)):
+            got = outcome(first.product, second)
+            want = outcome(Alphabet.product, *(
+                Alphabet(x.labels) for x in (first, second)))
+            assert got == want
+            if isinstance(got, Alphabet):
+                assert got.labels == want.labels
+                split = outcome(split_product_alphabet, got, second)
+                assert split == outcome(split_product_alphabet, want, Alphabet(second.labels))
+                assert split == first
+        got = outcome(split_product_alphabet, rule, other)
+        want = outcome(split_product_alphabet, twin, other_twin)
+        assert got == want and (isinstance(got, str) or got.labels == want.labels)
+
+    @pytest.mark.parametrize("labels", [("x", "x|x"), ("a|", "a", "|a")])
+    def test_separator_collision_is_refused(self, labels):
+        """x|x|x is both x|(x|x) and (x|x)|x: the product's labels are
+        built and checked as an explicit tuple's are."""
+        a = Alphabet(labels)
+        with pytest.raises(ShapeError, match="^alphabet labels must be pairwise distinct$"):
+            a.product(a)
+        with pytest.raises(ShapeError, match="^alphabet labels must be pairwise distinct$"):
+            Alphabet(tuple(f"{x}|{y}" for x in labels for y in labels))
+
+    def test_one_factor_without_separator_is_distinct(self):
+        """A label splits at the first '|' when the first factor holds none,
+        at the last when the second holds none."""
+        odd = Alphabet(("x", "x|x", "|"))
+        for a, b in ((odd, BITS), (BITS, odd), (odd.product(BITS), BITS)):
+            p = a.product(b)
+            assert len(set(p.labels)) == p.size == a.size * b.size
+
+    def test_equal_rules_build_no_labels(self):
+        rng = np.random.default_rng(0)
+        words = tuple("".join(map(str, rng.integers(2, size=1000))) for _ in range(256))
+        cw = Alphabet(words)
+        pairs = cw.product(cw)  # n = 1000, M = 256: 65536 labels of 2001 characters
+        assert pairs.size == 256 * 256
+        msgs = Alphabet.of_size(256, "m")
+        again = [Alphabet.of_size(256, "m"), msgs.product(cw), msgs.product(cw)]
+        assert again[0] == msgs and again[1] == again[2] and cw.product(cw) == pairs
+        assert split_product_alphabet(pairs, cw) is cw
+        assert split_product_alphabet(again[1], Alphabet(words)) is msgs
+        hypergraph._require_same_alphabet(cw.product(cw), pairs, "pairs")
+        for a in (pairs, msgs, *again):
+            assert a._labels is None
+
+    def test_unlike_rules_compare_labels(self):
+        a = Alphabet.of_size(1, "a|")
+        b = Alphabet(("a",)).product(Alphabet.of_size(1))
+        assert a == b and b == a and hash(a) == hash(b)
+        assert Alphabet.of_size(2) != Alphabet.of_size(2, "x")
+        assert Alphabet.of_size(2) != Alphabet.of_size(3) and Alphabet.of_size(2) != ("0", "1")
+
+    def test_refusals_word_built_labels(self):
+        with pytest.raises(ShapeError, match=re.escape(
+                "w: 4 labels against 4, first differing at position 1: "
+                "'a0|b1' against 'a0|c1'")):
+            hypergraph._require_same_alphabet(
+                Alphabet.of_size(2, "a").product(Alphabet.of_size(2, "b")),
+                Alphabet.of_size(2, "a").product(Alphabet(("b0", "c1"))), "w")
+        with pytest.raises(ShapeError, match="^alphabet must not be empty$"):
+            Alphabet.of_size(0)
+
+    def test_frozen_repr_and_copies(self):
+        a = Alphabet.of_size(2).product(BITS)
+        assert repr(a) == "Alphabet(labels=('0|0', '0|1', '1|0', '1|1'))"
+        assert repr(Alphabet(labels=("p",))) == "Alphabet(labels=('p',))"
+        for name in ("labels", "size"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, name, None)
+        assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
 
 
 class TestRefusals:

@@ -16,14 +16,14 @@ def test_prints_a_row_per_stage_at_tiny_sizes(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["stage", "us_per_trial"]
     assert [line.split()[0] for line in lines[1:]] == ["trial", "draw", "hypothesis",
-                                                       "conclusion", "batch"]
+                                                       "conclusion", "batch", "match"]
     assert all(float(line.split()[1]) > 0 for line in lines[1:])
 
 
 def test_stages_see_the_harness_instances():
     """Each drawn instance's two sides give the harness's verdict inputs."""
     from lhckit import bipartite, check_branch_swap, named_rng
-    from lhckit.verify import one_sided_costs
+    from lhckit.verify import _bottleneck_assignment, one_sided_costs
 
     rng = named_rng(2, 0x51AB)
     drawn = [bipartite.random_branch_swap_instance(rng) for _ in range(5)]
@@ -36,6 +36,7 @@ def test_stages_see_the_harness_instances():
                                         report.conclusion_profile)):
             picked = cost[np.arange(len(profile)), list(mapping.mapping)]
             assert picked.tobytes() == profile.tobytes()
+            assert _bottleneck_assignment(cost) == mapping.mapping
         hyp_map, hyp_profile = trial_timing.side(phi, h, g)
         conc_map, conc_profile = trial_timing.side(phi, i, f)
         assert hyp_map == report.hypothesis_map and conc_map == report.conclusion_map

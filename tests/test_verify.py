@@ -336,6 +336,18 @@ class TestMatcherAgainstBruteForce:
             assert verify._bottleneck_assignment(cost) == want, cost
             assert oracles.rebuilt_bottleneck(cost) == want, cost
 
+    @given(st.integers(2, 3).flatmap(
+        lambda k: st.lists(st.lists(st.integers(0, 4), min_size=k, max_size=k),
+                           min_size=k, max_size=k)))
+    @settings(max_examples=300, deadline=None)
+    def test_small_matrices_compare_every_bijection(self, quarters):
+        """At k = 2-3 the first bijection in permutations order with the
+        least largest cost is the threshold search's lex-first mapping."""
+        cost = np.array(quarters) / 4.0
+        want = oracles.lex_first_bottleneck(cost)
+        assert verify._bottleneck_assignment(cost) == want
+        assert verify._threshold_bottleneck(cost.tolist()) == want
+
     @pytest.mark.parametrize("k", [8, 16, 32, 64])
     @pytest.mark.parametrize("kind", ["random", "quarter"])
     def test_bottleneck_matches_rebuilt_pass(self, k, kind):
@@ -414,6 +426,9 @@ class TestGatheredBlockRounding:
     @given(st.integers(0, 100_000), st.sampled_from(["dirichlet", "sharp"]))
     @settings(max_examples=100, deadline=None)
     def test_random_hypergraphs(self, seed, kind):
+        self.check_random(seed, kind)
+
+    def check_random(self, seed, kind):
         rng = np.random.default_rng(seed)
         src = rand_hypergraph(rng, Alphabet.of_size(int(rng.integers(1, 65)), "s"), 8)
         tgt = rand_hypergraph(rng, Alphabet.of_size(int(rng.integers(1, 65)), "t"), 8)
@@ -436,6 +451,29 @@ class TestGatheredBlockRounding:
         phi = self.channel(rng, src, tgt, kind)
         got = per_vertex_success(phi, src, tgt, f_e)
         assert got.tobytes() == oracles.gathered_per_vertex(phi, src, tgt, f_e).tobytes()
+
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_partitions_across_the_gather_crossover(self, seed):
+        """At V = 1024 with 8 edges some groups' row copies stay under
+        _TAKE_ENTRIES (take then take) and some reach it (np.ix_)."""
+        rng = np.random.default_rng(seed)
+        src = rand_partition(rng, Alphabet.of_size(1024, "s"), 8)
+        tgt = rand_partition(rng, Alphabet.of_size(1024, "t"), 8)
+        copies = {members.size * 1024 < verify._TAKE_ENTRIES
+                  for members in src.vertex_groups}
+        assert copies == {True, False}
+        f_e = EdgeMap(8, 8, tuple(int(j) for j in rng.permutation(8)))
+        phi = self.channel(rng, src, tgt, "dirichlet")
+        got = per_vertex_success(phi, src, tgt, f_e)
+        assert got.tobytes() == oracles.gathered_per_vertex(phi, src, tgt, f_e).tobytes()
+
+    @pytest.mark.parametrize("entries", [0, 1 << 62])
+    def test_either_gather_alone(self, monkeypatch, entries):
+        """Every group gathered by np.ix_ (0), or every one by take then take."""
+        monkeypatch.setattr(verify, "_TAKE_ENTRIES", entries)
+        for seed in range(30):
+            self.check_random(seed, ("dirichlet", "sharp")[seed % 2])
 
 
 def test_verify_computes_success_once_and_one_lookup_per_signature(monkeypatch):

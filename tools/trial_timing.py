@@ -9,12 +9,14 @@ seeded instances:
   rows and matched by ``infer_one_sided_edge_map``, one side at a time;
 - conclusion: id x phi from hyper_i to hyper_f, likewise;
 - batch: ``one_sided_costs`` over both checked sides of every drawn
-  instance, 2 x TRIALS sides in one call, as the harness costs a chunk.
+  instance, 2 x TRIALS sides in one call, as the harness costs a chunk;
+- match: ``_bottleneck_assignment`` on each of those sides' costs, as the
+  harness matches them.
 
 hypothesis and conclusion each cost their sides one kernel call apiece, so
 with batch they show what one call per side costs against one per chunk.
 The harness does not pay them: a trial is the draw, the checks, its share
-of the batch, the matching and the verdicts.
+of the batch, its two matches and the verdicts.
 
     python tools/trial_timing.py [--trials TRIALS] [--seed SEED]
                                  [--repeats REPEATS]
@@ -35,7 +37,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lhckit import bipartite, named_rng, split_product_alphabet  # noqa: E402
-from lhckit.verify import infer_one_sided_edge_map, one_sided_costs  # noqa: E402
+from lhckit.verify import (_bottleneck_assignment, infer_one_sided_edge_map,  # noqa: E402
+                           one_sided_costs)
 
 
 def side(phi, source, target):
@@ -69,10 +72,14 @@ def stage_us(trials: int, seed: int) -> dict[str, float]:
     conclusion = time.perf_counter() - start
     sides = checked_sides(drawn)
     start = time.perf_counter()
-    one_sided_costs(sides)
+    costs = one_sided_costs(sides)
     batch = time.perf_counter() - start
+    start = time.perf_counter()
+    for cost in costs:
+        _bottleneck_assignment(cost)
+    match = time.perf_counter() - start
     seconds = {"trial": trial, "draw": draw, "hypothesis": hypothesis,
-               "conclusion": conclusion, "batch": batch}
+               "conclusion": conclusion, "batch": batch, "match": match}
     return {name: 1e6 * s / trials for name, s in seconds.items()}
 
 
