@@ -40,8 +40,7 @@ from .hypergraph import (
     split_product_alphabet,
     _require_same_alphabet,
 )
-from .verify import (_bottleneck_assignment, edge_vector, exceeds,
-                     infer_edge_map, infer_one_sided_edge_map, lambda_profile,
+from .verify import (_match, edge_vector, exceeds, infer_edge_map, lambda_profile,
                      one_sided_costs, one_sided_side, require_within)
 
 
@@ -193,16 +192,14 @@ def _swap_verdicts(sides: list, lams: list) -> list[_Verdict]:
     side at its lam.
 
     All sides are costed by one ``one_sided_costs`` call and matched one by
-    one by ``_bottleneck_assignment``; one ``exceeds`` call then holds every
-    picked profile against its lam.
+    one by ``_match``; one ``exceeds`` call then holds every picked profile
+    against its lam.
     """
-    costs = one_sided_costs(sides)
-    mappings = [_bottleneck_assignment(cost) for cost in costs]
-    picked = np.array([row[j] for cost, mapping in zip(costs, mappings)
-                       for row, j in zip(cost.tolist(), mapping)])
+    matches = [_match(cost) for cost in one_sided_costs(sides)]
+    picked = np.array([c for _, costs in matches for c in costs])
     bad = exceeds(picked, np.concatenate(lams)).tolist()
     verdicts, start = [], 0
-    for mapping in mappings:
+    for mapping, _ in matches:
         end = start + len(mapping)
         verdicts.append(_Verdict(mapping, picked[start:end], not any(bad[start:end])))
         start = end
@@ -274,13 +271,12 @@ def assemble_id_code(
     mu = edge_vector(mu, k, "mu")
 
     # Hop 1: first message encoded, second kept; enc1 x id is never formed.
-    m1, prof1 = infer_one_sided_edge_map(enc1, msgs, hyper_h, hyper_g1, phi_first=True)
+    m1, prof1 = _match(one_sided_costs(
+        [one_sided_side(enc1, msgs, hyper_h, hyper_g1, phi_first=True)])[0])
     require_within(prof1, alpha, "first encoder hop profile <= alpha")
     # Second encoder: stated with the first message raw, re-verified with it
     # already encoded rather than assumed.
-    g1_in_h_order = Hypergraph(
-        hyper_g1.vertices, tuple(hyper_g1.edges[m1(i)] for i in range(k))
-    )
+    g1_in_h_order = Hypergraph(hyper_g1.vertices, tuple(hyper_g1.edges[j] for j in m1))
     swap = check_branch_swap(enc2, hyper_h, hyper_g2, g1_in_h_order, hyper_f, beta)
     require_within(swap.hypothesis_profile, beta, "second encoder hop profile <= beta")
     require_within(swap.conclusion_profile, beta,

@@ -238,17 +238,6 @@ def edge_cost_matrix(
     return worst_failure(edge_mass(phi.rows, target), source.incidence)
 
 
-def _require_hop_alphabets(phi: Channel, other: Alphabet, source: Hypergraph,
-                           target: Hypergraph, phi_first: bool) -> None:
-    """id_other x phi (phi x id_other when phi_first) runs from source's
-    vertices to target's, or ShapeError with ``infer_edge_map``'s message."""
-    ins, outs = (phi.input, other), (phi.output, other)
-    if not phi_first:
-        ins, outs = ins[::-1], outs[::-1]
-    _require_same_alphabet(ins[0].product(ins[1]), source.vertices, _INPUT_RULE)
-    _require_same_alphabet(outs[0].product(outs[1]), target.vertices, _OUTPUT_RULE)
-
-
 def one_sided_side(
     phi: Channel,
     other: Alphabet,
@@ -257,10 +246,15 @@ def one_sided_side(
     phi_first: bool = False,
 ) -> tuple:
     """The side (phi, other, source, target, phi_first) for
-    ``one_sided_costs``, after the refusals of ``infer_one_sided_edge_map``
-    in its order: disjoint edges, the two alphabets, the edge counts."""
+    ``one_sided_costs``, after ``infer_edge_map``'s refusals of
+    id_other x phi (phi x id_other when phi_first) in its order, with its
+    messages: disjoint edges, the two alphabets, the edge counts."""
     require_disjoint_edges(source, target)
-    _require_hop_alphabets(phi, other, source, target, phi_first)
+    ins, outs = (phi.input, other), (phi.output, other)
+    if not phi_first:
+        ins, outs = ins[::-1], outs[::-1]
+    _require_same_alphabet(ins[0].product(ins[1]), source.vertices, _INPUT_RULE)
+    _require_same_alphabet(outs[0].product(outs[1]), target.vertices, _OUTPUT_RULE)
     _require_edge_counts(source, target)
     return phi, other, source, target, phi_first
 
@@ -321,20 +315,6 @@ def one_sided_costs(sides) -> list[np.ndarray]:
         costs.append(worst[e:e + source.edge_count, :target.edge_count])
         e += source.edge_count
     return costs
-
-
-def one_sided_cost_matrix(
-    phi: Channel,
-    other: Alphabet,
-    source: Hypergraph,
-    target: Hypergraph,
-    phi_first: bool = False,
-) -> np.ndarray:
-    """``edge_cost_matrix`` of id_other x phi (phi x id_other when phi_first),
-    read from phi's rows and target's edges: ``one_sided_costs`` of one side,
-    after the same alphabet checks, with the same bits."""
-    _require_hop_alphabets(phi, other, source, target, phi_first)
-    return one_sided_costs([(phi, other, source, target, phi_first)])[0]
 
 
 def _augment(adj: list, owner: list, r: int, seen: set, vacant: int) -> bool:
@@ -438,24 +418,10 @@ def infer_edge_map(
     mapping.
     """
     require_disjoint_edges(source, target)
-    return _matched(edge_cost_matrix(phi, source, target), source, target)
-
-
-def infer_one_sided_edge_map(
-    phi: Channel,
-    other: Alphabet,
-    source: Hypergraph,
-    target: Hypergraph,
-    phi_first: bool = False,
-) -> tuple[EdgeMap, np.ndarray]:
-    """``infer_edge_map`` of id_other x phi, or of phi x id_other when
-    phi_first is set, without forming the product channel.
-
-    The same checks run in the same order with the same messages, and the
-    map and profile keep their bits (see ``one_sided_costs``).
-    """
-    side = one_sided_side(phi, other, source, target, phi_first)
-    return _matched(one_sided_costs([side])[0], source, target)
+    cost = edge_cost_matrix(phi, source, target)
+    _require_edge_counts(source, target)
+    mapping, picked = _match(cost)
+    return EdgeMap(source.edge_count, target.edge_count, mapping), np.array(picked)
 
 
 def _require_edge_counts(source: Hypergraph, target: Hypergraph) -> None:
@@ -465,11 +431,9 @@ def _require_edge_counts(source: Hypergraph, target: Hypergraph) -> None:
         )
 
 
-def _matched(cost: np.ndarray, source: Hypergraph,
-             target: Hypergraph) -> tuple[EdgeMap, np.ndarray]:
-    """The bottleneck edge map of a cost matrix and the profile it picks."""
-    _require_edge_counts(source, target)
+def _match(cost: np.ndarray) -> tuple[tuple[int, ...], list[float]]:
+    """The bottleneck mapping of a square cost matrix and the costs it
+    picks, row by row, as Python floats: every cost matrix's one way to a
+    map and a profile."""
     mapping = _bottleneck_assignment(cost)
-    f_e = EdgeMap(source.edge_count, target.edge_count, mapping)
-    lam = cost[np.arange(source.edge_count), list(mapping)]
-    return f_e, lam
+    return mapping, [row[j] for row, j in zip(cost.tolist(), mapping)]

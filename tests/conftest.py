@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from lhckit import Alphabet, Channel, Hypergraph
+from lhckit import Alphabet, Channel, FunctionTable, Hypergraph, deterministic_channel
 
 import oracles
 
@@ -30,6 +30,12 @@ def rand_channel(rng: np.random.Generator, inp: Alphabet, out: Alphabet) -> Chan
     rows = rng.dirichlet(np.ones(out.size), size=inp.size)
     rows /= rows.sum(axis=1, keepdims=True)
     return Channel(inp, out, rows)
+
+
+def identity_channel_between(a: Alphabet, b: Alphabet) -> Channel:
+    """The deterministic channel sending a's i-th symbol to b's i-th."""
+    assert a.size == b.size
+    return deterministic_channel(FunctionTable(a, b, tuple(range(a.size))))
 
 
 def sharp_channel(rng: np.random.Generator, inp: Alphabet, out: Alphabet,

@@ -40,11 +40,10 @@ from lhckit.errors import (
     ShapeError,
 )
 from lhckit.hypergraph import Hypergraph
-from lhckit.verify import (infer_one_sided_edge_map, one_sided_cost_matrix, one_sided_costs,
-                           one_sided_side)
+from lhckit.verify import _match, edge_cost_matrix, one_sided_costs, one_sided_side
 
 import oracles
-from conftest import rand_partition, sharp_channel
+from conftest import rand_channel, rand_partition, sharp_channel
 
 HARNESS_300 = json.loads(
     (Path(__file__).parent / "data" / "falsify" / "harness_300.json").read_text())
@@ -455,6 +454,14 @@ def dense_hop(phi, other, phi_first: bool) -> Channel:
     return tensor(phi, ident) if phi_first else tensor(ident, phi)
 
 
+def one_sided_route(phi, other, source, target, phi_first: bool) -> tuple:
+    """Cost, map and profile of one hop on the one route every one-sided
+    hop takes: ``one_sided_side``, ``one_sided_costs``, ``_match``."""
+    cost = one_sided_costs([one_sided_side(phi, other, source, target, phi_first)])[0]
+    mapping, picked = _match(cost)
+    return cost, EdgeMap(source.edge_count, target.edge_count, mapping), np.array(picked)
+
+
 class TestOneSidedHop:
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(1, 4),
            st.booleans(), st.sampled_from(["dirichlet", "sharp", "one-hot", "subnormal"]),
@@ -469,9 +476,8 @@ class TestOneSidedHop:
         phi, other, source, target = one_sided_hop(other_size, inp, out, edges,
                                                    phi_first, rng, kind)
         cost, f_e, profile = oracles.dense_one_sided(phi, other, source, target, phi_first)
-        got_cost = one_sided_cost_matrix(phi, other, source, target, phi_first)
+        got_cost, got_map, got_profile = one_sided_route(phi, other, source, target, phi_first)
         assert got_cost.tobytes() == cost.tobytes()
-        got_map, got_profile = infer_one_sided_edge_map(phi, other, source, target, phi_first)
         dense_map, dense_profile = infer_edge_map(dense_hop(phi, other, phi_first),
                                                   source, target)
         assert got_map == f_e == dense_map
@@ -495,9 +501,8 @@ class TestOneSidedHop:
         source = Hypergraph(source_alpha, tuple((v,) for v in range(source_alpha.size)))
         target = rand_partition(rng, target_alpha, source_alpha.size)
         cost = oracles.dense_one_sided_cost(phi, other, source, target, phi_first)
-        got_cost = one_sided_cost_matrix(phi, other, source, target, phi_first)
+        got_cost, got_map, got_profile = one_sided_route(phi, other, source, target, phi_first)
         assert got_cost.tobytes() == cost.tobytes()
-        got_map, got_profile = infer_one_sided_edge_map(phi, other, source, target, phi_first)
         dense_map, dense_profile = infer_edge_map(dense_hop(phi, other, phi_first),
                                                   source, target)
         assert got_map == dense_map
@@ -558,7 +563,7 @@ class TestOneSidedHop:
         else:
             pytest.fail("no row whose pairwise sum differs from the left-to-right one")
         cost, _, _ = oracles.dense_one_sided(phi, other, source, target, phi_first)
-        got = one_sided_cost_matrix(phi, other, source, target, phi_first)
+        got, _, _ = one_sided_route(phi, other, source, target, phi_first)
         assert got.tobytes() == cost.tobytes()
         assert got[0, 0] == 1.0 - phi.rows[0].sum() != 1.0 - left_to_right
 
@@ -570,7 +575,7 @@ class TestOneSidedHop:
                               for alpha in hop_alphabets(phi, other, phi_first)))
 
     # (argument, change, error, message): each refusal of the dense route,
-    # which the one-sided hop raises with the same class and message
+    # which ``one_sided_side`` raises with the same class and message
     REFUSALS = [
         ("source", lambda h: Hypergraph(h.vertices, ((0, 1), (1, 2))), RequiresPartition,
          "source edges must be pairwise disjoint"),
@@ -601,11 +606,79 @@ class TestOneSidedHop:
         message = message.format(hyper[arg].vertices.labels[0])
         hyper[arg] = change(hyper[arg])
         dense = dense_hop(phi, other, phi_first)
-        for route in (lambda: infer_one_sided_edge_map(phi, other, hyper["source"],
-                                                       hyper["target"], phi_first),
+        for route in (lambda: one_sided_side(phi, other, hyper["source"],
+                                             hyper["target"], phi_first),
                       lambda: infer_edge_map(dense, hyper["source"], hyper["target"])):
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 route()
+
+    def test_overlapping_target_edges_are_refused_before_any_cost(self):
+        """The kernel files each target vertex under one edge, so it would
+        cost overlapping edges wrongly ([[0.8, 0.7], [1.0, 0.0]] here, where
+        the product gives [[0.0, 0.7], [0.8, 0.0]]): both routes refuse them."""
+        other = Alphabet.of_size(2, "a")
+        phi = Channel(Alphabet.of_size(2, "b"), Alphabet.of_size(2, "x"),
+                      np.array([[0.7, 0.3], [0.2, 0.8]]))
+        source = Hypergraph(other.product(phi.input), ((0, 1), (2, 3)))
+        target = Hypergraph(other.product(phi.output), ((0, 1, 2), (1, 2, 3)))
+        dense = dense_hop(phi, other, False)
+        assert edge_cost_matrix(dense, source, target).tolist() == [[0.0, 0.7], [0.8, 0.0]]
+        for route in (lambda: one_sided_side(phi, other, source, target),
+                      lambda: infer_edge_map(dense, source, target)):
+            with pytest.raises(RequiresPartition,
+                               match="^target edges must be pairwise disjoint$"):
+                route()
+
+
+class TestZeroAndOneEdge:
+    """Partitions of no edge and of one edge on each route to a map and a
+    profile: a float64 profile of shape (k,), the empty map for no edge,
+    and the dense product's bits."""
+
+    @staticmethod
+    def partition(alphabet: Alphabet, k: int) -> Hypergraph:
+        """No edge, or one edge holding every vertex but the last."""
+        return Hypergraph(alphabet, ((tuple(range(alphabet.size - 1)),) if k else ()))
+
+    @staticmethod
+    def check(f_e: EdgeMap, profile: np.ndarray, want: tuple) -> None:
+        k = f_e.source_count
+        assert profile.dtype == np.float64 and profile.shape == (k,)
+        if k == 0:
+            assert f_e == EdgeMap(0, 0, ())
+        assert f_e == want[0] and profile.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_infer_edge_map(self, k):
+        rng = np.random.default_rng(k)
+        a, x = Alphabet.of_size(3, "a"), Alphabet.of_size(4, "x")
+        phi = rand_channel(rng, a, x)
+        source, target = self.partition(a, k), self.partition(x, k)
+        self.check(*infer_edge_map(phi, source, target),
+                   oracles.enumerate_best_edge_map(phi, source, target))
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_check_branch_swap(self, k):
+        rng = np.random.default_rng(10 + k)
+        a1, x1 = Alphabet.of_size(2, "a"), Alphabet.of_size(3, "c")
+        phi = rand_channel(rng, Alphabet.of_size(2, "b"), Alphabet.of_size(3, "x"))
+        h, g = (self.partition(alpha, k) for alpha in hop_alphabets(phi, a1, False))
+        i, f = (self.partition(alpha, k) for alpha in hop_alphabets(phi, x1, False))
+        report = check_branch_swap(phi, h, g, i, f, 0.5)
+        self.check(report.hypothesis_map, report.hypothesis_profile,
+                   infer_edge_map(dense_hop(phi, a1, False), h, g))
+        self.check(report.conclusion_map, report.conclusion_profile,
+                   infer_edge_map(dense_hop(phi, x1, False), i, f))
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_assembly_hop_one(self, k):
+        """``assemble_id_code``'s first hop, enc1 x id_msgs."""
+        rng = np.random.default_rng(20 + k)
+        msgs = Alphabet.of_size(2)
+        enc1 = rand_channel(rng, msgs, Alphabet.of_size(3, "x"))
+        h, g1 = (self.partition(alpha, k) for alpha in hop_alphabets(enc1, msgs, True))
+        _, f_e, profile = one_sided_route(enc1, msgs, h, g1, True)
+        self.check(f_e, profile, infer_edge_map(dense_hop(enc1, msgs, True), h, g1))
 
 
 class TestAssembleIdCode:

@@ -24,7 +24,7 @@ from lhckit import (
 from lhckit.errors import RequiresBijective, ShapeError
 
 import oracles
-from conftest import rand_channel, sandwich_instance
+from conftest import identity_channel_between, rand_channel, sandwich_instance
 
 
 def perfect_identity_code(size: int = 2) -> FunctionCode:
@@ -96,11 +96,6 @@ class TestErrorProfile:
         assert np.array_equal(
             code.composite.rows,
             compose(compose(code.encoder, code.channel), code.decoder).rows)
-
-
-def identity_channel_between(a: Alphabet, b: Alphabet):
-    assert a.size == b.size
-    return deterministic_channel(FunctionTable(a, b, tuple(range(a.size))))
 
 
 class TestCodeToLhc:

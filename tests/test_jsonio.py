@@ -23,7 +23,7 @@ from lhckit.bipartite import random_branch_swap_instance
 from lhckit.cli import main
 from lhckit.errors import RangeError, ShapeError
 
-from conftest import rand_channel, rand_partition
+from conftest import identity_channel_between, rand_channel, rand_partition
 
 GOLDEN = Path(__file__).parent / "data" / "derandomize"
 
@@ -132,12 +132,6 @@ class TestRoundTrips:
                                   back.hyper_i, back.hyper_f, back.lam)
         assert again.hypothesis_holds == report.hypothesis_holds
         assert again.conclusion_holds == report.conclusion_holds
-
-
-def identity_channel_between(a, b):
-    from lhckit import deterministic_channel
-
-    return deterministic_channel(FunctionTable(a, b, tuple(range(a.size))))
 
 
 # -- writers ------------------------------------------------------------------

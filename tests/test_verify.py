@@ -348,6 +348,21 @@ class TestMatcherAgainstBruteForce:
         assert verify._bottleneck_assignment(cost) == want
         assert verify._threshold_bottleneck(cost.tolist()) == want
 
+    @given(st.integers(1, 8).flatmap(
+        lambda k: st.lists(st.lists(st.integers(0, 4), min_size=k, max_size=k),
+                           min_size=k, max_size=k)))
+    @settings(max_examples=200, deadline=None)
+    def test_match_picks_the_bottleneck_costs(self, quarters):
+        """``_match``, the one tail from a cost matrix to a map and a
+        profile: ``_bottleneck_assignment``'s mapping, and as an array the
+        costs it picks have the bits of gathering them from the matrix."""
+        cost = np.array(quarters) / 4.0
+        mapping, picked = verify._match(cost)
+        assert mapping == verify._bottleneck_assignment(cost)
+        assert all(type(c) is float for c in picked)
+        k = len(quarters)
+        assert np.array(picked).tobytes() == cost[np.arange(k), list(mapping)].tobytes()
+
     @pytest.mark.parametrize("k", [8, 16, 32, 64])
     @pytest.mark.parametrize("kind", ["random", "quarter"])
     def test_bottleneck_matches_rebuilt_pass(self, k, kind):

@@ -5,18 +5,13 @@ Prints the median over REPEATS of the microseconds per trial of
 seeded instances:
 
 - draw: ``random_branch_swap_instance``, the seeded instance;
-- hypothesis: id x phi from hyper_h to hyper_g, checked, costed from phi's
-  rows and matched by ``infer_one_sided_edge_map``, one side at a time;
-- conclusion: id x phi from hyper_i to hyper_f, likewise;
 - batch: ``one_sided_costs`` over both checked sides of every drawn
   instance, 2 x TRIALS sides in one call, as the harness costs a chunk;
-- match: ``_bottleneck_assignment`` on each of those sides' costs, as the
-  harness matches them.
+- match: ``_match`` on each of those sides' costs, as the harness matches
+  them.
 
-hypothesis and conclusion each cost their sides one kernel call apiece, so
-with batch they show what one call per side costs against one per chunk.
-The harness does not pay them: a trial is the draw, the checks, its share
-of the batch, its two matches and the verdicts.
+A trial is the draw, the checks, its share of the batch, its two matches
+and the verdicts.
 
     python tools/trial_timing.py [--trials TRIALS] [--seed SEED]
                                  [--repeats REPEATS]
@@ -36,15 +31,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from lhckit import bipartite, named_rng, split_product_alphabet  # noqa: E402
-from lhckit.verify import (_bottleneck_assignment, infer_one_sided_edge_map,  # noqa: E402
-                           one_sided_costs)
-
-
-def side(phi, source, target):
-    """One side of the swap: id x phi from source to target, matched."""
-    first = split_product_alphabet(source.vertices, phi.input)
-    return infer_one_sided_edge_map(phi, first, source, target)
+from lhckit import bipartite, named_rng  # noqa: E402
+from lhckit.verify import _match, one_sided_costs  # noqa: E402
 
 
 def checked_sides(drawn) -> list:
@@ -62,24 +50,15 @@ def stage_us(trials: int, seed: int) -> dict[str, float]:
     start = time.perf_counter()
     drawn = [bipartite.random_branch_swap_instance(rng) for _ in range(trials)]
     draw = time.perf_counter() - start
-    start = time.perf_counter()
-    for phi, h, g, _, _, _ in drawn:
-        side(phi, h, g)
-    hypothesis = time.perf_counter() - start
-    start = time.perf_counter()
-    for phi, _, _, i, f, _ in drawn:
-        side(phi, i, f)
-    conclusion = time.perf_counter() - start
     sides = checked_sides(drawn)
     start = time.perf_counter()
     costs = one_sided_costs(sides)
     batch = time.perf_counter() - start
     start = time.perf_counter()
     for cost in costs:
-        _bottleneck_assignment(cost)
+        _match(cost)
     match = time.perf_counter() - start
-    seconds = {"trial": trial, "draw": draw, "hypothesis": hypothesis,
-               "conclusion": conclusion, "batch": batch, "match": match}
+    seconds = {"trial": trial, "draw": draw, "batch": batch, "match": match}
     return {name: 1e6 * s / trials for name, s in seconds.items()}
 
 
