@@ -23,7 +23,7 @@ from . import bsc_id, channel, jsonio
 from .bipartite import assemble_id_code, check_harness_symbols, run_branch_swap_harness
 from .codes import code_error_profile, FunctionCode
 from .decomposition import decompose, derandomize
-from .errors import LhcKitError, RangeError, _require_count, _require_unit
+from .errors import LhcKitError, RangeError, ShapeError, _require_count, _require_unit
 from .verify import edge_vector, exceeds, verify_lhc
 
 DEFAULT_SEED = 20240
@@ -471,12 +471,14 @@ def main(argv=None) -> int:
     if args.command == "validate":
         try:
             raw = jsonio.read_json(args.config)
-            config = ExperimentConfig(
-                task=raw.get("task", ""),
-                inputs=dict(raw.get("inputs", {})),
-                params=dict(raw.get("params", {})),
-                outputs=dict(raw.get("outputs", {})),
-            )
+            jsonio._require(raw, "config")
+            task = raw.get("task", "")
+            if not isinstance(task, str):
+                raise ShapeError(f"task must be a string, got {jsonio._text(task)}")
+            parts = {key: raw.get(key, {}) for key in ("inputs", "params", "outputs")}
+            for key, part in parts.items():
+                jsonio._require(part, key)
+            config = ExperimentConfig(task, **parts)
         except Exception as exc:
             print(f"error: cannot read config: {exc}")
             return 0

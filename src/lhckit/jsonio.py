@@ -145,22 +145,15 @@ def _matrix_text(matrix: np.ndarray, depth: int) -> str:
 # dump parses in well under 0.1 ms) are not sampled.
 _MEMO_MIN_CHARS = 1 << 17
 _MEMO_SAMPLE_CHARS = 4096
-# 40k numbers: 16- and 17-digit texts take CPython's slow correctly rounded
-# path, and through a memo they parse in 0.39-0.52 of the time with 1000
-# distinct texts, 0.73-0.91 with 5000 and 0.85-1.48 with 10000. 15-digit
-# texts gain 4-6%, and texts of 8 or fewer digits at most 10% even when only
-# 8 are distinct; with 10k distinct texts those parse 1.5-3x slower.
-_SLOW_DIGITS = 16
 # A sample holds 140 items of 16-17 digit rows (up to ~200 of shorter
 # ones). Of 140, a file whose D distinct texts are spread evenly shows about
 # D (1 - exp(-140 / D)) distinct ones: 34 at D = 35, 91 at D = 150, 131 at
 # D = 1000. At most a quarter distinct thus means about 35 distinct texts
-# or fewer, far inside the range where a memo pays.
+# or fewer. Through a memo, 40k numbers of 8 distinct texts parse in 0.45
+# of the time at 17 digits and in 0.88-0.94 at 1 to 15 digits, and a sharp
+# 256 x 256 channel (2 distinct texts) in 0.88; with 1000 distinct 17-digit
+# texts, 40k numbers still parse in half the time.
 _MEMO_MAX_DISTINCT_SHARE = 1 / 4
-# A slow text parses in the time of three to five short ones, so where at
-# least half of the distinct texts are slow, most of the parse time is theirs.
-_MEMO_MIN_SLOW_SHARE = 1 / 2
-_NUMBER_TEXT = re.compile(r"-?(\d+)(?:\.(\d+))?(?:[eE][-+]?\d+)?")
 
 
 class _FloatMemo(dict):
@@ -173,13 +166,13 @@ class _FloatMemo(dict):
 
 def _parse_float(text: str):
     """A ``parse_float`` for ``json.loads(text)``: a memo's lookup where the
-    file's float texts repeat and are slow to parse, else None.
+    file is long and its texts repeat, else None.
 
     The comma-separated items of the last ``_MEMO_SAMPLE_CHARS`` characters
     stand for the file; a channel's ``rows`` sort last. The memo is used
-    where few of the sampled items are distinct and most distinct ones are
-    numbers of ``_SLOW_DIGITS`` or more significant digits: a 9 x 4096 BSC
-    pair channel (23 distinct texts) then parses 3x faster, while a dense
+    where at most ``_MEMO_MAX_DISTINCT_SHARE`` of the sampled items are
+    distinct: a 9 x 4096 BSC pair channel (23 distinct texts) then parses
+    nearly 3x faster and a sharp 256 x 256 channel 12% faster, while a dense
     channel (every text distinct) would parse 2x slower. ``float`` is what
     ``json`` calls by default, so every value keeps its bits.
     """
@@ -187,15 +180,8 @@ def _parse_float(text: str):
         return None
     sample = text[-_MEMO_SAMPLE_CHARS:].split(",")[1:]  # the first may be cut
     distinct = set(sample)
-    if not 0 < len(distinct) <= _MEMO_MAX_DISTINCT_SHARE * len(sample):
-        return None
-    slow = 0
-    for item in distinct:
-        number = _NUMBER_TEXT.fullmatch(item.strip(" \n[]{}"))
-        if number and len("".join(number.groups("")).lstrip("0")) >= _SLOW_DIGITS:
-            slow += 1
-    return (_FloatMemo().__getitem__ if slow >= _MEMO_MIN_SLOW_SHARE * len(distinct)
-            else None)
+    return (_FloatMemo().__getitem__
+            if 0 < len(distinct) <= _MEMO_MAX_DISTINCT_SHARE * len(sample) else None)
 
 
 def read_json(path) -> dict:

@@ -350,23 +350,8 @@ def _perfect_matching(adj: list) -> list | None:
     return None
 
 
-def _bottleneck_assignment(cost: np.ndarray) -> tuple[int, ...]:
-    """Bijection minimizing the max cost; lexicographically smallest on ties.
-
-    Up to k = 3 rows the at most 6 bijections are compared directly: the
-    first in ``permutations`` order whose largest cost is least is, by
-    definition, that bijection. Larger matrices take
-    ``_threshold_bottleneck``.
-    """
-    flat = cost.tolist()
-    if len(flat) < 4:
-        return min(permutations(range(len(flat))),
-                   key=lambda p: max([row[j] for row, j in zip(flat, p)], default=0.0))
-    return _threshold_bottleneck(flat)
-
-
 def _threshold_bottleneck(flat: list) -> tuple[int, ...]:
-    """``_bottleneck_assignment`` of the k x k cost lists flat, k >= 2.
+    """``_match``'s mapping of the k x k cost lists flat, k >= 2.
 
     A binary search over the distinct costs, from the largest row minimum
     up, finds the least threshold at which the pairs costing no more hold a
@@ -434,6 +419,18 @@ def _require_edge_counts(source: Hypergraph, target: Hypergraph) -> None:
 def _match(cost: np.ndarray) -> tuple[tuple[int, ...], list[float]]:
     """The bottleneck mapping of a square cost matrix and the costs it
     picks, row by row, as Python floats: every cost matrix's one way to a
-    map and a profile."""
-    mapping = _bottleneck_assignment(cost)
-    return mapping, [row[j] for row, j in zip(cost.tolist(), mapping)]
+    map and a profile.
+
+    The mapping minimizes the max cost and is lexicographically smallest on
+    ties. Up to k = 3 rows the at most 6 bijections are compared directly:
+    the first in ``permutations`` order whose largest cost is least is, by
+    definition, that bijection. Larger matrices take
+    ``_threshold_bottleneck``.
+    """
+    flat = cost.tolist()
+    if len(flat) < 4:
+        mapping = min(permutations(range(len(flat))),
+                      key=lambda p: max([row[j] for row, j in zip(flat, p)], default=0.0))
+    else:
+        mapping = _threshold_bottleneck(flat)
+    return mapping, [row[j] for row, j in zip(flat, mapping)]

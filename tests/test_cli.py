@@ -893,6 +893,131 @@ def test_random_word_length_past_the_cap_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def write_edited(src: Path, dst: Path, edit) -> str:
+    """Write the JSON file src to dst after ``edit`` changed it in place."""
+    payload = json.loads(src.read_text())
+    edit(payload)
+    dst.write_text(json.dumps(payload))
+    return str(dst)
+
+
+def _drop_last_row(d):
+    d["rows"].pop()
+
+
+def _drop_last_source_edge(d):
+    d["source_edges"] -= 1
+    d["map"].pop()
+
+
+def _add_target_edge(d):
+    d["target_edges"] += 1
+
+
+def _rename_decoder_output(d):
+    d["output"] = ["g" + label[1:] for label in d["output"]]
+
+
+class TestRefusalsOnMutatedGoldens:
+    """Each refusal reachable from a file or a flag, on a mutated copy of
+    tests/data: its exit code, its one stderr line and no output file."""
+
+    def run(self, argv, capsys, rc, err):
+        capsys.readouterr()
+        assert main(argv) == rc
+        assert capsys.readouterr().err == err + "\n"
+
+    @pytest.mark.parametrize("flag, edit, rc, err", [
+        ("channel", _drop_last_row, 2, "error: input channel: rows shape (11, 8) "
+                                       "does not match alphabets (12, 8)"),
+        ("edge-map", _drop_last_source_edge, 1,
+         "fail: edge map not total on source edges"),
+        ("edge-map", _add_target_edge, 1,
+         "fail: edge map target count differs from target hypergraph"),
+    ])
+    def test_verify(self, tmp_path, capsys, flag, edit, rc, err):
+        flags = {name: str(CERTIFY / f"verify.{name}.json")
+                 for name in ("channel", "source", "target", "edge-map")}
+        flags[flag] = write_edited(Path(flags[flag]), tmp_path / f"{flag}.json", edit)
+        out = tmp_path / "c.json"
+        self.run(["verify", *(x for name, path in flags.items()
+                              for x in (f"--{name}", path)),
+                  "--lambda", "0.1", "--out", str(out)], capsys, rc, err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("part, edit, err", [
+        ("function", lambda d: d["map"].pop(),
+         "function table must be total on its domain"),
+        ("decoder", _rename_decoder_output, "decoder output misses attained value 'f0'"),
+    ])
+    def test_derandomize(self, tmp_path, capsys, part, edit, err):
+        golden = Path(__file__).parent / "data" / "derandomize"
+        for path in golden.glob("code*.json"):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        write_edited(golden / f"code.{part}.json", tmp_path / f"code.{part}.json", edit)
+        self.run(["derandomize", "--code", str(tmp_path / "code.json"),
+                  "--out-prefix", str(tmp_path / "d")], capsys, 2, f"error: input code: {err}")
+        assert not list(tmp_path.glob("d.*"))
+
+    def test_decompose_non_bijective_edge_map(self, tmp_path, capsys):
+        argv = TestCertificateGoldens.argv("decompose", "phi", "gamma-channel", "source",
+                                           "target")
+        edge_map = write_edited(CERTIFY / "decompose.edge-map.json", tmp_path / "m.json",
+                                lambda d: d.update(map=[0, 0]))
+        self.run([*argv, "--edge-map", edge_map, "--lambda", "0.02", "--mu", "0.1",
+                  "--kappa", "0.25", "--out-prefix", str(tmp_path / "split")],
+                 capsys, 1, "fail: composite edge map must be bijective")
+        assert not list(tmp_path.glob("split.*"))
+
+    def test_assemble_hyper_h_not_the_equality_partition(self, tmp_path, capsys):
+        argv = ["assemble-id"]
+        for name in ("enc1", "enc2", "phi", "hyper-g1", "hyper-g2", "hyper-f", "hyper-d"):
+            argv += [f"--{name}", str(ASSEMBLE / f"{name}.json")]
+        hyper_h = write_edited(ASSEMBLE / "hyper-h.json", tmp_path / "h.json",
+                               lambda d: d.update(edges=[[0, 1], [2, 3]]))
+        self.run([*argv, "--hyper-h", hyper_h, "--alpha", "0.1,0.2", "--beta", "0.1,0.15",
+                  "--mu", "0.024,0.007", "--out-prefix", str(tmp_path / "id")],
+                 capsys, 1, "fail: hyper_h must be the equality-test partition")
+        assert not list(tmp_path.glob("id.*"))
+
+    def test_id_sim_codebook_with_a_repeated_word(self, tmp_path, capsys):
+        book = tmp_path / "book.txt"
+        write_id_sim_codebook(book)
+        lines = book.read_text().splitlines()
+        book.write_text("\n".join([*lines, lines[-1]]) + "\n")
+        out = tmp_path / "sim.csv"
+        self.run([*ID_SIM, "--codebook", str(book), "--out", str(out)], capsys, 2,
+                 "error: input codebook: codewords must be distinct")
+        assert not out.exists()
+
+    def test_lexicode_past_the_scan_cap(self, tmp_path, capsys):
+        out = tmp_path / "book.txt"
+        self.run(["codebook", "--n", "25", "--delta", "0.1", "--M", "4", "--out", str(out)],
+                 capsys, 1, "fail: lexicographic scan over 2**25 words is not "
+                            "materializable; use the random-greedy strategy")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("config, note", [
+    ({"task": "bogus"}, "unknown task 'bogus'"),
+    # each ended in a traceback or a message about Python internals
+    ({"task": []}, "cannot read config: task must be a string, got []"),
+    ({"task": {}}, "cannot read config: task must be a string, got {}"),
+    ([{"task": "rates"}], "cannot read config: config must be a JSON object, got a list"),
+    ({"task": "rates", "inputs": "x"},
+     "cannot read config: inputs must be a JSON object, got a str"),
+    ({"task": "rates", "params": [0.03]},
+     "cannot read config: params must be a JSON object, got a list"),
+    ({"task": "rates", "outputs": 5},
+     "cannot read config: outputs must be a JSON object, got a int"),
+])
+def test_validate_config_of_the_wrong_shape_is_one_note(tmp_path, capsys, config, note):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == f"error: {note}\n"
+
+
 class TestParserOncePerProcess:
     def test_build_parser_is_fresh_and_main_reuses_one(self):
         assert cli.build_parser() is not cli.build_parser()

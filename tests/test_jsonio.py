@@ -435,21 +435,32 @@ class TestChannelFiles:
             jsonio.channel_from_dict({"input": labels, "output": ["0", "1", "2", "3"],
                                       "rows": rows})
 
-    def test_memo_only_for_long_files_of_few_slow_texts(self, tmp_path):
-        """The rule decides from the file: the 23 distinct 16-17 digit texts
-        of a BSC pair channel are parsed once each; dense texts, texts of 15
-        or fewer digits and small files are parsed as ``json`` does."""
+    def test_memo_only_for_long_files_whose_tail_repeats(self, tmp_path):
+        """The rule decides from the file: a file of 2^17 or more characters
+        whose sampled items are at most a quarter distinct is parsed through
+        the memo, whatever its digits; dense texts and small files are parsed
+        as ``json`` does."""
         rng = np.random.default_rng(5)
         sharp = np.full((128, 128), 0.05 / 128)
         sharp[np.arange(128), rng.permutation(128)] += 0.95
         few = rng.integers(4, size=(128, 128))
         for rows, memo in (
                 (bsc_id.restricted_pair_channel(gen_codebook(5, 0.5, 3), 0.03).rows, True),
+                (sharp, True),
+                (np.array([0.1 + 0.2, 1 / 3, 2 / 3, 0.7 / 3])[few], True),
+                (np.array([0.123456789012345, 0.5, 0.25, 2e-05])[few], True),
                 (bsc_id.restricted_pair_channel(gen_codebook(3, 0.5, 3), 0.03).rows, False),
                 (rng.dirichlet(np.ones(128), size=128), False),
-                (sharp, False),
-                (np.array([0.1 + 0.2, 1 / 3, 2 / 3, 0.7 / 3])[few], True),
-                (np.array([0.123456789012345, 0.5, 0.25, 2e-05])[few], False)):
+                (np.linspace(0, 1, 64)[rng.integers(64, size=(128, 128))], False)):
             path = tmp_path / "rows.json"
             jsonio.write_json(path, {"rows": rows})
             assert (jsonio._parse_float(path.read_text()) is not None) == memo
+
+    @pytest.mark.parametrize("chars, distinct, memo", [
+        (1 << 17, 128, True), ((1 << 17) - 1, 128, False), (1 << 17, 129, False)])
+    def test_memo_thresholds(self, chars, distinct, memo):
+        """The 512 sampled items of a 7-character texts list: the memo at
+        2^17 characters with a quarter of them distinct, not below either."""
+        items = [f"{i % distinct:07d}" for i in range(chars // 8 + 1)]
+        text = ",".join(items)[-chars:]
+        assert (jsonio._parse_float(text) is not None) == memo

@@ -333,7 +333,7 @@ class TestMatcherAgainstBruteForce:
         for _ in range(60):
             cost = rng.integers(0, 5, size=(k, k)) / 4.0
             want = oracles.lex_first_bottleneck(cost)
-            assert verify._bottleneck_assignment(cost) == want, cost
+            assert verify._match(cost)[0] == want, cost
             assert oracles.rebuilt_bottleneck(cost) == want, cost
 
     @given(st.integers(2, 3).flatmap(
@@ -345,7 +345,7 @@ class TestMatcherAgainstBruteForce:
         least largest cost is the threshold search's lex-first mapping."""
         cost = np.array(quarters) / 4.0
         want = oracles.lex_first_bottleneck(cost)
-        assert verify._bottleneck_assignment(cost) == want
+        assert verify._match(cost)[0] == want
         assert verify._threshold_bottleneck(cost.tolist()) == want
 
     @given(st.integers(1, 8).flatmap(
@@ -354,11 +354,11 @@ class TestMatcherAgainstBruteForce:
     @settings(max_examples=200, deadline=None)
     def test_match_picks_the_bottleneck_costs(self, quarters):
         """``_match``, the one tail from a cost matrix to a map and a
-        profile: ``_bottleneck_assignment``'s mapping, and as an array the
-        costs it picks have the bits of gathering them from the matrix."""
+        profile: the rebuilt pass's mapping, and as an array the costs it
+        picks have the bits of gathering them from the matrix."""
         cost = np.array(quarters) / 4.0
         mapping, picked = verify._match(cost)
-        assert mapping == verify._bottleneck_assignment(cost)
+        assert mapping == oracles.rebuilt_bottleneck(cost)
         assert all(type(c) is float for c in picked)
         k = len(quarters)
         assert np.array(picked).tobytes() == cost[np.arange(k), list(mapping)].tobytes()
@@ -372,7 +372,7 @@ class TestMatcherAgainstBruteForce:
         for _ in range(max(1, 64 // k)):
             cost = (rng.random((k, k)) if kind == "random"
                     else rng.integers(0, 5, size=(k, k)) / 4.0)
-            assert verify._bottleneck_assignment(cost) == \
+            assert verify._match(cost)[0] == \
                 oracles.rebuilt_bottleneck(cost), cost
 
 

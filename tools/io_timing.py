@@ -1,9 +1,10 @@
 """Time reading and writing the channel files and a falsify dump.
 
-Writes five files to a temporary directory and prints, for each, the
-median over REPEATS of reading it (``read_json``, plus ``channel_from_dict``
-for a channel) and of writing it (``write_channel`` for a channel,
-``write_json`` for the dump), in milliseconds:
+Writes five files to a temporary directory and prints, for each, whether
+``read_json`` parses it through its number memo and the median over REPEATS
+of reading it (``read_json``, plus ``channel_from_dict`` for a channel) and
+of writing it (``write_channel`` for a channel, ``write_json`` for the
+dump), in milliseconds:
 
 - sharp: a SIDE x SIDE deterministic map with uniform leakage 0.05, the
   kind of channel the ``verify`` and ``decompose`` inputs hold;
@@ -52,6 +53,11 @@ def channels(side: int, n: int) -> dict[str, Channel]:
     }
 
 
+def memo(path: Path) -> str:
+    """Whether ``read_json`` parses the file's numbers through its memo."""
+    return "yes" if jsonio._parse_float(path.read_text(encoding="utf-8")) else "no"
+
+
 def median_ms(action, repeats: int) -> float:
     times = []
     for _ in range(repeats):
@@ -75,16 +81,18 @@ def main(argv: list[str] | None = None) -> int:
             cli.main(["falsify", "--trials", str(args.trials), "--seed", "4",
                       "--out", str(dump)])
         payload = jsonio.read_json(dump)
-        print(f"{'file':<10} {'bytes':>9} {'read_ms':>9} {'write_ms':>9}")
+        print(f"{'file':<10} {'bytes':>9} {'memo':>5} {'read_ms':>9} {'write_ms':>9}")
         for name, c in channels(args.side, args.n).items():
             path = d / f"{name}.json"
             write_ms = median_ms(lambda: jsonio.write_channel(path, c), args.repeats)
             read_ms = median_ms(
                 lambda: jsonio.channel_from_dict(jsonio.read_json(path)), args.repeats)
-            print(f"{name:<10} {path.stat().st_size:>9} {read_ms:>9.3f} {write_ms:>9.3f}")
+            print(f"{name:<10} {path.stat().st_size:>9} {memo(path):>5} {read_ms:>9.3f} "
+                  f"{write_ms:>9.3f}")
         write_ms = median_ms(lambda: jsonio.write_json(dump, payload), args.repeats)
         read_ms = median_ms(lambda: jsonio.read_json(dump), args.repeats)
-        print(f"{'dump':<10} {dump.stat().st_size:>9} {read_ms:>9.3f} {write_ms:>9.3f}")
+        print(f"{'dump':<10} {dump.stat().st_size:>9} {memo(dump):>5} {read_ms:>9.3f} "
+              f"{write_ms:>9.3f}")
     return 0
 
 
