@@ -381,9 +381,12 @@ def check_harness_symbols(max_symbols) -> None:
 
     The bound is the cap on the largest one-sided hop, id x phi from a1 x a2
     to a1 x x2, as a dense (s * s) x (s * s) channel at s = max_symbols. The
-    harness reads that hop's costs from phi without forming the channel, so
-    the bound is the harness's size limit, not a memory guard; it runs
-    before any alphabet is built.
+    harness reads that hop's costs from phi without forming the channel, but
+    the bound still guards memory: ``_chunk_trials`` puts at least one trial
+    in a kernel call, and one trial's terms and mass-table entries grow as
+    s^3: about 73k at s = 32, against 65k ``_CHUNK_TERMS``, and about
+    2 * 10^9 in one ``np.bincount`` at s = 1000. So the bound keeps one
+    kernel call near ``_CHUNK_TERMS``. It runs before any alphabet is built.
     """
     side = max_symbols * max_symbols
     channel._check_entries(side * side, "max_symbols {} allows a {} x {} channel",

@@ -147,6 +147,7 @@ def pair_distance_distribution(n: int, k: int, gamma: float) -> PairDistanceLaw:
     """Exact law of the output distance: matching letters differ exactly when
     one copy flips, differing letters stay apart when both or neither flips,
     so the distance is a sum of two independent binomials."""
+    _require_count(n, "block length n")
     return _distance_laws(n, [k], gamma)[0]
 
 

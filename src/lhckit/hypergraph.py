@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import RequiresBijective, RequiresPartition, ShapeError, _indices
+from .errors import RequiresBijective, RequiresPartition, ShapeError, _indices, _require_count
 
 PRODUCT_SEP = "|"
 
@@ -84,11 +84,9 @@ class Alphabet:
 
     @staticmethod
     def of_size(n: int, prefix: str = "") -> "Alphabet":
-        size = len(range(n))
-        if size == 0:
-            raise ShapeError("alphabet must not be empty")
+        _require_count(n, "alphabet size")
         prefix = f"{prefix}"
-        return _init(object.__new__(Alphabet), size, prefix, None, PRODUCT_SEP not in prefix)
+        return _init(object.__new__(Alphabet), int(n), prefix, None, PRODUCT_SEP not in prefix)
 
     def _sep_free(self) -> bool:
         """Whether no label holds '|'; an explicit alphabet scans its labels
@@ -221,9 +219,10 @@ def k_identification_table(m: int, k: int) -> FunctionTable:
     """Membership test (i, S) -> 1{i in S} over all k-element subsets of the messages."""
     from itertools import combinations
 
-    if not 1 <= k <= m:
-        raise ShapeError("subset size must satisfy 1 <= k <= m")
+    _require_count(k, "subset size")
     msgs = Alphabet.of_size(m)
+    if k > m:
+        raise ShapeError("subset size must satisfy 1 <= k <= m")
     subsets = list(combinations(range(m), k))
     subset_alpha = Alphabet(tuple("+".join(str(i) for i in s) for s in subsets))
     dom = msgs.product(subset_alpha)

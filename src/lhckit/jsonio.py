@@ -196,10 +196,17 @@ def _text(value) -> str:
     return json.dumps(value, default=repr)
 
 
+# the JSON kind of each other value ``json.loads`` gives, with its article
+_KINDS = {list: "an array", str: "a string", bool: "a boolean", int: "a number",
+          float: "a number", type(None): "null"}
+
+
 def _require(d, what: str, *keys: str) -> None:
-    """Raise ShapeError unless d is a JSON object holding every key."""
+    """Raise ShapeError unless d is a JSON object holding every key; the
+    message names the JSON kind of anything else, never its value."""
     if not isinstance(d, dict):
-        raise ShapeError(f"{what} must be a JSON object, got a {type(d).__name__}")
+        kind = _KINDS.get(type(d), "no JSON value")
+        raise ShapeError(f"{what} must be a JSON object, got {kind}")
     missing = [key for key in keys if key not in d]
     if missing:
         raise ShapeError(f"{what} misses component {missing[0]!r}")

@@ -215,14 +215,6 @@ def edge_mass(rows: np.ndarray, hyper: Hypergraph) -> np.ndarray:
     rounded differently (up to 7.8e-16 apart on 198 entries of a V = 224
     code, enough to change 6 of its 8 encoder picks), so derandomization
     must rank by this mass.
-
-    A one-row gather is contiguous, so numpy sums it pairwise once the edge
-    has 8 or more columns, and ``one_sided_costs`` keeps a one-vertex
-    branch to copy that rounding. The sum stays as it is: an
-    ``np.add.accumulate`` along the gathered columns adds left to right on
-    every shape, with the same bits on multi-row gathers, but at V = 224
-    with 8 edges it takes 367 us where this takes 179 us (one pinned CPU,
-    numpy 2.4), a cost every certify job would pay.
     """
     mass = np.zeros((rows.shape[0], hyper.edge_count))
     for e, edge in enumerate(hyper.edges):
@@ -270,21 +262,22 @@ def one_sided_costs(sides) -> list[np.ndarray]:
     (a, b, x) order, go into one ``np.bincount``: a source row has a bin per
     column of one (rows, w) mass table, w one more than the largest target
     edge count, and a term goes into its row's column for the edge holding
-    (a, x), or the last one when none does. ``np.bincount`` adds one term
-    at a time into 0.0, so each bin adds its x in ascending order, as
-    ``edge_mass`` adds the product's gathered columns, and the product's
-    zeros add nothing: every mass keeps its bits, whatever else is in the
-    batch. A one-vertex source is the exception: the product's one row is
-    phi's, and numpy sums a single gathered row pairwise, so that row is
-    replaced by ``edge_mass`` of phi as it is. One ``_grouped_worst`` over
-    the table then gives every side's worst failure per source edge.
+    (a, x), or the last one when none does. The one summation rule: each
+    mass is the sum of its terms from 0.0, left to right in ascending x, as
+    ``np.bincount`` adds one term at a time, so it keeps its bits whatever
+    else is in the batch. On two or more source rows that is how
+    ``edge_mass`` adds the product's gathered columns, whose zeros add
+    nothing; the product's one row of a one-vertex source numpy sums
+    pairwise once an edge has 8 or more columns, which can round otherwise.
+    One ``_grouped_worst`` over the table then gives every side's worst
+    failure per source edge.
 
     Work and memory are the sides' terms (|other| times phi's entries) plus
     their rows times w; the product channel has |other|^2 times phi's
     entries. A caller bounds them by the size of its batch.
     """
     width = max(target.edge_count for *_, target, _ in sides) + 1
-    bins, terms, members, starts, one_row = [], [], [], [], []
+    bins, terms, members, starts = [], [], [], []
     row = 0  # the side's first row in the mass table
     for phi, other, source, target, phi_first in sides:
         edge_of = [width - 1] * target.vertices.size  # edges are disjoint
@@ -299,17 +292,12 @@ def one_sided_costs(sides) -> list[np.ndarray]:
             first, edge_of = first.reshape(m, p), np.array(edge_of).reshape(m, q)
         bins.append((first[:, :, None] + edge_of[:, None, :]).ravel())  # [a, b, x]
         terms += [phi.rows.ravel()] * m
-        if n == 1:
-            one_row.append((row, edge_mass(phi.rows, target)[0]))
         for edge in source.edges:
             starts.append(len(members))
             members.extend([row + v for v in edge])
         row += n
     mass = np.bincount(np.concatenate(bins), np.concatenate(terms), minlength=row * width)
-    mass = mass.reshape(row, width)
-    for r, masses in one_row:
-        mass[r, :masses.size] = masses
-    worst = _grouped_worst(mass, members, starts)
+    worst = _grouped_worst(mass.reshape(row, width), members, starts)
     costs, e = [], 0  # each side's first source edge in worst
     for _, _, source, target, _ in sides:
         costs.append(worst[e:e + source.edge_count, :target.edge_count])

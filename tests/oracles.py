@@ -4,7 +4,8 @@ binomial laws of the BSC example.
 Each certificate quantity is recomputed from the edge tuples alone, vertex
 by vertex, with frozensets, as the defining inequality states it; a code's
 error is the explicit triple sum over encoder, channel and decoder; a
-one-sided hop's costs come from its dense product channel. Nothing
+one-sided hop's costs come from its dense product channel, summed as numpy
+sums it or left to right as the one-sided kernel does. Nothing
 here reads the library's incidence matrix or calls its verification
 routines, so the tests never grade the library against itself; the one
 exception, ``looped_harness``, is the falsification harness run one
@@ -184,6 +185,26 @@ def dense_one_sided_cost(phi, other, source, target, phi_first=False):
     rows = np.kron(phi.rows, eye) if phi_first else np.kron(eye, phi.rows)
     mass = [rows[:, list(edge)].sum(axis=1) for edge in target.edges]
     return np.array([[max(1.0 - float(m[v]) for v in a) for m in mass]
+                     for a in source.edges]).reshape(source.edge_count, target.edge_count)
+
+
+def left_to_right_one_sided_cost(phi, other, source, target, phi_first=False):
+    """Cost matrix of id_other x phi (phi x id_other when phi_first) by the
+    one-sided kernel's summation rule: each vertex's mass on a target edge
+    is its dense product row's entries in that edge added to 0.0 one at a
+    time, in ascending column order, by a Python loop (no numpy sum and no
+    ``sum``, which compensates from Python 3.12 on), and the worst failure
+    over each source edge's vertices."""
+    eye = np.eye(other.size)
+    rows = (np.kron(phi.rows, eye) if phi_first else np.kron(eye, phi.rows)).tolist()
+
+    def mass(v: int, edge) -> float:
+        total = 0.0
+        for c in sorted(edge):
+            total += rows[v][c]
+        return total
+
+    return np.array([[max(1.0 - mass(v, edge) for v in a) for edge in target.edges]
                      for a in source.edges]).reshape(source.edge_count, target.edge_count)
 
 

@@ -32,7 +32,7 @@ from lhckit.bsc_id import (
     window_split_hypergraph,
     word_channel_rows,
 )
-from lhckit import bsc_id, channel, run_branch_swap_harness
+from lhckit import Alphabet, bsc_id, channel, k_identification_table, run_branch_swap_harness
 from lhckit.errors import (
     CapacityError,
     EmptyBlock,
@@ -817,9 +817,11 @@ class TestOneCheckPerRange:
         with pytest.raises(RangeError, match="must be positive"):
             window_split_hypergraph(8, 0.25, 1.0, epsilon)
 
-    # Each count entry point refuses through the one count check. 2.5 and "3"
-    # ended in a bare TypeError, in a 1.0 bound from chernoff_bound or in a
-    # run, True ran as 1, and 0 and -3 had messages of their own.
+    # Each count entry point refuses through the one count check, before any
+    # alphabet, law or table is built. 2.5 and "3" ended in a bare TypeError
+    # (numpy's UFuncTypeError for a law's "3"), in a 1.0 bound from
+    # chernoff_bound or in a run, True ran as 1 (a one-symbol alphabet), and
+    # 0 and -3 had messages of their own.
     @pytest.mark.parametrize("value", [0, -3, 2.5, True, "3"])
     @pytest.mark.parametrize("what, run", [
         ("codebook size", lambda v: gen_codebook(8, 0.25, v)),
@@ -831,8 +833,14 @@ class TestOneCheckPerRange:
         ("trials", lambda v: run_branch_swap_harness(v, 0)),
         ("max_edges", lambda v: run_branch_swap_harness(1, 0, max_edges=v)),
         ("max_symbols", lambda v: run_branch_swap_harness(1, 0, max_symbols=v)),
+        ("alphabet size", lambda v: Alphabet.of_size(v)),
+        ("alphabet size", lambda v: k_identification_table(v, 1)),
+        ("subset size", lambda v: k_identification_table(3, v)),
+        ("block length n", lambda v: pair_distance_distribution(v, 0, 0.1)),
+        ("block length n", lambda v: exact_window_miss(v, 0, 0.03, 0.3, 0.1)),
     ], ids=["gen_codebook", "mc-trials", "mc-workers", "chernoff", "power",
-            "harness-trials", "harness-max_edges", "harness-max_symbols"])
+            "harness-trials", "harness-max_edges", "harness-max_symbols", "of_size",
+            "k-id-messages", "k-id-subset", "distance-law", "window-miss"])
     def test_counts_are_refused_alike(self, what, run, value):
         with pytest.raises(RangeError,
                            match=f"^{re.escape(f'{what} {value!r}')} is not an integer >= 1$"):

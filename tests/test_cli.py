@@ -553,7 +553,7 @@ class TestLoaderPaths:
         ("channel", '{"input": ["0", "1"], "output": ["0", "1"]}',
          "error: input channel: channel misses component 'rows'"),
         ("channel", "[[0.97, 0.03], [0.03, 0.97]]",
-         "error: input channel: channel must be a JSON object, got a list"),
+         "error: input channel: channel must be a JSON object, got an array"),
         ("source", '{"vertices": ["0", "1"], "edges": 5}',
          "error: input source: edges: expected a list, got 5"),
         ("channel", '{"input": ["0", "1"], "output": ["0", "1"], '
@@ -780,7 +780,8 @@ def test_falsify_across_chunks_matches_golden_file(tmp_path):
     """600 trials at seed 3 with up to 9 symbols and 5 edges, recorded when
     the harness checked one trial at a time: the run spans several kernel
     chunks, and it draws one-vertex sources whose target edge has 8 or more
-    vertices, the rows numpy sums pairwise."""
+    vertices, whose one row numpy would sum pairwise and the kernel adds
+    left to right like every other row; the file keeps its bytes."""
     from lhckit import bipartite, named_rng
 
     assert bipartite._chunk_trials(5, 9) * 2 <= 600
@@ -1003,13 +1004,18 @@ class TestRefusalsOnMutatedGoldens:
     # each ended in a traceback or a message about Python internals
     ({"task": []}, "cannot read config: task must be a string, got []"),
     ({"task": {}}, "cannot read config: task must be a string, got {}"),
-    ([{"task": "rates"}], "cannot read config: config must be a JSON object, got a list"),
+    ([{"task": "rates"}], "cannot read config: config must be a JSON object, got an array"),
     ({"task": "rates", "inputs": "x"},
-     "cannot read config: inputs must be a JSON object, got a str"),
+     "cannot read config: inputs must be a JSON object, got a string"),
     ({"task": "rates", "params": [0.03]},
-     "cannot read config: params must be a JSON object, got a list"),
+     "cannot read config: params must be a JSON object, got an array"),
     ({"task": "rates", "outputs": 5},
-     "cannot read config: outputs must be a JSON object, got a int"),
+     "cannot read config: outputs must be a JSON object, got a number"),
+    # the JSON kind is named, never the Python type or the value
+    ({"task": "rates", "params": True},
+     "cannot read config: params must be a JSON object, got a boolean"),
+    ({"task": "rates", "outputs": None},
+     "cannot read config: outputs must be a JSON object, got null"),
 ])
 def test_validate_config_of_the_wrong_shape_is_one_note(tmp_path, capsys, config, note):
     cfg = tmp_path / "cfg.json"

@@ -29,7 +29,7 @@ from lhckit import (
     verify_lhc,
 )
 from lhckit.channel import bsc, sample
-from lhckit.errors import RequiresBijective, RequiresPartition, ShapeError
+from lhckit.errors import RangeError, RequiresBijective, RequiresPartition, ShapeError
 
 import oracles
 from conftest import rand_partition
@@ -181,8 +181,9 @@ class TestAlphabetRules:
             hypergraph._require_same_alphabet(
                 Alphabet.of_size(2, "a").product(Alphabet.of_size(2, "b")),
                 Alphabet.of_size(2, "a").product(Alphabet(("b0", "c1"))), "w")
-        with pytest.raises(ShapeError, match="^alphabet must not be empty$"):
+        with pytest.raises(RangeError, match="^alphabet size 0 is not an integer >= 1$"):
             Alphabet.of_size(0)
+        assert type(Alphabet.of_size(np.int64(3)).size) is int
 
     def test_frozen_repr_and_copies(self):
         a = Alphabet.of_size(2).product(BITS)
