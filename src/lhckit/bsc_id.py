@@ -33,7 +33,6 @@ from . import channel
 from .channel import Channel, _adopt, _check_entries, named_rng, tensor
 from .errors import (
     CapacityError,
-    EmptyBlock,
     EpsilonTooLarge,
     Infeasible,
     RangeError,
@@ -424,10 +423,9 @@ class ExampleHypergraphs:
     hyper_g2 carry the same split on (codeword, message) and (message,
     codeword) pairs, and hyper_c on codeword pairs. All four are indexed by
     messages and codewords only, so no 4^n vertex set is enumerated; a split
-    of all n-bit word pairs comes from threshold_split_hypergraph or
-    window_split_hypergraph, for small n. Edge index 0 is the far/mismatch
-    edge, index 1 the equal/match edge, matching the preimage order of the
-    equality test.
+    of all n-bit word pairs comes from threshold_split_hypergraph, for small
+    n. Edge index 0 is the far/mismatch edge, index 1 the equal/match edge,
+    matching the preimage order of the equality test.
     """
 
     hyper_h: Hypergraph
@@ -470,16 +468,9 @@ def word_alphabet(n: int) -> Alphabet:
     return Alphabet(tuple(format(w, f"0{n}b") for w in range(1 << n)))
 
 
-def word_channel_rows(words: tuple[str, ...], n: int, gamma: float) -> np.ndarray:
-    """Row per word: exact flip probabilities onto every n-bit word. The
-    M x 2^n entries are checked against the cap before any allocation."""
-    bits = _word_bits(words, n)
-    _check_entries(len(bits) << n, "channel of {} x {}", len(bits), 1 << n)
-    return _flip_rows(bits, n, gamma)
-
-
 def _flip_rows(bits: np.ndarray, n: int, gamma: float) -> np.ndarray:
-    """word_channel_rows of the words whose n-column bit matrix is bits."""
+    """Row per word of the n-column bit matrix bits: exact flip
+    probabilities onto every n-bit word."""
     law = np.array([gamma**d * (1.0 - gamma) ** (n - d) for d in range(n + 1)])
     return law[_hamming(bits, _all_word_bits(n))]
 
@@ -507,46 +498,16 @@ def pair_distance_table(n: int) -> np.ndarray:
     return _hamming(bits, bits)
 
 
-def _word_pair_split(n: int, split) -> Hypergraph:
-    """Hypergraph on all ordered pairs of n-bit words, one edge per boolean
-    mask that split returns for the flat row-major pair_distance_table."""
-    masks = split(pair_distance_table(n).reshape(-1))
-    full = word_alphabet(n)
-    return Hypergraph(full.product(full),
-                      tuple(tuple(np.flatnonzero(mask).tolist()) for mask in masks))
-
-
 def threshold_split_hypergraph(n: int, t: float) -> Hypergraph:
     """Partition of all word pairs into far (distance above t) and near.
 
     Edge 0 holds the far pairs, edge 1 the near ones, matching the
     mismatch/match edge order used everywhere else.
     """
-    return _word_pair_split(n, lambda dist: (dist > t, dist <= t))
-
-
-def window_split_hypergraph(
-    n: int, gamma: float, delta: float, epsilon: float
-) -> Hypergraph:
-    """Word pairs split into the two concentration windows.
-
-    Pairs outside both windows are isolated vertices. Fails with EmptyBlock
-    when a window contains no integer distance (unavoidable at small n), and
-    through require_windows for an epsilon outside (0, epsilon_max).
-    """
-    require_windows(delta, gamma, epsilon)
-
-    def windows(dist):
-        for name, delta_nominal in (("far", delta), ("equal", 0.0)):
-            inside = in_window(dist, n, gamma, epsilon, delta_nominal)
-            if not inside.any():
-                lo, hi = window_interval(n, gamma, epsilon, delta_nominal)
-                raise EmptyBlock(
-                    f"{name} window ({lo:.6g}, {hi:.6g}) holds no integer distance at n={n}"
-                )
-            yield inside
-
-    return _word_pair_split(n, windows)
+    dist = pair_distance_table(n).reshape(-1)
+    full = word_alphabet(n)
+    return Hypergraph(full.product(full), (tuple(np.flatnonzero(dist > t).tolist()),
+                                           tuple(np.flatnonzero(dist <= t).tolist())))
 
 
 # ---------------------------------------------------------------------------

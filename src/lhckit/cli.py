@@ -133,12 +133,22 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
     if config.task not in _HANDLERS:
         notes.append(f"error: unknown task {config.task!r}")
         return notes, objects
-    for role, path in config.inputs.items():
+    # the task's keys are its subcommand's flag dests, split as
+    # config_from_args splits them; any other key is one note and not read
+    command = next(a for a in _parser()._actions if a.dest == "command").choices[config.task]
+    part_of = {a.dest: "output" if a.dest in command.get_default("outputs") else "input"
+               if a.dest in _LOADERS else "param" for a in command._actions if a.dest != "help"}
+    parts = {"input": config.inputs, "param": config.params, "output": config.outputs}
+    for part, given in parts.items():
+        notes += [f"error: unknown {part} {key!r} for {config.task}"
+                  for key in given if part_of.get(key) != part]
+        parts[part] = {key: value for key, value in given.items() if part_of.get(key) == part}
+    for role, path in parts["input"].items():
         if not isinstance(path, (str, os.PathLike)):
             notes.append(f"error: input {role}: path must be a string, got {path!r}")
         elif not Path(path).is_file():
             notes.append(f"error: input {role}: no file at {path}")
-        elif role in _LOADERS:
+        else:
             try:
                 objects[role] = _LOADERS[role](path)
             except Exception as exc:  # malformed input must not crash
@@ -149,7 +159,7 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
             msgs.product(msgs)
         except LhcKitError as exc:
             notes.append(f"error: input enc1: message pairs: {exc}")
-    for role, path in config.outputs.items():
+    for role, path in parts["output"].items():
         if not isinstance(path, (str, os.PathLike)):
             notes.append(f"error: output {role}: path must be a string, got {path!r}")
             continue
@@ -160,7 +170,7 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
         elif not Path(folder or ".").is_dir():
             notes.append(f"error: output {role}: no directory {folder!r} for {path!r}")
 
-    p = config.params
+    p = parts["param"]
     refused: set = set()
     for keys, check in _RANGES + _TASK_RANGES.get(config.task, []):
         if any(p.get(key) is None or key in refused for key in keys):

@@ -196,9 +196,9 @@ def _text(value) -> str:
     return json.dumps(value, default=repr)
 
 
-# the JSON kind of each other value ``json.loads`` gives, with its article
-_KINDS = {list: "an array", str: "a string", bool: "a boolean", int: "a number",
-          float: "a number", type(None): "null"}
+# the JSON kind of each value ``json.loads`` gives, with its article
+_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+          int: "a number", float: "a number", type(None): "null"}
 
 
 def _require(d, what: str, *keys: str) -> None:
@@ -217,20 +217,21 @@ def _alphabet(labels, what: str) -> Alphabet:
     label that is no string, and its refusal here is prefixed with what.
 
     The string "ab" would read as the labels "a" and "b", so anything but a
-    list raises ShapeError.
+    list raises ShapeError, through ``_list``.
     """
-    if not isinstance(labels, list):
-        raise ShapeError(f"{what} must be a list of strings, got {_text(labels)}")
+    labels = tuple(_list(labels, what))
     try:
-        return Alphabet(tuple(labels))
+        return Alphabet(labels)
     except ShapeError as exc:
         raise ShapeError(f"{what}: {exc}") from None
 
 
 def _list(value, what: str) -> list:
-    """``value`` if it is a JSON list; anything else raises ShapeError."""
+    """``value`` if it is a JSON array; anything else raises ShapeError
+    naming its JSON kind, as ``_require`` does, never its value."""
     if not isinstance(value, list):
-        raise ShapeError(f"{what}: expected a list, got {_text(value)}")
+        kind = _KINDS.get(type(value), "no JSON value")
+        raise ShapeError(f"{what} must be a JSON array, got {kind}")
     return value
 
 

@@ -82,10 +82,14 @@ def edge_vector(value, count: int, name: str) -> np.ndarray:
 
     The one per-edge number check: every entry must be a real number that
     float64 holds, not a bool, and not NaN, or RangeError names the
-    parameter. NaN compares false against every bound, so unrefused it
-    would let a certificate pass or a hypothesis check hold vacuously.
+    parameter and the first bad entry. NaN compares false against every
+    bound, so unrefused it would let a certificate pass or a hypothesis
+    check hold vacuously. A list and an ndarray pass the same entries: a
+    float or integer array at once, any other (bool, complex, object) entry
+    by entry, so a ``Fraction`` array reads as its list does.
     """
     if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu"):
+        value = value.tolist() if isinstance(value, np.ndarray) else value
         for x in value if isinstance(value, (list, tuple)) else [value]:
             _require_real(x, name)
     try:

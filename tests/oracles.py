@@ -15,6 +15,11 @@ here). Every
 probability is the same gathered-row sum the definition names, so results
 can be compared bitwise. The binomial laws are exact rationals instead, so
 the library's float laws are graded in ulp.
+
+The dense 4^n builders of the BSC example that no package code calls,
+``window_split_hypergraph`` and ``word_channel_rows``, live here too. They
+build from the package's own pair table, window test and flip rows, so
+their refusals, messages and bits are the package's.
 """
 
 from __future__ import annotations
@@ -25,7 +30,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from lhckit import EdgeMap
+from lhckit import EdgeMap, bsc_id
+from lhckit.channel import _check_entries
+from lhckit.errors import EmptyBlock
+from lhckit.hypergraph import Hypergraph
 
 SLACK = 1e-12  # the verdict slack the certificate documents
 
@@ -301,3 +309,36 @@ def ulps(x: float, exact: Fraction) -> Fraction:
     common = max(den, x_den)  # both powers of two
     diff = abs(x_num * (common // x_den) - num * (common // den))
     return Fraction(diff << max(0, 52 - e), common << max(0, e - 52))
+
+
+def word_channel_rows(words: tuple[str, ...], n: int, gamma: float) -> np.ndarray:
+    """Row per word: exact flip probabilities onto every n-bit word. The
+    M x 2^n entries are checked against the cap before any allocation."""
+    bits = bsc_id._word_bits(words, n)
+    _check_entries(len(bits) << n, "channel of {} x {}", len(bits), 1 << n)
+    return bsc_id._flip_rows(bits, n, gamma)
+
+
+def window_split_hypergraph(n: int, gamma: float, delta: float,
+                            epsilon: float) -> Hypergraph:
+    """Word pairs split into the two concentration windows: edge 0 the far
+    window at delta, edge 1 the equal window.
+
+    Pairs outside both windows are isolated vertices. Fails through
+    require_windows for an epsilon outside (0, epsilon_max), then with
+    CapacityError past the 4^n pair cap, then with EmptyBlock when a window,
+    the far one first, contains no integer distance (unavoidable at small n).
+    """
+    bsc_id.require_windows(delta, gamma, epsilon)
+    dist = bsc_id.pair_distance_table(n).reshape(-1)
+    full = bsc_id.word_alphabet(n)
+    pairs = full.product(full)
+    edges = []
+    for name, delta_nominal in (("far", delta), ("equal", 0.0)):
+        inside = bsc_id.in_window(dist, n, gamma, epsilon, delta_nominal)
+        if not inside.any():
+            lo, hi = bsc_id.window_interval(n, gamma, epsilon, delta_nominal)
+            raise EmptyBlock(
+                f"{name} window ({lo:.6g}, {hi:.6g}) holds no integer distance at n={n}")
+        edges.append(tuple(np.flatnonzero(inside).tolist()))
+    return Hypergraph(pairs, tuple(edges))

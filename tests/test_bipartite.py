@@ -44,6 +44,7 @@ from lhckit.hypergraph import Hypergraph
 from lhckit.verify import _match, edge_cost_matrix, one_sided_costs, one_sided_side
 
 import oracles
+from oracles import word_channel_rows
 from conftest import rand_channel, rand_partition, sharp_channel
 
 HARNESS_300 = json.loads(
@@ -67,7 +68,7 @@ def repetition_split_args() -> tuple:
     book = bsc_id.gen_codebook(n, 1.0, 2)
     cw = Alphabet(book.words)
     full = bsc_id.word_alphabet(n)
-    phi1 = Channel(cw, full, bsc_id.word_channel_rows(book.words, n, gamma))
+    phi1 = Channel(cw, full, word_channel_rows(book.words, n, gamma))
     ex = bsc_id.build_example_hypergraphs(book, epsilon=0.3, gamma=gamma)
     hyper_d = bsc_id.threshold_split_hypergraph(n, t)
     b = bsc_id.beta(gamma)
@@ -209,7 +210,7 @@ class TestBranchSwap:
         msgs = Alphabet.of_size(2)
         cw = Alphabet(book.words)
         full = bsc_id.word_alphabet(n)
-        phi = Channel(msgs, full, bsc_id.word_channel_rows(book.words, n, gamma))
+        phi = Channel(msgs, full, word_channel_rows(book.words, n, gamma))
 
         def near_split(first_words, alpha):
             match, mismatch = [], []

@@ -29,10 +29,9 @@ from lhckit.bsc_id import (
     theta,
     threshold_split_hypergraph,
     window_interval,
-    window_split_hypergraph,
-    word_channel_rows,
 )
 from lhckit import Alphabet, bsc_id, channel, k_identification_table, run_branch_swap_harness
+from lhckit.hypergraph import Hypergraph
 from lhckit.errors import (
     CapacityError,
     EmptyBlock,
@@ -42,6 +41,7 @@ from lhckit.errors import (
     ShapeError,
 )
 import oracles
+from oracles import window_split_hypergraph, word_channel_rows
 
 MODES = ("one-sided-threshold", "paper-windows")
 TINY = np.finfo(np.float64).tiny
@@ -544,6 +544,25 @@ class TestExampleHypergraphs:
             with pytest.raises(CapacityError, match=r"^alphabet of all 8-bit word pairs: "
                                r"65536 entries exceed the cap 65535$"):
                 split()
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_threshold_split_is_the_pair_loop(self, n):
+        # every ordered word pair by letter comparison: far above t, near at
+        # or below; an empty side is refused as Hypergraph refuses it
+        words = [format(w, f"0{n}b") for w in range(1 << n)]
+        dists = [zip_distance(a, b) for a in words for b in words]
+        pairs = Alphabet(tuple(f"{a}|{b}" for a in words for b in words))
+        for t in [-1, *np.arange(0, n + 1.5, 0.5).tolist()]:
+            far = tuple(i for i, d in enumerate(dists) if d > t)
+            near = tuple(i for i, d in enumerate(dists) if d <= t)
+            if far and near:
+                h = threshold_split_hypergraph(n, t)
+                assert h.vertices == pairs and h.edges == (far, near)
+                continue
+            with pytest.raises(ShapeError) as expected:
+                Hypergraph(pairs, (far, near))
+            with pytest.raises(ShapeError, match=f"^{re.escape(str(expected.value))}$"):
+                threshold_split_hypergraph(n, t)
 
 
 class TestRestrictedPairChannel:

@@ -542,7 +542,7 @@ class TestLoaderPaths:
         # each loaded as something else, or failed with a bare KeyError or
         # TypeError message
         ("source", '{"vertices": "01", "edges": [[0], [1]]}',
-         'error: input source: vertices must be a list of strings, got "01"'),
+         "error: input source: vertices must be a JSON array, got a string"),
         ("source", '{"vertices": ["0", ["1"]], "edges": [[0], [1]]}',
          "error: input source: vertices: label ['1'] is not a string"),
         ("source", '{"vertices": [null, "1"], "edges": [[0], [1]]}',
@@ -555,7 +555,7 @@ class TestLoaderPaths:
         ("channel", "[[0.97, 0.03], [0.03, 0.97]]",
          "error: input channel: channel must be a JSON object, got an array"),
         ("source", '{"vertices": ["0", "1"], "edges": 5}',
-         "error: input source: edges: expected a list, got 5"),
+         "error: input source: edges must be a JSON array, got a number"),
         ("channel", '{"input": ["0", "1"], "output": ["0", "1"], '
                     '"rows": [[0.97, 0.03], [1.0]]}',
          "error: input channel: channel entry: expected rows of equal length, "
@@ -698,11 +698,13 @@ def test_validate_notes_malformed_error_vector(tmp_path, capsys):
 def test_validate_notes_ints_beyond_float_range(tmp_path, capsys):
     write_singleton_instance(tmp_path)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"task": "verify",
-                               "inputs": {"source": str(tmp_path / "G.json")},
-                               "params": {"lambda": 10**400, "grid": [0, 10**400, 1]}}))
-    assert main(["validate", "--config", str(cfg)]) == 0
-    notes = capsys.readouterr().out.splitlines()
+    notes = []
+    for config in ({"task": "rates", "params": {"grid": [0, 10**400, 1]}},
+                   {"task": "verify", "inputs": {"source": str(tmp_path / "G.json")},
+                    "params": {"lambda": 10**400}}):
+        cfg.write_text(json.dumps(config))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        notes += capsys.readouterr().out.splitlines()
     assert [n.split()[:2] for n in notes] == [["error:", "grid"], ["error:", "lambda"]]
     assert notes[0].endswith("needs finite start, stop and step")
 
@@ -1022,6 +1024,59 @@ def test_validate_config_of_the_wrong_shape_is_one_note(tmp_path, capsys, config
     cfg.write_text(json.dumps(config))
     assert main(["validate", "--config", str(cfg)]) == 0
     assert capsys.readouterr().out == f"error: {note}\n"
+
+
+# each printed "ok: configuration is well formed": the key was dropped unread
+@pytest.mark.parametrize("config, notes", [
+    ({"task": "verify", "inputs": {"chanel": "x.json"}},
+     ["unknown input 'chanel' for verify"]),
+    ({"task": "id-sim", "params": {"M": 4, "gamma": 0.03}},
+     ["unknown param 'M' for id-sim"]),
+    ({"task": "id-sim", "outputs": {"out": "nodir/x.csv", "csv": "x.csv"}},
+     ["unknown output 'out' for id-sim"]),
+    # an unknown key is not read: no range note for gamma, no file note for
+    # the phi path, no directory note for the output
+    ({"task": "codebook", "inputs": {"phi": "x.json"}, "params": {"gamma": -1},
+      "outputs": {"csv": "nodir/x.csv"}},
+     ["unknown input 'phi' for codebook", "unknown param 'gamma' for codebook",
+      "unknown output 'csv' for codebook"]),
+])
+def test_validate_notes_each_key_the_task_does_not_have(tmp_path, capsys, config, notes):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"error: {n}" for n in notes]
+
+
+SUBCOMMAND_ARGV = [
+    ["verify", "--channel", "c", "--source", "s", "--target", "t", "--edge-map", "m",
+     "--lambda", "0.1", "--out", "o"],
+    ["decompose", "--phi", "p", "--gamma-channel", "g", "--source", "s", "--target", "t",
+     "--edge-map", "m", "--lambda", "0.1", "--mu", "0.1", "--kappa", "0.4",
+     "--out-prefix", "o"],
+    ["derandomize", "--code", "c", "--out-prefix", "o"],
+    ["assemble-id", "--enc1", "a", "--enc2", "b", "--phi", "p", "--hyper-h", "h",
+     "--hyper-g1", "g", "--hyper-g2", "g", "--hyper-f", "f", "--hyper-d", "d",
+     "--alpha", "0.1", "--beta", "0.1", "--mu", "0.1", "--out-prefix", "o"],
+    ["id-sim", "--n", "16", "--gamma", "0.03", "--delta", "0.25", "--eps", "0.3",
+     "--M", "4", "--trials", "5", "--seed", "1", "--mode", "paper-windows",
+     "--codebook", "b", "--out", "o"],
+    ["rates", "--gamma", "0.03", "--grid", "0:0.5:0.1", "--out", "o"],
+    ["codebook", "--n", "8", "--delta", "0.25", "--M", "4", "--strategy",
+     "random-greedy", "--seed", "1", "--out", "o"],
+    ["falsify", "--trials", "5", "--seed", "1", "--max-edges", "3",
+     "--max-symbols", "3", "--out", "o"],
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=lambda argv: argv[0])
+def test_every_flag_is_a_known_config_key(argv):
+    config = cli.config_from_args(cli.build_parser().parse_args(argv))
+    assert not [n for n in cli.validate(config)[0] if "unknown" in n]
+
+
+def test_every_subcommand_is_covered():
+    assert [argv[0] for argv in SUBCOMMAND_ARGV] == list(cli._HANDLERS)
 
 
 class TestParserOncePerProcess:

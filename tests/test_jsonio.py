@@ -215,7 +215,7 @@ EDGE_MAP = {"source_edges": 2, "target_edges": 2, "map": [1, 0]}
     (jsonio.channel_from_dict, lambda: CHANNEL, "rows", [[1, 0], 0.5],
      r"channel entry must be a number, got \[1, 0\]"),
     (jsonio.channel_from_dict, lambda: CHANNEL, "rows", "1",
-     'channel entry: expected a list, got "1"'),
+     "channel entry must be a JSON array, got a string"),
     # lambda is read at the edge count; a longer one loaded
     (jsonio.certificate_from_dict, lambda: CERTIFICATE, "lambda", [0.1, 0.2],
      r"^lambda must have one entry per edge \(1\)$"),
@@ -238,15 +238,15 @@ EDGE_MAP = {"source_edges": 2, "target_edges": 2, "map": [1, 0]}
      r'^x2 \["v0", "v1"\] disagrees with phi output \["v0"\]$'),
     # each raised a bare TypeError or numpy's ValueError
     (jsonio.hypergraph_from_dict, lambda: HYPERGRAPH, "edges", 5,
-     "^edges: expected a list, got 5$"),
+     "^edges must be a JSON array, got a number$"),
     (jsonio.hypergraph_from_dict, lambda: HYPERGRAPH, "edges", [[0], 1],
-     "^edge: expected a list, got 1$"),
+     "^edge must be a JSON array, got a number$"),
     (jsonio.function_table_from_dict, lambda: FUNCTION_TABLE, "map", "01",
-     '^map: expected a list, got "01"$'),
+     "^map must be a JSON array, got a string$"),
     (jsonio.edge_map_from_dict, lambda: EDGE_MAP, "map", {"0": 1},
-     r'^map: expected a list, got \{"0": 1\}$'),
+     "^map must be a JSON array, got an object$"),
     (jsonio.certificate_from_dict, lambda: CERTIFICATE, "failing_edges", 0,
-     "^failing_edges: expected a list, got 0$"),
+     "^failing_edges must be a JSON array, got a number$"),
     (jsonio.channel_from_dict, lambda: CHANNEL, "rows", [[0.75, 0.25], [1]],
      "^channel entry: expected rows of equal length, got lengths 1 and 2$"),
     (jsonio.channel_from_dict, lambda: CHANNEL, "rows", [[0.75, 0.25, 0.0], [0, 1]],
