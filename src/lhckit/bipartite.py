@@ -14,7 +14,6 @@ their sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -87,11 +86,11 @@ class BranchSwapReport:
     conclusion_profile: np.ndarray
     instance: BipartiteInstance
 
-    @cached_property
+    @property
     def hypothesis_holds(self) -> bool:
         return not exceeds(self.hypothesis_profile, self.instance.lam).any()
 
-    @cached_property
+    @property
     def conclusion_holds(self) -> bool:
         return not exceeds(self.conclusion_profile, self.instance.lam).any()
 

@@ -101,9 +101,12 @@ def _require_count(value, what: str, least: int = 1) -> None:
 
 
 def _require_real(value, what: str) -> None:
-    """Raise RangeError unless value is a real number; a bool is no number."""
+    """Raise RangeError unless value is a real number; a bool is no number.
+    A numpy scalar or array is named by its ``tolist()`` value, not its repr."""
     # a float passes without the slower abstract-class check
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
+        if isinstance(value, (np.ndarray, np.generic)):
+            value = value.tolist()
         raise RangeError(f"{what} {value!r} is not a real number")
 
 

@@ -77,6 +77,13 @@ class TestRatesCommand:
         assert float(first[2]) == pytest.approx(0.8056, abs=1e-4)
         assert len(lines) == 2 + 50  # header + deltas 0..0.5 inclusive
 
+    def test_validate_passes_the_same_run(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": "rates",
+                                   "params": {"gamma": 0.03, "grid": [0, 0.5, 0.01]}}))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == "ok: configuration is well formed\n"
+
 
 class TestIdSimCommand:
     def test_csv_columns_and_bound(self, tmp_path):
@@ -440,8 +447,8 @@ class TestMalformedInputExitsTwo:
 
     def test_valid_worker_count_is_used(self, tmp_path, monkeypatch):
         """The worker count is the number of CPUs the process may run on: one
-        CPU runs serially, four take the thread pool, and both write the same
-        CSV bytes."""
+        CPU runs serially, four take the thread pool, an LHC_KIT_WORKERS left
+        in the environment is not read, and each writes the recorded CSV."""
         pools = []
 
         class Recording(bsc_id.ThreadPoolExecutor):
@@ -450,12 +457,18 @@ class TestMalformedInputExitsTwo:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(bsc_id, "ThreadPoolExecutor", Recording)
-        for name, cpus in (("one", {0}), ("four", {0, 1, 2, 3})):
+        # a worker count of 0 would be refused, and one of 1 would run serially
+        for name, cpus, env in (("one", {0}, None), ("four", {0, 1, 2, 3}, None),
+                                ("env0", {0, 1, 2, 3}, "0"), ("env1", {0, 1, 2, 3}, "1")):
+            if env is not None:
+                monkeypatch.setenv("LHC_KIT_WORKERS", env)
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
                                 raising=False)
-            assert main([*ID_SIM, "--out", str(tmp_path / f"{name}.csv")]) == 0
+            pools.clear()
+            out = tmp_path / f"{name}.csv"
+            assert main([*GOLDEN_ID_SIM, "--out", str(out)]) == 0
             assert pools == ([] if name == "one" else [4])
-        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "four.csv").read_bytes()
+            assert out.read_bytes() == (BSC / "golden.id-sim.csv").read_bytes()
 
 
 class TestOutputPaths:
@@ -801,13 +814,14 @@ def test_falsify_across_chunks_matches_golden_file(tmp_path):
 
 
 BSC = Path(__file__).parent / "data" / "bsc"
+GOLDEN_ID_SIM = ["id-sim", "--n", "200", "--gamma", "0.03", "--delta", "0.1",
+                 "--eps", "0.3", "--M", "20", "--trials", "12000", "--seed", "7"]
 
 
 @pytest.mark.parametrize("argv, name", [
     (["codebook", "--n", "200", "--delta", "0.1", "--M", "20",
       "--strategy", "random-greedy", "--seed", "7"], "golden.codebook.txt"),
-    (["id-sim", "--n", "200", "--gamma", "0.03", "--delta", "0.1", "--eps", "0.3",
-      "--M", "20", "--trials", "12000", "--seed", "7"], "golden.id-sim.csv"),
+    (GOLDEN_ID_SIM, "golden.id-sim.csv"),
 ])
 def test_seeded_bsc_outputs_match_golden_files(tmp_path, argv, name):
     """The random-greedy candidate stream and the Monte Carlo flips at a seed:

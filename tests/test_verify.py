@@ -193,6 +193,9 @@ class TestEdgeVector:
         (True, "mu True is not a real number"),
         (np.array([True, False, True]), "mu True is not a real number"),
         ([0.1, "a", 0.2], "mu 'a' is not a real number"),
+        # a numpy scalar or array entry is named by its value, not its repr
+        (np.True_, "mu True is not a real number"),
+        ([np.array([0.1]), 0.2, 0.3], "mu [0.1] is not a real number"),
         (10**400, "mu holds a number past the float64 range"),
         ([0.1, 0.2, -10**400], "mu holds a number past the float64 range"),
     ])
