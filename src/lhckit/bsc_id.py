@@ -147,11 +147,13 @@ def pair_distance_distribution(n: int, k: int, gamma: float) -> PairDistanceLaw:
     one copy flips, differing letters stay apart when both or neither flips,
     so the distance is a sum of two independent binomials."""
     _require_count(n, "block length n")
-    return _distance_laws(n, [k], gamma)[0]
+    pmf = _distance_laws(n, [k], gamma)[0]  # refuses k before int() reads it
+    return PairDistanceLaw(n, int(k), pmf)
 
 
-def _distance_laws(n: int, ks, gamma: float) -> list[PairDistanceLaw]:
-    """pair_distance_distribution for each input distance in ks.
+def _distance_laws(n: int, ks, gamma: float) -> np.ndarray:
+    """The laws of pair_distance_distribution for the input distances in
+    ks: a (len(ks), n + 1) float64 matrix, one row per distance.
 
     One ``_binom_rows`` call at p = beta gives the rows of n - k trials, for
     the matching letters, and of k trials: the differing letters stay apart
@@ -159,17 +161,20 @@ def _distance_laws(n: int, ks, gamma: float) -> list[PairDistanceLaw]:
     so 1 - beta is never rounded on its own. A law is the convolution of its
     two rows, sums of nonnegative products of at most min(k, n - k) + 1
     terms, so to first order every entry is within (4n + min(k, n - k) + 1)
-    ulp, at most 5n ulp, of the exact law at the float beta. The pmf is
-    elementwise, so each law has the bits of a single-k call.
+    ulp, at most 5n ulp, of the exact law at the float beta. Each row is
+    built on its own, so it has the bits of a single-k call. ks is read as
+    one numpy array. RangeError names its first entry when that array is
+    neither integer nor float (as for a bool, a string or None), else its
+    first entry outside [0, n] or with a fraction.
     """
     ks = np.asarray(ks)
-    bad = ks[(ks < 0) | (ks > n) | (ks % 1 != 0)]
+    bad = ks if ks.dtype.kind not in "iuf" else ks[(ks < 0) | (ks > n) | (ks % 1 != 0)]
     if bad.size:
-        raise RangeError(f"input distance {bad[0]} is not an integer in [0, {n}]")
+        raise RangeError(f"input distance {bad.tolist()[0]!r} is not an integer in [0, {n}]")
     ks = ks.astype(np.int64)
     rows = _binom_rows(np.concatenate((n - ks, ks)), beta(gamma), n)
-    return [PairDistanceLaw(n, int(k), np.convolve(same[:n - k + 1], diff[k::-1]))
-            for k, same, diff in zip(ks, rows, rows[ks.size:])]
+    return np.array([np.convolve(same[:n - k + 1], diff[k::-1]) for k, same, diff
+                     in zip(ks, rows, rows[ks.size:])]).reshape(ks.size, n + 1)
 
 
 def _binom_rows(trials, p: float, n: int) -> np.ndarray:
@@ -447,14 +452,12 @@ def build_example_hypergraphs(
     hyper_h = characteristic_hypergraph(identification_table(codebook.size))
     msgs = Alphabet.of_size(codebook.size)
     cw = Alphabet(codebook.words)
-    hyper = ExampleHypergraphs(
+    return ExampleHypergraphs(
         hyper_h=hyper_h,
         hyper_g1=Hypergraph(cw.product(msgs), hyper_h.edges),
         hyper_g2=Hypergraph(msgs.product(cw), hyper_h.edges),
         hyper_c=Hypergraph(cw.product(cw), hyper_h.edges),
     )
-    assert hyper.hyper_c.is_partition
-    return hyper
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +467,7 @@ def build_example_hypergraphs(
 
 def word_alphabet(n: int) -> Alphabet:
     """All n-bit words as labels, in numeric order."""
+    _require_count(n, "block length n")
     _check_entries(1 << n, "alphabet of all {}-bit words", n)
     return Alphabet(tuple(format(w, f"0{n}b") for w in range(1 << n)))
 
@@ -490,21 +494,17 @@ def restricted_pair_channel(codebook: Codebook, gamma: float) -> Channel:
     return tensor(word, word)
 
 
-def pair_distance_table(n: int) -> np.ndarray:
-    """Hamming distance of every ordered pair of n-bit words, row-major.
-    The 4^n pairs are checked against the cap before the table is built."""
-    _check_entries(1 << 2 * n, "alphabet of all {}-bit word pairs", n)
-    bits = _all_word_bits(n)
-    return _hamming(bits, bits)
-
-
 def threshold_split_hypergraph(n: int, t: float) -> Hypergraph:
     """Partition of all word pairs into far (distance above t) and near.
 
     Edge 0 holds the far pairs, edge 1 the near ones, matching the
-    mismatch/match edge order used everywhere else.
+    mismatch/match edge order used everywhere else. The 4^n pairs are
+    checked against the cap before their distances are built.
     """
-    dist = pair_distance_table(n).reshape(-1)
+    _require_count(n, "block length n")
+    _check_entries(1 << 2 * n, "alphabet of all {}-bit word pairs", n)
+    bits = _all_word_bits(n)
+    dist = _hamming(bits, bits).reshape(-1)
     full = word_alphabet(n)
     return Hypergraph(full.product(full), (tuple(np.flatnonzero(dist > t).tolist()),
                                            tuple(np.flatnonzero(dist <= t).tolist())))
@@ -643,8 +643,9 @@ def exact_error_rates(
     counts = np.bincount(off)
     ks = np.flatnonzero(counts)  # distinct codewords: never distance 0
     laws = _distance_laws(n, np.concatenate(([0], ks)), gamma)
-    false_reject = float(laws[0].pmf[~accepted].sum())
-    far = [law.pmf[accepted].sum() for law in laws[1:]]
+    false_reject = float(laws[0][~accepted].sum())
+    # one sum per row: a 2-D sum over the gathered block rounds differently
+    far = [law[accepted].sum() for law in laws[1:]]
     return false_reject, float(counts[ks] @ np.array(far) / off.size)
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import Channel, compose, deterministic_channel
-from .errors import RequiresBijective, ShapeError
+from .errors import DecompositionFailure, RequiresBijective, ShapeError
 from .hypergraph import (
     EdgeMap,
     FunctionTable,
@@ -86,14 +86,18 @@ def code_to_lhc(code: FunctionCode) -> LhcCertificate:
 
     The source is the characteristic hypergraph of f, the target has one
     singleton edge per attained value, and the edge map sends each preimage
-    to its value. The certificate error equals the code error profile.
+    to its value. The certificate error equals the code error profile, so
+    the two error computations agree; where they do not, DecompositionFailure
+    names the failing edges.
     """
     h_f = characteristic_hypergraph(code.f)
     target = value_hypergraph(code)
     e_map = EdgeMap.identity(h_f.edge_count)
     lam = code_error_profile(code)
     cert = verify_lhc(code.composite, h_f, target, e_map, lam)
-    assert cert.passed  # equality of the two error computations
+    if not cert.passed:
+        raise DecompositionFailure(f"edges {list(cert.failing_edges)} fail the certificate "
+                                   "of their own code error profile")
     return cert
 
 

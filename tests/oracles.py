@@ -17,9 +17,11 @@ can be compared bitwise. The binomial laws are exact rationals instead, so
 the library's float laws are graded in ulp.
 
 The dense 4^n builders of the BSC example that no package code calls,
-``window_split_hypergraph`` and ``word_channel_rows``, live here too. They
-build from the package's own pair table, window test and flip rows, so
-their refusals, messages and bits are the package's.
+``pair_distance_table``, ``window_split_hypergraph`` and
+``word_channel_rows``, live here too. They build from the package's own cap
+check, distances, window test and flip rows, so their refusals, messages
+and bits are the package's. So does ``per_law_error_rates``, the exact
+oracle summed one ``PairDistanceLaw`` at a time.
 """
 
 from __future__ import annotations
@@ -319,6 +321,31 @@ def word_channel_rows(words: tuple[str, ...], n: int, gamma: float) -> np.ndarra
     return bsc_id._flip_rows(bits, n, gamma)
 
 
+def pair_distance_table(n: int) -> np.ndarray:
+    """Hamming distance of every ordered pair of n-bit words, row-major.
+    The 4^n pairs are checked against the cap before the table is built."""
+    _check_entries(1 << 2 * n, "alphabet of all {}-bit word pairs", n)
+    bits = bsc_id._all_word_bits(n)
+    return bsc_id._hamming(bits, bits)
+
+
+def per_law_error_rates(codebook, gamma: float, epsilon: float,
+                        mode: str) -> tuple[float, float]:
+    """``exact_error_rates`` one law at a time: each distinct pair distance
+    gets its own ``pair_distance_distribution``, summed over the rejected
+    (equal pairs) or accepted (distinct pairs) distances and weighted by its
+    count."""
+    n = codebook.n
+    accepted = bsc_id.accepts(np.arange(n + 1), n, gamma, epsilon, mode)
+    off = codebook.pair_distances()[~np.eye(codebook.size, dtype=bool)]
+    counts = np.bincount(off)
+    ks = np.flatnonzero(counts)
+    false_reject = float(bsc_id.pair_distance_distribution(n, 0, gamma).pmf[~accepted].sum())
+    far = [bsc_id.pair_distance_distribution(n, int(k), gamma).pmf[accepted].sum()
+           for k in ks]
+    return false_reject, float(counts[ks] @ np.array(far) / off.size)
+
+
 def window_split_hypergraph(n: int, gamma: float, delta: float,
                             epsilon: float) -> Hypergraph:
     """Word pairs split into the two concentration windows: edge 0 the far
@@ -330,7 +357,7 @@ def window_split_hypergraph(n: int, gamma: float, delta: float,
     the far one first, contains no integer distance (unavoidable at small n).
     """
     bsc_id.require_windows(delta, gamma, epsilon)
-    dist = bsc_id.pair_distance_table(n).reshape(-1)
+    dist = pair_distance_table(n).reshape(-1)
     full = bsc_id.word_alphabet(n)
     pairs = full.product(full)
     edges = []

@@ -23,7 +23,6 @@ from lhckit.bsc_id import (
     in_window,
     monte_carlo_id,
     pair_distance_distribution,
-    pair_distance_table,
     rate_table,
     restricted_pair_channel,
     theta,
@@ -41,15 +40,13 @@ from lhckit.errors import (
     ShapeError,
 )
 import oracles
-from oracles import window_split_hypergraph, word_channel_rows
+from oracles import pair_distance_table, window_split_hypergraph, word_channel_rows
 
 MODES = ("one-sided-threshold", "paper-windows")
 TINY = np.finfo(np.float64).tiny
 
 
 def bsc_pair_distances(n: int) -> np.ndarray:
-    from lhckit.bsc_id import pair_distance_table
-
     return pair_distance_table(n).reshape(-1)
 
 
@@ -69,17 +66,19 @@ def binomial(t: int, p: float) -> np.ndarray:
     return bsc_id._binom_rows(np.array([t]), p, t)[0]
 
 
-def assert_within_stated_bound(law, gamma: float) -> None:
-    """Every entry whose exact value is a normal float lies within the stated
-    5n ulp of the exact law at the float beta. The exact law is slow at a
-    tiny beta, so it is computed only where the float law is at least
-    TINY / 1024: an entry below that is normal only if it is off by a
-    factor over 1000, which this check does not grade."""
-    at = np.flatnonzero(law.pmf >= TINY / 1024).tolist()
-    exact = oracles.exact_distance_law(law.n, law.k, beta(gamma), at)
+def assert_within_stated_bound(pmf: np.ndarray, k: int, gamma: float) -> None:
+    """Every entry of the law pmf at input distance k whose exact value is a
+    normal float lies within the stated 5n ulp of the exact law at the float
+    beta. The exact law is slow at a tiny beta, so it is computed only where
+    the float law is at least TINY / 1024: an entry below that is normal
+    only if it is off by a factor over 1000, which this check does not
+    grade."""
+    n = pmf.size - 1
+    at = np.flatnonzero(pmf >= TINY / 1024).tolist()
+    exact = oracles.exact_distance_law(n, k, beta(gamma), at)
     for j, v in zip(at, exact):
         if v >= TINY:
-            assert oracles.ulps(float(law.pmf[j]), v) <= 5 * law.n, (law.n, law.k, j)
+            assert oracles.ulps(float(pmf[j]), v) <= 5 * n, (n, k, j)
 
 
 def pairwise_error_rates(codebook, gamma, epsilon, mode):
@@ -277,19 +276,20 @@ class TestDistanceLaw:
         assert [pair_distance_distribution(n, k, gamma).pmf.tobytes()
                 for k in range(n + 1)] == want
         batch = bsc_id._distance_laws(n, np.arange(n + 1), gamma)
-        assert [(law.k, law.pmf.tobytes()) for law in batch] == list(enumerate(want))
-        for law in batch:
-            assert_within_stated_bound(law, gamma)
+        assert batch.dtype == np.float64 and batch.shape == (n + 1, n + 1)
+        assert [row.tobytes() for row in batch] == want
+        for k, row in enumerate(batch):
+            assert_within_stated_bound(row, k, gamma)
 
     @given(st.integers(1, 80), st.data(), st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_batch_order_and_repeats_do_not_move_bits(self, n, data, gamma):
         ks = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=12))
         laws = bsc_id._distance_laws(n, ks, gamma)
-        assert [law.k for law in laws] == ks
-        for law in laws:
-            assert law.pmf.tobytes() == per_k_law(n, law.k, gamma).tobytes()
-            assert_within_stated_bound(law, gamma)
+        assert laws.shape == (len(ks), n + 1)
+        for k, row in zip(ks, laws):
+            assert row.tobytes() == per_k_law(n, k, gamma).tobytes()
+            assert_within_stated_bound(row, k, gamma)
 
     # beta(gamma) is the smallest normal float, where scipy's binomial pmf
     # overflowed
@@ -300,15 +300,15 @@ class TestDistanceLaw:
         law = pair_distance_distribution(n, k, gamma)
         assert law.pmf[k] == 1.0  # both copies keep every letter
         assert law.pmf.tobytes() == per_k_law(n, k, gamma).tobytes()
-        assert_within_stated_bound(law, gamma)
+        assert_within_stated_bound(law.pmf, k, gamma)
 
     # 0.001 is where evaluating scipy's pmf at the rounded 1 - beta put a
     # law 15,100 ulp off (n 64, k 61, distance 0)
     @pytest.mark.parametrize("gamma", [0.001, 0.3, 0.5])
     def test_laws_meet_the_stated_bound(self, gamma):
         for n in (1, 7, 16, 33, 64):
-            for law in bsc_id._distance_laws(n, np.arange(n + 1), gamma):
-                assert_within_stated_bound(law, gamma)
+            for k, row in enumerate(bsc_id._distance_laws(n, np.arange(n + 1), gamma)):
+                assert_within_stated_bound(row, k, gamma)
 
     def test_rows_meet_their_stated_bound(self):
         for p in (beta(0.001), beta(0.03), 0.3, 0.5):
@@ -327,12 +327,18 @@ class TestDistanceLaw:
         for mode in MODES:
             assert np.isfinite(exact_error_rates(book, gamma, 0.3, mode)).all()
 
-    @pytest.mark.parametrize("k", [-1, 8, 2.5])
-    def test_distance_outside_block_refused(self, k):
-        # 2.5 must not be truncated to the law of distance 2
-        with pytest.raises(RangeError,
-                           match=rf"^input distance {k} is not an integer in \[0, 7\]$"):
-            pair_distance_distribution(7, k, 0.1)
+    # 2.5 must not be truncated to the law of distance 2; True ran as
+    # distance 1, "3" ended in numpy's UFuncTypeError and None in a TypeError
+    @pytest.mark.parametrize("k, name", [(-1, "-1"), (8, "8"), (2.5, "2.5"), (True, "True"),
+                                         (np.True_, "True"), ("3", "'3'"), (None, "None")])
+    @pytest.mark.parametrize("run", [
+        lambda k: pair_distance_distribution(7, k, 0.1),
+        lambda k: exact_window_miss(7, k, 0.1, 0.3, 0.1),
+    ], ids=["distance-law", "window-miss"])
+    def test_distance_outside_block_refused(self, run, k, name):
+        text = f"input distance {name} is not an integer in [0, 7]"
+        with pytest.raises(RangeError, match=f"^{re.escape(text)}$"):
+            run(k)
 
 
 class TestWindowMiss:
@@ -385,6 +391,20 @@ class TestExactErrorRates:
         # (1e-57 in test_two_codewords); only the float summation order differs
         for g, w in zip(got, want):
             assert math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0)
+
+    # The laws come as one matrix and each row is summed on its own; a 2-D
+    # sum over the gathered block moved the last bit of some rates
+    @given(st.integers(1, 400), st.integers(2, 40), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.001, 0.03, 0.2]), st.floats(0.01, 2.0), st.sampled_from(MODES))
+    @settings(max_examples=40, deadline=None)
+    def test_rates_have_the_bits_of_the_per_law_route(self, n, m, seed, gamma, eps, mode):
+        bits = np.random.default_rng(seed).integers(0, 2, size=(m, n))
+        words = tuple(dict.fromkeys("".join(map(str, row)) for row in bits.tolist()))
+        assume(len(words) >= 2)
+        book = Codebook(n, words, 1)
+        got = exact_error_rates(book, gamma, eps, mode=mode)
+        want = oracles.per_law_error_rates(book, gamma, eps, mode)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_two_codewords(self, mode):
@@ -498,8 +518,9 @@ class TestExampleHypergraphs:
         book = gen_codebook(6, 1.0, 2)
         ex = build_example_hypergraphs(book, 0.3, gamma=0.03)
         assert ex.hyper_h.edge_count == 2
-        assert ex.hyper_c.is_partition
         assert ex.hyper_c.vertices.size == 4  # rectangular codeword square
+        for hyper in (ex.hyper_h, ex.hyper_g1, ex.hyper_g2, ex.hyper_c):
+            assert hyper.is_partition and hyper.edges == ex.hyper_h.edges
 
     def test_epsilon_too_large(self):
         book = gen_codebook(6, 1.0, 2)
@@ -621,7 +642,7 @@ class TestRestrictedPairChannel:
             word_channel_rows(("0000", "0011", "1111"), 4, 0.1)
         with pytest.raises(CapacityError, match=r"^alphabet of all 3-bit word pairs: "
                                                 r"64 entries exceed the cap 16$"):
-            pair_distance_table(3)
+            threshold_split_hypergraph(3, 1)
 
 
 class TestDecoder:
@@ -840,7 +861,9 @@ class TestOneCheckPerRange:
     # alphabet, law or table is built. 2.5 and "3" ended in a bare TypeError
     # (numpy's UFuncTypeError for a law's "3"), in a 1.0 bound from
     # chernoff_bound or in a run, True ran as 1 (a one-symbol alphabet), and
-    # 0 and -3 had messages of their own.
+    # 0 and -3 had messages of their own. A word length of -3 ended in a
+    # bare ValueError (negative shift), True in "Invalid format specifier",
+    # and word_alphabet(0) gave a one-word alphabet labelled "0".
     @pytest.mark.parametrize("value", [0, -3, 2.5, True, "3"])
     @pytest.mark.parametrize("what, run", [
         ("codebook size", lambda v: gen_codebook(8, 0.25, v)),
@@ -857,9 +880,12 @@ class TestOneCheckPerRange:
         ("subset size", lambda v: k_identification_table(3, v)),
         ("block length n", lambda v: pair_distance_distribution(v, 0, 0.1)),
         ("block length n", lambda v: exact_window_miss(v, 0, 0.03, 0.3, 0.1)),
+        ("block length n", bsc_id.word_alphabet),
+        ("block length n", lambda v: threshold_split_hypergraph(v, 1)),
     ], ids=["gen_codebook", "mc-trials", "mc-workers", "chernoff", "power",
             "harness-trials", "harness-max_edges", "harness-max_symbols", "of_size",
-            "k-id-messages", "k-id-subset", "distance-law", "window-miss"])
+            "k-id-messages", "k-id-subset", "distance-law", "window-miss",
+            "word-alphabet", "threshold-split"])
     def test_counts_are_refused_alike(self, what, run, value):
         with pytest.raises(RangeError,
                            match=f"^{re.escape(f'{what} {value!r}')} is not an integer >= 1$"):

@@ -21,7 +21,8 @@ from lhckit import (
     sandwich_transfer,
     tensor,
 )
-from lhckit.errors import RequiresBijective, ShapeError
+from lhckit import codes
+from lhckit.errors import DecompositionFailure, RequiresBijective, ShapeError
 
 import oracles
 from conftest import identity_channel_between, rand_channel, sandwich_instance
@@ -32,6 +33,18 @@ def perfect_identity_code(size: int = 2) -> FunctionCode:
     f = FunctionTable(alpha, alpha, tuple(range(size)))
     ident = identity_channel(alpha)
     return FunctionCode(ident, ident, f, ident)
+
+
+def equality_code_over_one_noisy_copy() -> FunctionCode:
+    """One message re-encoded as a bit through a BSC(0.03) copy, the other
+    kept clean; the decoder compares them exactly."""
+    f = identification_table(2)
+    msgs = Alphabet.of_size(2)
+    prod = BITS.product(msgs)
+    enc = deterministic_channel(FunctionTable(f.domain, prod, (0, 1, 2, 3)))
+    ch = tensor(bsc(0.03), identity_channel(msgs))
+    dec = deterministic_channel(FunctionTable(prod, BITS, (1, 0, 0, 1)))
+    return FunctionCode(enc, dec, f, ch)
 
 
 def random_code(rng, dom_size=3, cod_size=2, mid=3) -> FunctionCode:
@@ -52,15 +65,7 @@ class TestErrorProfile:
         assert np.array_equal(code_error_profile(perfect_identity_code()), [0, 0])
 
     def test_equality_code_over_one_noisy_copy(self):
-        # one message re-encoded as a bit through the noisy copy, the other
-        # kept clean; the decoder compares them exactly
-        f = identification_table(2)
-        msgs = Alphabet.of_size(2)
-        prod = BITS.product(msgs)
-        enc = deterministic_channel(FunctionTable(f.domain, prod, (0, 1, 2, 3)))
-        ch = tensor(bsc(0.03), identity_channel(msgs))
-        dec = deterministic_channel(FunctionTable(prod, BITS, (1, 0, 0, 1)))
-        code = FunctionCode(enc, dec, f, ch)
+        code = equality_code_over_one_noisy_copy()
         lam = code_error_profile(code)
         assert np.allclose(lam, [0.03, 0.03], atol=1e-15)
         assert np.allclose(lam, oracles.brute_force_profile(code), atol=1e-12)
@@ -113,6 +118,15 @@ class TestCodeToLhc:
                            mid=int(rng.integers(1, 4)))
         cert = code_to_lhc(code)
         assert np.allclose(cert.lam, oracles.brute_force_profile(code), atol=1e-12)
+
+    def test_disagreeing_error_computations_name_the_failing_edges(self, monkeypatch):
+        # code_error_profile reads 0 for a code whose two values each fail
+        # with probability 0.03, so the certificate fails on both edges
+        code = equality_code_over_one_noisy_copy()
+        monkeypatch.setattr(codes, "code_error_profile", lambda code: np.zeros(2))
+        with pytest.raises(DecompositionFailure, match=r"^edges \[0, 1\] fail the "
+                           r"certificate of their own code error profile$"):
+            code_to_lhc(code)
 
 
 class TestLhcToCode:

@@ -449,6 +449,35 @@ class TestAgainstPerVertexOracle:
         assert got[0] == phi.rows[0, 0] and got[2] == phi.rows[2, 1]
 
 
+class TestEdgeMassRounding:
+    """edge_mass gathers each edge's columns: two or more rows come out
+    column-major and are added left to right, one row is contiguous and
+    numpy sums it pairwise. From 8 columns on the two orders round
+    differently."""
+
+    @given(st.integers(0, 100_000), st.integers(1, 5),
+           st.lists(st.integers(8, 40), min_size=1, max_size=5), st.integers(0, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_summation_rule(self, seed, row_count, sizes, isolated):
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(sum(sizes) + isolated).tolist()
+        bounds = np.cumsum([0, *sizes]).tolist()
+        hyper = Hypergraph(Alphabet.of_size(len(order), "v"),
+                           tuple(tuple(sorted(order[lo:hi]))
+                                 for lo, hi in zip(bounds, bounds[1:])))
+        rows = rng.dirichlet(np.ones(len(order)), size=row_count)
+        mass = verify.edge_mass(rows, hyper)
+        for e, edge in enumerate(hyper.edges):
+            if row_count == 1:
+                assert mass[0, e] == rows[0, list(edge)].sum()
+                continue
+            for x, row in enumerate(rows.tolist()):
+                total = 0.0
+                for c in edge:
+                    total += row[c]
+                assert mass[x, e] == total, (x, e)
+
+
 class TestGatheredBlockRounding:
     """per_vertex_success keeps the bits of one ``np.ix_`` block per group."""
 
