@@ -25,6 +25,7 @@ from .codes import FunctionCode, code_error_profile
 from .errors import (
     DecompositionFailure,
     EdgeCountMismatch,
+    RangeError,
     ShapeError,
     _require_count,
 )
@@ -37,6 +38,7 @@ from .hypergraph import (
     characteristic_hypergraph,
     identification_table,
     split_product_alphabet,
+    _drawn_partition,
     _require_same_alphabet,
 )
 from .verify import (_match, edge_vector, exceeds, infer_edge_map, lambda_profile,
@@ -327,16 +329,22 @@ class HarnessSummary:
 
 def random_partition(rng: np.random.Generator, alphabet: Alphabet,
                      edge_count: int) -> Hypergraph:
-    """Uniformly shuffled split of the vertices into edge_count blocks."""
+    """Uniformly shuffled split of the vertices into edge_count blocks.
+
+    edge_count must be an integer from 1 to the alphabet size (RangeError
+    naming it otherwise, before any draw).
+    """
     n = alphabet.size
+    _require_count(edge_count, "edge count")
+    if edge_count > n:
+        raise RangeError(f"edge count {edge_count!r} exceeds the alphabet size {n}")
     order = rng.permutation(n).tolist()
     # the indices numpy draws from range(n - 1) are those it draws from
     # arange(1, n), so each cut is one more than its index
     cuts = sorted(rng.choice(n - 1, size=edge_count - 1, replace=False).tolist()) \
         if edge_count > 1 else []
-    bounds = [0, *[c + 1 for c in cuts], n]
-    # the constructor sorts each block
-    return Hypergraph(alphabet, tuple([order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]))
+    # distinct cuts in [1, n - 1] make the bounds strictly increasing
+    return _drawn_partition(alphabet, order, [0, *[c + 1 for c in cuts], n])
 
 
 def random_channel(rng: np.random.Generator, inp: Alphabet, out: Alphabet,
@@ -355,7 +363,13 @@ def random_channel(rng: np.random.Generator, inp: Alphabet, out: Alphabet,
 def random_branch_swap_instance(
     rng: np.random.Generator, max_edges: int = 3, max_symbols: int = 3
 ) -> tuple[Channel, Hypergraph, Hypergraph, Hypergraph, Hypergraph, float]:
-    """Shape-valid random instance for check_branch_swap."""
+    """Shape-valid random instance for check_branch_swap.
+
+    Each count must be an integer >= 1 (RangeError naming it otherwise,
+    before any draw).
+    """
+    _require_count(max_edges, "max_edges")
+    _require_count(max_symbols, "max_symbols")
     sizes = rng.integers(1, max_symbols + 1, size=4)
     a1 = Alphabet.of_size(int(sizes[0]), "a")
     a2 = Alphabet.of_size(int(sizes[1]), "b")

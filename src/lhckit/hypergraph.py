@@ -304,6 +304,23 @@ class Hypergraph:
         return bool(np.all(self.incidence.sum(axis=1) == 1))
 
 
+def _drawn_partition(alphabet: Alphabet, order: list[int], bounds: list[int]) -> Hypergraph:
+    """The partition whose edges are order[lo:hi], each sorted, between
+    neighbouring bounds: ``Hypergraph(alphabet, blocks)`` without its checks.
+
+    order must be a permutation of the vertex indices as Python ints, and
+    bounds strictly increasing from 0 to alphabet.size; then every block is
+    nonempty, the blocks are disjoint and every index is in range, so
+    nothing is checked, and ``edges_disjoint`` is stored as True.
+    """
+    drawn = object.__new__(Hypergraph)
+    fields = drawn.__dict__
+    fields["vertices"] = alphabet
+    fields["edges"] = tuple([tuple(sorted(order[lo:hi])) for lo, hi in zip(bounds, bounds[1:])])
+    fields["edges_disjoint"] = True
+    return drawn
+
+
 @dataclass(frozen=True)
 class EdgeMap:
     """Total map from source edge indices to target edge indices."""

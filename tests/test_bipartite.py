@@ -1,5 +1,7 @@
 import json
+import pickle
 import re
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -401,6 +403,66 @@ class TestChunkedHarness:
         chunk = bipartite._chunk_trials(max_edges, max_symbols)
         assert self.kernel_entries(sides * chunk) <= bipartite._CHUNK_TERMS
         assert self.kernel_entries(sides * (chunk + 1)) > bipartite._CHUNK_TERMS
+
+
+class TestDrawnPartition:
+    """``random_partition`` builds its hypergraph without the public
+    constructor's checks; the result must be the one that constructor gives
+    on the same blocks."""
+
+    @given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_public_constructor(self, n, seed, data):
+        """Every edge count on n vertices, against ``rand_partition``'s
+        ``Hypergraph`` of the same stream's blocks, which makes the draw's
+        Generator calls on its own and must leave the stream where the draw
+        does."""
+        second = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        a2 = Alphabet.of_size(second, "b")
+        alphabet = Alphabet.of_size(n // second, "a").product(a2)
+        phi = bipartite.random_channel(np.random.default_rng(seed), a2, a2)
+        for k in range(1, n + 1):
+            drawn_rng, public_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = bipartite.random_partition(drawn_rng, alphabet, k)
+            public = rand_partition(public_rng, alphabet, k)
+            assert drawn_rng.bit_generator.state == public_rng.bit_generator.state
+            back = pickle.loads(pickle.dumps(drawn))
+            assert type(drawn) is type(back) is Hypergraph
+            for got in (drawn, back):
+                assert got.edges == public.edges and got.edge_count == k
+                assert {int}.issuperset(map(type, chain.from_iterable(got.edges)))
+                assert got == public and public == got and hash(got) == hash(public)
+                assert got.edges_disjoint is public.edges_disjoint is True
+                assert got.is_partition is public.is_partition is True
+                assert got.incidence.tobytes() == public.incidence.tobytes()
+                assert got.incidence.shape == public.incidence.shape
+                assert not got.incidence.flags.writeable
+                assert [g.tolist() for g in got.vertex_groups] == \
+                    [g.tolist() for g in public.vertex_groups]
+            dumps = [json.dumps(jsonio.counterexample_to_dict(
+                check_branch_swap(phi, h, h, h, h, 0.3)), sort_keys=True)
+                for h in (drawn, public)]
+            assert dumps[0] == dumps[1]
+            inst = jsonio.instance_from_dict(json.loads(dumps[0])["instance"])
+            assert inst.hyper_h == inst.hyper_f == public
+
+    @pytest.mark.parametrize("draw, shown", [
+        (lambda rng: bipartite.random_partition(rng, Alphabet.of_size(4), 5),
+         "edge count 5 exceeds the alphabet size 4"),
+        (lambda rng: bipartite.random_partition(rng, Alphabet.of_size(1), 2),
+         "edge count 2 exceeds the alphabet size 1"),
+        (lambda rng: bipartite.random_partition(rng, Alphabet.of_size(4), 0),
+         "edge count 0 is not an integer >= 1"),
+        (lambda rng: random_branch_swap_instance(rng, max_edges=0),
+         "max_edges 0 is not an integer >= 1"),
+        (lambda rng: random_branch_swap_instance(rng, max_symbols=0),
+         "max_symbols 0 is not an integer >= 1"),
+    ], ids=["edges-5-of-4", "edges-2-of-1", "edges-0", "max_edges-0", "max_symbols-0"])
+    def test_refused_before_any_draw(self, draw, shown):
+        rng = np.random.default_rng(3)
+        with pytest.raises(RangeError, match=f"^{re.escape(shown)}$"):
+            draw(rng)
+        assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
 
 def one_sided_rows(rng: np.random.Generator, kind: str, inp: int, out: int) -> np.ndarray:

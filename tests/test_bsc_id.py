@@ -30,6 +30,7 @@ from lhckit.bsc_id import (
     window_interval,
 )
 from lhckit import Alphabet, bsc_id, channel, k_identification_table, run_branch_swap_harness
+from lhckit.bipartite import random_branch_swap_instance, random_partition
 from lhckit.hypergraph import Hypergraph
 from lhckit.errors import (
     CapacityError,
@@ -863,7 +864,10 @@ class TestOneCheckPerRange:
     # chernoff_bound or in a run, True ran as 1 (a one-symbol alphabet), and
     # 0 and -3 had messages of their own. A word length of -3 ended in a
     # bare ValueError (negative shift), True in "Invalid format specifier",
-    # and word_alphabet(0) gave a one-word alphabet labelled "0".
+    # and word_alphabet(0) gave a one-word alphabet labelled "0". A drawn
+    # partition's edge count of 0, -3 or True gave one edge and 2.5 a
+    # TypeError; a draw's max_edges or max_symbols of 0 ended in numpy's
+    # "low >= high".
     @pytest.mark.parametrize("value", [0, -3, 2.5, True, "3"])
     @pytest.mark.parametrize("what, run", [
         ("codebook size", lambda v: gen_codebook(8, 0.25, v)),
@@ -875,6 +879,12 @@ class TestOneCheckPerRange:
         ("trials", lambda v: run_branch_swap_harness(v, 0)),
         ("max_edges", lambda v: run_branch_swap_harness(1, 0, max_edges=v)),
         ("max_symbols", lambda v: run_branch_swap_harness(1, 0, max_symbols=v)),
+        ("edge count",
+         lambda v: random_partition(np.random.default_rng(0), Alphabet.of_size(4), v)),
+        ("max_edges", lambda v: random_branch_swap_instance(np.random.default_rng(0),
+                                                            max_edges=v)),
+        ("max_symbols", lambda v: random_branch_swap_instance(np.random.default_rng(0),
+                                                              max_symbols=v)),
         ("alphabet size", lambda v: Alphabet.of_size(v)),
         ("alphabet size", lambda v: k_identification_table(v, 1)),
         ("subset size", lambda v: k_identification_table(3, v)),
@@ -883,7 +893,8 @@ class TestOneCheckPerRange:
         ("block length n", bsc_id.word_alphabet),
         ("block length n", lambda v: threshold_split_hypergraph(v, 1)),
     ], ids=["gen_codebook", "mc-trials", "mc-workers", "chernoff", "power",
-            "harness-trials", "harness-max_edges", "harness-max_symbols", "of_size",
+            "harness-trials", "harness-max_edges", "harness-max_symbols",
+            "partition-edges", "draw-max_edges", "draw-max_symbols", "of_size",
             "k-id-messages", "k-id-subset", "distance-law", "window-miss",
             "word-alphabet", "threshold-split"])
     def test_counts_are_refused_alike(self, what, run, value):

@@ -15,7 +15,7 @@ def test_prints_a_row_per_stage_at_tiny_sizes(capsys):
     assert trial_timing.main(["--trials", "3", "--seed", "2", "--repeats", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["stage", "us_per_trial"]
-    assert [line.split()[0] for line in lines[1:]] == ["trial", "draw", "batch", "match"]
+    assert [line.split()[0] for line in lines[1:]] == ["trial", "draw", "rng", "batch", "match"]
     assert all(float(line.split()[1]) > 0 for line in lines[1:])
 
 
@@ -36,3 +36,15 @@ def test_stages_see_the_harness_instances():
             got_mapping, picked = _match(cost)
             assert got_mapping == mapping.mapping
             assert np.array(picked).tobytes() == profile.tobytes()
+
+
+def test_replay_leaves_the_stream_where_the_draws_do():
+    """N draws and N replays from one seed use the stream alike."""
+    from lhckit import bipartite, named_rng
+
+    for seed in (0, 1, 2):
+        drawn, replayed = named_rng(seed, 0x51AB), named_rng(seed, 0x51AB)
+        for _ in range(200):
+            bipartite.random_branch_swap_instance(drawn)
+        trial_timing.replay_rng(replayed, 200)
+        assert replayed.bit_generator.state == drawn.bit_generator.state
