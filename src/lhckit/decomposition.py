@@ -88,7 +88,7 @@ def decompose(
         raise HypothesisViolated("every lam entry must be below 1/2")
     _require_half(kappa)
     require_within(lam, mu * kappa, "lam <= mu * kappa")
-    return _split(phi, gamma, source, target, e_edge, kappa, mu, lam)[0]
+    return _split(phi, gamma, source, target, e_edge, kappa, mu, lam)
 
 
 def _require_half(kappa) -> None:
@@ -99,9 +99,8 @@ def _require_half(kappa) -> None:
         raise HypothesisViolated("every kappa entry must be at most 1/2")
 
 
-def _split(phi, gamma, source, target, e_edge, kappa, mu, lam) -> tuple:
-    """Blocks and stage certificates of a split whose hypotheses hold, with
-    the ``edge_mass`` of gamma on the target edges that the blocks threshold.
+def _split(phi, gamma, source, target, e_edge, kappa, mu, lam) -> DecompositionResult:
+    """Blocks and stage certificates of a split whose hypotheses hold.
 
     Blocks of the intermediate alphabet collect the symbols from which gamma
     hits each target edge with probability above 1 - kappa (strict, no
@@ -147,7 +146,7 @@ def _split(phi, gamma, source, target, e_edge, kappa, mu, lam) -> tuple:
             instance=_instance_dump(phi, gamma, source, target, e_edge,
                                     kappa, mu, lam),
         )
-    return DecompositionResult(intermediate, cert_phi, cert_gamma), hit
+    return DecompositionResult(intermediate, cert_phi, cert_gamma)
 
 
 def _instance_dump(phi, gamma, source, target, e_edge, kappa, mu, lam) -> dict:
@@ -190,28 +189,27 @@ def channel_is_lhc(
     kappa = edge_vector(kappa, lam.size, "kappa")
     require_within(4.0 * lam, kappa, "4 * lam <= kappa")
     _require_half(kappa)
-    return _channel_split(code, lam, kappa)[:3]
+    return _channel_split(code, lam, kappa)
 
 
 def _channel_split(code: FunctionCode, lam: np.ndarray, kappa: np.ndarray) -> tuple:
     """``channel_is_lhc``'s hypergraphs and certificate at the code's error
-    profile lam and a kappa vector that the caller has checked, with the
-    second split's ``edge_mass`` of the channel on the output blocks."""
+    profile lam and a kappa vector that the caller has checked."""
     n_vals = lam.size
     h_f = characteristic_hypergraph(code.f)
     identity = EdgeMap.identity(n_vals)
     half = np.full(n_vals, 0.5)
 
     # First split: (channel after encoder) vs decoder, threshold 1/2.
-    first, _ = _split(code.encoded, code.decoder, h_f, value_hypergraph(code), identity,
-                      half, 2.0 * lam, lam)
+    first = _split(code.encoded, code.decoder, h_f, value_hypergraph(code), identity,
+                   half, 2.0 * lam, lam)
     hyper_out = first.intermediate  # blocks on the channel output alphabet
 
     # Second split: encoder vs channel, aimed at the first split's blocks;
     # its intermediate holds the blocks on the channel input alphabet.
-    second, hit = _split(code.encoder, code.channel, h_f, hyper_out, identity,
-                         kappa, half, 2.0 * lam)
-    return second.intermediate, hyper_out, second.cert_gamma, hit
+    second = _split(code.encoder, code.channel, h_f, hyper_out, identity,
+                    kappa, half, 2.0 * lam)
+    return second.intermediate, hyper_out, second.cert_gamma
 
 
 def derandomize(code: FunctionCode) -> tuple[Channel, Channel]:
@@ -219,10 +217,11 @@ def derandomize(code: FunctionCode) -> tuple[Channel, Channel]:
 
     Runs the double split at kappa = 4 * lam, whose blocks i on the channel
     input and output both belong to attained value i. It then reads off a
-    deterministic encoder (the input inside each input block with the most
-    ``edge_mass`` on its output block, lowest index among bit-equal masses)
-    and decoder (value of the covering output block, first codomain value
-    for uncovered outputs). Requires every profile entry below 1/8.
+    deterministic encoder (the input inside each input block with the
+    highest success in the channel's certificate, which is its mass on its
+    output block, lowest index among bit-equal successes) and decoder (value
+    of the covering output block, first codomain value for uncovered
+    outputs). Requires every profile entry below 1/8.
     """
     lam = code_error_profile(code)
     if np.any(lam >= 0.125):
@@ -231,12 +230,11 @@ def derandomize(code: FunctionCode) -> tuple[Channel, Channel]:
             "the factor-4 construction needs kappa = 4 * lam <= 1/2"
         )
     # kappa = 4 * lam <= 1/2 holds by the check above.
-    # hit: probability of each output block from each channel input
-    hyper_in, hyper_out, _, hit = _channel_split(code, lam, 4.0 * lam)
+    hyper_in, hyper_out, cert = _channel_split(code, lam, 4.0 * lam)
 
     attained = code.f.attained
     enc_choice = {
-        attained[vi]: max(block, key=lambda x: (hit[x, vi], -x))
+        attained[vi]: max(block, key=lambda x: (cert.per_vertex_success[x], -x))
         for vi, block in enumerate(hyper_in.edges)
     }
     enc_map = tuple(enc_choice[code.f.mapping[a]] for a in range(code.f.domain.size))

@@ -6,6 +6,13 @@ the output lands in the intersection of the images of all edges containing
 it with probability at least 1 minus the smallest error among those edges.
 Vertices in no edge impose no constraint. Everything here is computed by
 exact summation over materialized channel rows; there is no sampling.
+
+One summation rule holds for every mass, a row's probability on a set of
+columns: its entries, in ascending column order, are added to 0.0 one at a
+time, left to right. ``edge_mass``, ``per_vertex_success`` and
+``one_sided_costs`` all follow it, so a quantity that two routes read, such
+as a partition vertex's success and its mass on its edge's image, is one
+float.
 """
 
 from __future__ import annotations
@@ -139,10 +146,15 @@ def _allowed(target: Hypergraph, f_e: EdgeMap, hits) -> np.ndarray:
             else np.flatnonzero(target.incidence[:, images].all(axis=1)))
 
 
-# The rows' copy, in entries, from which per_vertex_success gathers a block
-# with np.ix_: about where that gather overtakes take-then-take (float64
-# matrices of V = 256-2048, a quarter to a sixteenth of the rows, one CPU).
-_TAKE_ENTRIES = 1 << 17
+def _masses(rows: np.ndarray, cols) -> np.ndarray:
+    """Each row's mass on the ascending columns cols, by the module's one
+    summation rule. ``rows[:, cols]`` of two or more rows comes out
+    column-major, so numpy adds its row sums one column at a time; one row
+    would come out contiguous and be summed pairwise, so it is accumulated
+    from 0.0 instead, which also gives 0.0 for no columns."""
+    if rows.shape[0] == 1:
+        return np.cumsum(np.append(0.0, rows[0, cols]))[-1:]
+    return rows[:, cols].sum(axis=1)
 
 
 def per_vertex_success(
@@ -153,11 +165,7 @@ def per_vertex_success(
     Vertices with the same edge signature share their allowed target set,
     so it is intersected once per group of ``source.vertex_groups``, which
     the hypergraph caches. Each vertex's success is its row's mass on that
-    set: the group's rows and allowed columns are gathered into a row-major
-    block, whose rows numpy sums pairwise (``edge_mass`` rounds otherwise).
-    Taking the rows and then the columns is the faster gather until the
-    rows' copy reaches _TAKE_ENTRIES; past it ``np.ix_`` gathers the block
-    alone. Both blocks are row-major, with the same bits.
+    set, summed for the group's rows at once.
     """
     _check_alphabets(phi, source, target)
     f_e.check_fit(source, target)
@@ -166,11 +174,7 @@ def per_vertex_success(
     for members in source.vertex_groups:
         hits = source.edges_containing(members[0])
         if hits:
-            allowed = _allowed(target, f_e, hits)
-            block = (rows.take(members, 0).take(allowed, 1)
-                     if members.size * rows.shape[1] < _TAKE_ENTRIES
-                     else rows[np.ix_(members, allowed)])
-            out[members] = block.sum(axis=1)
+            out[members] = _masses(rows.take(members, 0), _allowed(target, f_e, hits))
     return out
 
 
@@ -210,19 +214,13 @@ def verify_lhc(
 def edge_mass(rows: np.ndarray, hyper: Hypergraph) -> np.ndarray:
     """mass[x, e] = probability that row x lands in edge e of hyper.
 
-    Each edge's columns are gathered and summed in ascending order, so edge
-    costs, decomposition blocks and derandomization see one rounding.
-    ``rows[:, list(edge)]`` of two or more rows comes out column-major, so
-    numpy adds its row sums one column at a time, left to right; a faster
-    version must keep that order. ``per_vertex_success`` gathers a
-    row-major block, whose rows numpy sums pairwise: the same columns,
-    rounded differently (up to 7.8e-16 apart on 198 entries of a V = 224
-    code, enough to change 6 of its 8 encoder picks), so derandomization
-    must rank by this mass.
+    Each edge's columns are summed in ascending order by the module's one
+    rule, so edge costs, decomposition blocks and certificates see one
+    rounding.
     """
     mass = np.zeros((rows.shape[0], hyper.edge_count))
     for e, edge in enumerate(hyper.edges):
-        mass[:, e] = rows[:, list(edge)].sum(axis=1)
+        mass[:, e] = _masses(rows, list(edge))
     return mass
 
 
@@ -266,13 +264,10 @@ def one_sided_costs(sides) -> list[np.ndarray]:
     (a, b, x) order, go into one ``np.bincount``: a source row has a bin per
     column of one (rows, w) mass table, w one more than the largest target
     edge count, and a term goes into its row's column for the edge holding
-    (a, x), or the last one when none does. The one summation rule: each
-    mass is the sum of its terms from 0.0, left to right in ascending x, as
-    ``np.bincount`` adds one term at a time, so it keeps its bits whatever
-    else is in the batch. On two or more source rows that is how
-    ``edge_mass`` adds the product's gathered columns, whose zeros add
-    nothing; the product's one row of a one-vertex source numpy sums
-    pairwise once an edge has 8 or more columns, which can round otherwise.
+    (a, x), or the last one when none does. ``np.bincount`` adds one term at
+    a time, so each mass follows the module's one summation rule, left to
+    right in ascending x, and keeps its bits whatever else is in the batch;
+    the product's zeros that ``edge_mass`` would add change nothing.
     One ``_grouped_worst`` over the table then gives every side's worst
     failure per source edge.
 

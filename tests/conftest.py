@@ -48,14 +48,17 @@ def sharp_channel(rng: np.random.Generator, inp: Alphabet, out: Alphabet,
     return Channel(inp, out, rows)
 
 
-def reliable_code(rng: np.random.Generator, max_lam: float = 0.125):
-    """Random structured code with error profile strictly below max_lam."""
+def reliable_code(rng: np.random.Generator, max_lam: float = 0.125,
+                  min_mid: int = 2, max_mid: int = 4):
+    """Random structured code with error profile strictly below max_lam,
+    whose channel has as many inputs as outputs: at most max_mid, and at
+    least min_mid and the codomain size."""
     from lhckit import FunctionCode, FunctionTable, code_error_profile
 
     while True:
         dom_size = int(rng.integers(2, 5))
         cod_size = int(rng.integers(2, min(dom_size, 4) + 1))
-        mid = int(rng.integers(cod_size, 5))
+        mid = int(rng.integers(max(cod_size, min_mid), max_mid + 1))
         dom = Alphabet.of_size(dom_size, "a")
         cod = Alphabet.of_size(cod_size, "b")
         x = Alphabet.of_size(mid, "x")

@@ -4,17 +4,18 @@ binomial laws of the BSC example.
 Each certificate quantity is recomputed from the edge tuples alone, vertex
 by vertex, with frozensets, as the defining inequality states it; a code's
 error is the explicit triple sum over encoder, channel and decoder; a
-one-sided hop's costs come from its dense product channel, summed as numpy
-sums it or left to right as the one-sided kernel does. Nothing
+one-sided hop's costs come from its dense product channel. Every mass is
+added left to right by ``left_to_right``, or on two or more rows by numpy
+over a column-major gather, which adds in the same order. Nothing
 here reads the library's incidence matrix or calls its verification
 routines, so the tests never grade the library against itself; the one
 exception, ``looped_harness``, is the falsification harness run one
 ``check_branch_swap`` call per trial, against which the chunked harness is
 graded (``check_branch_swap`` itself is graded against the dense oracles
-here). Every
-probability is the same gathered-row sum the definition names, so results
-can be compared bitwise. The binomial laws are exact rationals instead, so
-the library's float laws are graded in ulp.
+here). Every probability is the same sum the definition names, in the
+package's one summation order, so results can be compared bitwise. The
+binomial laws are exact rationals instead, so the library's float laws are
+graded in ulp.
 
 The dense 4^n builders of the BSC example that no package code calls,
 ``pair_distance_table``, ``window_split_hypergraph`` and
@@ -59,18 +60,13 @@ def vertex_groups(hyper) -> list[list[int]]:
     return list(groups.values())
 
 
-def gathered_per_vertex(phi, source, target, f_e) -> np.ndarray:
-    """Success per source vertex by one ``np.ix_`` block per signature group,
-    summed along its rows; NaN where the vertex lies in no edge."""
-    out = np.full(source.vertices.size, np.nan)
-    for members in vertex_groups(source):
-        hits = edges_of(source, members[0])
-        if hits:
-            allowed = frozenset.intersection(
-                *(frozenset(target.edges[f_e(ei)]) for ei in hits))
-            cols = np.array(sorted(allowed), dtype=np.intp)
-            out[members] = phi.rows[np.ix_(members, cols)].sum(axis=1)
-    return out
+def left_to_right(values) -> float:
+    """values added to 0.0 one at a time, in order, by a Python loop: no
+    numpy sum and no builtin ``sum``, which compensates from Python 3.12 on."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
 
 
 def success(phi, source, target, f_e, a: int) -> float:
@@ -78,7 +74,7 @@ def success(phi, source, target, f_e, a: int) -> float:
     allowed = frozenset.intersection(
         *(frozenset(target.edges[f_e(ei)]) for ei in edges_of(source, a))
     )
-    return float(phi.rows[a, sorted(allowed)].sum()) if allowed else 0.0
+    return left_to_right(phi.rows[a, sorted(allowed)].tolist())
 
 
 def per_vertex(phi, source, target, f_e) -> np.ndarray:
@@ -102,7 +98,7 @@ def failing_edges(phi, source, target, f_e, lam) -> tuple[int, ...]:
 def edge_cost(phi, source, target) -> np.ndarray:
     """cost[A, B]: worst failure of a vertex of A whose output must land in B."""
     return np.array([
-        [max(1.0 - float(phi.rows[v, list(b)].sum()) for v in a)
+        [max(1.0 - left_to_right(phi.rows[v, list(b)].tolist()) for v in a)
          for b in target.edges]
         for a in source.edges
     ]).reshape(source.edge_count, target.edge_count)
@@ -188,12 +184,13 @@ def blocked_hamming(a, b, cap: int = 1 << 20) -> np.ndarray:
 def dense_one_sided_cost(phi, other, source, target, phi_first=False):
     """Cost matrix of id_other x phi (phi x id_other when phi_first) through
     the dense product: ``np.kron`` of the identity and phi's rows, each
-    target edge's columns gathered and summed as one block (the gather and
-    rounding ``edge_mass`` documents), and the worst failure over each
-    source edge's vertices."""
+    target edge's columns gathered and summed as one column-major block,
+    which numpy adds left to right (one row by ``left_to_right``), and the
+    worst failure over each source edge's vertices."""
     eye = np.eye(other.size)
     rows = np.kron(phi.rows, eye) if phi_first else np.kron(eye, phi.rows)
-    mass = [rows[:, list(edge)].sum(axis=1) for edge in target.edges]
+    mass = [rows[:, list(edge)].sum(axis=1) if len(rows) > 1
+            else [left_to_right(rows[0, list(edge)].tolist())] for edge in target.edges]
     return np.array([[max(1.0 - float(m[v]) for v in a) for m in mass]
                      for a in source.edges]).reshape(source.edge_count, target.edge_count)
 
@@ -201,18 +198,14 @@ def dense_one_sided_cost(phi, other, source, target, phi_first=False):
 def left_to_right_one_sided_cost(phi, other, source, target, phi_first=False):
     """Cost matrix of id_other x phi (phi x id_other when phi_first) by the
     one-sided kernel's summation rule: each vertex's mass on a target edge
-    is its dense product row's entries in that edge added to 0.0 one at a
-    time, in ascending column order, by a Python loop (no numpy sum and no
-    ``sum``, which compensates from Python 3.12 on), and the worst failure
-    over each source edge's vertices."""
+    is its dense product row's entries in that edge, in ascending column
+    order, by ``left_to_right``, and the worst failure over each source
+    edge's vertices."""
     eye = np.eye(other.size)
     rows = (np.kron(phi.rows, eye) if phi_first else np.kron(eye, phi.rows)).tolist()
 
     def mass(v: int, edge) -> float:
-        total = 0.0
-        for c in sorted(edge):
-            total += rows[v][c]
-        return total
+        return left_to_right(rows[v][c] for c in sorted(edge))
 
     return np.array([[max(1.0 - mass(v, edge) for v in a) for edge in target.edges]
                      for a in source.edges]).reshape(source.edge_count, target.edge_count)

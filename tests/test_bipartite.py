@@ -582,9 +582,9 @@ class TestOneSidedHop:
         of them maybe in no edge), a singleton source partition with more
         edges than the other factor has symbols, and up to 4 random hops,
         some of whose targets leave a vertex in no edge. Each side's cost
-        matrix is the left-to-right oracle's, byte for byte, and the dense
-        oracle's wherever the source has 2 or more vertices. ``edge_mass``
-        raises throughout: no side takes another route."""
+        matrix is the left-to-right oracle's and the dense oracle's, byte
+        for byte. ``edge_mass`` raises throughout: no side takes another
+        route."""
         rng = np.random.default_rng(seed)
 
         def flip() -> bool:
@@ -615,8 +615,7 @@ class TestOneSidedHop:
         assert len(costs) == len(sides)
         for cost, side in zip(costs, sides):
             assert cost.tobytes() == oracles.left_to_right_one_sided_cost(*side).tobytes()
-            if side[2].vertices.size >= 2:
-                assert cost.tobytes() == oracles.dense_one_sided_cost(*side).tobytes()
+            assert cost.tobytes() == oracles.dense_one_sided_cost(*side).tobytes()
 
     @pytest.mark.parametrize("phi_first", [False, True])
     def test_one_vertex_source_adds_its_row_left_to_right(self, phi_first):

@@ -20,6 +20,7 @@ from lhckit import (
 )
 from lhckit.codes import value_hypergraph
 from lhckit.errors import EmptyBlock, HypothesisViolated, LambdaTooLarge, RangeError
+from lhckit.verify import edge_mass
 
 from conftest import reliable_code, two_stage_instance
 
@@ -248,6 +249,22 @@ class TestDerandomize:
     def test_lambda_too_large(self):
         with pytest.raises(LambdaTooLarge):
             derandomize(bit_code(0.2))
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=40, deadline=None)
+    def test_picks_are_the_first_argmax_of_edge_mass(self, seed):
+        """Each message goes to the input of its value's block with the most
+        ``edge_mass`` on the value's output block, the lowest such index.
+        The channel's leakage is uniform, so a block's masses are equal but
+        for their rounding, which the picks must follow."""
+        code = reliable_code(np.random.default_rng(seed), min_mid=16, max_mid=48)
+        hyper_in, hyper_out, _ = channel_is_lhc(code, 4.0 * code_error_profile(code))
+        mass = edge_mass(code.channel.rows, hyper_out)
+        picks = np.argmax(derandomize(code)[0].rows, axis=1)
+        for a, value in enumerate(code.f.mapping):
+            vi = code.f.attained.index(value)
+            block = list(hyper_in.edges[vi])
+            assert picks[a] == block[int(np.argmax(mass[block, vi]))], (a, vi)
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=40, deadline=None)

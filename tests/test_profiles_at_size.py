@@ -2,9 +2,10 @@
 
 Tier-1's other profile tests run on a handful of vertices, where every
 masked max and column sum has only a few terms. At V = 96 and V = 224 the
-summation order of ``edge_mass``, ``per_vertex_success`` and the composite
-product matters, so the profiles here are pinned bit for bit, as float
-hex, against ``tests/data/certify/golden.profiles.json``.
+summation order of the masses and of the composite product matters, so the
+profiles here are pinned bit for bit, as float hex, against
+``tests/data/certify/golden.profiles.json``. Every mass is added left to
+right, so the inferred map's ``lambda_profile`` is its edge-cost profile.
 
 To rewrite the golden from a given checkout of the package:
 
@@ -102,7 +103,9 @@ def profiles_at(v: int) -> dict:
 
 @pytest.mark.parametrize("v", SIZES)
 def test_profiles_keep_their_bits(v):
-    assert profiles_at(v) == json.loads(GOLDEN.read_text())[str(v)]
+    got = profiles_at(v)
+    assert got == json.loads(GOLDEN.read_text())[str(v)]
+    assert got["lambda_profile"] == got["edge_map_profile"]
 
 
 if __name__ == "__main__":

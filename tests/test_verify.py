@@ -450,10 +450,10 @@ class TestAgainstPerVertexOracle:
 
 
 class TestEdgeMassRounding:
-    """edge_mass gathers each edge's columns: two or more rows come out
-    column-major and are added left to right, one row is contiguous and
-    numpy sums it pairwise. From 8 columns on the two orders round
-    differently."""
+    """edge_mass adds each edge's columns left to right on any row count:
+    two or more rows are gathered column-major, which numpy adds one column
+    at a time, and one row is accumulated. From 8 columns on numpy's
+    pairwise sum of a contiguous row rounds otherwise."""
 
     @given(st.integers(0, 100_000), st.integers(1, 5),
            st.lists(st.integers(8, 40), min_size=1, max_size=5), st.integers(0, 6))
@@ -468,18 +468,16 @@ class TestEdgeMassRounding:
         rows = rng.dirichlet(np.ones(len(order)), size=row_count)
         mass = verify.edge_mass(rows, hyper)
         for e, edge in enumerate(hyper.edges):
-            if row_count == 1:
-                assert mass[0, e] == rows[0, list(edge)].sum()
-                continue
+            # the layout the rule rests on; numpy 1.24, the floor, must give it
+            assert row_count == 1 or rows[:, list(edge)].flags.f_contiguous
             for x, row in enumerate(rows.tolist()):
-                total = 0.0
-                for c in edge:
-                    total += row[c]
-                assert mass[x, e] == total, (x, e)
+                assert mass[x, e] == oracles.left_to_right(row[c] for c in edge), (x, e)
 
 
 class TestGatheredBlockRounding:
-    """per_vertex_success keeps the bits of one ``np.ix_`` block per group."""
+    """per_vertex_success keeps the bits of the left-to-right oracle on
+    groups of one or many members and allowed sets of no to hundreds of
+    columns."""
 
     @staticmethod
     def channel(rng, src, tgt, kind):
@@ -488,12 +486,13 @@ class TestGatheredBlockRounding:
         targets = rng.integers(tgt.vertices.size, size=src.vertices.size)
         return sharp_channel(rng, src.vertices, tgt.vertices, targets, 0.05)
 
+    def check(self, phi, src, tgt, f_e):
+        got = per_vertex_success(phi, src, tgt, f_e)
+        assert got.tobytes() == oracles.per_vertex(phi, src, tgt, f_e).tobytes()
+
     @given(st.integers(0, 100_000), st.sampled_from(["dirichlet", "sharp"]))
     @settings(max_examples=100, deadline=None)
     def test_random_hypergraphs(self, seed, kind):
-        self.check_random(seed, kind)
-
-    def check_random(self, seed, kind):
         rng = np.random.default_rng(seed)
         src = rand_hypergraph(rng, Alphabet.of_size(int(rng.integers(1, 65)), "s"), 8)
         tgt = rand_hypergraph(rng, Alphabet.of_size(int(rng.integers(1, 65)), "t"), 8)
@@ -502,9 +501,36 @@ class TestGatheredBlockRounding:
         f_e = EdgeMap(src.edge_count, tgt.edge_count,
                       tuple(int(j) for j in rng.integers(tgt.edge_count,
                                                          size=src.edge_count)))
-        phi = self.channel(rng, src, tgt, kind)
-        got = per_vertex_success(phi, src, tgt, f_e)
-        assert got.tobytes() == oracles.gathered_per_vertex(phi, src, tgt, f_e).tobytes()
+        self.check(self.channel(rng, src, tgt, kind), src, tgt, f_e)
+
+    @given(st.integers(0, 100_000), st.lists(st.integers(8, 40), min_size=2, max_size=5),
+           st.integers(1, 6), st.sampled_from(["dirichlet", "sharp"]))
+    @settings(max_examples=100, deadline=None)
+    def test_one_member_groups(self, seed, sizes, count, kind):
+        """A singleton edge per source vertex puts each vertex in a group of
+        its own, and random edges over them overlap; the target holds
+        disjoint edges of 8 to 40 vertices and overlapping ones of the same
+        sizes, so allowed sets are long, short or empty."""
+        rng = np.random.default_rng(seed)
+        n = sum(sizes) + int(rng.integers(0, 8))
+        order = rng.permutation(n).tolist()
+        bounds = np.cumsum([0, *sizes]).tolist()
+        disjoint = [tuple(sorted(order[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+        drawn = {tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+                 for size in sizes}
+        tgt = Hypergraph(Alphabet.of_size(n, "t"),
+                         tuple(disjoint + sorted(drawn - set(disjoint))))
+        shared = {tuple(sorted(rng.choice(count, size=int(rng.integers(2, count + 1)),
+                                          replace=False).tolist()))
+                  for _ in range(int(rng.integers(0, 4)) if count > 1 else 0)}
+        # vertex count stays isolated
+        src = Hypergraph(Alphabet.of_size(count + 1, "s"),
+                         tuple((v,) for v in range(count)) + tuple(sorted(shared)))
+        f_e = EdgeMap(src.edge_count, tgt.edge_count,
+                      tuple(int(j) for j in rng.integers(tgt.edge_count,
+                                                         size=src.edge_count)))
+        assert all(members.size == 1 for members in src.vertex_groups)
+        self.check(self.channel(rng, src, tgt, kind), src, tgt, f_e)
 
     @pytest.mark.parametrize("kind", ["dirichlet", "sharp"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -513,32 +539,38 @@ class TestGatheredBlockRounding:
         src = rand_partition(rng, Alphabet.of_size(224, "s"), 8)
         tgt = rand_partition(rng, Alphabet.of_size(224, "t"), 8)
         f_e = EdgeMap(8, 8, tuple(int(j) for j in rng.permutation(8)))
-        phi = self.channel(rng, src, tgt, kind)
-        got = per_vertex_success(phi, src, tgt, f_e)
-        assert got.tobytes() == oracles.gathered_per_vertex(phi, src, tgt, f_e).tobytes()
-
+        self.check(self.channel(rng, src, tgt, kind), src, tgt, f_e)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_partitions_across_the_gather_crossover(self, seed):
-        """At V = 1024 with 8 edges some groups' row copies stay under
-        _TAKE_ENTRIES (take then take) and some reach it (np.ix_)."""
+    def test_partitions_at_1024(self, seed):
         rng = np.random.default_rng(seed)
         src = rand_partition(rng, Alphabet.of_size(1024, "s"), 8)
         tgt = rand_partition(rng, Alphabet.of_size(1024, "t"), 8)
-        copies = {members.size * 1024 < verify._TAKE_ENTRIES
-                  for members in src.vertex_groups}
-        assert copies == {True, False}
         f_e = EdgeMap(8, 8, tuple(int(j) for j in rng.permutation(8)))
-        phi = self.channel(rng, src, tgt, "dirichlet")
-        got = per_vertex_success(phi, src, tgt, f_e)
-        assert got.tobytes() == oracles.gathered_per_vertex(phi, src, tgt, f_e).tobytes()
+        self.check(self.channel(rng, src, tgt, "dirichlet"), src, tgt, f_e)
 
-    @pytest.mark.parametrize("entries", [0, 1 << 62])
-    def test_either_gather_alone(self, monkeypatch, entries):
-        """Every group gathered by np.ix_ (0), or every one by take then take."""
-        monkeypatch.setattr(verify, "_TAKE_ENTRIES", entries)
-        for seed in range(30):
-            self.check_random(seed, ("dirichlet", "sharp")[seed % 2])
+
+class TestOneMassPerRoute:
+    """A partition vertex's success is its mass on its edge's image, so a
+    map's lambda_profile is its entries of the edge cost matrix, and the
+    inferred map's is infer_edge_map's profile, bit for bit."""
+
+    @given(st.integers(0, 100_000), st.integers(1, 6),
+           st.sampled_from(["dirichlet", "sharp"]))
+    @settings(max_examples=60, deadline=None)
+    def test_lambda_profile_reads_the_edge_costs(self, seed, k, kind):
+        rng = np.random.default_rng(seed)
+        src = rand_partition(rng, Alphabet.of_size(int(rng.integers(k, 97)), "s"), k)
+        tgt = rand_partition(rng, Alphabet.of_size(int(rng.integers(k, 161)), "t"), k)
+        phi = TestGatheredBlockRounding.channel(rng, src, tgt, kind)
+        cost = edge_cost_matrix(phi, src, tgt)
+        f_e, profile = infer_edge_map(phi, src, tgt)
+        assert lambda_profile(phi, src, tgt, f_e).tobytes() == profile.tobytes()
+        # arbitrary maps: neither injective nor surjective in general
+        for mapping in [f_e.mapping] + [tuple(int(j) for j in rng.integers(k, size=k))
+                                        for _ in range(3)]:
+            got = lambda_profile(phi, src, tgt, EdgeMap(k, k, mapping))
+            assert got.tobytes() == cost[np.arange(k), list(mapping)].tobytes(), mapping
 
 
 def test_verify_computes_success_once_and_one_lookup_per_signature(monkeypatch):
