@@ -1,10 +1,11 @@
 """Command-line front end: one binary, subcommand per task.
 
 Exit codes: 0 on success or a passing certificate, 1 when a verification or
-construction fails on well-formed inputs, 2 on usage or parse errors. All
-randomness flows from the --seed flag (a fixed printed constant by
-default). Each input is parsed once, by ``validate``, and the task runs on
-the parsed objects; every output path is checked before the run.
+construction fails on well-formed inputs, 2 on usage or parse errors or
+an output that cannot be written. All randomness flows from the --seed
+flag (a fixed printed constant by default). Each input is parsed once, by
+``validate``, and the task runs on the parsed objects; every output path
+is checked before the run.
 """
 
 from __future__ import annotations
@@ -146,11 +147,12 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
     for role, path in parts["input"].items():
         if not isinstance(path, (str, os.PathLike)):
             notes.append(f"error: input {role}: path must be a string, got {path!r}")
-        elif not Path(path).is_file():
-            notes.append(f"error: input {role}: no file at {path}")
         else:
-            try:
-                objects[role] = _LOADERS[role](path)
+            try:  # a path the OS cannot stat raises OSError in is_file
+                if Path(path).is_file():
+                    objects[role] = _LOADERS[role](path)
+                else:
+                    notes.append(f"error: input {role}: no file at {path}")
             except Exception as exc:  # malformed input must not crash
                 notes.append(f"error: input {role}: {exc}")
     if config.task == "assemble-id" and "enc1" in objects:
@@ -165,10 +167,13 @@ def validate(config: ExperimentConfig) -> tuple[list[str], dict]:
             continue
         path = os.fspath(path)
         folder = os.path.dirname(path)  # "nodir" of "nodir/", which Path drops
-        if Path(path).is_dir():  # "" too: Path("") is "."
-            notes.append(f"error: output {role}: {path!r} is a directory")
-        elif not Path(folder or ".").is_dir():
-            notes.append(f"error: output {role}: no directory {folder!r} for {path!r}")
+        try:
+            if Path(path).is_dir():  # "" too: Path("") is "."
+                notes.append(f"error: output {role}: {path!r} is a directory")
+            elif not Path(folder or ".").is_dir():
+                notes.append(f"error: output {role}: no directory {folder!r} for {path!r}")
+        except OSError as exc:  # a name too long, among others
+            notes.append(f"error: output {role}: {exc}")
 
     p = parts["param"]
     refused: set = set()
@@ -510,6 +515,9 @@ def main(argv=None) -> int:
     except LhcKitError as exc:
         print(f"fail: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # the inputs are parsed, so a write failed
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import itertools
 import json
+import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +39,39 @@ def write_json(path, payload: dict) -> None:
     out: list[str] = []
     _encode(payload, 0, out)
     out.append("\n")
-    Path(path).write_text("".join(out), encoding="utf-8", newline="\n")
+    _write_text(path, "".join(out))
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with LF endings, as a new file
+    where the old one can simply go.
+
+    On ext4, truncating a file that was rewritten before waits for the
+    flush its last close started (tens of ms); a new file under the name
+    takes microseconds. So a regular file with one link, owned by this user
+    and writable by its owner, is unlinked and created again with its
+    permission bits. Anything else is written in place, with the result and
+    the error an in-place write gives: a symlink (written through, the link
+    kept), a hard-linked file, another user's or a read-only file, a
+    missing path, and a file its directory will not let go. Nothing is
+    synced to disk.
+    """
+    path = Path(path)
+    try:
+        old = path.lstat()
+        fresh = bool(stat.S_ISREG(old.st_mode) and old.st_nlink == 1
+                     and old.st_uid == os.geteuid() and old.st_mode & stat.S_IWUSR)
+        if fresh:
+            path.unlink()
+    except OSError:  # no file, or one its directory keeps
+        fresh = False
+    if not fresh:
+        path.write_text(text, encoding="utf-8", newline="\n")
+        return
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600), "w",
+              encoding="utf-8", newline="\n") as fh:
+        os.fchmod(fh.fileno(), stat.S_IMODE(old.st_mode))
+        fh.write(text)
 
 
 _CONTAINERS = (list, tuple, dict, np.ndarray)
@@ -429,7 +464,7 @@ def read_code_bundle(path) -> FunctionCode:
 
 def write_codebook(path, book: Codebook) -> None:
     lines = [f"# n={book.n} d={book.dmin}"] + list(book.words)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_codebook(path) -> Codebook:
@@ -501,9 +536,9 @@ def counterexample_to_dict(report: BranchSwapReport) -> dict:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([float.__repr__(x) if isinstance(x, float) else x
-                             for x in row])
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([float.__repr__(x) if isinstance(x, float) else x for x in row])
+    _write_text(path, text.getvalue())

@@ -1,5 +1,6 @@
 import builtins
 import collections
+import errno
 import io
 import json
 import os
@@ -494,6 +495,15 @@ class TestOutputPaths:
         assert capsys.readouterr().err == note + "\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_name_the_os_cannot_stat_is_one_note(self, tmp_path, capsys, monkeypatch):
+        """stat raises OSError for a name past the OS's limit; that is a note
+        and exit 2, not a traceback and exit 1."""
+        monkeypatch.chdir(tmp_path)
+        out = "x" * 300 + ".csv"
+        assert main(["rates", "--gamma", "0.03", "--grid", "0:0.5:3", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: output csv: {too_long(out)}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_prefix_in_no_directory(self, tmp_path, capsys):
         argv, names = derandomize_inputs(tmp_path)
         argv[-1] = str(tmp_path / "nodir" / "det")
@@ -514,6 +524,40 @@ class TestOutputPaths:
                                    "outputs": {"csv": out}}))
         assert main(["validate", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out == note + "\n"
+
+
+def too_long(name: str) -> OSError:
+    return OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), name)
+
+
+def test_an_input_name_the_os_cannot_stat_is_one_note(tmp_path, capsys):
+    argv, names = verify_inputs(tmp_path)
+    channel = str(tmp_path / ("x" * 300 + ".json"))
+    argv[argv.index("--channel") + 1] = channel
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: input channel: {too_long(channel)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--gamma", "0.03", "--grid", "0:0.5:3"],
+    ["codebook", "--n", "6", "--delta", "0.3", "--M", "3"],
+    ["falsify", "--trials", "5"],
+])
+def test_a_write_that_fails_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    """A full disk or a read-only mount ends the run with one line and exit 2.
+    A chmod cannot refuse root, so the writer itself is made to fail."""
+    out = str(tmp_path / "out")
+    denied = PermissionError(errno.EACCES, os.strerror(errno.EACCES), out)
+
+    def refuse(path, text):
+        raise denied
+
+    monkeypatch.setattr(jsonio, "_write_text", refuse)
+    assert main([*argv, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write output: {denied}\n"
+    assert all(line.startswith("seed: ") for line in captured.out.splitlines())
 
 
 class TestLoaderPaths:

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 from pathlib import Path
 from unittest import mock
 
@@ -360,6 +362,91 @@ class TestWriters:
         path = tmp_path / "t.csv"
         jsonio.write_csv(path, ["a", "b", "c"], [[np.float64(0.5), 0.1, 3]])
         assert path.read_text() == "a,b,c\n0.5,0.1,3\n"
+
+
+class TestRewrites:
+    """An existing output is replaced by a new file where it can simply go;
+    anything else is written in place, through any symlink.
+
+    A handle held open on the old file tells the two apart: it reads the
+    new bytes only if the file was written in place. Holding it also keeps
+    the old inode, so the new file cannot reuse its number.
+    """
+
+    PAYLOAD = {"rows": [[0.25, 0.75]], "seed": 3}
+
+    @pytest.fixture
+    def first(self, tmp_path) -> bytes:
+        """The bytes of PAYLOAD written to a new path."""
+        jsonio.write_json(tmp_path / "first.json", self.PAYLOAD)
+        return (tmp_path / "first.json").read_bytes()
+
+    def rewrite(self, path: Path) -> tuple[bytes, bool]:
+        """Write PAYLOAD over the file at ``path``: what a handle on the old
+        file then reads, and whether ``path`` still names that file."""
+        with open(path, "rb") as held:
+            jsonio.write_json(path, self.PAYLOAD)
+            return held.read(), os.fstat(held.fileno()).st_ino == path.stat().st_ino
+
+    def old_file(self, path: Path, mode: int = 0o644) -> Path:
+        path.write_text("old")
+        path.chmod(mode)
+        return path
+
+    def test_a_plain_file_becomes_a_new_file_with_its_permissions(self, tmp_path, first):
+        path = self.old_file(tmp_path / "out.json", 0o640)
+        assert self.rewrite(path) == (b"old", False)
+        assert path.read_bytes() == first
+        assert path.stat().st_mode & 0o7777 == 0o640
+
+    def test_a_symlink_is_written_through(self, tmp_path, first):
+        target = self.old_file(tmp_path / "target.json")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert self.rewrite(link) == (first, True)
+        assert link.is_symlink() and target.read_bytes() == first
+
+    def test_a_hard_linked_file_is_written_in_place(self, tmp_path, first):
+        path = self.old_file(tmp_path / "a.json")
+        os.link(path, tmp_path / "b.json")
+        assert self.rewrite(path) == (first, True)
+        assert (tmp_path / "b.json").read_bytes() == first
+
+    def test_another_users_file_is_written_in_place(self, tmp_path, monkeypatch, first):
+        path = self.old_file(tmp_path / "theirs.json")
+        monkeypatch.setattr(os, "geteuid", lambda: path.stat().st_uid + 1)
+        assert self.rewrite(path) == (first, True)
+
+    def test_a_file_its_directory_keeps_is_written_in_place(self, tmp_path, monkeypatch,
+                                                            first):
+        path = self.old_file(tmp_path / "kept.json")
+
+        def refuse(name, missing_ok=False):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(name))
+
+        monkeypatch.setattr(Path, "unlink", refuse)
+        assert self.rewrite(path) == (first, True)
+
+    def test_a_read_only_file_is_not_replaced(self, tmp_path, first):
+        path = self.old_file(tmp_path / "ro.json", 0o444)
+        if os.geteuid() == 0:  # root writes it in place
+            assert self.rewrite(path) == (first, True)
+        else:
+            with pytest.raises(PermissionError):
+                self.rewrite(path)
+            assert path.read_bytes() == b"old"
+
+    def test_csv_and_codebook_bytes(self, tmp_path):
+        """The bytes these writers gave when each wrote its own file."""
+        csv_path, book_path = tmp_path / "t.csv", tmp_path / "t.txt"
+        book = bsc_id.Codebook(n=4, words=("0000", "0111", "1110"), dmin=2)
+        for _ in range(2):  # a first write, then a rewrite
+            jsonio.write_csv(csv_path, ["delta", "name", "n"],
+                             [[0.1, "a,b", 3], [np.float64(1 / 3), 'say "hi"', -0.0]])
+            jsonio.write_codebook(book_path, book)
+            assert csv_path.read_bytes() == (b'delta,name,n\n0.1,"a,b",3\n'
+                                             b'0.3333333333333333,"say ""hi""",-0.0\n')
+            assert book_path.read_bytes() == b"# n=4 d=2\n0000\n0111\n1110\n"
 
 
 # -- channel files --------------------------------------------------------------
