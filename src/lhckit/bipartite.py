@@ -41,8 +41,8 @@ from .hypergraph import (
     _drawn_partition,
     _require_same_alphabet,
 )
-from .verify import (_match, edge_vector, exceeds, infer_edge_map, lambda_profile,
-                     one_sided_costs, one_sided_side, require_within)
+from .verify import (_match, _require_edge_counts, edge_vector, exceeds, infer_edge_map,
+                     lambda_profile, one_sided_costs, one_sided_side, require_within)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,10 +171,7 @@ def _branch_swap_sides(phi: Channel, hyper_h: Hypergraph, hyper_g: Hypergraph,
                        hyper_i: Hypergraph, hyper_f: Hypergraph, lam) -> tuple:
     """``check_branch_swap``'s refusals, in its order: lam as a per-edge
     vector and the checked hypothesis and conclusion sides."""
-    if hyper_i.edge_count != hyper_h.edge_count:
-        raise EdgeCountMismatch(
-            f"{hyper_h.edge_count} hyper_h edges vs {hyper_i.edge_count} hyper_i edges"
-        )
+    _require_edge_counts(hyper_h, hyper_i, "hyper_h", "hyper_i")
     lam = edge_vector(lam, hyper_h.edge_count, "lam")
     a1 = split_product_alphabet(hyper_h.vertices, phi.input)
     hypothesis = one_sided_side(phi, a1, hyper_h, hyper_g)

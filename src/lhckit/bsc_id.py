@@ -29,8 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from . import channel
-from .channel import Channel, _adopt, _check_entries, named_rng, tensor
+from .channel import Channel, _adopt, _check_entries, _require_stochastic, named_rng, tensor
 from .errors import (
     CapacityError,
     EpsilonTooLarge,
@@ -129,11 +128,11 @@ class PairDistanceLaw:
     pmf: np.ndarray
 
     def __post_init__(self):
+        _require_count(self.n, "block length n", 0)
         pmf = np.asarray(self.pmf, dtype=np.float64)
         if pmf.shape != (self.n + 1,):
             raise ShapeError(f"pmf must have length n + 1 = {self.n + 1}")
-        if abs(pmf.sum() - 1.0) > channel.ROW_SUM_TOL:
-            raise ShapeError(f"pmf sums to {pmf.sum()!r}, not 1")
+        _require_stochastic(pmf[None], "pmf")
         pmf.setflags(write=False)
         object.__setattr__(self, "pmf", pmf)
 
@@ -306,6 +305,8 @@ class Codebook:
     _distances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_count(self.n, "block length n")
+        _require_count(self.dmin, "minimum distance dmin", 0)
         if len(set(self.words)) != len(self.words):
             raise ShapeError("codewords must be distinct")
         bits = _word_bits(self.words, self.n)

@@ -48,25 +48,33 @@ class Channel:
                 f"rows shape {rows.shape} does not match alphabets "
                 f"({self.input.size}, {self.output.size})"
             )
-        # NaN fails both comparisons, so non-finite entries are refused here
-        if not (rows.min() >= 0.0 and rows.max() <= 1.0):
-            x, y = np.argwhere(~((rows >= 0.0) & (rows <= 1.0)))[0]
-            raise ShapeError(
-                f"row {x} holds {float(rows[x, y])!r}; probabilities must lie in [0, 1]"
-            )
-        sums = rows.sum(axis=1)
-        dev = np.abs(sums - 1.0)
-        if dev.max() > ROW_SUM_TOL:
-            x = int(np.argmax(dev > ROW_SUM_TOL))
-            raise ShapeError(
-                f"row {x} sums to {float(sums[x])!r}, not 1 within {ROW_SUM_TOL}"
-            )
+        _require_stochastic(rows, "row {}")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
     @property
     def deterministic(self) -> bool:
         return bool(np.all(self.rows.max(axis=1) >= 1.0 - ROW_SUM_TOL))
+
+
+def _require_stochastic(rows: np.ndarray, what: str) -> None:
+    """The one probability-vector check, on each row of a nonempty 2-D
+    array: every entry in [0, 1] and the sum within ROW_SUM_TOL of 1, from
+    three reductions (min, max, row sums) where the rows pass. A refusal is
+    a ShapeError naming the first bad row as ``what.format(x)``."""
+    # NaN fails both comparisons, so non-finite entries are refused here
+    if not (rows.min() >= 0.0 and rows.max() <= 1.0):
+        x, y = np.argwhere(~((rows >= 0.0) & (rows <= 1.0)))[0]
+        raise ShapeError(
+            f"{what.format(x)} holds {float(rows[x, y])!r}; probabilities must lie in [0, 1]"
+        )
+    sums = rows.sum(axis=1)
+    dev = np.abs(sums - 1.0)
+    if dev.max() > ROW_SUM_TOL:
+        x = int(np.argmax(dev > ROW_SUM_TOL))
+        raise ShapeError(
+            f"{what.format(x)} sums to {float(sums[x])!r}, not 1 within {ROW_SUM_TOL}"
+        )
 
 
 def _adopt(inp: Alphabet, out: Alphabet, rows: np.ndarray) -> Channel:

@@ -16,13 +16,14 @@ from functools import cached_property
 import numpy as np
 
 from .channel import Channel, compose, deterministic_channel
-from .errors import DecompositionFailure, RequiresBijective, ShapeError
+from .errors import DecompositionFailure, ShapeError
 from .hypergraph import (
     EdgeMap,
     FunctionTable,
     Hypergraph,
     characteristic_hypergraph,
     check_homomorphism,
+    _require_bijective,
     _require_same_alphabet,
 )
 from .verify import LhcCertificate, edge_vector, verify_lhc, worst_failure
@@ -108,8 +109,7 @@ def lhc_to_code(psi_cert: LhcCertificate, code: FunctionCode) -> FunctionCode:
     hits; a deterministic relabeling of the decoder output undoes that, and
     the resulting code's error profile is bounded by the certificate error.
     """
-    if not psi_cert.edge_map.bijective:
-        raise RequiresBijective("certificate edge map must be bijective")
+    _require_bijective(psi_cert.edge_map, "certificate edge map")
     target = value_hypergraph(code)
     canonical = EdgeMap.identity(target.edge_count)
     # g sends the vertex carrying each certificate edge to the canonical value.
@@ -144,16 +144,12 @@ def sandwich_transfer(
     they agree. An e_edge that does not run from the edges of F to those of
     I raises ShapeError where the edge maps are composed.
     """
-    rep_f = check_homomorphism(f_vertex, f_edge, hyper_f, hyper_g)
-    if not rep_f.is_hom:
-        raise ShapeError(f"prefix map is not a homomorphism (witness {rep_f.witness})")
-    if not f_edge.bijective:
-        raise RequiresBijective("prefix homomorphism must be edge-bijective")
-    rep_h = check_homomorphism(h_vertex, h_edge, hyper_h, hyper_i)
-    if not rep_h.is_hom:
-        raise ShapeError(f"suffix map is not a homomorphism (witness {rep_h.witness})")
-    if not h_edge.bijective:
-        raise RequiresBijective("suffix homomorphism must be edge-bijective")
+    for role, vertex, edge, start, end in (("prefix", f_vertex, f_edge, hyper_f, hyper_g),
+                                           ("suffix", h_vertex, h_edge, hyper_h, hyper_i)):
+        rep = check_homomorphism(vertex, edge, start, end)
+        if not rep.is_hom:
+            raise ShapeError(f"{role} map is not a homomorphism (witness {rep.witness})")
+        _require_bijective(edge, f"{role} edge map")
 
     pre = deterministic_channel(
         FunctionTable(hyper_f.vertices, hyper_g.vertices, tuple(f_vertex))

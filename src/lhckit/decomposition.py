@@ -27,6 +27,7 @@ from .hypergraph import (
     FunctionTable,
     Hypergraph,
     characteristic_hypergraph,
+    _require_bijective,
 )
 from .verify import (
     LhcCertificate,
@@ -80,8 +81,7 @@ def decompose(
     mu = edge_vector(mu, k, "mu")
     lam = edge_vector(lam, k, "lam")
 
-    if not e_edge.bijective:
-        raise HypothesisViolated("composite edge map must be bijective")
+    _require_bijective(e_edge, "composite edge map")
     require_within(lambda_profile(eta, source, target, e_edge), lam,
                    "composite profile <= lam")
     if np.any(lam >= 0.5):

@@ -352,8 +352,7 @@ class EdgeMap:
         return len(set(self.mapping)) == self.source_count == self.target_count
 
     def inverse(self) -> "EdgeMap":
-        if not self.bijective:
-            raise RequiresBijective("cannot invert a non-bijective edge map")
+        _require_bijective(self, "inverted edge map")
         inv = [0] * self.target_count
         for i, j in enumerate(self.mapping):
             inv[j] = i
@@ -372,6 +371,13 @@ class EdgeMap:
     @staticmethod
     def identity(n: int) -> "EdgeMap":
         return EdgeMap(n, n, tuple(range(n)))
+
+
+def _require_bijective(edge_map: EdgeMap, what: str) -> None:
+    """The one check that an edge map is a bijection: RequiresBijective
+    naming the map's role as what."""
+    if not edge_map.bijective:
+        raise RequiresBijective(f"{what} must be bijective")
 
 
 @dataclass(frozen=True)

@@ -236,12 +236,20 @@ _KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a boolean
           int: "a number", float: "a number", type(None): "null"}
 
 
+def _kind(value, kind: type, what: str):
+    """``value`` if it is of kind, dict for a JSON object or list for an
+    array; anything else raises ShapeError naming its JSON kind, never its
+    value. The loaders' one JSON-kind check, behind ``_require`` and
+    ``_list``."""
+    if not isinstance(value, kind):
+        got = _KINDS.get(type(value), "no JSON value")
+        raise ShapeError(f"{what} must be a JSON {_KINDS[kind].split()[1]}, got {got}")
+    return value
+
+
 def _require(d, what: str, *keys: str) -> None:
-    """Raise ShapeError unless d is a JSON object holding every key; the
-    message names the JSON kind of anything else, never its value."""
-    if not isinstance(d, dict):
-        kind = _KINDS.get(type(d), "no JSON value")
-        raise ShapeError(f"{what} must be a JSON object, got {kind}")
+    """Raise ShapeError unless d is a JSON object holding every key."""
+    _kind(d, dict, what)
     missing = [key for key in keys if key not in d]
     if missing:
         raise ShapeError(f"{what} misses component {missing[0]!r}")
@@ -262,12 +270,8 @@ def _alphabet(labels, what: str) -> Alphabet:
 
 
 def _list(value, what: str) -> list:
-    """``value`` if it is a JSON array; anything else raises ShapeError
-    naming its JSON kind, as ``_require`` does, never its value."""
-    if not isinstance(value, list):
-        kind = _KINDS.get(type(value), "no JSON value")
-        raise ShapeError(f"{what} must be a JSON array, got {kind}")
-    return value
+    """``value`` if it is a JSON array (see ``_kind``)."""
+    return _kind(value, list, what)
 
 
 def _numbers(values, what: str, null: bool = False) -> np.ndarray:

@@ -249,7 +249,7 @@ def one_sided_side(
         ins, outs = ins[::-1], outs[::-1]
     _require_same_alphabet(ins[0].product(ins[1]), source.vertices, _INPUT_RULE)
     _require_same_alphabet(outs[0].product(outs[1]), target.vertices, _OUTPUT_RULE)
-    _require_edge_counts(source, target)
+    _require_edge_counts(source, target, "source", "target")
     return phi, other, source, target, phi_first
 
 
@@ -391,16 +391,18 @@ def infer_edge_map(
     """
     require_disjoint_edges(source, target)
     cost = edge_cost_matrix(phi, source, target)
-    _require_edge_counts(source, target)
+    _require_edge_counts(source, target, "source", "target")
     mapping, picked = _match(cost)
     return EdgeMap(source.edge_count, target.edge_count, mapping), np.array(picked)
 
 
-def _require_edge_counts(source: Hypergraph, target: Hypergraph) -> None:
-    if source.edge_count != target.edge_count:
-        raise EdgeCountMismatch(
-            f"{source.edge_count} source edges vs {target.edge_count} target edges"
-        )
+def _require_edge_counts(first: Hypergraph, second: Hypergraph, first_role: str,
+                         second_role: str) -> None:
+    """The one check that two hypergraphs have as many edges: an
+    EdgeCountMismatch naming each count with its hypergraph's role."""
+    if first.edge_count != second.edge_count:
+        raise EdgeCountMismatch(f"{first.edge_count} {first_role} edges vs "
+                                f"{second.edge_count} {second_role} edges")
 
 
 def _match(cost: np.ndarray) -> tuple[tuple[int, ...], list[float]]:

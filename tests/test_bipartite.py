@@ -285,20 +285,6 @@ class TestBranchSwap:
         with pytest.raises(ShapeError):
             check_branch_swap(phi, h, bad_g, i, f, lam)
 
-    def test_conclusion_side_edge_count_checked(self):
-        # hyper_i and hyper_f agree with each other, so neither inference
-        # sees the mismatch, and a one-entry lam would broadcast over both
-        # conclusion edges
-        a1, a2, x1, x2 = (Alphabet.of_size(2, prefix) for prefix in "abuv")
-
-        def one_edge(alpha):
-            return Hypergraph(alpha, (tuple(range(alpha.size)),))
-
-        with pytest.raises(EdgeCountMismatch, match="1 hyper_h edges vs 2 hyper_i edges"):
-            check_branch_swap(Channel(a2, x2, np.eye(2)), one_edge(a1.product(a2)),
-                              one_edge(a1.product(x2)), square_split(2, x1.product(a2)),
-                              square_split(2, x1.product(x2)), 0.3)
-
     def test_wrong_length_lam_rejected(self):
         phi, h, g, i, f, _ = random_branch_swap_instance(np.random.default_rng(0))
         assert h.edge_count == 1

@@ -186,6 +186,19 @@ class TestCodebooks:
         with pytest.raises(ShapeError):
             Codebook(n=3, words=("000", "001"), dmin=3)
 
+    @pytest.mark.parametrize("n, dmin, message", [
+        (4, 2.5, "minimum distance dmin 2.5 is not an integer >= 0"),
+        (4, -3, "minimum distance dmin -3 is not an integer >= 0"),
+        (4, True, "minimum distance dmin True is not an integer >= 0"),
+        (0, 0, "block length n 0 is not an integer >= 1"),
+    ])
+    def test_constructor_refuses_a_header_read_codebook_refuses(self, n, dmin, message):
+        """Each of these used to construct, and write_codebook then wrote a
+        '# n=... d=...' header that read_codebook refuses. The words are
+        not read: '0000' would not be a 0-bit word."""
+        with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+            Codebook(n=n, words=("0000", "1111"), dmin=dmin)
+
     def test_constructor_names_first_close_pair_in_row_major_order(self):
         # pairs (0, 3) and (1, 2) are both too close; row-major order meets
         # (0, 3) first, column-major order would meet (1, 2) first
@@ -266,6 +279,13 @@ class TestDistanceLaw:
     def test_pmf_normalized(self):
         law = pair_distance_distribution(100, 37, 0.07)
         assert abs(law.pmf.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [-1, 2.5, True])
+    def test_law_refuses_a_block_length_that_is_no_count(self, n):
+        """n = -1 with an empty pmf reached numpy's refusal to reduce an
+        empty array, and n = True read as 1."""
+        with pytest.raises(RangeError, match=f"^block length n {n} is not an integer >= 0$"):
+            bsc_id.PairDistanceLaw(n, 0, [1.0, 0.0])
 
     @pytest.mark.parametrize("gamma", [0.0, 0.03, 0.5])
     @pytest.mark.parametrize("n", [1, 7, 64])

@@ -22,7 +22,7 @@ from lhckit import (
     tensor,
 )
 from lhckit import codes
-from lhckit.errors import DecompositionFailure, RequiresBijective, ShapeError
+from lhckit.errors import DecompositionFailure, ShapeError
 
 import oracles
 from conftest import identity_channel_between, rand_channel, sandwich_instance
@@ -203,18 +203,6 @@ class TestLhcToCode:
         restored = lhc_to_code(cert, code)
         assert np.all(code_error_profile(restored) <= cert.lam + 1e-12)
 
-    def test_requires_bijective(self):
-        code = perfect_identity_code()
-        cert = code_to_lhc(code)
-        from lhckit.verify import LhcCertificate
-
-        broken = LhcCertificate(
-            edge_map=EdgeMap(2, 2, (0, 0)), lam=cert.lam,
-            per_vertex_success=cert.per_vertex_success, failing_edges=(),
-        )
-        with pytest.raises(RequiresBijective):
-            lhc_to_code(broken, code)
-
 
 def sharp(rng, inp, out, targets, noise=0.05):
     rows = np.full((inp.size, out.size), noise / out.size)
@@ -296,11 +284,3 @@ class TestSandwichTransfer:
         inst = sandwich_instance(rng)
         _, (outer, inner) = sandwich_transfer(**inst)
         assert outer == inner
-
-    def test_requires_bijective_prefix(self):
-        g = complete_1_uniform(BITS)
-        with pytest.raises(RequiresBijective):
-            sandwich_transfer(
-                (0, 0), EdgeMap(2, 2, (0, 0)), (0, 1), EdgeMap.identity(2),
-                bsc(0.1), EdgeMap.identity(2), g, g, g, g, np.array([0.1, 0.1]),
-            )

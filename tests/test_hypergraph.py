@@ -29,7 +29,7 @@ from lhckit import (
     verify_lhc,
 )
 from lhckit.channel import bsc, sample
-from lhckit.errors import RangeError, RequiresBijective, RequiresPartition, ShapeError
+from lhckit.errors import RangeError, RequiresPartition, ShapeError
 
 import oracles
 from conftest import rand_partition
@@ -572,10 +572,6 @@ class TestRelabelHom:
             h_edge = EdgeMap(4, 4, tuple(int(i) for i in rng.permutation(4)))
             f_edge = EdgeMap(4, 4, tuple(int(i) for i in rng.integers(4, size=4)))
             assert f_edge.after(h_edge.inverse()).after(h_edge) == f_edge
-
-    def test_requires_bijective(self):
-        with pytest.raises(RequiresBijective):
-            EdgeMap(2, 2, (0, 0)).inverse()
 
 
 class TestRelabelInvariance:

@@ -90,8 +90,8 @@ def test_replay_leaves_the_stream_where_the_draws_do():
     from lhckit import bipartite, named_rng
 
     for seed in (0, 1, 2):
-        recorder = stage_timing.Recorder(named_rng(seed, 0x51AB))
-        replayed = named_rng(seed, 0x51AB)
+        recorder = stage_timing.Recorder(named_rng(seed, stage_timing.STREAM))
+        replayed = named_rng(seed, stage_timing.STREAM)
         for _ in range(200):
             bipartite.random_branch_swap_instance(recorder)
             stage_timing.replay(recorder.calls, replayed)

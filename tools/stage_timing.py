@@ -2,10 +2,12 @@
 
 Each of ROUNDS rounds builds fresh objects and runs every stage below once,
 in order, each between the calibrations of ``benchmarks/run.py``'s
-``to_reference``. One table follows: per stage, the median over the rounds
-of its raw microseconds and of its reference microseconds (the raw time
-scaled by how much slower than its reference time the calibration kernel
-ran, as the benchmark scales its jobs).
+``to_reference``; an io stage runs k calls there, k chosen from one
+untimed call before them so that the k calls last about 1 ms. One table
+follows: per stage, the median over the rounds of its raw microseconds and
+of its reference microseconds (the raw time scaled by how much slower than
+its reference time the calibration kernel ran, as the benchmark scales its
+jobs), per job, trial or call.
 
 - certify, per job: jobs 0 .. 9 of the benchmark's ``certify`` job at SEED.
   ``job`` is the whole job; ``objects`` builds the channels, hypergraphs
@@ -20,7 +22,7 @@ ran, as the benchmark scales its jobs).
   cannot go below; ``batch``, ``one_sided_costs`` over both checked sides
   of every instance in one call; ``match``, ``_match`` on each side's
   costs.
-- io, per file: ``write:NAME`` and ``read:NAME`` (``write_channel`` and
+- io, per call: ``write:NAME`` and ``read:NAME`` (``write_channel`` and
   ``channel_from_dict(read_json)``, or ``write_json`` and ``read_json``
   for the dump) of five files in a temporary directory: ``sharp``, a
   256 x 256 deterministic map with uniform leakage 0.05; ``bsc-pair``,
@@ -61,6 +63,8 @@ from lhckit import Alphabet, Channel, bipartite, bsc_id, cli, jsonio, named_rng 
 from lhckit.verify import _match, one_sided_costs  # noqa: E402
 
 JOBS, TRIALS, SIDE, N, DUMP_TRIALS = 10, 200, 256, 6, 60
+STREAM = 0x51AB  # the stream part of run_branch_swap_harness's Generator
+IO_SECONDS = 1e-3  # about how long an io stage's k calls last
 
 
 def planted(seed: int, i: int) -> tuple[dict, dict, dict]:
@@ -108,13 +112,13 @@ def replay(calls: list, rng: np.random.Generator) -> np.random.Generator:
 def falsify(seed: int, stage) -> None:
     stage("trial", lambda: bipartite.run_branch_swap_harness(TRIALS, seed))
     # the harness's own stream, so the stages see its instances
-    rng = named_rng(seed, 0x51AB)
+    rng = named_rng(seed, STREAM)
     drawn = stage("draw", lambda: [bipartite.random_branch_swap_instance(rng)
                                    for _ in range(TRIALS)])
-    recorder = Recorder(named_rng(seed, 0x51AB))
+    recorder = Recorder(named_rng(seed, STREAM))
     for _ in range(TRIALS):
         bipartite.random_branch_swap_instance(recorder)
-    fresh = named_rng(seed, 0x51AB)
+    fresh = named_rng(seed, STREAM)
     stage("rng", lambda: replay(recorder.calls, fresh))
     sides = [side for instance in drawn
              for side in bipartite._branch_swap_sides(*instance)[1]]
@@ -158,8 +162,17 @@ def files(seed: int, stage) -> None:
         stage("read:dump", lambda: jsonio.read_json(dump), memo(dump))
 
 
-# each group, the count its stage times are divided by, and its stages
-GROUPS = (("certify", JOBS, certify), ("falsify", TRIALS, falsify), ("io", 1, files))
+# each group, the count its stage times are divided by (None: the k calls
+# of an io stage), and its stages
+GROUPS = (("certify", JOBS, certify), ("falsify", TRIALS, falsify), ("io", None, files))
+
+
+def seconds_of(action, calls: int) -> tuple:
+    """Run action calls times: its last output, and the seconds all calls took."""
+    start = time.perf_counter()
+    for _ in range(calls):
+        out = action()
+    return out, time.perf_counter() - start
 
 
 def one_round(seed: int) -> dict[str, tuple]:
@@ -167,12 +180,11 @@ def one_round(seed: int) -> dict[str, tuple]:
     rows: dict[str, tuple] = {}
     for group, per, stages in GROUPS:
         def stage(name, action, memo_text="-"):
-            def timed():
-                start = time.perf_counter()
-                out = action()
-                return out, time.perf_counter() - start
-            (out, seconds), factor = run.to_reference(timed)
-            us = 1e6 * seconds / per
+            calls = 1
+            if per is None:
+                calls = max(1, round(IO_SECONDS / seconds_of(action, 1)[1]))
+            (out, seconds), factor = run.to_reference(lambda: seconds_of(action, calls))
+            us = 1e6 * seconds / (per or calls)
             rows[name] = (group, us, us * factor, memo_text)
             return out
         stages(seed, stage)
